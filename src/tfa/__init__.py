@@ -23,7 +23,14 @@ from .embeddings import (
     save_prototypes,
 )
 from .metrics import ExperimentReport, accuracy, delta, emit_report, harmonic, mean_harmonic, split_accuracy
-from .protocol import ExperimentConfig, TaskSpec, run_experiment, run_session, validate_tasks
+from .protocol import (
+    ExperimentConfig,
+    TaskSpec,
+    run_experiment,
+    run_experiments,
+    run_session,
+    validate_tasks,
+)
 from .synth import SynthConfig, generate_synthetic
 
 __version__ = "0.1.0"

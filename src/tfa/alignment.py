@@ -34,10 +34,13 @@ import numpy as np
 from .embeddings import EmbeddingSet
 from .errors import (
     BadMagic,
+    ConfigError,
     CorruptRecord,
     DimMismatch,
     EmptyTrainSet,
     ValidationError,
+    check_int,
+    check_real,
 )
 from .rng import SCOPE_INIT, SCOPE_SHUFFLE, Stream, derive_seed
 
@@ -136,6 +139,35 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        """Every construction path is validated here; ``hidden`` becomes a tuple."""
+        check_int("epochs", self.epochs, lo=1)
+        check_int("batch_size", self.batch_size, lo=1)
+        check_int("seed", self.seed)
+        for name in ("lr", "epsilon"):
+            value = getattr(self, name)
+            check_real(name, value)
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            check_real(name, value, lo=0.0)
+            if value >= 1:
+                raise ConfigError(f"{name} must be < 1, got {value}")
+        check_real("slope", self.slope, lo=0.0)
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ConfigError(f"hidden must be a list of widths, got {self.hidden!r}")
+        for width in self.hidden:
+            check_int("hidden width", width, lo=1)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown alignment config keys: {sorted(unknown)}")
+        return cls(**d)
 
 
 def _sigmoid(z):
@@ -416,14 +448,27 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
         biases.append(b.astype(np.float64))
     if off != len(blob):
         raise DimMismatch(f"{path}: {len(blob) - off} trailing bytes")
+    if not weights:
+        raise DimMismatch(f"{path}: no layers")
+    for i in range(1, n_layers):
+        if weights[i].shape[0] != weights[i - 1].shape[1]:
+            raise DimMismatch(f"{path}: layer {i} has {weights[i].shape[0]} rows, "
+                              f"layer {i - 1} has {weights[i - 1].shape[1]} cols")
+    if weights[-1].shape[1] != 1:
+        raise DimMismatch(f"{path}: last layer has width {weights[-1].shape[1]}, not 1")
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
             raise CorruptRecord(f"{path}: non-finite parameter")
     with open(Path(str(path) + ".meta.json"), "r", encoding="utf-8") as f:
         meta = json.load(f)
-    m = int(meta["m"])
-    if weights and weights[0].shape[0] != 2 * m:
+    if not isinstance(meta, dict):
+        raise CorruptRecord(f"{path}: sidecar is not a JSON object")
+    m = meta.get("m")
+    check_int(f"{path}: sidecar m", m, lo=1, error=CorruptRecord)
+    slope = meta.get("slope", DEFAULT_SLOPE)
+    check_real(f"{path}: sidecar slope", slope, lo=0.0, error=CorruptRecord)
+    if weights[0].shape[0] != 2 * m:
         raise DimMismatch(f"{path}: first layer expects fan-in {weights[0].shape[0]}, "
                           f"sidecar says m={m}")
-    params = RelationParams(weights, biases, float(meta.get("slope", DEFAULT_SLOPE)), m)
+    params = RelationParams(weights, biases, float(slope), m)
     return params.freeze(), meta

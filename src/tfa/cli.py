@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .embeddings import (
     save_prototypes,
 )
 from .errors import ConfigError, FormatError, TfaError, ValidationError
-from .protocol import ExperimentConfig, run_experiment
+from .protocol import ExperimentConfig, run_experiment, run_experiments
 from .synth import SynthConfig, generate_synthetic
 from .metrics import emit_report
 
@@ -108,12 +109,7 @@ def cmd_train_align(args) -> int:
         if flag is not None:
             align_dict[key] = flag
     align_dict["seed"] = _resolve_seed(args.seed, align_dict.get("seed"))
-    if "hidden" in align_dict:
-        align_dict["hidden"] = tuple(align_dict["hidden"])
-    try:
-        hyper = TrainConfig(**align_dict)
-    except TypeError as e:
-        raise ConfigError(f"bad alignment config: {e}") from e
+    hyper = TrainConfig.from_dict(align_dict)
 
     data = load_embeddings(args.base)
     non_base = [int(t) for t in data.task_ids() if int(t) != 0]
@@ -172,11 +168,18 @@ def _parse_values(raw: str, axis: str) -> list[float]:
         vals = [float(p) for p in parts]
     except ValueError as e:
         raise ConfigError(f"bad sweep value in {raw!r}") from e
-    if axis == "cache-size":
-        for v in vals:
-            if v != int(v) or v < 1:
-                raise ConfigError(f"cache-size values must be positive integers, got {v}")
+    for v in vals:
+        if not math.isfinite(v):
+            raise ConfigError(f"sweep values must be finite, got {v}")
+        if axis == "cache-size" and (v != int(v) or v < 1):
+            raise ConfigError(f"cache-size values must be positive integers, got {v}")
     return vals
+
+
+def _sweep_setting(axis: str, v: float, shots: int) -> dict:
+    if axis == "cache-size":
+        return {"capacity": int(v), "novel_capacity": min(int(v), shots)}
+    return {axis: v}
 
 
 def cmd_ablate(args) -> int:
@@ -184,17 +187,10 @@ def cmd_ablate(args) -> int:
     cfg = _experiment_config(args)
     data, protos = _load_task_dir(args.tasks)
     alignment, _meta = load_alignment(args.align)
-    reports = []
-    for v in values:
-        if args.sweep == "alpha":
-            cfg_v = ExperimentConfig.from_dict({**cfg.to_dict(), "alpha": v})
-        elif args.sweep == "beta":
-            cfg_v = ExperimentConfig.from_dict({**cfg.to_dict(), "beta": v})
-        else:
-            cfg_v = ExperimentConfig.from_dict(
-                {**cfg.to_dict(), "capacity": int(v),
-                 "novel_capacity": min(int(v), cfg.shots)})
-        reports.append(run_experiment(cfg_v, data, protos, alignment=alignment))
+    cfgs = [ExperimentConfig.from_dict({**cfg.to_dict(),
+                                        **_sweep_setting(args.sweep, v, cfg.shots)})
+            for v in values]
+    reports = run_experiments(cfgs, data, protos, alignment)
 
     def fmt(x):
         return f"{x:g}" if x == int(x) else f"{x}"

@@ -2,8 +2,12 @@
 
 Every error class carries an ``exit_code`` so the command-line layer can map
 failures onto its documented contract: 2 for configuration errors, 3 for
-I/O and parse errors, 4 for semantic validation failures.
+I/O and parse errors, 4 for semantic validation failures. The field checks
+at the end validate untrusted settings once, where they enter the program.
 """
+
+import math
+import numbers
 
 
 class TfaError(Exception):
@@ -90,3 +94,25 @@ class ZeroBaseAccuracy(TfaError):
 
 class NoNovelSessions(TfaError):
     """Mean harmonic accuracy needs at least one session with novel classes."""
+
+
+# ---- field checks for values read from configs, flags and sidecars ----
+
+
+def check_int(name: str, value, lo: int | None = None, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, not a bool, and at
+    least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise error(f"{name} must be >= {lo}, got {value}")
+
+
+def check_real(name: str, value, lo: float | None = None, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number, not a bool or
+    a string, and at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if lo is not None and value < lo:
+        raise error(f"{name} must be >= {lo:g}, got {value}")

@@ -41,6 +41,8 @@ from .errors import (
     OutOfOrderSession,
     ShotCountMismatch,
     ValidationError,
+    check_int,
+    check_real,
 )
 from .rng import SCOPE_SHOTS, SCOPE_STREAM, SCOPE_TRIAL, Stream, derive_seed
 
@@ -77,20 +79,15 @@ class ExperimentConfig:
         return self.shots if self.novel_capacity is None else self.novel_capacity
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.effective_novel_capacity() < 1:
-            raise ConfigError("novel_capacity must be >= 1")
+        check_real("alpha", self.alpha, lo=0.0)
+        check_real("beta", self.beta, lo=0.0)
+        check_int("capacity", self.capacity, lo=1)
+        check_int("shots", self.shots, lo=1)
+        check_int("novel_capacity", self.effective_novel_capacity(), lo=1)
         if self.base_update_policy not in POLICIES:
             raise ConfigError(f"base_update_policy must be one of {POLICIES}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        check_int("trials", self.trials, lo=1)
+        check_int("seed", self.seed)
 
     def to_dict(self) -> dict:
         d = {
@@ -122,14 +119,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        align_known = {"epochs", "batch_size", "lr", "seed", "hidden", "slope",
-                       "beta1", "beta2", "epsilon"}
-        unknown = set(align) - align_known
-        if unknown:
-            raise ConfigError(f"unknown alignment config keys: {sorted(unknown)}")
-        if "hidden" in align:
-            align["hidden"] = tuple(align["hidden"])
-        cfg = cls(**d, align=TrainConfig(**align))
+        cfg = cls(**d, align=TrainConfig.from_dict(align))
         cfg.validate()
         return cfg
 
@@ -328,19 +318,45 @@ def train_base_alignment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes
     return train_alignment(params, base_train, protos0, cfg.align)
 
 
-def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
-                   alignment: RelationParams | None = None) -> metrics.ExperimentReport:
-    """All trials, all sessions; deterministic for a fixed config and data."""
-    cfg.validate()
+def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
+    """Validate every config, then the tasks built from ``data``, then each
+    config's shot count against those tasks."""
+    for cfg in cfgs:
+        cfg.validate()
     tasks = build_tasks(data)
     validate_tasks(tasks)
-    for task in tasks[1:]:
-        if task.shots != cfg.shots:
-            raise ShotCountMismatch(
-                f"task {task.index} provides {task.shots} shots, config expects {cfg.shots}")
+    for cfg in cfgs:
+        for task in tasks[1:]:
+            if task.shots != cfg.shots:
+                raise ShotCountMismatch(
+                    f"task {task.index} provides {task.shots} shots, "
+                    f"config expects {cfg.shots}")
+    return tasks
 
+
+def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
+                   alignment: RelationParams | None = None) -> metrics.ExperimentReport:
+    """All trials, all sessions; deterministic for a fixed config and data.
+
+    Without ``alignment`` the scorer is first trained on the base task per
+    ``cfg.align``; invalid inputs are rejected before any training.
+    """
     if alignment is None:
+        _checked_tasks([cfg], data)
         alignment, _history = train_base_alignment(cfg, data, prototypes)
+    return run_experiments([cfg], data, prototypes, alignment)[0]
+
+
+def run_experiments(cfgs, data: EmbeddingSet, prototypes,
+                    alignment: RelationParams) -> list[metrics.ExperimentReport]:
+    """One report per config, each equal to ``run_experiment``'s for it.
+
+    The frozen scorer's logits for a (test sample, class) pair depend on no
+    experiment setting, so the whole test set is scored against every
+    prototype once and all configs' trials read that one table.
+    """
+    cfgs = list(cfgs)
+    tasks = _checked_tasks(cfgs, data)
     if not alignment.frozen:
         raise ValidationError("experiments require a frozen alignment scorer")
 
@@ -351,34 +367,36 @@ def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
     table_row = {int(rec): i for i, rec in enumerate(all_test)}
 
     before = _param_bytes(alignment)
-    trials = []
-    for i in range(cfg.trials):
-        trial_seed = derive_seed(cfg.seed, SCOPE_TRIAL, i)
-        state = SessionState(
-            params=alignment,
-            cache=DualCache(cfg.capacity, cfg.effective_novel_capacity(),
-                            cfg.base_update_policy),
-        )
-        sessions = []
-        for task in tasks:
-            stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
-            state, rep = run_session(state, task, data, prototypes, cfg, stream_seed,
-                                     score_table=table, table_row=table_row,
-                                     prior_tasks=tasks[:task.index])
-            sessions.append(rep)
-        trials.append(metrics.TrialResult(seed=trial_seed, sessions=sessions))
+    reports = []
+    for cfg in cfgs:
+        trials = []
+        for i in range(cfg.trials):
+            trial_seed = derive_seed(cfg.seed, SCOPE_TRIAL, i)
+            state = SessionState(
+                params=alignment,
+                cache=DualCache(cfg.capacity, cfg.effective_novel_capacity(),
+                                cfg.base_update_policy),
+            )
+            sessions = []
+            for task in tasks:
+                stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
+                state, rep = run_session(state, task, data, prototypes, cfg, stream_seed,
+                                         score_table=table, table_row=table_row,
+                                         prior_tasks=tasks[:task.index])
+                sessions.append(rep)
+            trials.append(metrics.TrialResult(seed=trial_seed, sessions=sessions))
+        aggs, dlt, hm = metrics.aggregate_trials(trials)
+        reports.append(metrics.ExperimentReport(
+            config={"experiment": cfg.to_dict(), "data_provenance": data.provenance},
+            flags={"no_cache_baseline": cfg.alpha == 0.0},
+            trials=trials,
+            aggregate=aggs,
+            delta=dlt,
+            mean_harmonic=hm,
+        ))
     if _param_bytes(alignment) != before:
         raise ValidationError("alignment parameters changed during inference")
-
-    aggs, dlt, hm = metrics.aggregate_trials(trials)
-    return metrics.ExperimentReport(
-        config={"experiment": cfg.to_dict(), "data_provenance": data.provenance},
-        flags={"no_cache_baseline": cfg.alpha == 0.0},
-        trials=trials,
-        aggregate=aggs,
-        delta=dlt,
-        mean_harmonic=hm,
-    )
+    return reports
 
 
 def _param_bytes(params: RelationParams) -> bytes:

@@ -15,7 +15,7 @@ from tfa.alignment import SimilarityVector, init_relation
 from tfa.cli import main
 from tfa.metrics import delta, harmonic
 from tfa.numerics import entropy, softmax
-from tfa.protocol import ExperimentConfig, run_experiment
+from tfa.protocol import ExperimentConfig, run_experiments
 from tfa.rng import Stream, derive_seed
 
 from helpers import central_difference_check, make_unit
@@ -122,12 +122,10 @@ def test_a3_cache_invariants_over_randomized_streams():
 
 @pytest.fixture(scope="module")
 def calibration_runs(calibration):
-    full = run_experiment(calibration.exp, calibration.data, calibration.protos,
-                          alignment=calibration.alignment)
     baseline_cfg = ExperimentConfig.from_dict(
         {**calibration.exp.to_dict(), "alpha": 0.0})
-    baseline = run_experiment(baseline_cfg, calibration.data, calibration.protos,
-                              alignment=calibration.alignment)
+    full, baseline = run_experiments([calibration.exp, baseline_cfg], calibration.data,
+                                     calibration.protos, calibration.alignment)
     return full, baseline
 
 
@@ -152,7 +150,7 @@ def test_a4_end_to_end_calibration_run(calibration_runs):
 
 
 def _sweep(calibration, axis, values):
-    out = []
+    cfgs = []
     for v in values:
         d = calibration.exp.to_dict()
         if axis == "alpha":
@@ -160,10 +158,10 @@ def _sweep(calibration, axis, values):
         else:
             d["capacity"] = int(v)
             d["novel_capacity"] = min(int(v), calibration.exp.shots)
-        rep = run_experiment(ExperimentConfig.from_dict(d), calibration.data,
-                             calibration.protos, alignment=calibration.alignment)
-        out.append(rep.mean_harmonic)
-    return out
+        cfgs.append(ExperimentConfig.from_dict(d))
+    reports = run_experiments(cfgs, calibration.data, calibration.protos,
+                              calibration.alignment)
+    return [rep.mean_harmonic for rep in reports]
 
 
 def test_a5a_alpha_sweep_ordering(calibration):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfa.alignment import (
+    ALN_MAGIC,
     SimilarityVector,
     TrainConfig,
     adam_init,
@@ -20,7 +21,14 @@ from tfa.alignment import (
     train_alignment,
 )
 from tfa.embeddings import ClassPrototype
-from tfa.errors import BadMagic, DimMismatch, EmptyTrainSet, ValidationError
+from tfa.errors import (
+    BadMagic,
+    ConfigError,
+    DimMismatch,
+    EmptyTrainSet,
+    FormatError,
+    ValidationError,
+)
 from tfa.numerics import l2_normalize
 from tfa.rng import Stream
 from tfa.synth import SynthConfig, generate_synthetic
@@ -371,3 +379,67 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     good.write_bytes(blob[:-3])
     with pytest.raises(DimMismatch):
         load_alignment(good)
+
+
+def _write_checkpoint(path, layers, sidecar):
+    """An ALN1 file with zero weights for the given (rows, cols) layers."""
+    import json
+    import struct
+    blob = ALN_MAGIC + struct.pack("<I", len(layers))
+    for rows, cols in layers:
+        blob += struct.pack("<II", rows, cols) + b"\x00" * (4 * (rows * cols + cols))
+    path.write_bytes(blob)
+    (path.parent / (path.name + ".meta.json")).write_text(json.dumps(sidecar))
+    return path
+
+
+@pytest.mark.parametrize("sidecar", [{}, {"m": "4"}, {"m": 4.5}, {"m": None}, [4]],
+                         ids=["missing", "string", "float", "null", "not-an-object"])
+def test_checkpoint_sidecar_needs_an_integer_m(tmp_path, sidecar):
+    path = _write_checkpoint(tmp_path / "s.aln", [(8, 3), (3, 1)], sidecar)
+    with pytest.raises(FormatError):
+        load_alignment(path)
+
+
+def test_checkpoint_layers_must_chain(tmp_path):
+    path = _write_checkpoint(tmp_path / "c.aln", [(8, 5), (4, 1)], {"m": 4})
+    with pytest.raises(DimMismatch, match="layer 1 has 4 rows"):
+        load_alignment(path)
+
+
+def test_checkpoint_last_layer_must_have_width_one(tmp_path):
+    path = _write_checkpoint(tmp_path / "w.aln", [(8, 5), (5, 2)], {"m": 4})
+    with pytest.raises(DimMismatch, match="last layer has width 2"):
+        load_alignment(path)
+
+
+def test_checkpoint_needs_a_layer(tmp_path):
+    path = _write_checkpoint(tmp_path / "e.aln", [], {"m": 4})
+    with pytest.raises(DimMismatch):
+        load_alignment(path)
+
+
+def test_checkpoint_built_by_hand_loads(tmp_path):
+    path = _write_checkpoint(tmp_path / "ok.aln", [(8, 5), (5, 1)], {"m": 4})
+    params, _meta = load_alignment(path)
+    assert params.layer_sizes() == [8, 5, 1]
+
+
+# ---- training config ----
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("epochs", 1.5), ("epochs", True), ("batch_size", 0),
+    ("batch_size", "25"), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+    ("lr", float("inf")), ("lr", "0.001"), ("seed", 1.0), ("hidden", (0,)),
+    ("hidden", (4, 2.5)), ("hidden", 5), ("epsilon", 0.0), ("beta1", 1.0),
+    ("beta2", -0.1), ("slope", float("nan")),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_normalises_hidden_and_rejects_unknown_keys():
+    assert TrainConfig.from_dict({"hidden": [6, 3]}).hidden == (6, 3)
+    with pytest.raises(ConfigError, match="unknown alignment config keys"):
+        TrainConfig.from_dict({"epoch": 3})

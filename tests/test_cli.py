@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -185,6 +186,67 @@ def test_ablate_empty_values_is_config_error(workspace):
     root, tasks, aln, run_cfg = workspace
     assert main(["ablate", "--tasks", str(tasks), "--align", str(aln),
                  "--config", run_cfg, "--sweep", "alpha", "--values", " , "]) == 2
+
+
+def test_ablate_writes_the_same_bytes_as_one_run_per_value(workspace, monkeypatch):
+    # SHA-256 of the combined report written when every sweep value still
+    # rebuilt the score table in its own run.
+    root, _, _, _ = workspace
+    monkeypatch.chdir(root)
+    assert main(["ablate", "--tasks", "tasks", "--align", "scorer.aln",
+                 "--config", "run.json", "--sweep", "cache-size", "--values", "1,3,5",
+                 "--base-update-policy", "always", "--out", "cache.json"]) == 0
+    assert hashlib.sha256((root / "cache.json").read_bytes()).hexdigest() == \
+        "6d6d31d1870a9c5765c819abc5767d2002b1002a43a19c75a88fa70ab5e9360c"
+
+
+@pytest.mark.parametrize("sweep,values", [
+    ("alpha", "1,nan"), ("beta", "inf"), ("cache-size", "inf"), ("cache-size", "nan"),
+])
+def test_ablate_rejects_non_finite_values(workspace, capsys, sweep, values):
+    root, tasks, aln, run_cfg = workspace
+    assert main(["ablate", "--tasks", str(tasks), "--align", str(aln),
+                 "--config", run_cfg, "--sweep", sweep, "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", [{"alpha": "2"}, {"alpha": float("nan")},
+                                     {"beta": float("inf")}, {"capacity": 2.5}])
+def test_run_rejects_mistyped_and_non_finite_settings(workspace, tmp_path, capsys,
+                                                       setting):
+    root, tasks, aln, _ = workspace
+    cfg = write_json(tmp_path / "bad.json", {**RUN_CFG, **setting})
+    assert main(["run", "--tasks", str(tasks), "--align", str(aln),
+                 "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("align", [{"epochs": 0}, {"batch_size": 0}, {"lr": -1.0},
+                                   {"hidden": [8, 0]}, {"epoch": 3}])
+def test_train_align_rejects_bad_settings(workspace, tmp_path, capsys, align):
+    root, tasks, _, _ = workspace
+    cfg = write_json(tmp_path / "bad.json", {"align": align})
+    out = tmp_path / "x.aln"
+    assert main(["train-align", "--base", str(tasks / "task_000.emb"),
+                 "--protos", str(tasks / "prototypes.emb"),
+                 "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
+    root, tasks, aln, run_cfg = workspace
+    bad = tmp_path / "bad.aln"
+    bad.write_bytes(aln.read_bytes())
+    meta = json.loads(Path(str(aln) + ".meta.json").read_text())
+    del meta["m"]
+    write_json(str(bad) + ".meta.json", meta)
+    assert main(["run", "--tasks", str(tasks), "--align", str(bad),
+                 "--config", run_cfg, "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_renders_and_round_trips(workspace, tmp_path, capsys):

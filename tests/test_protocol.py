@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tfa.protocol
 from tfa.alignment import TrainConfig
 from tfa.errors import (
     ConfigError,
@@ -17,6 +18,7 @@ from tfa.protocol import (
     build_tasks,
     preset_tasks,
     run_experiment,
+    run_experiments,
     run_session,
     train_base_alignment,
     validate_tasks,
@@ -99,6 +101,33 @@ def test_config_validation():
         ExperimentConfig(base_update_policy="sometimes").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"nope": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", "2"), ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", True),
+    ("beta", float("-inf")), ("beta", None), ("capacity", 2.0), ("capacity", "5"),
+    ("shots", 5.0), ("trials", True), ("novel_capacity", 2.5), ("seed", "3"),
+])
+def test_config_rejects_mistyped_and_non_finite_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict({field: value})
+
+
+def test_config_validates_the_alignment_section():
+    with pytest.raises(ConfigError, match="epochs"):
+        ExperimentConfig.from_dict({"align": {"epochs": 0}})
+    assert ExperimentConfig.from_dict({"align": {"hidden": [8, 4]}}).align.hidden == (8, 4)
+
+
+@pytest.mark.parametrize("bad,error", [({"alpha": float("nan")}, ConfigError),
+                                       ({"shots": 4}, ShotCountMismatch)])
+def test_bad_experiment_fails_before_training(small_world, monkeypatch, bad, error):
+    cfg, data, protos, exp, _ = small_world
+    def no_training(*args):
+        raise AssertionError("trained before rejecting the config")
+    monkeypatch.setattr(tfa.protocol, "train_base_alignment", no_training)
+    with pytest.raises(error):
+        run_experiment(ExperimentConfig(**{**vars(exp), **bad}), data, protos)
 
 
 # ---- sessions ----
@@ -253,3 +282,44 @@ def test_novel_capacity_below_shots_subsamples(small_world):
         for s in trial.sessions[1:]:
             fills = s.cache["novel_fill"].values()
             assert all(f == 2 for f in fills)
+
+
+# ---- one score table shared by every config ----
+
+def _counted_score_matrix(monkeypatch):
+    calls = []
+    real = tfa.protocol.score_matrix
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tfa.protocol, "score_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", [
+    [{"alpha": a} for a in (0.0, 0.5, 2.0)],
+    [{"beta": b} for b in (0.0, 2.0, 7.5)],
+    [{"base_update_policy": "always", "capacity": c, "novel_capacity": min(c, 5)}
+     for c in (1, 3, 6)],
+], ids=["alpha", "beta", "cache-size-always"])
+def test_shared_table_reports_match_single_runs(small_world, monkeypatch, sweep):
+    cfg, data, protos, exp, alignment = small_world
+    cfgs = [ExperimentConfig.from_dict({**exp.to_dict(), **s}) for s in sweep]
+    singles = [report_json(run_experiment(c, data, protos, alignment=alignment))
+               for c in cfgs]
+    calls = _counted_score_matrix(monkeypatch)
+    shared = run_experiments(cfgs, data, protos, alignment)
+    assert calls == [sum(len(t.test_indices) for t in build_tasks(data))]
+    assert [report_json(r) for r in shared] == singles
+
+
+def test_run_experiments_validates_every_config_before_scoring(small_world, monkeypatch):
+    cfg, data, protos, exp, alignment = small_world
+    cfgs = [exp, ExperimentConfig(**{**vars(exp), "trials": 0})]
+    calls = _counted_score_matrix(monkeypatch)
+    with pytest.raises(ConfigError, match="trials"):
+        run_experiments(cfgs, data, protos, alignment)
+    with pytest.raises(ShotCountMismatch):
+        run_experiments([exp, ExperimentConfig(**{**vars(exp), "shots": 4})],
+                        data, protos, alignment)
+    assert calls == []
