@@ -14,7 +14,13 @@ Retrieval pools both caches: for a unit-norm query v,
 
 and the fused score is ``z = a + alpha * b`` where ``a`` is the sigmoid
 score vector. Cosines of unit vectors are plain dot products clamped to
-[-1, 1]; the affinity is evaluated on that full range.
+[-1, 1]; the affinity is evaluated on that full range. One kernel,
+:func:`retrieve`, evaluates b for a batch of queries as a key/value matrix
+product; an optional live mask limits each query to the entries it may see.
+
+Base-cache admission depends only on a query's pseudo-label and entropy,
+never on the fused prediction, so a whole stream's insert/evict history can
+be replayed before any query is scored (:func:`schedule_admissions`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ class InsertOutcome:
     kind: str                      # "inserted" | "replaced" | "rejected"
     evicted: CacheEntry | None = None
     reason: str | None = None
+    entry: CacheEntry | None = None    # the admitted entry, unless rejected
 
     @property
     def inserted(self) -> bool:
@@ -74,9 +81,17 @@ def pseudo_label(sim: SimilarityVector) -> tuple[int, float]:
 
 def argmax_lowest_id(values: np.ndarray, class_ids: np.ndarray) -> int:
     """Class id of the maximum value; exact ties resolve to the lowest id."""
+    return int(argmax_lowest_ids(values, class_ids))
+
+
+def argmax_lowest_ids(values: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`argmax_lowest_id` over the last axis of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    winners = np.nonzero(values == values.max())[0]
-    return int(np.min(np.asarray(class_ids)[winners]))
+    winners = values == values.max(axis=-1, keepdims=True)
+    if not winners.any(axis=-1).all():
+        raise ValueError("argmax of scores containing NaN")
+    ids = np.asarray(class_ids, dtype=np.int64)
+    return np.where(winners, ids, np.iinfo(np.int64).max).min(axis=-1)
 
 
 def affinity(u: float, beta: float):
@@ -121,13 +136,13 @@ class DualCache:
         if len(queue) < self.capacity:
             queue.append(entry)
             self._pooled = None
-            return InsertOutcome("inserted")
+            return InsertOutcome("inserted", entry=entry)
         worst = max(range(len(queue)), key=lambda i: queue[i].entropy)
         if h < queue[worst].entropy:
             evicted = queue.pop(worst)
             queue.append(entry)
             self._pooled = None
-            return InsertOutcome("replaced", evicted=evicted)
+            return InsertOutcome("replaced", evicted=evicted, entry=entry)
         return InsertOutcome("rejected", reason="HighEntropy")
 
     def insert_novel(self, key, label: int) -> None:
@@ -179,6 +194,8 @@ class DualCache:
 
     def audit(self) -> dict:
         """JSON-friendly dump: per-class entries with a short key digest."""
+        import hashlib  # loads OpenSSL (~3.6 MB resident); only the audit needs it
+
         classes = {}
         for cls in sorted(set(self._base) | set(self._novel)):
             rows = []
@@ -189,7 +206,8 @@ class DualCache:
                     "entropy": e.entropy,
                     "key_digest": {
                         "head": [float(x) for x in e.key[:4]],
-                        "hash64": f"{_fnv1a64(e.key.tobytes()):016x}",
+                        "hash64": hashlib.blake2b(e.key.tobytes(),
+                                                  digest_size=8).hexdigest(),
                     },
                 })
             classes[str(cls)] = rows
@@ -210,47 +228,95 @@ class DualCache:
         return self._pooled
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+@dataclass(frozen=True)
+class Schedule:
+    """Every cache entry a stream's queries can see, with its live interval.
+
+    The query at stream position ``q`` sees entry ``e`` iff
+    ``start[e] < q <= stop[e]``. Entries present before the stream begins
+    have ``start`` -1; an admitted query's entry starts at that query's own
+    position. ``stop`` is the position of the query whose admission evicted
+    the entry, or the stream length if none did. Each query is predicted
+    before its own admission, so the query that evicts an entry still sees it.
+    """
+
+    keys: np.ndarray               # (E, d)
+    values: np.ndarray             # (E,) class ids
+    start: np.ndarray              # (E,)
+    stop: np.ndarray               # (E,)
+
+    def live(self, n: int) -> np.ndarray:
+        """(n, E) visibility mask for stream positions 0..n-1."""
+        q = np.arange(n)[:, None]
+        return (self.start < q) & (q <= self.stop)
+
+
+def schedule_admissions(cache: DualCache, queries, scores, logits, class_ids,
+                        admit) -> Schedule:
+    """Offer every stream query whose pseudo-label is in ``admit`` to the base
+    cache, in stream order, and record the resulting entry intervals.
+
+    ``scores``/``logits`` hold one row per query, columns aligned to
+    ``class_ids``. The cache ends in the state per-sample insertion leaves.
+    """
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    n = queries.shape[0]
+    entries = cache.entries()
+    start, stop = [-1] * len(entries), [n] * len(entries)
+    row_of = {id(e): i for i, e in enumerate(entries)}
+    labels = argmax_lowest_ids(logits, class_ids)
+    for pos in np.flatnonzero(np.isin(labels, list(admit))):
+        sim = SimilarityVector(scores[pos], logits[pos], class_ids)
+        out = cache.try_insert_base(queries[pos], sim)
+        if out.evicted is not None:
+            stop[row_of[id(out.evicted)]] = pos
+        if out.entry is not None:
+            row_of[id(out.entry)] = len(entries)
+            entries.append(out.entry)
+            start.append(pos)
+            stop.append(n)
+    if entries:
+        keys = np.vstack([e.key for e in entries])
+    else:
+        keys = np.zeros((0, queries.shape[1]), dtype=np.float64)
+    return Schedule(keys, np.array([e.value for e in entries], dtype=np.int64),
+                    np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
+
+
+def retrieve(queries, keys, values, class_ids, beta: float, live=None) -> np.ndarray:
+    """Adaptive scores B, shape (queries, classes), columns in ``class_ids``
+    order: ``B = (exp(-beta * (1 - clip(Q K^T))) * live) @ onehot(values)``.
+
+    ``live`` (queries x entries, optional) masks the entries each query sees.
+    Every cached class must appear in ``class_ids``.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    if values.size == 0:
+        return np.zeros((queries.shape[0], class_ids.shape[0]), dtype=np.float64)
+    if keys.shape[1] != queries.shape[1]:
+        raise DimMismatch(f"query dimension {queries.shape[1]} vs cache keys {keys.shape[1]}")
+    onehot = values[:, None] == class_ids[None, :]
+    missing = ~onehot.any(axis=1)
+    if missing.any():
+        raise DimMismatch(
+            f"cache holds class {int(values[missing][0])} missing from class order")
+    w = affinity(np.clip(queries @ keys.T, -1.0, 1.0), beta)
+    if live is not None:
+        w *= live
+    return w @ onehot.astype(np.float64)
 
 
 def cache_predict(cache: DualCache, v, beta: float, n_classes: int) -> np.ndarray:
     """Adaptive score vector b over class ids 0..n_classes-1."""
-    keys, values = cache.pooled()
-    if values.size and int(values.max()) >= n_classes:
-        raise DimMismatch(
-            f"cache holds class {int(values.max())}, but only {n_classes} classes given")
-    return _cache_scores(keys, values, v, beta, np.arange(n_classes, dtype=np.int64))
+    return cache_scores(cache, v, beta, np.arange(n_classes, dtype=np.int64))
 
 
 def cache_scores(cache: DualCache, v, beta: float, class_ids) -> np.ndarray:
     """Adaptive score vector aligned to an explicit class-id order."""
     keys, values = cache.pooled()
-    ids = np.asarray(class_ids, dtype=np.int64)
-    if values.size:
-        known = set(int(c) for c in ids)
-        for c in values:
-            if int(c) not in known:
-                raise DimMismatch(f"cache holds class {int(c)} missing from class order")
-    return _cache_scores(keys, values, v, beta, ids)
-
-
-def _cache_scores(keys, values, v, beta, class_ids) -> np.ndarray:
-    out = np.zeros(class_ids.shape[0], dtype=np.float64)
-    if values.size == 0:
-        return out
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if keys.shape[1] != v.shape[0]:
-        raise DimMismatch(f"query dimension {v.shape[0]} vs cache keys {keys.shape[1]}")
-    u = np.clip(keys @ v, -1.0, 1.0)
-    w = np.exp(-beta * (1.0 - u))
-    pos_of = {int(c): i for i, c in enumerate(class_ids)}
-    idx = np.array([pos_of[int(c)] for c in values], dtype=np.int64)
-    np.add.at(out, idx, w)
-    return out
+    v = np.asarray(v, dtype=np.float64).reshape(1, -1)
+    return retrieve(v, keys, values, class_ids, beta)[0]
 
 
 def fuse(a, b, alpha: float) -> np.ndarray:

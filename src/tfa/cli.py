@@ -28,7 +28,7 @@ from .embeddings import (
     save_embeddings,
     save_prototypes,
 )
-from .errors import ConfigError, FormatError, TfaError, ValidationError
+from .errors import ConfigError, FormatError, TfaError, ValidationError, check_int
 from .protocol import ExperimentConfig, run_experiment, run_experiments
 from .synth import SynthConfig, generate_synthetic
 from .metrics import emit_report
@@ -36,9 +36,22 @@ from .metrics import emit_report
 _SWEEP_AXES = ("alpha", "beta", "cache-size")
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def _load_config(path) -> dict:
+    """A JSON config file (``{}`` without one): an object whose ``align``
+    section, when present, is an object too."""
+    if not path:
+        return {}
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    if not isinstance(doc.get("align", {}), dict):
+        raise ConfigError(f"config {path}: 'align' must be a JSON object")
+    return doc
 
 
 def _env_seed() -> int | None:
@@ -51,11 +64,12 @@ def _env_seed() -> int | None:
         raise ConfigError(f"TFA_SEED must be an integer, got {raw!r}") from e
 
 
-def _resolve_seed(flag: int | None, cfg_seed: int | None) -> int:
+def _resolve_seed(flag: int | None, cfg_seed: int | None, name: str = "seed") -> int:
     if flag is not None:
         return flag
     if cfg_seed is not None:
-        return int(cfg_seed)
+        check_int(name, cfg_seed)
+        return cfg_seed
     env = _env_seed()
     return 0 if env is None else env
 
@@ -77,7 +91,7 @@ def _load_task_dir(tasks_dir):
 
 
 def cmd_synth(args) -> int:
-    cfg_dict = _load_json(args.config) if args.config else {}
+    cfg_dict = _load_config(args.config)
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     elif "seed" not in cfg_dict:
@@ -102,13 +116,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_align(args) -> int:
-    cfg_dict = _load_json(args.config) if args.config else {}
-    align_dict = dict(cfg_dict.get("align", {}))
+    align_dict = dict(_load_config(args.config).get("align", {}))
     for key, flag in (("epochs", args.epochs), ("batch_size", args.batch_size),
                       ("lr", args.lr)):
         if flag is not None:
             align_dict[key] = flag
-    align_dict["seed"] = _resolve_seed(args.seed, align_dict.get("seed"))
+    align_dict["seed"] = _resolve_seed(args.seed, align_dict.get("seed"), "align.seed")
     hyper = TrainConfig.from_dict(align_dict)
 
     data = load_embeddings(args.base)
@@ -130,7 +143,7 @@ def cmd_train_align(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg_dict = _load_json(args.config) if args.config else {}
+    cfg_dict = _load_config(args.config)
     for key, flag in (("alpha", args.alpha), ("beta", args.beta),
                       ("capacity", args.capacity), ("shots", args.shots),
                       ("novel_capacity", args.novel_capacity),
@@ -299,16 +312,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        try:
+            return args.func(args)
+        except (OSError, json.JSONDecodeError) as e:
+            raise FormatError(str(e)) from e
     except TfaError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -10,6 +10,11 @@ trigger. Results are therefore order-dependent through the base cache, which
 is why the stream seed is part of the trial: replaying a trial seed
 reproduces every per-sample prediction exactly.
 
+A session stream is computed schedule-then-score: admission needs only each
+sample's pseudo-label and entropy, so the base cache's whole insert/evict
+history is replayed first, giving every entry a live interval over stream
+positions, and then all samples are scored in one masked matrix product.
+
 Trial seeds derive from the experiment seed as
 ``derive_seed(seed, SCOPE_TRIAL, trial_index)`` and session streams as
 ``derive_seed(trial_seed, SCOPE_STREAM, session)``. The alignment scorer is
@@ -24,10 +29,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .adaptor import DualCache, POLICIES, argmax_lowest_id, cache_scores, pseudo_label
+from .adaptor import (
+    DualCache,
+    POLICIES,
+    argmax_lowest_ids,
+    fuse,
+    retrieve,
+    schedule_admissions,
+)
 from .alignment import (
     RelationParams,
-    SimilarityVector,
     TrainConfig,
     init_relation,
     score_matrix,
@@ -215,6 +226,22 @@ def _novel_shot_indices(task: TaskSpec, cid: int, cap: int, stream_seed: int):
     return tuple(idxs[int(j)] for j in perm[:cap])
 
 
+def stream_predictions(cache: DualCache, queries, logits, class_order, alpha: float,
+                       beta: float, admit) -> np.ndarray:
+    """Predicted class of every query of a stream, in stream order.
+
+    Each query is predicted against the cache as it stands before the query
+    itself is offered for base admission; queries whose pseudo-label is in
+    ``admit`` are offered. ``logits`` has one row per query, columns aligned to
+    ``class_order``. ``cache`` is left in its end-of-stream state.
+    """
+    scores = _sigmoid(logits)
+    plan = schedule_admissions(cache, queries, scores, logits, class_order, admit)
+    b = retrieve(queries, plan.keys, plan.values, class_order, beta,
+                 plan.live(queries.shape[0]))
+    return argmax_lowest_ids(fuse(scores, b, alpha), class_order)
+
+
 def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
                 prototypes, cfg: ExperimentConfig, stream_seed: int,
                 score_table: np.ndarray | None = None,
@@ -264,26 +291,14 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
         block, row_of = score_table, table_row
 
     n_classes = len(state.class_order)
-    preds = np.empty(n_eval, dtype=np.int64)
-    truths = np.empty(n_eval, dtype=np.int64)
+    recs = eval_indices[order]
+    rows = np.array([row_of[int(rec)] for rec in recs], dtype=np.int64)
     insert_base = cfg.base_update_policy == "always" or (
         task.index == 0 and cfg.base_update_policy == "session0_only")
-    for pos, k in enumerate(order):
-        rec = int(eval_indices[int(k)])
-        logits = block[row_of[rec], :n_classes]
-        sim = SimilarityVector(_sigmoid(logits), logits, class_order)
-        v = data.vectors[rec]
-        b = cache_scores(state.cache, v, cfg.beta, class_order)
-        z = sim.scores + cfg.alpha * b
-        preds[pos] = argmax_lowest_id(z, class_order)
-        truths[pos] = int(data.labels[rec])
-        if insert_base:
-            if task.index == 0:
-                state.cache.try_insert_base(v, sim)
-            else:
-                cls, _h = pseudo_label(sim)
-                if cls in state.base_class_ids:
-                    state.cache.try_insert_base(v, sim)
+    preds = stream_predictions(state.cache, data.vectors[recs], block[rows, :n_classes],
+                               class_order, cfg.alpha, cfg.beta,
+                               state.base_class_ids if insert_base else frozenset())
+    truths = data.labels[recs].astype(np.int64)
 
     a_b, a_n = metrics.split_accuracy(preds, truths, state.base_class_ids)
     both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .embeddings import ClassPrototype, EmbeddingSet, SampleRecord
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .numerics import l2_normalize
 from .rng import (
     SCOPE_CLASS_MEAN,
@@ -45,11 +45,10 @@ class SynthConfig:
     def validate(self) -> None:
         for name in ("dim", "base_classes", "novel_tasks", "classes_per_novel_task",
                      "train_per_base_class", "test_per_class", "shots"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), lo=1)
         for name in ("intra_class_sigma", "modality_gap_sigma"):
-            if float(getattr(self, name)) < 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            check_real(name, getattr(self, name), lo=0.0)
+        check_int("seed", self.seed)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":

@@ -108,3 +108,59 @@ def nearest_prototype_predictions(data, prototypes, indices):
 def make_unit(stream, m):
     v = stream.normal(m)
     return v / np.linalg.norm(v)
+
+
+# ---- the per-sample stream loop that schedule-then-score replaced ----
+
+
+def ref_argmax_lowest_id(values, class_ids):
+    values = np.asarray(values, dtype=np.float64)
+    winners = np.nonzero(values == values.max())[0]
+    return int(np.min(np.asarray(class_ids)[winners]))
+
+
+def ref_cache_scores(cache, v, beta, class_ids):
+    """Single-query retrieval: scatter-add each entry's affinity to its class."""
+    from tfa.errors import DimMismatch
+
+    keys, values = cache.pooled()
+    ids = np.asarray(class_ids, dtype=np.int64)
+    if values.size:
+        known = set(int(c) for c in ids)
+        for c in values:
+            if int(c) not in known:
+                raise DimMismatch(f"cache holds class {int(c)} missing from class order")
+    out = np.zeros(ids.shape[0], dtype=np.float64)
+    if values.size == 0:
+        return out
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if keys.shape[1] != v.shape[0]:
+        raise DimMismatch(f"query dimension {v.shape[0]} vs cache keys {keys.shape[1]}")
+    u = np.clip(keys @ v, -1.0, 1.0)
+    w = np.exp(-beta * (1.0 - u))
+    pos_of = {int(c): i for i, c in enumerate(ids)}
+    idx = np.array([pos_of[int(c)] for c in values], dtype=np.int64)
+    np.add.at(out, idx, w)
+    return out
+
+
+def ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, admit):
+    """Predict each query against the current cache, then offer it for base
+    admission if its pseudo-label is in ``admit``; same contract as
+    ``tfa.protocol.stream_predictions``."""
+    from tfa.adaptor import pseudo_label
+    from tfa.alignment import SimilarityVector, _sigmoid
+
+    preds = np.empty(queries.shape[0], dtype=np.int64)
+    for pos in range(queries.shape[0]):
+        row = logits[pos]
+        sim = SimilarityVector(_sigmoid(row), row, class_order)
+        v = queries[pos]
+        b = ref_cache_scores(cache, v, beta, class_order)
+        z = sim.scores + alpha * b
+        preds[pos] = ref_argmax_lowest_id(z, class_order)
+        if admit:
+            cls, _h = pseudo_label(sim)
+            if cls in admit:
+                cache.try_insert_base(v, sim)
+    return preds

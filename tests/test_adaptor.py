@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,11 +10,13 @@ from tfa.adaptor import (
     DualCache,
     affinity,
     argmax_lowest_id,
+    argmax_lowest_ids,
     cache_predict,
     cache_scores,
     fuse,
     predict,
     pseudo_label,
+    retrieve,
 )
 from tfa.alignment import SimilarityVector, init_relation
 from tfa.embeddings import ClassPrototype
@@ -21,7 +24,7 @@ from tfa.errors import DimMismatch, ShotCapacityExceeded
 from tfa.numerics import entropy, softmax
 from tfa.rng import Stream
 
-from helpers import make_unit
+from helpers import make_unit, ref_cache_scores
 
 
 def sim_from(logits, ids=None):
@@ -328,3 +331,40 @@ def test_audit_dump_is_json_friendly():
     assert {r["origin"] for r in rows} == {"base_pseudo", "novel_shot"}
     assert all(len(r["key_digest"]["head"]) == 4 for r in rows)
     assert all(len(r["key_digest"]["hash64"]) == 16 for r in rows)
+    head = rows[0]
+    key = cache.base_entries(1)[0].key
+    assert head["key_digest"]["hash64"] == \
+        hashlib.blake2b(key.tobytes(), digest_size=8).hexdigest()
+
+
+def test_retrieve_rows_match_single_query_scores():
+    cache = DualCache(capacity=2, shots=2)
+    stream = Stream(9)
+    for cls in (4, 1, 7):
+        for _ in range(2):
+            cache.insert_novel(make_unit(stream, 6), cls)
+    queries = np.stack([make_unit(stream, 6) for _ in range(5)])
+    keys, values = cache.pooled()
+    batch = retrieve(queries, keys, values, [7, 4, 1, 0], 1.5)
+    # batched and single-query products, and the per-entry scatter-add, sum
+    # in different orders: equal to float64 rounding, not bit for bit
+    for q, row in zip(queries, batch):
+        for single in (cache_scores, ref_cache_scores):
+            np.testing.assert_allclose(row, single(cache, q, 1.5, [7, 4, 1, 0]),
+                                       rtol=1e-14, atol=1e-15)
+    assert np.all(batch[:, 3] == 0.0)
+    # a live mask drops exactly the masked entries
+    live = np.ones((5, len(values)), dtype=bool)
+    live[:, values == 4] = False
+    masked = retrieve(queries, keys, values, [7, 4, 1, 0], 1.5, live)
+    assert np.all(masked[:, 1] == 0.0)
+    np.testing.assert_array_equal(masked[:, [0, 2]], batch[:, [0, 2]])
+
+
+def test_argmax_lowest_ids_is_row_wise_with_ties_to_lowest_id():
+    ids = np.array([30, 10, 20])
+    values = np.array([[1.0, 2.0, 2.0], [5.0, 0.0, 5.0], [0.0, 0.0, 0.0], [3.0, 1.0, 2.0]])
+    assert argmax_lowest_ids(values, ids).tolist() == [10, 20, 10, 30]
+    assert [argmax_lowest_id(v, ids) for v in values] == [10, 20, 10, 30]
+    with pytest.raises(ValueError):
+        argmax_lowest_ids(np.array([[np.nan, 1.0]]), [0, 1])

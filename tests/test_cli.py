@@ -281,3 +281,48 @@ def test_help_lists_defaults(capsys):
     for needle in ("default: 2.0", "default: 5", "default: session0_only",
                    "default: 10", "default: K"):
         assert needle in text, needle
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "train-align", "synth"])
+@pytest.mark.parametrize("doc", [[1], {"align": None}, "config", 3])
+def test_config_that_is_not_an_object_is_config_error(workspace, tmp_path, capsys,
+                                                     command, doc):
+    _, tasks, aln, _ = workspace
+    cfg = write_json(tmp_path / "bad.json", doc)
+    argv = {
+        "run": ["run", "--tasks", str(tasks), "--align", str(aln),
+                "--out", str(tmp_path / "r.json")],
+        "ablate": ["ablate", "--tasks", str(tasks), "--align", str(aln),
+                   "--sweep", "alpha", "--values", "0,1"],
+        "train-align": ["train-align", "--base", str(tasks / "task_000.emb"),
+                        "--protos", str(tasks / "prototypes.emb"),
+                        "--out", str(tmp_path / "x.aln")],
+        "synth": ["synth", "--out", str(tmp_path / "s")],
+    }[command]
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("run", {**RUN_CFG, "seed": "abc"}, "seed"),
+    ("train-align", {"align": {**RUN_CFG["align"], "seed": 1.5}}, "align.seed"),
+    ("synth", {**SYNTH_CFG, "dim": "abc"}, "dim"),
+    ("synth", {**SYNTH_CFG, "seed": "abc"}, "seed"),
+    ("synth", {**SYNTH_CFG, "modality_gap_sigma": "0.1"}, "modality_gap_sigma"),
+])
+def test_mistyped_seed_and_synth_settings_are_config_errors(workspace, tmp_path, capsys,
+                                                            command, doc, field):
+    _, tasks, aln, _ = workspace
+    cfg = write_json(tmp_path / "bad.json", doc)
+    argv = {
+        "run": ["run", "--tasks", str(tasks), "--align", str(aln),
+                "--out", str(tmp_path / "r.json")],
+        "train-align": ["train-align", "--base", str(tasks / "task_000.emb"),
+                        "--protos", str(tasks / "prototypes.emb"),
+                        "--out", str(tmp_path / "x.aln")],
+        "synth": ["synth", "--out", str(tmp_path / "s")],
+    }[command]
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1

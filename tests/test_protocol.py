@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tfa.protocol
-from tfa.alignment import TrainConfig
+from tfa.alignment import TrainConfig, _sigmoid
 from tfa.errors import (
     ConfigError,
     DisjointnessViolation,
@@ -23,8 +23,10 @@ from tfa.protocol import (
     train_base_alignment,
     validate_tasks,
 )
-from tfa.adaptor import DualCache
+from tfa.adaptor import DualCache, retrieve, schedule_admissions
 from tfa.synth import SynthConfig, generate_synthetic
+
+from helpers import ref_stream_predictions
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +325,54 @@ def test_run_experiments_validates_every_config_before_scoring(small_world, monk
         run_experiments([exp, ExperimentConfig(**{**vars(exp), "shots": 4})],
                         data, protos, alignment)
     assert calls == []
+
+
+# ---- schedule-then-score against the per-sample loop ----
+
+def _recording(stream, log):
+    def recorded(cache, *args):
+        preds = stream(cache, *args)
+        log.append((preds.tolist(), cache.audit()))
+        return preds
+    return recorded
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("policy", ["off", "session0_only", "always"])
+def test_stream_matches_the_per_sample_loop(small_world, monkeypatch, policy, seed):
+    cfg, data, protos, exp, alignment = small_world
+    cfgs = [ExperimentConfig.from_dict(
+                {**exp.to_dict(), "base_update_policy": policy, "capacity": capacity,
+                 "alpha": alpha, "beta": beta, "seed": seed, "trials": 2})
+            for capacity in (1, 3, 10) for alpha in (0.0, 2.0) for beta in (0.0, 2.0)]
+    runs = {}
+    for name, stream in (("batched", tfa.protocol.stream_predictions),
+                         ("loop", ref_stream_predictions)):
+        log = []
+        monkeypatch.setattr(tfa.protocol, "stream_predictions", _recording(stream, log))
+        runs[name] = ([report_json(r) for r in run_experiments(cfgs, data, protos,
+                                                               alignment)], log)
+    (reports, streams), (ref_reports, ref_streams) = runs["batched"], runs["loop"]
+    assert len(streams) == len(cfgs) * 2 * 3
+    for (preds, audit), (ref_preds, ref_audit) in zip(streams, ref_streams):
+        assert preds == ref_preds
+        assert audit == ref_audit
+    assert reports == ref_reports
+
+
+def test_query_that_evicts_an_entry_still_sees_it():
+    # capacity 1: query 0 is admitted to class 0, query 1 (lower entropy)
+    # evicts it, query 2 (higher entropy) is rejected
+    e = np.eye(3)
+    queries = np.stack([e[0], e[1], e[1]])
+    logits = np.array([[1.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
+    cache = DualCache(capacity=1, shots=1)
+    plan = schedule_admissions(cache, queries, _sigmoid(logits), logits, [0, 1],
+                               frozenset({0, 1}))
+    assert plan.start.tolist() == [0, 1] and plan.stop.tolist() == [1, 3]
+    assert plan.live(3).tolist() == [[False, False], [True, False], [False, True]]
+    np.testing.assert_array_equal(cache.base_entries(0)[0].key, e[1])
+    b = retrieve(queries, plan.keys, plan.values, [0, 1], 2.0, plan.live(3))
+    # query 1 sees the entry it evicts (key e0, cosine 0), not its own (e1)
+    assert b[:, 0].tolist() == [0.0, np.exp(-2.0), 1.0]
+    assert b[:, 1].tolist() == [0.0, 0.0, 0.0]
