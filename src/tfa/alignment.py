@@ -101,6 +101,8 @@ class AdamState:
     v_weights: list = field(default_factory=list)
     m_biases: list = field(default_factory=list)
     v_biases: list = field(default_factory=list)
+    # Two flat buffers the size of the largest parameter, reused by every step.
+    scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -199,26 +201,49 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     return RelationParams(weights, biases, slope, m)
 
 
+def _leaky_relu_(z: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit.
+
+    Rounding is monotone, so for ``0 <= slope <= 1`` the larger of ``z`` and
+    ``slope*z`` is that value, and for ``slope > 1`` the smaller is; this holds
+    for signed zeros and NaN too. The one exception is an overflowed ``+inf``
+    at slope 0, where ``0*inf`` is NaN.
+    """
+    if slope <= 1.0:
+        return np.maximum(z, slope * z, out=z)
+    return np.minimum(z, slope * z, out=z)
+
+
 def _forward(params: RelationParams, x: np.ndarray, keep: bool = False):
-    """Logits for a (rows, 2m) input block; optionally keep activations."""
-    acts = [x] if keep else None
+    """Logits for a (rows, 2m) input block.
+
+    With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
+    i's input. For ``slope >= 0`` a hidden activation is positive exactly
+    when its pre-activation is, so ``acts`` also serves as the backward gate.
+    """
+    acts = [x]
     h = x
     last = len(params.weights) - 1
-    pre_acts = []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        if i == last:
-            h = z
-        else:
-            if keep:
-                pre_acts.append(z)
-            h = np.where(z > 0.0, z, params.slope * z)
+        z = h @ w
+        z += b
+        if i < last:
+            h = _leaky_relu_(z, params.slope)
             if keep:
                 acts.append(h)
-    logits = h[:, 0]
-    if keep:
-        return logits, acts, pre_acts
-    return logits
+    logits = z[:, 0]
+    return (logits, acts) if keep else logits
+
+
+def _pairs(vs: np.ndarray, protos: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop`` of the (B*C, 2m) pair matrix, whose row
+    ``b*C + c`` is ``[vs[b], protos[c]]``."""
+    m = vs.shape[1]
+    rows = np.arange(start, stop)
+    x = np.empty((stop - start, 2 * m), dtype=np.float64)
+    x[:, :m] = vs[rows // protos.shape[0]]
+    x[:, m:] = protos[rows % protos.shape[0]]
+    return x
 
 
 def score_pair(params: RelationParams, v, e) -> tuple[float, float]:
@@ -233,25 +258,23 @@ def score_pair(params: RelationParams, v, e) -> tuple[float, float]:
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                 chunk: int = 8192) -> np.ndarray:
+                 chunk: int = 1024) -> np.ndarray:
     """Logits for every (sample, prototype) pair, shape (B, C).
 
-    Rows are processed in fixed-size chunks so memory stays bounded and the
-    result is independent of the caller's batching.
+    Pairs are built and scored ``chunk`` rows at a time, so memory stays
+    bounded by the chunk, not by B*C, and each chunk's activations stay
+    cache-sized.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
-    b, c = vs.shape[0], protos.shape[0]
-    pairs = np.empty((b * c, 2 * params.m), dtype=np.float64)
-    pairs[:, :params.m] = np.repeat(vs, c, axis=0)
-    pairs[:, params.m:] = np.tile(protos, (b, 1))
-    out = np.empty(b * c, dtype=np.float64)
-    for start in range(0, b * c, chunk):
-        stop = min(start + chunk, b * c)
-        out[start:stop] = _forward(params, pairs[start:stop])
-    return out.reshape(b, c)
+    n = vs.shape[0] * protos.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        out[start:stop] = _forward(params, _pairs(vs, protos, start, stop))
+    return out.reshape(vs.shape[0], protos.shape[0])
 
 
 def score_all(params: RelationParams, v, prototypes) -> SimilarityVector:
@@ -293,14 +316,11 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("batch dimension does not match the scorer")
     b, c = vs.shape[0], protos.shape[0]
-    x = np.empty((b * c, 2 * params.m), dtype=np.float64)
-    x[:, :params.m] = np.repeat(vs, c, axis=0)
-    x[:, params.m:] = np.tile(protos, (b, 1))
     t = np.zeros((b, c), dtype=np.float64)
     t[np.arange(b), targets] = 1.0
     t = t.reshape(-1)
 
-    logits, acts, pre_acts = _forward(params, x, keep=True)
+    logits, acts = _forward(params, _pairs(vs, protos, 0, b * c), keep=True)
     loss = float(_bce_elementwise(logits, t).mean())
 
     d_weights = [None] * len(params.weights)
@@ -310,9 +330,10 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
         d_weights[i] = acts[i].T @ delta
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
-            upstream = delta @ params.weights[i].T
-            gate = np.where(pre_acts[i - 1] > 0.0, 1.0, params.slope)
-            delta = upstream * gate
+            # The LeakyReLU derivative is 1 where the activation is positive
+            # and slope elsewhere; multiplying by 1 is exact, so skip it.
+            delta = delta @ params.weights[i].T
+            np.multiply(delta, params.slope, out=delta, where=~(acts[i] > 0.0))
     return loss, Gradients(d_weights, d_biases)
 
 
@@ -329,6 +350,8 @@ def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
         v_weights=[np.zeros_like(w) for w in params.weights],
         m_biases=[np.zeros_like(b) for b in params.biases],
         v_biases=[np.zeros_like(b) for b in params.biases],
+        scratch=[np.empty(max(a.size for a in (*params.weights, *params.biases)))
+                 for _ in range(2)],
     )
 
 
@@ -341,15 +364,26 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
+    flat_s, flat_t = state.scratch
     for p, m, v, g in (
         *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
         *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
     ):
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time in
+        # the order that formula evaluates, through two scratch buffers.
+        s = flat_s[:p.size].reshape(p.shape)
+        t = flat_t[:p.size].reshape(p.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        np.multiply(g, g, out=s)
+        v += np.multiply(s, 1.0 - b2, out=s)
+        np.divide(m, c1, out=s)
+        s *= state.lr
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += state.epsilon
+        p -= np.divide(s, t, out=s)
     return params, state
 
 

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import metrics
-from .alignment import TrainConfig, load_alignment, save_alignment, train_alignment, init_relation
+from .alignment import TrainConfig, load_alignment, save_alignment
 from .embeddings import (
     load_embeddings,
     load_prototypes,
@@ -29,7 +29,7 @@ from .embeddings import (
     save_prototypes,
 )
 from .errors import ConfigError, FormatError, TfaError, ValidationError, check_int
-from .protocol import ExperimentConfig, run_experiment, run_experiments
+from .protocol import ExperimentConfig, run_experiment, run_experiments, train_base_alignment
 from .synth import SynthConfig, generate_synthetic
 from .metrics import emit_report
 
@@ -128,15 +128,11 @@ def cmd_train_align(args) -> int:
     non_base = [int(t) for t in data.task_ids() if int(t) != 0]
     if non_base:
         raise ValidationError(f"base file contains non-base tasks {non_base}")
-    train = data.subset(data.indices(task=0, split="train"))
-    protos = load_prototypes(args.protos)
-    base_ids = set(int(y) for y in train.labels)
-    protos0 = [p for p in protos if p.class_id in base_ids]
-    params = init_relation(data.dim, hyper.seed, hyper.hidden, hyper.slope)
-    trained, history = train_alignment(params, train, protos0, hyper)
+    trained, history = train_base_alignment(hyper, data, load_prototypes(args.protos))
     save_alignment(trained, args.out, train_config=hyper,
                    final_loss=history[-1], loss_history=history)
-    print(f"trained {trained.n_params()} parameters on {len(train)} samples; "
+    n_train = len(data.indices(task=0, split="train"))
+    print(f"trained {trained.n_params()} parameters on {n_train} samples; "
           f"final epoch loss {history[-1]:.6f}")
     print(f"wrote {args.out}")
     return 0
@@ -314,7 +310,7 @@ def main(argv=None) -> int:
     try:
         try:
             return args.func(args)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
             raise FormatError(str(e)) from e
     except TfaError as e:
         print(f"error: {e}", file=sys.stderr)

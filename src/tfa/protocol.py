@@ -267,11 +267,7 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     if task.index == 0:
         state.base_class_ids = frozenset(task.class_ids)
         if state.params is None:
-            base_train = data.subset(data.indices(task=0, split="train"))
-            protos0 = [p for p in prototypes if p.class_id in state.base_class_ids]
-            params = init_relation(data.dim, cfg.align.seed, cfg.align.hidden,
-                                   cfg.align.slope)
-            state.params, _ = train_alignment(params, base_train, protos0, cfg.align)
+            state.params, _ = train_base_alignment(cfg.align, data, prototypes)
     else:
         cap = cfg.effective_novel_capacity()
         for cid in sorted(task.class_ids):
@@ -323,14 +319,16 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     return state, report
 
 
-def train_base_alignment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes
+def train_base_alignment(hyper: TrainConfig, data: EmbeddingSet, prototypes
                          ) -> tuple[RelationParams, list[float]]:
-    """Train the scorer on the base task's train split per the config."""
+    """Initialise the scorer from ``hyper`` and train it on the base task's
+    train split against the base classes' prototypes: the one init-and-train
+    sequence. Returns the frozen scorer and its per-epoch losses."""
     base_train = data.subset(data.indices(task=0, split="train"))
     base_ids = set(int(y) for y in base_train.labels)
     protos0 = [p for p in prototypes if p.class_id in base_ids]
-    params = init_relation(data.dim, cfg.align.seed, cfg.align.hidden, cfg.align.slope)
-    return train_alignment(params, base_train, protos0, cfg.align)
+    params = init_relation(data.dim, hyper.seed, hyper.hidden, hyper.slope)
+    return train_alignment(params, base_train, protos0, hyper)
 
 
 def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
@@ -358,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
     """
     if alignment is None:
         _checked_tasks([cfg], data)
-        alignment, _history = train_base_alignment(cfg, data, prototypes)
+        alignment, _history = train_base_alignment(cfg.align, data, prototypes)
     return run_experiments([cfg], data, prototypes, alignment)[0]
 
 

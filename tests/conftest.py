@@ -25,6 +25,6 @@ def calibration():
         alpha=2.0, beta=2.0, capacity=5, shots=5, trials=5, seed=11,
         align=TrainConfig(epochs=10, batch_size=25, lr=0.001, seed=5),
     )
-    alignment, history = train_base_alignment(exp, data, protos)
+    alignment, history = train_base_alignment(exp.align, data, protos)
     return SimpleNamespace(synth=synth, data=data, protos=protos, exp=exp,
                            alignment=alignment, history=history)

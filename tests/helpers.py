@@ -164,3 +164,96 @@ def ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, adm
             if cls in admit:
                 cache.try_insert_base(v, sim)
     return preds
+
+
+# ---- the scorer kernel and Adam step that the allocation-lean versions replaced ----
+
+
+def ref_forward(params, x, keep=False):
+    """Logits for a (rows, 2m) block with ``np.where`` LeakyReLU; with ``keep``
+    also the layer inputs and the hidden pre-activations."""
+    acts = [x] if keep else None
+    h = x
+    last = len(params.weights) - 1
+    pre_acts = []
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        if i == last:
+            h = z
+        else:
+            if keep:
+                pre_acts.append(z)
+            h = np.where(z > 0.0, z, params.slope * z)
+            if keep:
+                acts.append(h)
+    logits = h[:, 0]
+    if keep:
+        return logits, acts, pre_acts
+    return logits
+
+
+def ref_pairs(vs, protos):
+    """The whole (B*C, 2m) pair matrix: row b*C + c is [vs[b], protos[c]]."""
+    b, c = vs.shape[0], protos.shape[0]
+    m = vs.shape[1]
+    pairs = np.empty((b * c, 2 * m), dtype=np.float64)
+    pairs[:, :m] = np.repeat(vs, c, axis=0)
+    pairs[:, m:] = np.tile(protos, (b, 1))
+    return pairs
+
+
+def ref_score_matrix(params, vs, protos, chunk=8192):
+    """(B, C) logits from the full pair matrix, forwarded ``chunk`` rows at a time."""
+    vs = np.asarray(vs, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    b, c = vs.shape[0], protos.shape[0]
+    pairs = ref_pairs(vs, protos)
+    out = np.empty(b * c, dtype=np.float64)
+    for start in range(0, b * c, chunk):
+        stop = min(start + chunk, b * c)
+        out[start:stop] = ref_forward(params, pairs[start:stop])
+    return out.reshape(b, c)
+
+
+def ref_loss_and_grad(params, vs, protos, targets):
+    """Mean batch loss and gradient, gating the backward pass on the kept
+    pre-activations: (loss, d_weights, d_biases)."""
+    from tfa.alignment import _bce_elementwise, _sigmoid
+
+    vs = np.asarray(vs, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    b, c = vs.shape[0], protos.shape[0]
+    x = ref_pairs(vs, protos)
+    t = np.zeros((b, c), dtype=np.float64)
+    t[np.arange(b), np.asarray(targets, dtype=np.int64)] = 1.0
+    t = t.reshape(-1)
+    logits, acts, pre_acts = ref_forward(params, x, keep=True)
+    loss = float(_bce_elementwise(logits, t).mean())
+    d_weights = [None] * len(params.weights)
+    d_biases = [None] * len(params.biases)
+    delta = ((_sigmoid(logits) - t) / (b * c))[:, None]
+    for i in range(len(params.weights) - 1, -1, -1):
+        d_weights[i] = acts[i].T @ delta
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            upstream = delta @ params.weights[i].T
+            gate = np.where(pre_acts[i - 1] > 0.0, 1.0, params.slope)
+            delta = upstream * gate
+    return loss, d_weights, d_biases
+
+
+def ref_adam_step(params, state, grads):
+    """One Adam update with a fresh temporary per operation; mutates in place."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for p, m, v, g in (
+        *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
+        *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
+    ):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)

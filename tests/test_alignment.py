@@ -33,7 +33,16 @@ from tfa.numerics import l2_normalize
 from tfa.rng import Stream
 from tfa.synth import SynthConfig, generate_synthetic
 
-from helpers import central_difference_check, make_unit, ref_scalar_adam, ref_score_pair
+from helpers import (
+    central_difference_check,
+    make_unit,
+    ref_adam_step,
+    ref_forward,
+    ref_loss_and_grad,
+    ref_scalar_adam,
+    ref_score_matrix,
+    ref_score_pair,
+)
 
 
 # ---- initialization ----
@@ -132,6 +141,91 @@ def test_score_matrix_agrees_with_score_pair():
         for j in range(4):
             _, z = score_pair(p, vs[i], es[j])
             assert table[i, j] == pytest.approx(z, abs=1e-12)
+
+
+# ---- the allocation-lean kernel against its np.where oracle ----
+
+KERNEL_SLOPES = (0.0, 0.01, 1.0, 2.5)
+
+
+def _kernel_net(slope, zero_weights):
+    p = init_relation(6, seed=12, hidden=(9, 5), slope=slope)
+    stream = Stream(31)
+    for b in p.biases:
+        b += stream.normal(b.shape[0])
+    if zero_weights:
+        # Every pre-activation is then its bias, and a bias of +0.0 or -0.0
+        # gives an exact zero, where both LeakyReLU branches meet.
+        for w in p.weights:
+            w[:] = 0.0
+        p.biases[0][:] = [0.0, -0.0, 0.5, -0.5, 0.0, -0.0, 1.0, -1.0, 0.0]
+        p.biases[1][:] = [-0.0, 0.0, 0.25, -0.25, -0.0]
+    return p
+
+
+def _kernel_inputs():
+    stream = Stream(32)
+    vs = np.vstack([make_unit(stream, 6) for _ in range(5)])
+    protos = np.vstack([make_unit(stream, 6) for _ in range(3)])
+    return vs, protos, np.array([0, 2, 1, 1, 0])
+
+
+def test_leaky_relu_matches_where_bit_for_bit():
+    from tfa.alignment import _leaky_relu_
+
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, np.nan, -np.nan, 1.5, -1.5, tiny, -tiny, tiny / 4,
+                        -tiny / 4, 1e308, -1e308, -np.inf, 3.0, -7.25])
+    with np.errstate(all="ignore"):
+        for slope in (*KERNEL_SLOPES, 0.5, 1e-300, 7.0):
+            # +inf at slope 0 is the one documented exception (0*inf is NaN).
+            z = np.append(special, np.inf) if slope > 0 else special
+            want = np.where(z > 0.0, z, slope * z)
+            got = _leaky_relu_(z.copy(), slope)
+            assert got.tobytes() == want.tobytes(), slope
+
+
+@pytest.mark.parametrize("slope", KERNEL_SLOPES)
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_score_matrix_matches_the_where_kernel(slope, zero_weights):
+    p = _kernel_net(slope, zero_weights)
+    vs, protos, _ = _kernel_inputs()
+    tables = {}
+    for chunk in (1, 7, 8192):  # 15 pairs: 7 leaves a remainder chunk of 1
+        tables[chunk] = score_matrix(p, vs, protos, chunk=chunk)
+        want = ref_score_matrix(p, vs, protos, chunk=chunk)
+        assert tables[chunk].tobytes() == want.tobytes(), chunk
+    # The BLAS may round a 1-row or tail-of-block product in another order, so
+    # chunk sizes agree to the last bits only, not bit for bit.
+    for chunk in (1, 7):
+        np.testing.assert_allclose(tables[chunk], tables[8192], rtol=0, atol=1e-13)
+    if zero_weights:
+        assert np.unique(tables[8192]).size == 1
+
+
+@pytest.mark.parametrize("slope", KERNEL_SLOPES)
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_loss_and_grad_matches_the_pre_activation_gate(slope, zero_weights):
+    p = _kernel_net(slope, zero_weights)
+    vs, protos, targets = _kernel_inputs()
+    loss, g = loss_and_grad(p, vs, protos, targets)
+    want_loss, want_dw, want_db = ref_loss_and_grad(p, vs, protos, targets)
+    assert loss == want_loss
+    for got, want in zip((*g.d_weights, *g.d_biases), (*want_dw, *want_db)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_forward_keep_returns_the_layer_inputs():
+    from tfa.alignment import _forward
+
+    p = _kernel_net(0.01, False)
+    x = np.random.default_rng(3).normal(size=(4, 12))
+    logits, acts = _forward(p, x, keep=True)
+    want_logits, want_acts, _ = ref_forward(p, x, keep=True)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert len(acts) == len(want_acts) == 3
+    for got, want in zip(acts, want_acts):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_monotone_argmax_identity():
@@ -268,6 +362,28 @@ def test_adam_matches_scalar_oracle_on_quadratic():
                           state.epsilon, 2)
     np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
     assert float(np.abs(p.weights[0]).sum()) == pytest.approx(abs(traj[-1]), abs=1e-12)
+
+
+@pytest.mark.parametrize("slope", [0.01, 2.5])
+def test_in_place_adam_matches_the_temporaries_version(slope):
+    p = init_relation(6, seed=40, hidden=(9, 5), slope=slope)
+    q = p.copy()
+    s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
+    stream = Stream(41)
+    for step in range(6):
+        vs = np.vstack([make_unit(stream, 6) for _ in range(4)])
+        protos = np.vstack([make_unit(stream, 6) for _ in range(3)])
+        targets = (stream.words(4) % 3).astype(np.int64)
+        g = grad(p, vs, protos, targets)
+        adam_step(p, s_new, g)
+        ref_adam_step(q, s_ref, g)
+        assert s_new.step == s_ref.step == step + 1
+        for got, want in zip(
+                (*p.weights, *p.biases, *s_new.m_weights, *s_new.v_weights,
+                 *s_new.m_biases, *s_new.v_biases),
+                (*q.weights, *q.biases, *s_ref.m_weights, *s_ref.v_weights,
+                 *s_ref.m_biases, *s_ref.v_biases)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_adam_refuses_frozen_params():

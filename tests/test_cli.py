@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tfa.cli import main
@@ -326,3 +327,93 @@ def test_mistyped_seed_and_synth_settings_are_config_errors(workspace, tmp_path,
     assert main(argv + ["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+
+
+# ---- untrusted files: non-UTF-8 text and seeded corruption ----
+
+FUZZ_SYNTH = {
+    "dim": 8, "base_classes": 3, "novel_tasks": 1, "classes_per_novel_task": 2,
+    "train_per_base_class": 4, "test_per_class": 2, "shots": 2,
+    "intra_class_sigma": 0.05, "modality_gap_sigma": 0.1, "seed": 3,
+}
+
+FUZZ_RUN = {
+    "trials": 1, "seed": 1, "shots": 2, "capacity": 2,
+    "align": {"epochs": 1, "batch_size": 4, "seed": 2, "hidden": [4, 3]},
+}
+
+FUZZ_TARGETS = ("task_000.emb", "task_001.emb", "prototypes.emb", "scorer.aln",
+                "task_000.emb.meta.json", "task_001.emb.meta.json",
+                "prototypes.emb.meta.json", "scorer.aln.meta.json", "run.json")
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    """A tiny synth task directory with its scorer and run config, all in one
+    directory so a test can copy and corrupt any file of it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    synth_cfg = write_json(root / "synth.json", FUZZ_SYNTH)
+    assert main(["synth", "--config", synth_cfg, "--out", str(root)]) == 0
+    write_json(root / "run.json", FUZZ_RUN)
+    assert main(["train-align", "--base", str(root / "task_000.emb"),
+                 "--protos", str(root / "prototypes.emb"),
+                 "--config", str(root / "run.json"),
+                 "--out", str(root / "scorer.aln")]) == 0
+    (root / "synth.json").unlink()
+    return root
+
+
+def _run_world(world, out):
+    return main(["run", "--tasks", str(world), "--align", str(world / "scorer.aln"),
+                 "--config", str(world / "run.json"), "--out", str(out)])
+
+
+def _copy_world(src, dst):
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    return dst
+
+
+def _mutate(blob: bytes, kind: str, rng) -> bytes:
+    if kind == "truncate":
+        return blob[:int(rng.integers(0, len(blob)))]
+    if kind == "append":
+        return blob + rng.integers(0, 256, int(rng.integers(1, 17)), dtype=np.uint8).tobytes()
+    out = bytearray(blob)
+    for pos in rng.integers(0, len(out), int(rng.integers(1, 4))):
+        out[pos] ^= int(rng.integers(1, 256))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", ["task_000.emb.meta.json", "prototypes.emb.meta.json",
+                                  "scorer.aln.meta.json", "run.json"])
+def test_non_utf8_text_is_a_format_error(tiny_world, tmp_path, capsys, name):
+    world = _copy_world(tiny_world, tmp_path / "w")
+    path = world / name
+    path.write_bytes(b'{"alpha": "\xff"}' if name == "run.json"
+                     else path.read_bytes().replace(b'"', b'"\xfe', 1))
+    assert _run_world(world, tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fuzz_world_runs_clean(tiny_world, tmp_path):
+    assert _run_world(tiny_world, tmp_path / "r.json") == 0
+
+
+@pytest.mark.parametrize("kind", ["truncate", "flip", "append"])
+@pytest.mark.parametrize("name", FUZZ_TARGETS)
+def test_corrupted_inputs_end_in_a_documented_exit_code(tiny_world, tmp_path, capsys,
+                                                        name, kind):
+    rng = np.random.default_rng([FUZZ_TARGETS.index(name), len(kind)])
+    original = (tiny_world / name).read_bytes()
+    for case in range(20):
+        world = _copy_world(tiny_world, tmp_path / f"w{case}")
+        (world / name).write_bytes(_mutate(original, kind, rng))
+        capsys.readouterr()
+        code = _run_world(world, world / "r.json")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (name, kind, case, code)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, kind, case, err)

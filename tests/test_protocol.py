@@ -38,7 +38,7 @@ def small_world():
     exp = ExperimentConfig(trials=2, seed=3,
                            align=TrainConfig(epochs=4, batch_size=25, seed=2,
                                              hidden=(64, 32)))
-    alignment, _ = train_base_alignment(exp, data, protos)
+    alignment, _ = train_base_alignment(exp.align, data, protos)
     return cfg, data, protos, exp, alignment
 
 
