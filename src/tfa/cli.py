@@ -31,14 +31,16 @@ from .embeddings import (
 from .errors import ConfigError, FormatError, TfaError, ValidationError, check_int
 from .protocol import ExperimentConfig, run_experiment, run_experiments, train_base_alignment
 from .synth import SynthConfig, generate_synthetic
-from .metrics import emit_report
 
 _SWEEP_AXES = ("alpha", "beta", "cache-size")
 
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:  # also over-long ints, deep nesting
+            raise FormatError(str(e)) from e
 
 
 def _load_config(path) -> dict:
@@ -220,19 +222,14 @@ def cmd_ablate(args) -> int:
             "reports": [r.to_dict() for r in reports],
         }
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(metrics._round_floats(combined), f, sort_keys=True, indent=2)
-            f.write("\n")
+            f.write(metrics.canonical_json(combined))
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    raw = _load_json(getattr(args, "in"))
-    try:
-        report = metrics.ExperimentReport.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"not a report file: {e}") from e
-    sys.stdout.write(emit_report(report, args.format))
+    doc = metrics.check_report(_load_json(getattr(args, "in")))
+    sys.stdout.write(metrics.emit_report(doc, args.format))
     return 0
 
 

@@ -68,10 +68,8 @@ class ClassPrototype:
 
 @dataclass
 class EmbeddingSet:
-    """Ordered collection of samples over disjoint-label tasks.
-
-    Backed by parallel arrays; ``records`` materializes dataclass views.
-    """
+    """Ordered collection of samples over disjoint-label tasks, backed by
+    parallel arrays."""
 
     dim: int
     vectors: np.ndarray                 # (n, dim) float64, unit rows
@@ -83,14 +81,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
-
-    @property
-    def records(self) -> list[SampleRecord]:
-        return [
-            SampleRecord(self.vectors[i], int(self.labels[i]), int(self.tasks[i]),
-                         self.splits[i], self.class_names[i])
-            for i in range(len(self))
-        ]
 
     @classmethod
     def from_records(cls, dim: int, records, provenance: dict | None = None) -> "EmbeddingSet":

@@ -3,11 +3,12 @@
 Accuracies are percentages in [0, 100]. Per-session results split into base
 and novel parts; the harmonic accuracy 2*A_b*A_n/(A_b+A_n) summarizes their
 balance, and the accuracy decline Delta = |acc_T - acc_0| / acc_0 * 100
-summarizes end-to-end degradation. Reports serialize to canonical JSON
-(sorted keys, floats rounded to 4 decimals, byte-deterministic), CSV with
-the fixed column order ``trial,session,n_test,acc,A_b,A_n,A_h``, and a
-markdown summary with one wide accuracy row plus the per-session detail
-table (1 decimal place).
+summarizes end-to-end degradation. A report is one plain document,
+``ExperimentReport.to_dict()``: it is written as canonical JSON (sorted
+keys, floats rounded to 4 decimals, byte-deterministic), checked on the way
+back in by ``check_report``, and rendered as CSV with the fixed column order
+``trial,session,n_test,acc,A_b,A_n,A_h`` or as a markdown summary with one
+wide accuracy row plus the per-session detail table (1 decimal place).
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, NoNovelSessions, ZeroBaseAccuracy
+from .errors import (
+    EmptyInput,
+    FormatError,
+    NoNovelSessions,
+    ZeroBaseAccuracy,
+    check_int,
+    check_real,
+)
 
 
 def accuracy(predictions, truths) -> float:
@@ -77,6 +85,8 @@ def mean_harmonic(session_reports) -> float:
 
 # ---- report containers ----
 
+SCHEMA = "tfa-report-v1"
+
 
 @dataclass
 class SessionReport:
@@ -88,51 +98,14 @@ class SessionReport:
     novel_accuracy: float | None
     harmonic: float | None
     both_zero: bool = False
-    per_class: dict = field(default_factory=dict)     # class id -> [n, correct]
+    per_class: dict = field(default_factory=dict)     # str(class id) -> [n, correct]
     cache: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "n_test": self.n_test,
-            "n_classes": self.n_classes,
-            "accuracy": self.accuracy,
-            "base_accuracy": self.base_accuracy,
-            "novel_accuracy": self.novel_accuracy,
-            "harmonic": self.harmonic,
-            "both_zero": self.both_zero,
-            "per_class": {str(k): list(v) for k, v in self.per_class.items()},
-            "cache": self.cache,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionReport":
-        return cls(
-            session=int(d["session"]),
-            n_test=int(d["n_test"]),
-            n_classes=int(d["n_classes"]),
-            accuracy=float(d["accuracy"]),
-            base_accuracy=_opt_float(d.get("base_accuracy")),
-            novel_accuracy=_opt_float(d.get("novel_accuracy")),
-            harmonic=_opt_float(d.get("harmonic")),
-            both_zero=bool(d.get("both_zero", False)),
-            per_class={int(k): [int(x) for x in v]
-                       for k, v in d.get("per_class", {}).items()},
-            cache=d.get("cache"),
-        )
 
 
 @dataclass
 class TrialResult:
     seed: int
     sessions: list
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "sessions": [s.to_dict() for s in self.sessions]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialResult":
-        return cls(int(d["seed"]), [SessionReport.from_dict(s) for s in d["sessions"]])
 
 
 @dataclass
@@ -146,31 +119,6 @@ class SessionAggregate:
     novel_mean: float | None
     harmonic_mean: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "n_test": self.n_test,
-            "n_classes": self.n_classes,
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "base_mean": self.base_mean,
-            "novel_mean": self.novel_mean,
-            "harmonic_mean": self.harmonic_mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionAggregate":
-        return cls(
-            session=int(d["session"]),
-            n_test=int(d["n_test"]),
-            n_classes=int(d["n_classes"]),
-            accuracy_mean=float(d["accuracy_mean"]),
-            accuracy_std=float(d["accuracy_std"]),
-            base_mean=_opt_float(d.get("base_mean")),
-            novel_mean=_opt_float(d.get("novel_mean")),
-            harmonic_mean=_opt_float(d.get("harmonic_mean")),
-        )
-
 
 @dataclass
 class ExperimentReport:
@@ -182,33 +130,18 @@ class ExperimentReport:
     mean_harmonic: float | None
 
     def to_dict(self) -> dict:
+        """The report document: what is written, checked and rendered."""
         return {
-            "schema": "tfa-report-v1",
+            "schema": SCHEMA,
             "config": self.config,
             "flags": self.flags,
-            "trials": [t.to_dict() for t in self.trials],
+            "trials": [asdict(t) for t in self.trials],
             "aggregate": {
-                "sessions": [a.to_dict() for a in self.aggregate],
+                "sessions": [asdict(a) for a in self.aggregate],
                 "delta": self.delta,
                 "mean_harmonic": self.mean_harmonic,
             },
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        agg = d["aggregate"]
-        return cls(
-            config=d["config"],
-            flags=d.get("flags", {}),
-            trials=[TrialResult.from_dict(t) for t in d["trials"]],
-            aggregate=[SessionAggregate.from_dict(a) for a in agg["sessions"]],
-            delta=float(agg["delta"]),
-            mean_harmonic=_opt_float(agg.get("mean_harmonic")),
-        )
-
-
-def _opt_float(x):
-    return None if x is None else float(x)
 
 
 def _mean_opt(values):
@@ -236,12 +169,52 @@ def aggregate_trials(trials: list) -> tuple[list, float, float | None]:
             harmonic_mean=_mean_opt([r.harmonic for r in reports]),
         ))
     d = delta([a.accuracy_mean for a in aggs]) if n_sessions >= 2 else 0.0
-    hm_vals = [a.harmonic_mean for a in aggs if a.harmonic_mean is not None]
-    hm = float(np.mean(hm_vals)) if hm_vals else None
-    return aggs, d, hm
+    return aggs, d, _mean_opt([a.harmonic_mean for a in aggs])
 
 
-# ---- emission ----
+# ---- the report document: boundary check and emission ----
+
+# Every field the renderers read, nested as in the document: "int" and
+# "real" must be finite and >= 0, "real?" the same or null.
+_RENDERED_FIELDS = {
+    "trials": [{"sessions": [{
+        "session": "int", "n_test": "int", "accuracy": "real",
+        "base_accuracy": "real?", "novel_accuracy": "real?", "harmonic": "real?",
+    }]}],
+    "aggregate": {"delta": "real", "mean_harmonic": "real?", "sessions": [{
+        "session": "int", "n_test": "int", "n_classes": "int", "accuracy_mean": "real",
+        "base_mean": "real?", "novel_mean": "real?", "harmonic_mean": "real?",
+    }]},
+}
+
+
+def _check_fields(value, spec, path: str) -> None:
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise FormatError(f"{path} must be an object")
+        for key, sub in spec.items():
+            if key not in value:
+                raise FormatError(f"{path} has no {key!r}")
+            _check_fields(value[key], sub, f"{path}.{key}")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            raise FormatError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            _check_fields(item, spec[0], f"{path}[{i}]")
+    elif spec == "int":
+        check_int(path, value, lo=0, error=FormatError)
+    elif not (spec == "real?" and value is None):
+        check_real(path, value, lo=0, error=FormatError)
+
+
+def check_report(doc) -> dict:
+    """Return ``doc`` if it is a report document the renderers can read;
+    raise FormatError otherwise. This is the boundary check for report
+    files: the schema tag, and the type and range of every rendered field."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise FormatError(f"not a report file: schema is not {SCHEMA!r}")
+    _check_fields(doc, _RENDERED_FIELDS, "report")
+    return doc
 
 
 def _round_floats(x):
@@ -255,24 +228,32 @@ def _round_floats(x):
     return x
 
 
+def canonical_json(doc) -> str:
+    """Canonical JSON: sorted keys, 4-decimal floats, deterministic bytes.
+
+    Keys sort as they are given: string keys (``per_class``)
+    lexicographically, integer keys (cache fills) numerically.
+    """
+    return json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
+
+
 def report_json(report: ExperimentReport) -> str:
-    """Canonical JSON: sorted keys, 4-decimal floats, deterministic bytes."""
-    return json.dumps(_round_floats(report.to_dict()), sort_keys=True, indent=2) + "\n"
+    return canonical_json(report.to_dict())
 
 
 def _cell(x) -> str:
     return "" if x is None else f"{x:.4f}"
 
 
-def report_csv(report: ExperimentReport) -> str:
+def report_csv(doc: dict) -> str:
     buf = io.StringIO()
     w = _csv.writer(buf, lineterminator="\n")
     w.writerow(["trial", "session", "n_test", "acc", "A_b", "A_n", "A_h"])
-    for ti, trial in enumerate(report.trials):
-        for s in trial.sessions:
-            w.writerow([ti, s.session, s.n_test, _cell(s.accuracy),
-                        _cell(s.base_accuracy), _cell(s.novel_accuracy),
-                        _cell(s.harmonic)])
+    for ti, trial in enumerate(doc["trials"]):
+        for s in trial["sessions"]:
+            w.writerow([ti, s["session"], s["n_test"], _cell(s["accuracy"]),
+                        _cell(s["base_accuracy"]), _cell(s["novel_accuracy"]),
+                        _cell(s["harmonic"])])
     return buf.getvalue()
 
 
@@ -280,29 +261,33 @@ def _md1(x) -> str:
     return "-" if x is None else f"{x:.1f}"
 
 
-def report_markdown(report: ExperimentReport) -> str:
-    aggs = report.aggregate
+def report_markdown(doc: dict) -> str:
+    agg = doc["aggregate"]
+    aggs = agg["sessions"]
     lines = []
-    lines.append("| classes | " + " | ".join(str(a.n_classes) for a in aggs) + " | delta |")
+    lines.append("| classes | " + " | ".join(str(a["n_classes"]) for a in aggs) + " | delta |")
     lines.append("|" + "---|" * (len(aggs) + 2))
-    lines.append("| accuracy | " + " | ".join(_md1(a.accuracy_mean) for a in aggs)
-                 + f" | {_md1(report.delta)} |")
+    lines.append("| accuracy | " + " | ".join(_md1(a["accuracy_mean"]) for a in aggs)
+                 + f" | {_md1(agg['delta'])} |")
     lines.append("")
     lines.append("| session | n_test | acc | A_b | A_n | A_h |")
     lines.append("|" + "---|" * 6)
     for a in aggs:
-        lines.append(f"| {a.session} | {a.n_test} | {_md1(a.accuracy_mean)} | "
-                     f"{_md1(a.base_mean)} | {_md1(a.novel_mean)} | {_md1(a.harmonic_mean)} |")
+        lines.append(f"| {a['session']} | {a['n_test']} | {_md1(a['accuracy_mean'])} | "
+                     f"{_md1(a['base_mean'])} | {_md1(a['novel_mean'])} | "
+                     f"{_md1(a['harmonic_mean'])} |")
     lines.append("")
-    lines.append(f"mean harmonic accuracy: {_md1(report.mean_harmonic)}")
+    lines.append(f"mean harmonic accuracy: {_md1(agg['mean_harmonic'])}")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, fmt: str) -> str:
+def emit_report(doc: dict, fmt: str) -> str:
+    """Render a report document (``ExperimentReport.to_dict()`` or a file
+    that passed ``check_report``) as json, csv or markdown."""
     if fmt == "json":
-        return report_json(report)
+        return canonical_json(doc)
     if fmt == "csv":
-        return report_csv(report)
+        return report_csv(doc)
     if fmt in ("md", "markdown"):
-        return report_markdown(report)
+        return report_markdown(doc)
     raise ValueError(f"unknown report format {fmt!r}")

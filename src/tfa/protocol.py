@@ -24,7 +24,7 @@ shared, frozen, by all trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,14 +56,6 @@ from .errors import (
     check_real,
 )
 from .rng import SCOPE_SHOTS, SCOPE_STREAM, SCOPE_TRIAL, Stream, derive_seed
-
-# Table-style experiment shapes: class counts per task only.
-PRESETS = {
-    "modelnet_to_scanobjectnn": {"base_classes": 26, "novel_per_task": [4, 4, 3]},
-    "shapenet_to_scanobjectnn": {"base_classes": 44, "novel_per_task": [5, 5, 5]},
-    "shapenet_to_co3d": {"base_classes": 39, "novel_per_task": [5] * 10},
-}
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -101,24 +93,11 @@ class ExperimentConfig:
         check_int("seed", self.seed)
 
     def to_dict(self) -> dict:
-        d = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "capacity": self.capacity,
-            "shots": self.shots,
-            "novel_capacity": self.novel_capacity,
-            "base_update_policy": self.base_update_policy,
-            "seed": self.seed,
-            "trials": self.trials,
-            "align": {
-                "epochs": self.align.epochs,
-                "batch_size": self.align.batch_size,
-                "lr": self.align.lr,
-                "seed": self.align.seed,
-                "hidden": list(self.align.hidden),
-                "slope": self.align.slope,
-            },
-        }
+        """The config as plain data, as reports record it: ``align`` leaves
+        out Adam's beta1, beta2 and epsilon."""
+        d = asdict(self)
+        d["align"] = {k: d["align"][k] for k in ("epochs", "batch_size", "lr", "seed", "slope")}
+        d["align"]["hidden"] = list(self.align.hidden)
         return d
 
     @classmethod
@@ -142,23 +121,6 @@ class SessionState:
     class_order: list = field(default_factory=list)
     session: int = -1
     base_class_ids: frozenset = frozenset()
-
-
-def preset_tasks(name: str, shots: int = 5) -> list[TaskSpec]:
-    """Skeletal task specs for a named preset (class/task shape only)."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    shape = PRESETS[name]
-    tasks = []
-    nxt = 0
-    base_ids = tuple(range(shape["base_classes"]))
-    nxt = shape["base_classes"]
-    tasks.append(TaskSpec(0, base_ids, {c: (0,) for c in base_ids}, (), None))
-    for t, width in enumerate(shape["novel_per_task"], start=1):
-        ids = tuple(range(nxt, nxt + width))
-        nxt += width
-        tasks.append(TaskSpec(t, ids, {c: tuple(range(shots)) for c in ids}, (), shots))
-    return tasks
 
 
 def build_tasks(data: EmbeddingSet) -> list[TaskSpec]:
@@ -299,10 +261,12 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     a_b, a_n = metrics.split_accuracy(preds, truths, state.base_class_ids)
     both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None
     hm = metrics.harmonic(a_b, a_n) if (a_b is not None and a_n is not None) else None
-    per_class = {}
-    for y, p in zip(truths, preds):
-        n, c = per_class.get(int(y), (0, 0))
-        per_class[int(y)] = (n + 1, c + (1 if y == p else 0))
+    # Keys are decided here, as strings: the canonical JSON sorts them as
+    # text ("10" before "2"), and that order is part of the report bytes.
+    ids, inverse = np.unique(truths, return_inverse=True)
+    n_per_class = np.bincount(inverse, minlength=ids.size)
+    hits = np.bincount(inverse[preds == truths], minlength=ids.size)
+    per_class = {str(c): [int(n), int(k)] for c, n, k in zip(ids, n_per_class, hits)}
     report = metrics.SessionReport(
         session=task.index,
         n_test=n_eval,
@@ -312,7 +276,7 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
         novel_accuracy=a_n,
         harmonic=hm,
         both_zero=bool(both_zero),
-        per_class={k: list(v) for k, v in sorted(per_class.items())},
+        per_class=per_class,
         cache=state.cache.stats(),
     )
     state.session = task.index

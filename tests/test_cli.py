@@ -201,6 +201,58 @@ def test_ablate_writes_the_same_bytes_as_one_run_per_value(workspace, monkeypatc
         "6d6d31d1870a9c5765c819abc5767d2002b1002a43a19c75a88fa70ab5e9360c"
 
 
+WIDE_SYNTH = {
+    "dim": 32, "base_classes": 6, "novel_tasks": 2, "classes_per_novel_task": 3,
+    "train_per_base_class": 10, "test_per_class": 4, "shots": 3,
+    "intra_class_sigma": 0.05, "modality_gap_sigma": 0.15, "seed": 5,
+}
+
+WIDE_RUN = {
+    "trials": 2, "seed": 3, "shots": 3, "capacity": 3, "base_update_policy": "always",
+    "align": {"epochs": 6, "batch_size": 10, "seed": 1, "hidden": [32, 16]},
+}
+
+
+@pytest.fixture(scope="module")
+def wide_world(tmp_path_factory):
+    """A 12-class world run from inside its directory, so the report's data
+    provenance holds relative paths only."""
+    root = tmp_path_factory.mktemp("wide")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        write_json("synth.json", WIDE_SYNTH)
+        write_json("run.json", WIDE_RUN)
+        assert main(["synth", "--config", "synth.json", "--out", "."]) == 0
+        assert main(["train-align", "--base", "task_000.emb", "--protos", "prototypes.emb",
+                     "--config", "run.json", "--out", "scorer.aln"]) == 0
+        assert main(["run", "--tasks", ".", "--align", "scorer.aln",
+                     "--config", "run.json", "--out", "report.json"]) == 0
+    return root
+
+
+def test_run_report_bytes_with_two_digit_class_ids(wide_world):
+    # SHA-256 recorded when each report class still serialised itself. Class
+    # ids 10 and 11 sort as text in per_class and as numbers in the cache fills.
+    blob = (wide_world / "report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "1e8e7239e00dfeb0f84fb42234f30e91d578699d1bd7e26506431fc057976eb3"
+    last = json.loads(blob)["trials"][0]["sessions"][-1]
+    assert list(last["per_class"])[:4] == ["0", "1", "10", "11"]
+    assert list(last["cache"]["novel_fill"]) == ["6", "7", "8", "9", "10", "11"]
+
+
+@pytest.mark.parametrize("fmt,sha", [
+    ("csv", "dd3b2e85878e48232fc98546d35a2158193fda92dc13c9ae4c35c1a9c9c77619"),
+    ("md", "436fd33fe43f4f66c43a7dfdf52981a7a5600e68daf4046399e74e22a673ee3f"),
+])
+def test_report_renders_the_recorded_bytes(wide_world, capsys, fmt, sha):
+    # SHA-256 of the output recorded when `tfa report` still loaded the file
+    # into report objects before rendering it.
+    capsys.readouterr()
+    assert main(["report", "--in", str(wide_world / "report.json"), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 @pytest.mark.parametrize("sweep,values", [
     ("alpha", "1,nan"), ("beta", "inf"), ("cache-size", "inf"), ("cache-size", "nan"),
 ])
@@ -344,13 +396,14 @@ FUZZ_RUN = {
 
 FUZZ_TARGETS = ("task_000.emb", "task_001.emb", "prototypes.emb", "scorer.aln",
                 "task_000.emb.meta.json", "task_001.emb.meta.json",
-                "prototypes.emb.meta.json", "scorer.aln.meta.json", "run.json")
+                "prototypes.emb.meta.json", "scorer.aln.meta.json", "run.json",
+                "report.json")
 
 
 @pytest.fixture(scope="module")
 def tiny_world(tmp_path_factory):
-    """A tiny synth task directory with its scorer and run config, all in one
-    directory so a test can copy and corrupt any file of it."""
+    """A tiny synth task directory with its scorer, run config and report,
+    all in one directory so a test can copy and corrupt any file of it."""
     root = tmp_path_factory.mktemp("fuzz")
     synth_cfg = write_json(root / "synth.json", FUZZ_SYNTH)
     assert main(["synth", "--config", synth_cfg, "--out", str(root)]) == 0
@@ -360,12 +413,17 @@ def tiny_world(tmp_path_factory):
                  "--config", str(root / "run.json"),
                  "--out", str(root / "scorer.aln")]) == 0
     (root / "synth.json").unlink()
+    assert _run_world(root, root / "report.json") == 0
     return root
 
 
+def _run_argv(world, out):
+    return ["run", "--tasks", str(world), "--align", str(world / "scorer.aln"),
+            "--config", str(world / "run.json"), "--out", str(out)]
+
+
 def _run_world(world, out):
-    return main(["run", "--tasks", str(world), "--align", str(world / "scorer.aln"),
-                 "--config", str(world / "run.json"), "--out", str(out)])
+    return main(_run_argv(world, out))
 
 
 def _copy_world(src, dst):
@@ -406,14 +464,78 @@ def test_fuzz_world_runs_clean(tiny_world, tmp_path):
 @pytest.mark.parametrize("name", FUZZ_TARGETS)
 def test_corrupted_inputs_end_in_a_documented_exit_code(tiny_world, tmp_path, capsys,
                                                         name, kind):
+    # A corrupted report is rendered in both formats and may only fail to
+    # parse (3); any other file is an input of `tfa run`.
     rng = np.random.default_rng([FUZZ_TARGETS.index(name), len(kind)])
     original = (tiny_world / name).read_bytes()
+    allowed = (0, 3) if name == "report.json" else (0, 2, 3, 4)
     for case in range(20):
         world = _copy_world(tiny_world, tmp_path / f"w{case}")
         (world / name).write_bytes(_mutate(original, kind, rng))
-        capsys.readouterr()
-        code = _run_world(world, world / "r.json")
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3, 4), (name, kind, case, code)
-        if code:
-            assert err.startswith("error: ") and err.count("\n") == 1, (name, kind, case, err)
+        if name == "report.json":
+            argvs = [["report", "--in", str(world / name), "--format", fmt]
+                     for fmt in ("csv", "md")]
+        else:
+            argvs = [_run_argv(world, world / "r.json")]
+        for argv in argvs:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in allowed, (name, kind, case, argv[0], code)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, \
+                    (name, kind, case, err)
+
+
+# (path to a value of a real report, the raw JSON text put there or None to
+# delete it, the exit codes allowed). An empty path replaces the whole file.
+REPORT_PROBES = {
+    "top-level-list": ((), "[1]", (3,)),
+    "no-schema": (("schema",), None, (3,)),
+    "wrong-schema": (("schema",), '"tfa-report-v2"', (3,)),
+    "string-accuracy": (("trials", 0, "sessions", 0, "accuracy"), '"98.5"', (3,)),
+    "null-accuracy": (("trials", 0, "sessions", 0, "accuracy"), "null", (3,)),
+    "real-session": (("trials", 0, "sessions", 0, "session"), "1.7", (3,)),
+    "huge-session": (("trials", 0, "sessions", 1, "session"), "1e400", (3,)),
+    "bool-n-test": (("trials", 0, "sessions", 0, "n_test"), "true", (3,)),
+    "nan-mean": (("aggregate", "sessions", 0, "accuracy_mean"), "NaN", (3,)),
+    "infinite-delta": (("aggregate", "delta"), "Infinity", (3,)),
+    "negative-n-classes": (("aggregate", "sessions", 1, "n_classes"), "-1", (3,)),
+    "string-mean-harmonic": (("aggregate", "mean_harmonic"), '"50"', (3,)),
+    "no-aggregate": (("aggregate",), None, (3,)),
+    "trials-object": (("trials",), "{}", (3,)),
+    "session-list": (("trials", 0, "sessions", 0), "[]", (3,)),
+    "long-integer": (("trials", 0, "sessions", 0, "n_test"), "1" * 5000, (3,)),
+    "deep-nesting": ((), "[" * 100000 + "]" * 100000, (3,)),
+    "empty-per-class": (("trials", 0, "sessions", 0, "per_class"), "[]", (0, 3)),
+    "huge-per-class": (("trials", 0, "sessions", 0, "per_class"), '{"0": [1e400, 1]}',
+                       (0, 3)),
+}
+
+
+def _probe_text(doc, path, raw) -> str:
+    if not path:
+        return raw
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if raw is None:
+        del parent[path[-1]]
+        return json.dumps(doc)
+    parent[path[-1]] = "@probe@"
+    return json.dumps(doc).replace('"@probe@"', raw)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize("probe", sorted(REPORT_PROBES))
+def test_report_checks_the_document_it_renders(tiny_world, tmp_path, capsys, probe, fmt):
+    path, raw, allowed = REPORT_PROBES[probe]
+    bad = tmp_path / "bad.json"
+    bad.write_text(_probe_text(json.loads((tiny_world / "report.json").read_text()),
+                               path, raw))
+    capsys.readouterr()
+    code = main(["report", "--in", str(bad), "--format", fmt])
+    err = capsys.readouterr().err
+    assert code in allowed
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

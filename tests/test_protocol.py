@@ -12,11 +12,9 @@ from tfa.errors import (
 from tfa.metrics import report_json
 from tfa.protocol import (
     ExperimentConfig,
-    PRESETS,
     SessionState,
     TaskSpec,
     build_tasks,
-    preset_tasks,
     run_experiment,
     run_experiments,
     run_session,
@@ -56,24 +54,6 @@ def test_wrong_shot_count_rejected():
     t1 = TaskSpec(1, (1,), {1: tuple(range(4))}, (), 5)
     with pytest.raises(ShotCountMismatch):
         validate_tasks([t0, t1])
-
-
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_table_shaped_presets_validate(name):
-    tasks = preset_tasks(name, shots=5)
-    validate_tasks(tasks)
-    shape = PRESETS[name]
-    assert len(tasks) == 1 + len(shape["novel_per_task"])
-    assert len(tasks[0].class_ids) == shape["base_classes"]
-    novel_total = sum(len(t.class_ids) for t in tasks[1:])
-    assert novel_total == sum(shape["novel_per_task"])
-
-
-def test_modelnet_preset_shape():
-    tasks = preset_tasks("modelnet_to_scanobjectnn")
-    assert len(tasks) == 4
-    assert len(tasks[0].class_ids) == 26
-    assert [len(t.class_ids) for t in tasks[1:]] == [4, 4, 3]
 
 
 def test_build_tasks_from_data(small_world):
