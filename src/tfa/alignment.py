@@ -11,6 +11,14 @@ All math is plain float64 numpy. The binary cross-entropy is evaluated in
 logit space, ``max(z, 0) - z*t + log1p(exp(-|z|))``, so saturated sigmoids
 never produce log(0).
 
+Scoring and training share one kernel. The first layer's input is a pair
+``[v, e]``, so its pre-activation is ``v @ W1[:m] + (e @ W1[m:] + b1)``: the
+two halves are computed once per call, for every sample and every
+prototype, and added per pair; the pair matrix is never built. Its gradient
+is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a row reduction, so a
+logit's bytes depend on neither the other rows scored with it nor the BLAS
+thread count. Adam runs over cache-sized blocks of each parameter.
+
 Checkpoint format "ALN1" (little-endian):
 
     bytes 0..3  magic "ALN1"
@@ -41,12 +49,17 @@ from .errors import (
     ValidationError,
     check_int,
     check_real,
+    load_json,
 )
 from .rng import SCOPE_INIT, SCOPE_SHUFFLE, Stream, derive_seed
 
 ALN_MAGIC = b"ALN1"
 DEFAULT_HIDDEN = (2048, 1024)
 DEFAULT_SLOPE = 0.01
+
+# Adam updates each parameter in blocks of about this many elements (256 KB),
+# so that its eleven passes over a block stay in cache.
+_ADAM_BLOCK = 1 << 15
 
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
@@ -101,7 +114,7 @@ class AdamState:
     v_weights: list = field(default_factory=list)
     m_biases: list = field(default_factory=list)
     v_biases: list = field(default_factory=list)
-    # Two flat buffers the size of the largest parameter, reused by every step.
+    # Two flat buffers the size of one Adam block, reused by every step.
     scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -214,67 +227,70 @@ def _leaky_relu_(z: np.ndarray, slope: float) -> np.ndarray:
     return np.minimum(z, slope * z, out=z)
 
 
-def _forward(params: RelationParams, x: np.ndarray, keep: bool = False):
-    """Logits for a (rows, 2m) input block.
+def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
+    """The first layer's two halves, ``vs @ W1[:m]`` and ``protos @ W1[m:] + b1``.
+
+    The pre-activation of pair ``(b, c)`` is the sum of row ``b`` of the first
+    and row ``c`` of the second.
+    """
+    w, m = params.weights[0], params.m
+    a = vs @ w[:m]
+    cp = protos @ w[m:]
+    cp += params.biases[0]
+    return a, cp
+
+
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False):
+    """Logits for every pair of the samples whose first-layer half is ``a``
+    with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
     With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
-    i's input. For ``slope >= 0`` a hidden activation is positive exactly
-    when its pre-activation is, so ``acts`` also serves as the backward gate.
+    ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
+    exactly when its pre-activation is, so ``acts`` also serves as the
+    backward gate. The last layer is a row reduction, not a fan-out-1 gemv,
+    so a row's logit does not depend on the other rows or on BLAS threads.
     """
-    acts = [x]
-    h = x
+    z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
+    acts = []
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w
+    for i in range(1, last + 1):
+        h = _leaky_relu_(z, params.slope)
+        if keep:
+            acts.append(h)
+        w, b = params.weights[i], params.biases[i]
+        z = h @ w if i < last else (h * w[:, 0]).sum(axis=1, keepdims=True)
         z += b
-        if i < last:
-            h = _leaky_relu_(z, params.slope)
-            if keep:
-                acts.append(h)
     logits = z[:, 0]
     return (logits, acts) if keep else logits
 
 
-def _pairs(vs: np.ndarray, protos: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop`` of the (B*C, 2m) pair matrix, whose row
-    ``b*C + c`` is ``[vs[b], protos[c]]``."""
-    m = vs.shape[1]
-    rows = np.arange(start, stop)
-    x = np.empty((stop - start, 2 * m), dtype=np.float64)
-    x[:, :m] = vs[rows // protos.shape[0]]
-    x[:, m:] = protos[rows % protos.shape[0]]
-    return x
-
-
 def score_pair(params: RelationParams, v, e) -> tuple[float, float]:
     """Similarity of one (vision, text) pair: (sigmoid score, raw logit)."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    e = np.asarray(e, dtype=np.float64).reshape(-1)
-    if v.shape[0] != params.m or e.shape[0] != params.m:
-        raise DimMismatch(
-            f"score_pair expects dimension {params.m}, got {v.shape[0]} and {e.shape[0]}")
-    logit = float(_forward(params, np.concatenate([v, e])[None, :])[0])
+    logit = float(score_matrix(params, np.reshape(v, (1, -1)), np.reshape(e, (1, -1)))[0, 0])
     return float(_sigmoid(np.array([logit]))[0]), logit
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                 chunk: int = 1024) -> np.ndarray:
+                 chunk: int = 256) -> np.ndarray:
     """Logits for every (sample, prototype) pair, shape (B, C).
 
-    Pairs are built and scored ``chunk`` rows at a time, so memory stays
-    bounded by the chunk, not by B*C, and each chunk's activations stay
-    cache-sized.
+    The table is built for ``max(1, chunk // C)`` whole samples at a time, so
+    memory stays bounded by about ``chunk`` pair rows, not by B*C, and each
+    block's activations stay cache-sized. A logit's bytes do not depend on
+    the block size as long as the BLAS rounds a GEMM row the same way for
+    every block of two or more rows; OpenBLAS does at the default widths.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
-    n = vs.shape[0] * protos.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out[start:stop] = _forward(params, _pairs(vs, protos, start, stop))
-    return out.reshape(vs.shape[0], protos.shape[0])
+    a, cp = _first_layer(params, vs, protos)
+    c = protos.shape[0]
+    step = max(1, chunk // max(c, 1))
+    out = np.empty((vs.shape[0], c), dtype=np.float64)
+    for s0 in range(0, vs.shape[0], step):
+        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp).reshape(-1, c)
+    return out
 
 
 def score_all(params: RelationParams, v, prototypes) -> SimilarityVector:
@@ -320,20 +336,27 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     t[np.arange(b), targets] = 1.0
     t = t.reshape(-1)
 
-    logits, acts = _forward(params, _pairs(vs, protos, 0, b * c), keep=True)
+    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True)
     loss = float(_bce_elementwise(logits, t).mean())
 
     d_weights = [None] * len(params.weights)
     d_biases = [None] * len(params.biases)
     delta = ((_sigmoid(logits) - t) / (b * c))[:, None]
-    for i in range(len(params.weights) - 1, -1, -1):
-        d_weights[i] = acts[i].T @ delta
+    for i in range(len(params.weights) - 1, 0, -1):
+        d_weights[i] = acts[i - 1].T @ delta
         d_biases[i] = delta.sum(axis=0)
-        if i > 0:
-            # The LeakyReLU derivative is 1 where the activation is positive
-            # and slope elsewhere; multiplying by 1 is exact, so skip it.
-            delta = delta @ params.weights[i].T
-            np.multiply(delta, params.slope, out=delta, where=~(acts[i] > 0.0))
+        # The LeakyReLU derivative is 1 where the activation is positive
+        # and slope elsewhere; multiplying by 1 is exact, so skip it.
+        delta = delta @ params.weights[i].T
+        np.multiply(delta, params.slope, out=delta, where=~(acts[i - 1] > 0.0))
+    # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
+    # half of dW1 sums delta over prototypes and the prototype half over samples.
+    per_pair = delta.reshape(b, c, -1)
+    d_w1 = np.empty_like(params.weights[0])
+    np.matmul(vs.T, per_pair.sum(axis=1), out=d_w1[:params.m])
+    np.matmul(protos.T, per_pair.sum(axis=0), out=d_w1[params.m:])
+    d_weights[0] = d_w1
+    d_biases[0] = delta.sum(axis=0)
     return loss, Gradients(d_weights, d_biases)
 
 
@@ -344,15 +367,21 @@ def grad(params: RelationParams, vs, protos, targets) -> Gradients:
 
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+    arrays = (*params.weights, *params.biases)
+    block = max(_adam_rows(a) * (a.size // a.shape[0]) for a in arrays)
     return AdamState(
         lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
         m_weights=[np.zeros_like(w) for w in params.weights],
         v_weights=[np.zeros_like(w) for w in params.weights],
         m_biases=[np.zeros_like(b) for b in params.biases],
         v_biases=[np.zeros_like(b) for b in params.biases],
-        scratch=[np.empty(max(a.size for a in (*params.weights, *params.biases)))
-                 for _ in range(2)],
+        scratch=[np.empty(block) for _ in range(2)],
     )
+
+
+def _adam_rows(a: np.ndarray) -> int:
+    """Leading-axis rows of ``a`` per Adam block of about ``_ADAM_BLOCK`` elements."""
+    return max(1, _ADAM_BLOCK // (a.size // a.shape[0]))
 
 
 def adam_step(params: RelationParams, state: AdamState, grads: Gradients
@@ -365,25 +394,29 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     flat_s, flat_t = state.scratch
-    for p, m, v, g in (
+    for arrays in (
         *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
         *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
     ):
-        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time in
-        # the order that formula evaluates, through two scratch buffers.
-        s = flat_s[:p.size].reshape(p.shape)
-        t = flat_t[:p.size].reshape(p.shape)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s)
-        v *= b2
-        np.multiply(g, g, out=s)
-        v += np.multiply(s, 1.0 - b2, out=s)
-        np.divide(m, c1, out=s)
-        s *= state.lr
-        np.divide(v, c2, out=t)
-        np.sqrt(t, out=t)
-        t += state.epsilon
-        p -= np.divide(s, t, out=s)
+        rows = _adam_rows(arrays[0])
+        for r in range(0, arrays[0].shape[0], rows):
+            # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
+            # in the order that formula evaluates, through two scratch
+            # buffers, one cache-sized block of rows at a time.
+            p, m, v, g = (a[r:r + rows] for a in arrays)
+            s = flat_s[:p.size].reshape(p.shape)
+            t = flat_t[:p.size].reshape(p.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=s)
+            v *= b2
+            np.multiply(g, g, out=s)
+            v += np.multiply(s, 1.0 - b2, out=s)
+            np.divide(m, c1, out=s)
+            s *= state.lr
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += state.epsilon
+            p -= np.divide(s, t, out=s)
     return params, state
 
 
@@ -493,8 +526,7 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
             raise CorruptRecord(f"{path}: non-finite parameter")
-    with open(Path(str(path) + ".meta.json"), "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    meta = load_json(Path(str(path) + ".meta.json"))
     if not isinstance(meta, dict):
         raise CorruptRecord(f"{path}: sidecar is not a JSON object")
     m = meta.get("m")

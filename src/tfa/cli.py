@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,19 +27,11 @@ from .embeddings import (
     save_embeddings,
     save_prototypes,
 )
-from .errors import ConfigError, FormatError, TfaError, ValidationError, check_int
+from .errors import ConfigError, FormatError, TfaError, ValidationError, check_int, load_json
 from .protocol import ExperimentConfig, run_experiment, run_experiments, train_base_alignment
 from .synth import SynthConfig, generate_synthetic
 
 _SWEEP_AXES = ("alpha", "beta", "cache-size")
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as e:  # also over-long ints, deep nesting
-            raise FormatError(str(e)) from e
 
 
 def _load_config(path) -> dict:
@@ -48,7 +39,7 @@ def _load_config(path) -> dict:
     section, when present, is an object too."""
     if not path:
         return {}
-    doc = _load_json(path)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     if not isinstance(doc.get("align", {}), dict):
@@ -228,7 +219,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = metrics.check_report(_load_json(getattr(args, "in")))
+    doc = metrics.check_report(load_json(getattr(args, "in")))
     sys.stdout.write(metrics.emit_report(doc, args.format))
     return 0
 
@@ -307,7 +298,7 @@ def main(argv=None) -> int:
     try:
         try:
             return args.func(args)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+        except OSError as e:
             raise FormatError(str(e)) from e
     except TfaError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .errors import (
     DimMismatch,
     DisjointnessViolation,
     DuplicateClassId,
+    load_json,
 )
 
 MAGIC = b"EMB1"
@@ -215,8 +216,7 @@ def _read_emb(path) -> tuple[int, int, int, np.ndarray, list[dict]]:
     raw = np.frombuffer(blob, dtype="<f4", offset=16)
     matrix = raw.reshape(count, dim).astype(np.float64)
     sidecar_file = _sidecar_path(path)
-    with open(sidecar_file, "r", encoding="utf-8") as f:
-        sidecar = json.load(f)
+    sidecar = load_json(sidecar_file)
     if not isinstance(sidecar, dict) or "records" not in sidecar:
         raise CorruptRecord(f"{sidecar_file}: malformed sidecar")
     if sidecar.get("dim") != dim or sidecar.get("count") != count:

@@ -2,10 +2,12 @@
 
 Every error class carries an ``exit_code`` so the command-line layer can map
 failures onto its documented contract: 2 for configuration errors, 3 for
-I/O and parse errors, 4 for semantic validation failures. The field checks
-at the end validate untrusted settings once, where they enter the program.
+I/O and parse errors, 4 for semantic validation failures. The loader and
+field checks at the end validate untrusted files and settings once, where
+they enter the program.
 """
 
+import json
 import math
 import numbers
 
@@ -96,7 +98,18 @@ class NoNovelSessions(TfaError):
     """Mean harmonic accuracy needs at least one session with novel classes."""
 
 
-# ---- field checks for values read from configs, flags and sidecars ----
+# ---- the JSON loader and field checks for configs, flags and sidecars ----
+
+
+def load_json(path):
+    """Parse the JSON file at ``path``. Every way its bytes can fail to parse
+    raises ``FormatError``: invalid UTF-8 or JSON, an integer past Python's
+    digit limit, or nesting past the recursion limit."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: {e}") from e
 
 
 def check_int(name: str, value, lo: int | None = None, error=ConfigError) -> None:

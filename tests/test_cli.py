@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,27 @@ def test_non_utf8_text_is_a_format_error(tiny_world, tmp_path, capsys, name):
     path = world / name
     path.write_bytes(b'{"alpha": "\xff"}' if name == "run.json"
                      else path.read_bytes().replace(b'"', b'"\xfe', 1))
+    assert _run_world(world, tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("probe", ["long_int", "deep_nesting"])
+@pytest.mark.parametrize("name,key", [("task_000.emb.meta.json", "dim"),
+                                      ("prototypes.emb.meta.json", "dim"),
+                                      ("scorer.aln.meta.json", "m")])
+def test_unparseable_sidecars_are_format_errors(tiny_world, tmp_path, capsys, name, key,
+                                                probe):
+    # Python's json raises ValueError past 4,300 digits and RecursionError
+    # past its nesting limit; both are parse failures of the file (exit 3).
+    world = _copy_world(tiny_world, tmp_path / "w")
+    path = world / name
+    if probe == "long_int":
+        text, n = re.subn(rf'"{key}": \d+', f'"{key}": {"7" * 5000}', path.read_text())
+        assert n == 1
+    else:
+        text = "[" * 100_000 + "]" * 100_000
+    path.write_text(text)
     assert _run_world(world, tmp_path / "r.json") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
