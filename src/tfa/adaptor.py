@@ -123,7 +123,6 @@ class DualCache:
         self.base_update_policy = base_update_policy
         self._base: dict[int, list[CacheEntry]] = {}
         self._novel: dict[int, list[CacheEntry]] = {}
-        self._pooled = None
 
     # -- mutation --
 
@@ -135,13 +134,11 @@ class DualCache:
         entry = CacheEntry(key, cls, h, ORIGIN_BASE)
         if len(queue) < self.capacity:
             queue.append(entry)
-            self._pooled = None
             return InsertOutcome("inserted", entry=entry)
         worst = max(range(len(queue)), key=lambda i: queue[i].entropy)
         if h < queue[worst].entropy:
             evicted = queue.pop(worst)
             queue.append(entry)
-            self._pooled = None
             return InsertOutcome("replaced", evicted=evicted, entry=entry)
         return InsertOutcome("rejected", reason="HighEntropy")
 
@@ -153,7 +150,6 @@ class DualCache:
             raise ShotCapacityExceeded(
                 f"class {label} already holds {self.shots} novel shots")
         queue.append(CacheEntry(key, int(label), 0.0, ORIGIN_NOVEL))
-        self._pooled = None
 
     # -- inspection --
 
@@ -215,17 +211,12 @@ class DualCache:
                 "base_update_policy": self.base_update_policy, "classes": classes}
 
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Key matrix and value vector over all entries (cached until mutated)."""
-        if self._pooled is None:
-            entries = self.entries()
-            if entries:
-                keys = np.vstack([e.key for e in entries])
-                values = np.array([e.value for e in entries], dtype=np.int64)
-            else:
-                keys = np.zeros((0, 0), dtype=np.float64)
-                values = np.zeros(0, dtype=np.int64)
-            self._pooled = (keys, values)
-        return self._pooled
+        """Key matrix and value vector over all entries, in :meth:`entries` order."""
+        entries = self.entries()
+        if not entries:
+            return np.zeros((0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
+        return (np.vstack([e.key for e in entries]),
+                np.array([e.value for e in entries], dtype=np.int64))
 
 
 @dataclass(frozen=True)

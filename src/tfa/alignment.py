@@ -49,6 +49,7 @@ from .errors import (
     ValidationError,
     check_int,
     check_real,
+    from_fields,
     load_json,
 )
 from .rng import SCOPE_INIT, SCOPE_SHUFFLE, Stream, derive_seed
@@ -179,10 +180,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown alignment config keys: {sorted(unknown)}")
-        return cls(**d)
+        return from_fields(cls, d, "alignment")
 
 
 def _sigmoid(z):

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -189,9 +190,7 @@ def cmd_ablate(args) -> int:
     cfg = _experiment_config(args)
     data, protos = _load_task_dir(args.tasks)
     alignment, _meta = load_alignment(args.align)
-    cfgs = [ExperimentConfig.from_dict({**cfg.to_dict(),
-                                        **_sweep_setting(args.sweep, v, cfg.shots)})
-            for v in values]
+    cfgs = [replace(cfg, **_sweep_setting(args.sweep, v, cfg.shots)) for v in values]
     reports = run_experiments(cfgs, data, protos, alignment)
 
     def fmt(x):

@@ -37,6 +37,7 @@ from .errors import (
     DimMismatch,
     DisjointnessViolation,
     DuplicateClassId,
+    check_int,
     load_json,
 )
 
@@ -142,18 +143,23 @@ class EmbeddingSet:
         if np.any(self.labels < 0) or np.any(self.tasks < 0):
             raise CorruptRecord("labels and task indices must be non-negative")
         spaces = {t: self.label_space(t) for t in self.task_ids()}
-        tids = sorted(spaces)
-        for i, a in enumerate(tids):
-            for b in tids[i + 1:]:
-                overlap = spaces[a] & spaces[b]
-                if overlap:
-                    raise DisjointnessViolation(
-                        f"tasks {a} and {b} share train classes {sorted(overlap)}")
+        check_disjoint(list(spaces.items()))
         for i in self.indices(split="test"):
             t, y = int(self.tasks[i]), int(self.labels[i])
             if y not in spaces.get(t, set()):
                 raise DisjointnessViolation(
                     f"test record {i} has label {y} outside task {t}'s train label space")
+
+
+def check_disjoint(spaces) -> None:
+    """Raise ``DisjointnessViolation`` unless the train label spaces, given as
+    (task index, set of class ids) pairs, are pairwise disjoint."""
+    for i, (a, space_a) in enumerate(spaces):
+        for b, space_b in spaces[i + 1:]:
+            overlap = space_a & space_b
+            if overlap:
+                raise DisjointnessViolation(
+                    f"tasks {a} and {b} share train classes {sorted(overlap)}")
 
 
 def merge_embedding_sets(sets) -> EmbeddingSet:
@@ -240,6 +246,15 @@ def _renormalize(matrix: np.ndarray, what: str) -> np.ndarray:
     return matrix / norms[:, None]
 
 
+def _record_id(path, i: int, rec: dict, key: str) -> int:
+    """A sidecar record's id field: an integer in [0, 2**63)."""
+    value = rec[key]
+    check_int(f"{path}: sidecar record {i} {key}", value, lo=0, error=CorruptRecord)
+    if value >= 1 << 63:
+        raise CorruptRecord(f"{path}: sidecar record {i} {key} exceeds int64, got {value}")
+    return value
+
+
 def save_embeddings(es: EmbeddingSet, path) -> None:
     sidecar = []
     for i in range(len(es)):
@@ -258,8 +273,8 @@ def load_embeddings(path) -> EmbeddingSet:
         if not isinstance(rec, dict) or "label" not in rec or "task" not in rec \
                 or "split" not in rec:
             raise CorruptRecord(f"{path}: sidecar record {i} is missing fields")
-        labels.append(int(rec["label"]))
-        tasks.append(int(rec["task"]))
+        labels.append(_record_id(path, i, rec, "label"))
+        tasks.append(_record_id(path, i, rec, "task"))
         splits.append(str(rec["split"]))
         names.append(rec.get("class_name"))
     es = EmbeddingSet(
@@ -297,7 +312,7 @@ def load_prototypes(path) -> list[ClassPrototype]:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "class_id" not in rec:
             raise CorruptRecord(f"{path}: sidecar record {i} lacks class_id")
-        cid = int(rec["class_id"])
+        cid = _record_id(path, i, rec, "class_id")
         if cid in seen:
             raise DuplicateClassId(f"{path}: class id {cid} appears twice")
         seen.add(cid)

@@ -79,26 +79,26 @@ class ShotCapacityExceeded(ValidationError):
     """More novel shots inserted for a class than the cache admits."""
 
 
-# ---- computational preconditions ----
+# ---- computational preconditions (exit 4: inputs a run cannot be scored on) ----
 
 
-class ZeroVector(TfaError):
+class ZeroVector(ValidationError):
     """An operation that needs a direction received the zero vector."""
 
 
-class EmptyInput(TfaError):
+class EmptyInput(ValidationError):
     """A reduction over an empty collection."""
 
 
-class ZeroBaseAccuracy(TfaError):
+class ZeroBaseAccuracy(ValidationError):
     """Accuracy decline is undefined when the first session scores zero."""
 
 
-class NoNovelSessions(TfaError):
+class NoNovelSessions(ValidationError):
     """Mean harmonic accuracy needs at least one session with novel classes."""
 
 
-# ---- the JSON loader and field checks for configs, flags and sidecars ----
+# ---- the JSON loader and checks for configs, flags and sidecars ----
 
 
 def load_json(path):
@@ -129,3 +129,11 @@ def check_real(name: str, value, lo: float | None = None, error=ConfigError) -> 
         raise error(f"{name} must be a finite number, got {value!r}")
     if lo is not None and value < lo:
         raise error(f"{name} must be >= {lo:g}, got {value}")
+
+
+def from_fields(cls, d: dict, what: str):
+    """``cls(**d)``, after rejecting the keys of ``d`` that name no field of ``cls``."""
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+    return cls(**d)

@@ -45,15 +45,15 @@ from .alignment import (
     train_alignment,
     _sigmoid,
 )
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, check_disjoint
 from .errors import (
     ConfigError,
-    DisjointnessViolation,
     OutOfOrderSession,
     ShotCountMismatch,
     ValidationError,
     check_int,
     check_real,
+    from_fields,
 )
 from .rng import SCOPE_SHOTS, SCOPE_STREAM, SCOPE_TRIAL, Stream, derive_seed
 
@@ -66,7 +66,7 @@ class TaskSpec:
     shots: int | None                    # None for the base task
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float = 2.0
     beta: float = 2.0
@@ -78,10 +78,8 @@ class ExperimentConfig:
     trials: int = 10
     align: TrainConfig = field(default_factory=TrainConfig)
 
-    def effective_novel_capacity(self) -> int:
-        return self.shots if self.novel_capacity is None else self.novel_capacity
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Every construction path is validated here, ``replace`` included."""
         check_real("alpha", self.alpha, lo=0.0)
         check_real("beta", self.beta, lo=0.0)
         check_int("capacity", self.capacity, lo=1)
@@ -91,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError(f"base_update_policy must be one of {POLICIES}")
         check_int("trials", self.trials, lo=1)
         check_int("seed", self.seed)
+
+    def effective_novel_capacity(self) -> int:
+        return self.shots if self.novel_capacity is None else self.novel_capacity
 
     def to_dict(self) -> dict:
         """The config as plain data, as reports record it: ``align`` leaves
@@ -102,16 +103,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        align = d.pop("align", {})
-        known = {"alpha", "beta", "capacity", "shots", "novel_capacity",
-                 "base_update_policy", "seed", "trials"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        cfg = cls(**d, align=TrainConfig.from_dict(align))
-        cfg.validate()
-        return cfg
+        align = TrainConfig.from_dict(d.get("align", {}))
+        return from_fields(cls, {**d, "align": align}, "experiment")
 
 
 @dataclass
@@ -124,7 +117,8 @@ class SessionState:
 
 
 def build_tasks(data: EmbeddingSet) -> list[TaskSpec]:
-    """Derive the task list from an embedding set's records."""
+    """Derive the task list from an embedding set's records and validate it;
+    a novel task's shot count is that of its first class."""
     tids = data.task_ids()
     if tids != list(range(len(tids))):
         raise ValidationError(f"task indices must be contiguous from 0, got {tids}")
@@ -135,31 +129,22 @@ def build_tasks(data: EmbeddingSet) -> list[TaskSpec]:
         by_class = {c: tuple(int(i) for i in train_idx if int(data.labels[i]) == c)
                     for c in class_ids}
         test_idx = tuple(int(i) for i in data.indices(task=t, split="test"))
-        if t == 0:
-            shots = None
-        else:
-            counts = sorted(set(len(v) for v in by_class.values()))
-            if len(counts) != 1:
-                raise ShotCountMismatch(
-                    f"task {t} has uneven per-class shot counts {counts}")
-            shots = counts[0]
+        shots = len(by_class[class_ids[0]]) if t and class_ids else None
         tasks.append(TaskSpec(t, class_ids, by_class, test_idx, shots))
+    validate_tasks(tasks)
     return tasks
 
 
 def validate_tasks(tasks) -> None:
-    """Disjoint label spaces and per-class shot counts."""
+    """Disjoint label spaces, per-class shot counts, and a base task with
+    test records."""
     tasks = list(tasks)
     if not tasks:
         raise ValidationError("empty task list")
-    for i, a in enumerate(tasks):
+    for a in tasks:
         if not a.class_ids:
             raise ValidationError(f"task {a.index} has no classes")
-        for b in tasks[i + 1:]:
-            overlap = set(a.class_ids) & set(b.class_ids)
-            if overlap:
-                raise DisjointnessViolation(
-                    f"tasks {a.index} and {b.index} share classes {sorted(overlap)}")
+    check_disjoint([(a.index, set(a.class_ids)) for a in tasks])
     for task in tasks:
         if task.index == 0:
             continue
@@ -170,6 +155,8 @@ def validate_tasks(tasks) -> None:
             if got != task.shots:
                 raise ShotCountMismatch(
                     f"task {task.index} class {cid}: {got} shots, expected {task.shots}")
+    if not tasks[0].test_indices:
+        raise ValidationError(f"base task {tasks[0].index} has no test records")
 
 
 def _proto_matrix(prototypes, class_order) -> np.ndarray:
@@ -207,16 +194,17 @@ def stream_predictions(cache: DualCache, queries, logits, class_order, alpha: fl
 def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
                 prototypes, cfg: ExperimentConfig, stream_seed: int,
                 score_table: np.ndarray | None = None,
-                table_row: dict | None = None,
                 prior_tasks: list | None = None
                 ) -> tuple[SessionState, metrics.SessionReport]:
     """Run one session: reveal classes, ingest shots, stream the cumulative
     test set, and report.
 
-    ``score_table``/``table_row`` optionally supply precomputed logits for
-    (test record, canonical class) pairs; without them the block is computed
-    here. ``prior_tasks`` lists the already-run tasks (needed to rebuild the
-    cumulative test set when sessions are run one by one).
+    ``prior_tasks`` lists the already-run tasks; the evaluation set is their
+    test records and then ``task``'s, in task order. ``score_table`` holds
+    precomputed logits: rows the test records of tasks 0, 1, ... in that
+    order, columns the classes in reveal order. The evaluation set is its
+    first rows, so stream position i reads row ``order[i]``; without a
+    table those rows are scored here.
     """
     if task.index != state.session + 1:
         raise OutOfOrderSession(
@@ -240,20 +228,15 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     eval_indices = np.array(eval_indices, dtype=np.int64)
     n_eval = eval_indices.shape[0]
     order = Stream(derive_seed(stream_seed, SCOPE_STREAM)).permutation(n_eval)
-
     if score_table is None:
-        proto_mat = _proto_matrix(prototypes, state.class_order)
-        block = score_matrix(state.params, data.vectors[eval_indices], proto_mat)
-        row_of = {int(rec): i for i, rec in enumerate(eval_indices)}
-    else:
-        block, row_of = score_table, table_row
+        score_table = score_matrix(state.params, data.vectors[eval_indices],
+                                   _proto_matrix(prototypes, state.class_order))
 
     n_classes = len(state.class_order)
     recs = eval_indices[order]
-    rows = np.array([row_of[int(rec)] for rec in recs], dtype=np.int64)
     insert_base = cfg.base_update_policy == "always" or (
         task.index == 0 and cfg.base_update_policy == "session0_only")
-    preds = stream_predictions(state.cache, data.vectors[recs], block[rows, :n_classes],
+    preds = stream_predictions(state.cache, data.vectors[recs], score_table[order, :n_classes],
                                class_order, cfg.alpha, cfg.beta,
                                state.base_class_ids if insert_base else frozenset())
     truths = data.labels[recs].astype(np.int64)
@@ -296,12 +279,9 @@ def train_base_alignment(hyper: TrainConfig, data: EmbeddingSet, prototypes
 
 
 def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
-    """Validate every config, then the tasks built from ``data``, then each
-    config's shot count against those tasks."""
-    for cfg in cfgs:
-        cfg.validate()
+    """The tasks built from ``data``, after checking each config's shot count
+    against them."""
     tasks = build_tasks(data)
-    validate_tasks(tasks)
     for cfg in cfgs:
         for task in tasks[1:]:
             if task.shots != cfg.shots:
@@ -341,7 +321,6 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
     proto_mat = _proto_matrix(prototypes, class_order)
     all_test = np.concatenate([np.array(t.test_indices, dtype=np.int64) for t in tasks])
     table = score_matrix(alignment, data.vectors[all_test], proto_mat)
-    table_row = {int(rec): i for i, rec in enumerate(all_test)}
 
     before = _param_bytes(alignment)
     reports = []
@@ -358,7 +337,7 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
             for task in tasks:
                 stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
                 state, rep = run_session(state, task, data, prototypes, cfg, stream_seed,
-                                         score_table=table, table_row=table_row,
+                                         score_table=table,
                                          prior_tasks=tasks[:task.index])
                 sessions.append(rep)
             trials.append(metrics.TrialResult(seed=trial_seed, sessions=sessions))

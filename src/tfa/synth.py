@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .embeddings import ClassPrototype, EmbeddingSet, SampleRecord
-from .errors import ConfigError, check_int, check_real
+from .errors import check_int, check_real, from_fields
 from .numerics import l2_normalize
 from .rng import (
     SCOPE_CLASS_MEAN,
@@ -42,7 +42,8 @@ class SynthConfig:
     modality_gap_sigma: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Every construction path is validated here."""
         for name in ("dim", "base_classes", "novel_tasks", "classes_per_novel_task",
                      "train_per_base_class", "test_per_class", "shots"):
             check_int(name, getattr(self, name), lo=1)
@@ -52,13 +53,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return from_fields(cls, d, "synth")
 
 
 def class_layout(cfg: SynthConfig) -> list[tuple[int, list[int]]]:
@@ -99,7 +94,6 @@ def _noisy(mean, sigma: float, stream: Stream, count: int, dim: int):
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[EmbeddingSet, list[ClassPrototype]]:
-    cfg.validate()
     records: list[SampleRecord] = []
     protos: list[ClassPrototype] = []
     means = {}

@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfa.cli
+import tfa.errors
+from tfa.alignment import RelationParams, load_alignment, save_alignment
 from tfa.cli import main
+from tfa.embeddings import load_embeddings, save_embeddings
+from tfa.protocol import ExperimentConfig
 
 
 SYNTH_CFG = {
@@ -188,6 +193,28 @@ def test_ablate_empty_values_is_config_error(workspace):
     root, tasks, aln, run_cfg = workspace
     assert main(["ablate", "--tasks", str(tasks), "--align", str(aln),
                  "--config", run_cfg, "--sweep", "alpha", "--values", " , "]) == 2
+
+
+def test_ablate_sweeps_keep_the_base_config_align(workspace, tmp_path, monkeypatch):
+    # Adam's beta1, beta2 and epsilon are not in a report's config, so only
+    # the sweep configs themselves can show whether they were kept.
+    root, tasks, aln, _ = workspace
+    doc = {**RUN_CFG, "align": {**RUN_CFG["align"], "beta1": 0.5, "beta2": 0.99,
+                                "epsilon": 1e-6}}
+    run_cfg = write_json(tmp_path / "run.json", doc)
+    seen = []
+    real = tfa.cli.run_experiments
+    def recorded(cfgs, *args):
+        seen.extend(cfgs)
+        return real(cfgs, *args)
+    monkeypatch.setattr(tfa.cli, "run_experiments", recorded)
+    for sweep, values in (("alpha", "0,2"), ("cache-size", "1,3")):
+        assert main(["ablate", "--tasks", str(tasks), "--align", str(aln),
+                     "--config", run_cfg, "--trials", "1",
+                     "--sweep", sweep, "--values", values]) == 0
+    base = ExperimentConfig.from_dict(doc).align
+    assert (base.beta1, base.beta2, base.epsilon) == (0.5, 0.99, 1e-6)
+    assert len(seen) == 4 and all(c.align == base for c in seen)
 
 
 def test_ablate_writes_the_same_bytes_as_one_run_per_value(workspace, monkeypatch):
@@ -476,6 +503,64 @@ def test_unparseable_sidecars_are_format_errors(tiny_world, tmp_path, capsys, na
     assert _run_world(world, tmp_path / "r.json") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", None, [0], 2**70, 1.5, True])
+@pytest.mark.parametrize("name,key", [("task_000.emb.meta.json", "label"),
+                                      ("task_000.emb.meta.json", "task"),
+                                      ("prototypes.emb.meta.json", "class_id")])
+def test_structured_sidecar_record_fields_are_format_errors(tiny_world, tmp_path, capsys,
+                                                           name, key, value):
+    world = _copy_world(tiny_world, tmp_path / "w")
+    path = world / name
+    doc = json.loads(path.read_text())
+    doc["records"][0][key] = value
+    path.write_text(json.dumps(doc))
+    assert _run_world(world, tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    emb = world / name.removesuffix(".meta.json")
+    assert err.startswith(f"error: {emb}: sidecar record 0 {key} ") and err.count("\n") == 1
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_maps_to_a_documented_exit_code():
+    classes = list(_error_classes(tfa.errors.TfaError))
+    assert len(classes) >= 16
+    assert {c.__name__: c.exit_code for c in classes if c.exit_code not in (2, 3, 4)} == {}
+
+
+def _drop_base_test_records(world, keep=lambda label: False):
+    path = world / "task_000.emb"
+    data = load_embeddings(path)
+    save_embeddings(data.subset([i for i in range(len(data))
+                                 if data.splits[i] == "train" or keep(data.labels[i])]), path)
+
+
+def test_a_base_task_without_test_records_is_a_validation_error(tiny_world, tmp_path,
+                                                                capsys):
+    world = _copy_world(tiny_world, tmp_path / "w")
+    _drop_base_test_records(world)
+    assert _run_world(world, tmp_path / "r.json") == 4
+    assert capsys.readouterr().err == "error: base task 0 has no test records\n"
+
+
+def test_zero_base_accuracy_is_a_validation_error(tiny_world, tmp_path, capsys):
+    # An all-zero scorer at alpha 0 predicts the lowest class id, 0, for
+    # every sample, and the base test split holds no sample of class 0.
+    world = _copy_world(tiny_world, tmp_path / "w")
+    _drop_base_test_records(world, keep=lambda label: label != 0)
+    scorer, _ = load_alignment(world / "scorer.aln")
+    save_alignment(RelationParams([np.zeros_like(w) for w in scorer.weights],
+                                  [np.zeros_like(b) for b in scorer.biases],
+                                  scorer.slope, scorer.m), world / "scorer.aln")
+    assert main(_run_argv(world, tmp_path / "r.json") + ["--alpha", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: accuracy decline undefined for zero base accuracy\n"
 
 
 def test_fuzz_world_runs_clean(tiny_world, tmp_path):

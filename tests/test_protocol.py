@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,14 @@ def test_build_tasks_from_data(small_world):
     assert len(tasks[1].test_indices) == 2 * 8
 
 
+def test_uneven_novel_shots_are_rejected_by_build_tasks(small_world):
+    cfg, data, protos, exp, _ = small_world
+    novel = build_tasks(data)[1]
+    dropped = novel.train_by_class[novel.class_ids[-1]][0]
+    with pytest.raises(ShotCountMismatch, match=f"task 1 class {novel.class_ids[-1]}: 4 shots"):
+        build_tasks(data.subset([i for i in range(len(data)) if i != dropped]))
+
+
 def test_experiment_rejects_wrong_k(small_world):
     cfg, data, protos, exp, alignment = small_world
     bad = ExperimentConfig(trials=1, shots=4, align=exp.align)
@@ -76,12 +86,12 @@ def test_experiment_rejects_wrong_k(small_world):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExperimentConfig(trials=0).validate()
+        ExperimentConfig(trials=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(alpha=-1.0).validate()
+        ExperimentConfig(alpha=-1.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(base_update_policy="sometimes").validate()
-    with pytest.raises(ConfigError):
+        ExperimentConfig(base_update_policy="sometimes")
+    with pytest.raises(ConfigError, match="unknown experiment config keys"):
         ExperimentConfig.from_dict({"nope": 1})
 
 
@@ -93,6 +103,22 @@ def test_config_validation():
 def test_config_rejects_mistyped_and_non_finite_settings(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig.from_dict({field: value})
+    # No loader in between: the dataclass itself rejects the value.
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_is_frozen_hashable_and_replace_revalidates():
+    cfg = ExperimentConfig(align=TrainConfig(hidden=[8, 4], beta1=0.5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = 1.0
+    assert hash(cfg) == hash(ExperimentConfig(align=TrainConfig(hidden=(8, 4), beta1=0.5)))
+    swept = dataclasses.replace(cfg, alpha=0.5)
+    assert len({cfg, swept, cfg}) == 2 and swept.align is cfg.align
+    with pytest.raises(ConfigError, match="alpha"):
+        dataclasses.replace(cfg, alpha=-1.0)
+    with pytest.raises(ConfigError, match="novel_capacity"):
+        dataclasses.replace(cfg, novel_capacity=0)
 
 
 def test_config_validates_the_alignment_section():
@@ -297,13 +323,13 @@ def test_shared_table_reports_match_single_runs(small_world, monkeypatch, sweep)
 
 def test_run_experiments_validates_every_config_before_scoring(small_world, monkeypatch):
     cfg, data, protos, exp, alignment = small_world
-    cfgs = [exp, ExperimentConfig(**{**vars(exp), "trials": 0})]
+    # An invalid config cannot be built, so it never reaches run_experiments;
+    # a valid one whose shot count the tasks do not provide is rejected there.
     calls = _counted_score_matrix(monkeypatch)
     with pytest.raises(ConfigError, match="trials"):
-        run_experiments(cfgs, data, protos, alignment)
+        run_experiments([exp, dataclasses.replace(exp, trials=0)], data, protos, alignment)
     with pytest.raises(ShotCountMismatch):
-        run_experiments([exp, ExperimentConfig(**{**vars(exp), "shots": 4})],
-                        data, protos, alignment)
+        run_experiments([exp, dataclasses.replace(exp, shots=4)], data, protos, alignment)
     assert calls == []
 
 

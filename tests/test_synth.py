@@ -73,11 +73,21 @@ def test_low_noise_nearest_prototype_oracle(m):
 
 def test_config_errors_name_the_field():
     with pytest.raises(ConfigError, match="intra_class_sigma"):
-        SynthConfig(intra_class_sigma=-0.1).validate()
+        SynthConfig(intra_class_sigma=-0.1)
     with pytest.raises(ConfigError, match="base_classes"):
-        SynthConfig(base_classes=0).validate()
-    with pytest.raises(ConfigError, match="unknown"):
+        SynthConfig(base_classes=0)
+    with pytest.raises(ConfigError, match="unknown synth config keys"):
         SynthConfig.from_dict({"dim": 8, "nope": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim", "8"), ("dim", 8.0), ("shots", True), ("test_per_class", None),
+    ("modality_gap_sigma", float("nan")), ("intra_class_sigma", "0.1"), ("seed", 1.5),
+])
+def test_constructing_a_config_checks_every_field(field, value):
+    # No loader in between: the dataclass itself rejects the value.
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig(**{field: value})
 
 
 def test_vectors_are_unit_norm():
