@@ -1,16 +1,13 @@
 """Training-free dual-cache adaptor for few-shot class-incremental
 classification over precomputed embedding vectors."""
 
-from .adaptor import DualCache, affinity, cache_predict, fuse, predict, pseudo_label
+from .adaptor import DualCache, affinity, fuse, pseudo_label
 from .alignment import (
     RelationParams,
-    SimilarityVector,
     TrainConfig,
     init_relation,
     load_alignment,
     save_alignment,
-    score_all,
-    score_pair,
     train_alignment,
 )
 from .embeddings import (

@@ -25,12 +25,10 @@ be replayed before any query is scored (:func:`schedule_admissions`).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import SimilarityVector, score_all
 from .errors import DimMismatch, ShotCapacityExceeded
 from .numerics import entropy, softmax
 
@@ -57,25 +55,14 @@ class InsertOutcome:
     reason: str | None = None
     entry: CacheEntry | None = None    # the admitted entry, unless rejected
 
-    @property
-    def inserted(self) -> bool:
-        return self.kind == "inserted"
 
-    @property
-    def replaced(self) -> bool:
-        return self.kind == "replaced"
-
-    @property
-    def rejected(self) -> bool:
-        return self.kind == "rejected"
-
-
-def pseudo_label(sim: SimilarityVector) -> tuple[int, float]:
-    """Argmax class (ties to the lowest class id) and its softmax entropy."""
-    if len(sim) == 0:
-        raise ValueError("pseudo_label of an empty similarity vector")
-    probs = softmax(sim.logits)
-    best = argmax_lowest_id(sim.logits, sim.class_ids)
+def pseudo_label(logits: np.ndarray, class_ids: np.ndarray) -> tuple[int, float]:
+    """Argmax class of one logit row (ties to the lowest class id) and the
+    entropy of the row's softmax; columns are aligned to ``class_ids``."""
+    if len(logits) == 0:
+        raise ValueError("pseudo_label of an empty logit row")
+    probs = softmax(logits)
+    best = argmax_lowest_id(logits, class_ids)
     return best, entropy(probs)
 
 
@@ -126,10 +113,11 @@ class DualCache:
 
     # -- mutation --
 
-    def try_insert_base(self, key, sim: SimilarityVector) -> InsertOutcome:
-        """Admit a pseudo-labeled test feature under the entropy gate."""
+    def try_insert_base(self, key, logits, class_ids) -> InsertOutcome:
+        """Admit a test feature under the entropy gate, pseudo-labeled by its
+        scorer logits (columns aligned to ``class_ids``)."""
         key = _check_unit(key, "cache key")
-        cls, h = pseudo_label(sim)
+        cls, h = pseudo_label(logits, class_ids)
         queue = self._base.setdefault(cls, [])
         entry = CacheEntry(key, cls, h, ORIGIN_BASE)
         if len(queue) < self.capacity:
@@ -171,10 +159,6 @@ class DualCache:
     def __len__(self) -> int:
         return sum(len(q) for q in self._base.values()) + \
             sum(len(q) for q in self._novel.values())
-
-    def snapshot(self) -> "DualCache":
-        """Frozen copy safe for concurrent read-only scoring."""
-        return copy.deepcopy(self)
 
     def stats(self) -> dict:
         base_fill = {c: len(q) for c, q in sorted(self._base.items()) if q}
@@ -242,13 +226,12 @@ class Schedule:
         return (self.start < q) & (q <= self.stop)
 
 
-def schedule_admissions(cache: DualCache, queries, scores, logits, class_ids,
-                        admit) -> Schedule:
+def schedule_admissions(cache: DualCache, queries, logits, class_ids, admit) -> Schedule:
     """Offer every stream query whose pseudo-label is in ``admit`` to the base
     cache, in stream order, and record the resulting entry intervals.
 
-    ``scores``/``logits`` hold one row per query, columns aligned to
-    ``class_ids``. The cache ends in the state per-sample insertion leaves.
+    ``logits`` holds one row per query, columns aligned to ``class_ids``.
+    The cache ends in the state per-sample insertion leaves.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     n = queries.shape[0]
@@ -257,8 +240,7 @@ def schedule_admissions(cache: DualCache, queries, scores, logits, class_ids,
     row_of = {id(e): i for i, e in enumerate(entries)}
     labels = argmax_lowest_ids(logits, class_ids)
     for pos in np.flatnonzero(np.isin(labels, list(admit))):
-        sim = SimilarityVector(scores[pos], logits[pos], class_ids)
-        out = cache.try_insert_base(queries[pos], sim)
+        out = cache.try_insert_base(queries[pos], logits[pos], class_ids)
         if out.evicted is not None:
             stop[row_of[id(out.evicted)]] = pos
         if out.entry is not None:
@@ -298,11 +280,6 @@ def retrieve(queries, keys, values, class_ids, beta: float, live=None) -> np.nda
     return w @ onehot.astype(np.float64)
 
 
-def cache_predict(cache: DualCache, v, beta: float, n_classes: int) -> np.ndarray:
-    """Adaptive score vector b over class ids 0..n_classes-1."""
-    return cache_scores(cache, v, beta, np.arange(n_classes, dtype=np.int64))
-
-
 def cache_scores(cache: DualCache, v, beta: float, class_ids) -> np.ndarray:
     """Adaptive score vector aligned to an explicit class-id order."""
     keys, values = cache.pooled()
@@ -311,22 +288,9 @@ def cache_scores(cache: DualCache, v, beta: float, class_ids) -> np.ndarray:
 
 
 def fuse(a, b, alpha: float) -> np.ndarray:
-    """Residual fusion z = a + alpha * b; ``a`` may be a SimilarityVector."""
-    scores = a.scores if isinstance(a, SimilarityVector) else np.asarray(a, dtype=np.float64)
+    """Residual fusion z = a + alpha * b of scorer and cache score arrays."""
+    a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if scores.shape != b.shape:
-        raise DimMismatch(f"fuse length mismatch: {scores.shape} vs {b.shape}")
-    return scores + alpha * b
-
-
-def predict(params, cache: DualCache, v, prototypes, alpha: float, beta: float
-            ) -> tuple[np.ndarray, int]:
-    """Full prediction path: score, retrieve, fuse, argmax (ties to lowest id).
-
-    The sample being scored must not already sit in the cache it queries;
-    callers insert only after prediction.
-    """
-    sim = score_all(params, v, prototypes)
-    b = cache_scores(cache, v, beta, sim.class_ids)
-    z = fuse(sim, b, alpha)
-    return z, argmax_lowest_id(z, sim.class_ids)
+    if a.shape != b.shape:
+        raise DimMismatch(f"fuse length mismatch: {a.shape} vs {b.shape}")
+    return a + alpha * b

@@ -120,31 +120,6 @@ class AdamState:
 
 
 @dataclass(frozen=True)
-class SimilarityVector:
-    """Per-class scores in canonical class order; ``scores = sigmoid(logits)``."""
-
-    scores: np.ndarray
-    logits: np.ndarray
-    class_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.logits.shape[0])
-
-    @classmethod
-    def from_logits(cls, logits, class_ids=None) -> "SimilarityVector":
-        logits = np.asarray(logits, dtype=np.float64)
-        if class_ids is None:
-            class_ids = np.arange(logits.shape[0], dtype=np.int64)
-        return cls(_sigmoid(logits), logits, np.asarray(class_ids, dtype=np.int64))
-
-    def index_of(self, class_id: int) -> int:
-        hits = np.nonzero(self.class_ids == class_id)[0]
-        if hits.size == 0:
-            raise ValueError(f"class id {class_id} not present in similarity vector")
-        return int(hits[0])
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 25
@@ -262,12 +237,6 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
     return (logits, acts) if keep else logits
 
 
-def score_pair(params: RelationParams, v, e) -> tuple[float, float]:
-    """Similarity of one (vision, text) pair: (sigmoid score, raw logit)."""
-    logit = float(score_matrix(params, np.reshape(v, (1, -1)), np.reshape(e, (1, -1)))[0, 0])
-    return float(_sigmoid(np.array([logit]))[0]), logit
-
-
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
                  chunk: int = 256) -> np.ndarray:
     """Logits for every (sample, prototype) pair, shape (B, C).
@@ -291,27 +260,8 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     return out
 
 
-def score_all(params: RelationParams, v, prototypes) -> SimilarityVector:
-    """Score one sample against a prototype list, preserving list order."""
-    protos = list(prototypes)
-    if not protos:
-        raise ValueError("score_all needs at least one prototype")
-    mat = np.vstack([p.vector for p in protos])
-    ids = np.array([p.class_id for p in protos], dtype=np.int64)
-    logits = score_matrix(params, np.asarray(v, dtype=np.float64)[None, :], mat)[0]
-    return SimilarityVector.from_logits(logits, ids)
-
-
 def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-
-
-def bce_loss(sim: SimilarityVector, target_class: int) -> float:
-    """Mean one-vs-all binary cross-entropy over all classes in the vector."""
-    k = sim.index_of(int(target_class))
-    t = np.zeros(len(sim), dtype=np.float64)
-    t[k] = 1.0
-    return float(_bce_elementwise(sim.logits, t).mean())
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -356,11 +306,6 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     d_weights[0] = d_w1
     d_biases[0] = delta.sum(axis=0)
     return loss, Gradients(d_weights, d_biases)
-
-
-def grad(params: RelationParams, vs, protos, targets) -> Gradients:
-    """Exact analytic gradient of the mean batch loss."""
-    return loss_and_grad(params, vs, protos, targets)[1]
 
 
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,

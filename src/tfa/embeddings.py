@@ -230,6 +230,8 @@ def _read_emb(path) -> tuple[int, int, int, np.ndarray, list[dict]]:
             f"{sidecar_file}: sidecar declares dim={sidecar.get('dim')} "
             f"count={sidecar.get('count')}, binary has dim={dim} count={count}")
     records = sidecar["records"]
+    if not isinstance(records, list):
+        raise CorruptRecord(f"{sidecar_file}: sidecar records is not a list")
     if len(records) != count:
         raise DimMismatch(
             f"{sidecar_file}: sidecar lists {len(records)} records, binary holds {count}")

@@ -34,18 +34,6 @@ def l2_normalize(v) -> np.ndarray:
     return arr / norm
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]."""
-    va, vb = as_vec(a), as_vec(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"cosine of vectors with shapes {va.shape} and {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < _ZERO_NORM or nb < _ZERO_NORM:
-        raise ZeroVector("cosine undefined for the zero vector")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
 def softmax(v) -> np.ndarray:
     """Numerically stable softmax (max-subtraction); output sums to 1."""
     arr = as_vec(v)

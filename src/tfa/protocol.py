@@ -1,5 +1,5 @@
-"""Experiment protocol: base-task training, per-session shot ingestion,
-streaming inference with cache mutation, and per-session evaluation.
+"""Experiment protocol: per-session shot ingestion, streaming inference with
+cache mutation, and per-session evaluation, around a frozen scorer.
 
 Sessions are numbered 0..T-1; session 0 is the base task (the only one any
 parameters are ever trained on) and every later session contributes K-shot
@@ -18,8 +18,9 @@ positions, and then all samples are scored in one masked matrix product.
 Trial seeds derive from the experiment seed as
 ``derive_seed(seed, SCOPE_TRIAL, trial_index)`` and session streams as
 ``derive_seed(trial_seed, SCOPE_STREAM, session)``. The alignment scorer is
-trained once per experiment (its own seed lives in the alignment config) and
-shared, frozen, by all trials.
+an input: trained beforehand by :func:`train_base_alignment` (its own seed
+lives in the alignment config), it scores every (test sample, class) pair
+once per :func:`run_experiments` call, and all trials read that table.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"base_update_policy must be one of {POLICIES}")
         check_int("trials", self.trials, lo=1)
         check_int("seed", self.seed)
+        if not isinstance(self.align, TrainConfig):
+            raise ConfigError(f"align must be a TrainConfig, got {type(self.align).__name__}")
 
     def effective_novel_capacity(self) -> int:
         return self.shots if self.novel_capacity is None else self.novel_capacity
@@ -109,7 +112,6 @@ class ExperimentConfig:
 
 @dataclass
 class SessionState:
-    params: RelationParams | None
     cache: DualCache
     class_order: list = field(default_factory=list)
     session: int = -1
@@ -184,16 +186,14 @@ def stream_predictions(cache: DualCache, queries, logits, class_order, alpha: fl
     ``admit`` are offered. ``logits`` has one row per query, columns aligned to
     ``class_order``. ``cache`` is left in its end-of-stream state.
     """
-    scores = _sigmoid(logits)
-    plan = schedule_admissions(cache, queries, scores, logits, class_order, admit)
+    plan = schedule_admissions(cache, queries, logits, class_order, admit)
     b = retrieve(queries, plan.keys, plan.values, class_order, beta,
                  plan.live(queries.shape[0]))
-    return argmax_lowest_ids(fuse(scores, b, alpha), class_order)
+    return argmax_lowest_ids(fuse(_sigmoid(logits), b, alpha), class_order)
 
 
 def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
-                prototypes, cfg: ExperimentConfig, stream_seed: int,
-                score_table: np.ndarray | None = None,
+                cfg: ExperimentConfig, stream_seed: int, score_table: np.ndarray,
                 prior_tasks: list | None = None
                 ) -> tuple[SessionState, metrics.SessionReport]:
     """Run one session: reveal classes, ingest shots, stream the cumulative
@@ -201,10 +201,9 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
 
     ``prior_tasks`` lists the already-run tasks; the evaluation set is their
     test records and then ``task``'s, in task order. ``score_table`` holds
-    precomputed logits: rows the test records of tasks 0, 1, ... in that
-    order, columns the classes in reveal order. The evaluation set is its
-    first rows, so stream position i reads row ``order[i]``; without a
-    table those rows are scored here.
+    the frozen scorer's logits: rows the test records of tasks 0, 1, ... in
+    that order, columns the classes in reveal order. The evaluation set is
+    its first rows, so stream position i reads row ``order[i]``.
     """
     if task.index != state.session + 1:
         raise OutOfOrderSession(
@@ -216,8 +215,6 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
 
     if task.index == 0:
         state.base_class_ids = frozenset(task.class_ids)
-        if state.params is None:
-            state.params, _ = train_base_alignment(cfg.align, data, prototypes)
     else:
         cap = cfg.effective_novel_capacity()
         for cid in sorted(task.class_ids):
@@ -228,9 +225,6 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     eval_indices = np.array(eval_indices, dtype=np.int64)
     n_eval = eval_indices.shape[0]
     order = Stream(derive_seed(stream_seed, SCOPE_STREAM)).permutation(n_eval)
-    if score_table is None:
-        score_table = score_matrix(state.params, data.vectors[eval_indices],
-                                   _proto_matrix(prototypes, state.class_order))
 
     n_classes = len(state.class_order)
     recs = eval_indices[order]
@@ -292,15 +286,9 @@ def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
 
 
 def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
-                   alignment: RelationParams | None = None) -> metrics.ExperimentReport:
-    """All trials, all sessions; deterministic for a fixed config and data.
-
-    Without ``alignment`` the scorer is first trained on the base task per
-    ``cfg.align``; invalid inputs are rejected before any training.
-    """
-    if alignment is None:
-        _checked_tasks([cfg], data)
-        alignment, _history = train_base_alignment(cfg.align, data, prototypes)
+                   alignment: RelationParams) -> metrics.ExperimentReport:
+    """All trials, all sessions with the frozen scorer ``alignment``;
+    deterministic for a fixed config and data."""
     return run_experiments([cfg], data, prototypes, alignment)[0]
 
 
@@ -328,16 +316,12 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
         trials = []
         for i in range(cfg.trials):
             trial_seed = derive_seed(cfg.seed, SCOPE_TRIAL, i)
-            state = SessionState(
-                params=alignment,
-                cache=DualCache(cfg.capacity, cfg.effective_novel_capacity(),
-                                cfg.base_update_policy),
-            )
+            state = SessionState(DualCache(cfg.capacity, cfg.effective_novel_capacity(),
+                                           cfg.base_update_policy))
             sessions = []
             for task in tasks:
                 stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
-                state, rep = run_session(state, task, data, prototypes, cfg, stream_seed,
-                                         score_table=table,
+                state, rep = run_session(state, task, data, cfg, stream_seed, table,
                                          prior_tasks=tasks[:task.index])
                 sessions.append(rep)
             trials.append(metrics.TrialResult(seed=trial_seed, sessions=sessions))

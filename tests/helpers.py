@@ -149,20 +149,19 @@ def ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, adm
     admission if its pseudo-label is in ``admit``; same contract as
     ``tfa.protocol.stream_predictions``."""
     from tfa.adaptor import pseudo_label
-    from tfa.alignment import SimilarityVector, _sigmoid
+    from tfa.alignment import _sigmoid
 
     preds = np.empty(queries.shape[0], dtype=np.int64)
     for pos in range(queries.shape[0]):
         row = logits[pos]
-        sim = SimilarityVector(_sigmoid(row), row, class_order)
         v = queries[pos]
         b = ref_cache_scores(cache, v, beta, class_order)
-        z = sim.scores + alpha * b
+        z = _sigmoid(row) + alpha * b
         preds[pos] = ref_argmax_lowest_id(z, class_order)
         if admit:
-            cls, _h = pseudo_label(sim)
+            cls, _h = pseudo_label(row, class_order)
             if cls in admit:
-                cache.try_insert_base(v, sim)
+                cache.try_insert_base(v, row, class_order)
     return preds
 
 

@@ -11,24 +11,24 @@ from tfa.adaptor import (
     affinity,
     argmax_lowest_id,
     argmax_lowest_ids,
-    cache_predict,
     cache_scores,
     fuse,
-    predict,
     pseudo_label,
     retrieve,
 )
-from tfa.alignment import SimilarityVector, init_relation
-from tfa.embeddings import ClassPrototype
+from tfa.alignment import _sigmoid, init_relation, score_matrix
 from tfa.errors import DimMismatch, ShotCapacityExceeded
 from tfa.numerics import entropy, softmax
+from tfa.protocol import stream_predictions
 from tfa.rng import Stream
 
 from helpers import make_unit, ref_cache_scores
 
 
-def sim_from(logits, ids=None):
-    return SimilarityVector.from_logits(np.asarray(logits, dtype=float), ids)
+def row(logits, ids=None):
+    """A logit row and its class ids, ``0..n-1`` unless given."""
+    logits = np.asarray(logits, dtype=float)
+    return logits, np.arange(logits.shape[0]) if ids is None else np.asarray(ids)
 
 
 def unit(m, seed):
@@ -38,7 +38,7 @@ def unit(m, seed):
 # ---- pseudo labels ----
 
 def test_pseudo_label_confident_case():
-    cls, h = pseudo_label(sim_from([5.0, 0.0, 0.0]))
+    cls, h = pseudo_label(*row([5.0, 0.0, 0.0]))
     assert cls == 0
     # softmax+entropy oracle value
     assert h == pytest.approx(0.079869446510108941, abs=1e-9)
@@ -46,30 +46,30 @@ def test_pseudo_label_confident_case():
 
 
 def test_pseudo_label_tie_goes_to_lowest_class_id():
-    cls, h = pseudo_label(sim_from([1.0, 1.0, 1.0, 1.0]))
+    cls, h = pseudo_label(*row([1.0, 1.0, 1.0, 1.0]))
     assert cls == 0
     assert h == pytest.approx(np.log(4.0), abs=1e-12)
-    cls, _ = pseudo_label(sim_from([1.0, 1.0], ids=[9, 4]))
+    cls, _ = pseudo_label(*row([1.0, 1.0], ids=[9, 4]))
     assert cls == 4
 
 
 def test_pseudo_label_single_class():
-    cls, h = pseudo_label(sim_from([2.5]))
+    cls, h = pseudo_label(*row([2.5]))
     assert cls == 0 and h == 0.0
 
 
 # ---- base cache ----
 
-def _sim_with_entropy(cls, n_classes, sharpness):
+def _row_with_entropy(cls, n_classes, sharpness):
     logits = np.zeros(n_classes)
     logits[cls] = sharpness
-    return sim_from(logits)
+    return row(logits)
 
 
 def test_insert_below_capacity():
     cache = DualCache(capacity=5, shots=5)
-    out = cache.try_insert_base(unit(4, 1), _sim_with_entropy(0, 3, 4.0))
-    assert out.inserted and len(cache.base_entries(0)) == 1
+    out = cache.try_insert_base(unit(4, 1), *_row_with_entropy(0, 3, 4.0))
+    assert out.kind == "inserted" and len(cache.base_entries(0)) == 1
 
 
 def test_replacement_evicts_the_max_entropy_entry():
@@ -77,12 +77,12 @@ def test_replacement_evicts_the_max_entropy_entry():
     # entropies decrease as sharpness grows
     sharps = [8.0, 4.0, 3.0, 2.5, 1.0]
     for k, s in enumerate(sharps):
-        assert cache.try_insert_base(unit(4, k), _sim_with_entropy(0, 3, s)).inserted
+        assert cache.try_insert_base(unit(4, k), *_row_with_entropy(0, 3, s)).kind == "inserted"
     worst = max(e.entropy for e in cache.base_entries(0))
-    mid_sim = _sim_with_entropy(0, 3, 2.0)  # entropy between the stored ones
-    _, mid_h = pseudo_label(mid_sim)
-    out = cache.try_insert_base(unit(4, 99), mid_sim)
-    assert out.replaced
+    mid_row = _row_with_entropy(0, 3, 2.0)  # entropy between the stored ones
+    _, mid_h = pseudo_label(*mid_row)
+    out = cache.try_insert_base(unit(4, 99), *mid_row)
+    assert out.kind == "replaced"
     assert out.evicted.entropy == pytest.approx(worst)
     assert mid_h < worst
     assert len(cache.base_entries(0)) == 5
@@ -92,16 +92,16 @@ def test_replacement_evicts_the_max_entropy_entry():
 def test_equal_entropy_is_rejected():
     cache = DualCache(capacity=2, shots=1)
     for k in range(2):
-        cache.try_insert_base(unit(4, k), _sim_with_entropy(0, 3, 1.0))
-    out = cache.try_insert_base(unit(4, 9), _sim_with_entropy(0, 3, 1.0))
-    assert out.rejected and out.reason == "HighEntropy"
+        cache.try_insert_base(unit(4, k), *_row_with_entropy(0, 3, 1.0))
+    out = cache.try_insert_base(unit(4, 9), *_row_with_entropy(0, 3, 1.0))
+    assert out.kind == "rejected" and out.reason == "HighEntropy"
 
 
 def test_higher_entropy_is_rejected_at_capacity():
     cache = DualCache(capacity=1, shots=1)
-    cache.try_insert_base(unit(4, 0), _sim_with_entropy(1, 3, 5.0))
-    out = cache.try_insert_base(unit(4, 1), _sim_with_entropy(1, 3, 0.5))
-    assert out.rejected
+    cache.try_insert_base(unit(4, 0), *_row_with_entropy(1, 3, 5.0))
+    out = cache.try_insert_base(unit(4, 1), *_row_with_entropy(1, 3, 0.5))
+    assert out.kind == "rejected"
 
 
 # ---- novel cache ----
@@ -139,20 +139,21 @@ def test_affinity_closed_forms():
     assert affinity(0.0, 2.0) == pytest.approx(0.13533528323661269, abs=1e-12)
 
 
-def test_cache_predict_empty_cache_is_zero():
+def test_cache_scores_empty_cache_is_zero():
     cache = DualCache()
-    np.testing.assert_array_equal(cache_predict(cache, unit(4, 0), 2.0, 6), np.zeros(6))
+    np.testing.assert_array_equal(cache_scores(cache, unit(4, 0), 2.0, np.arange(6)),
+                                  np.zeros(6))
 
 
-def test_cache_predict_exact_match_is_one_hot():
+def test_cache_scores_exact_match_is_one_hot():
     cache = DualCache(shots=1)
     v = unit(5, 3)
     cache.insert_novel(v, 2)
-    b = cache_predict(cache, v, 2.0, 4)
+    b = cache_scores(cache, v, 2.0, np.arange(4))
     np.testing.assert_allclose(b, [0, 0, 1.0, 0], atol=1e-12)
 
 
-def test_cache_predict_two_entries_brute_force():
+def test_cache_scores_two_entries_brute_force():
     # keys at cosine 1 and ~0 to the query, values j=1 and k=3, beta=2
     m = 4
     v = np.array([1.0, 0.0, 0.0, 0.0])
@@ -160,7 +161,7 @@ def test_cache_predict_two_entries_brute_force():
     cache = DualCache(shots=1)
     cache.insert_novel(v, 1)
     cache.insert_novel(orth, 3)
-    b = cache_predict(cache, v, 2.0, 5)
+    b = cache_scores(cache, v, 2.0, np.arange(5))
     expected = np.zeros(5)
     expected[1] = np.exp(-2.0 * (1.0 - 1.0))
     expected[3] = np.exp(-2.0 * (1.0 - 0.0))
@@ -168,50 +169,62 @@ def test_cache_predict_two_entries_brute_force():
     assert b[3] == pytest.approx(0.13533528323661269, abs=1e-9)
 
 
-def test_cache_predict_rejects_out_of_range_class():
+def test_cache_scores_rejects_out_of_range_class():
     cache = DualCache(shots=1)
     cache.insert_novel(unit(4, 0), 9)
     with pytest.raises(DimMismatch):
-        cache_predict(cache, unit(4, 1), 2.0, 5)
+        cache_scores(cache, unit(4, 1), 2.0, np.arange(5))
 
 
 def test_fuse_examples():
-    a = sim_from(np.log([0.2 / 0.8, 0.8 / 0.2]))  # scores (0.2, 0.8)
+    a = _sigmoid(np.log([0.2 / 0.8, 0.8 / 0.2]))  # scores (0.2, 0.8)
     np.testing.assert_allclose(fuse(a, [1.0, 0.0], 2.0), [2.2, 0.8], atol=1e-12)
-    np.testing.assert_allclose(fuse(a, [0.0, 0.0], 7.0), a.scores, atol=0)
-    np.testing.assert_allclose(fuse(a, [0.3, 0.4], 0.0), a.scores, atol=0)
+    np.testing.assert_allclose(fuse(a, [0.0, 0.0], 7.0), a, atol=0)
+    np.testing.assert_allclose(fuse(a, [0.3, 0.4], 0.0), a, atol=0)
     with pytest.raises(DimMismatch):
         fuse(a, [1.0, 2.0, 3.0], 1.0)
 
 
-# ---- full prediction path ----
+# ---- full prediction path: one query through the stream kernels ----
 
 def _tiny_scorer(m=6):
     return init_relation(m, seed=5, hidden=(8, 4))
 
 
+def _one_query(params, stream, n_classes):
+    """Unit prototypes, one unit query, the query's logit row and scores."""
+    protos = np.stack([make_unit(stream, 6) for _ in range(n_classes)])
+    v = make_unit(stream, 6)
+    logits = score_matrix(params, v[None, :], protos)
+    return v, logits, _sigmoid(logits[0])
+
+
+def _predict(cache, v, logits, alpha, beta):
+    """Fused scores and predicted class of one query; the cache is not updated."""
+    ids = np.arange(logits.shape[1])
+    z = fuse(_sigmoid(logits[0]), cache_scores(cache, v, beta, ids), alpha)
+    pred = stream_predictions(cache, v[None, :], logits, ids, alpha, beta, frozenset())
+    assert pred.shape == (1,) and pred[0] == argmax_lowest_id(z, ids)
+    return z, int(pred[0])
+
+
 def test_predict_with_empty_cache_matches_argmax_a():
     params = _tiny_scorer()
-    stream = Stream(8)
-    protos = [ClassPrototype(i, make_unit(stream, 6)) for i in range(4)]
-    v = make_unit(stream, 6)
-    z, cls = predict(params, DualCache(), v, protos, alpha=2.0, beta=2.0)
-    from tfa.alignment import score_all
-    sim = score_all(params, v, protos)
-    assert cls == int(sim.class_ids[int(np.argmax(sim.scores))])
-    np.testing.assert_allclose(z, sim.scores, atol=0)
+    v, logits, a = _one_query(params, Stream(8), 4)
+    z, cls = _predict(DualCache(), v, logits, alpha=2.0, beta=2.0)
+    assert cls == int(np.argmax(a))
+    np.testing.assert_allclose(z, a, atol=0)
 
 
 def test_predict_alpha_zero_ignores_cache():
     params = _tiny_scorer()
     stream = Stream(9)
-    protos = [ClassPrototype(i, make_unit(stream, 6)) for i in range(3)]
-    v = make_unit(stream, 6)
+    v, logits, _ = _one_query(params, stream, 3)
     cache = DualCache(shots=5)
     for k in range(5):
         cache.insert_novel(make_unit(stream, 6), 2)
-    z0, c0 = predict(params, cache, v, protos, alpha=0.0, beta=2.0)
-    z1, c1 = predict(params, DualCache(), v, protos, alpha=0.0, beta=2.0)
+    z0, c0 = _predict(cache, v, logits, alpha=0.0, beta=2.0)
+    z1, c1 = _predict(DualCache(), v, logits, alpha=0.0, beta=2.0)
     assert c0 == c1
     np.testing.assert_allclose(z0, z1, atol=0)
 
@@ -219,14 +232,10 @@ def test_predict_alpha_zero_ignores_cache():
 def test_predict_novel_shot_flips_the_argmax():
     # one cached shot equal to the query adds exactly alpha to that class
     params = _tiny_scorer()
-    stream = Stream(10)
-    protos = [ClassPrototype(i, make_unit(stream, 6)) for i in range(3)]
-    v = make_unit(stream, 6)
+    v, logits, a = _one_query(params, Stream(10), 3)
     cache = DualCache(shots=1)
     cache.insert_novel(v, 2)
-    from tfa.alignment import score_all
-    a = score_all(params, v, protos).scores
-    z, cls = predict(params, cache, v, protos, alpha=2.0, beta=2.0)
+    z, cls = _predict(cache, v, logits, alpha=2.0, beta=2.0)
     assert z[2] == pytest.approx(a[2] + 2.0, abs=1e-12)
     if (a.max() - a[2]) < 2.0:
         assert cls == 2
@@ -244,18 +253,18 @@ def test_capacity_safety_and_monotone_max(capacity, events):
     stream = Stream(0)
     max_at_capacity = {}
     for cls, sharp in events:
-        sim = _sim_with_entropy(cls, 5, sharp)
-        labeled_cls, h = pseudo_label(sim)
+        logits, ids = _row_with_entropy(cls, 5, sharp)
+        labeled_cls, h = pseudo_label(logits, ids)
         pre = cache.base_entries(labeled_cls)
         pre_max = max((e.entropy for e in pre), default=None)
-        out = cache.try_insert_base(make_unit(stream, 4), sim)
+        out = cache.try_insert_base(make_unit(stream, 4), logits, ids)
         post = cache.base_entries(labeled_cls)
         assert len(post) <= capacity
-        if out.replaced:
+        if out.kind == "replaced":
             assert len(pre) == capacity
             assert out.evicted.entropy == pre_max
             assert h < pre_max
-        elif out.rejected:
+        elif out.kind == "rejected":
             assert len(pre) == capacity and h >= pre_max
         else:
             assert len(pre) < capacity
@@ -282,9 +291,9 @@ def test_beta_monotonicity():
         for k in range(3):
             cache.insert_novel(make_unit(stream, 8), cls)
     v = make_unit(stream, 8)
-    prev = cache_predict(cache, v, 0.0, 2)
+    prev = cache_scores(cache, v, 0.0, np.arange(2))
     for beta in (0.5, 1.0, 2.0, 4.0):
-        cur = cache_predict(cache, v, beta, 2)
+        cur = cache_scores(cache, v, beta, np.arange(2))
         assert np.all(cur <= prev + 1e-12)
         prev = cur
 
@@ -297,8 +306,8 @@ def test_duplicated_entry_doubles_its_contribution():
     double = DualCache(shots=2)
     double.insert_novel(key, 1)
     double.insert_novel(key, 1)
-    b1 = cache_predict(single, v, 2.0, 3)
-    b2 = cache_predict(double, v, 2.0, 3)
+    b1 = cache_scores(single, v, 2.0, np.arange(3))
+    b2 = cache_scores(double, v, 2.0, np.arange(3))
     np.testing.assert_allclose(b2[1], 2.0 * b1[1], atol=1e-12)
 
 
@@ -312,17 +321,9 @@ def test_cache_scores_aligns_to_explicit_class_order():
         cache_scores(cache, v, 2.0, [30, 10])
 
 
-def test_snapshot_is_independent():
-    cache = DualCache(shots=2)
-    cache.insert_novel(unit(4, 0), 1)
-    snap = cache.snapshot()
-    cache.insert_novel(unit(4, 1), 1)
-    assert len(snap) == 1 and len(cache) == 2
-
-
 def test_audit_dump_is_json_friendly():
     cache = DualCache(capacity=2, shots=2)
-    cache.try_insert_base(unit(4, 0), _sim_with_entropy(1, 3, 2.0))
+    cache.try_insert_base(unit(4, 0), *_row_with_entropy(1, 3, 2.0))
     cache.insert_novel(unit(4, 1), 1)
     dump = cache.audit()
     doc = json.dumps(dump)

@@ -9,22 +9,18 @@ import pytest
 
 from tfa.alignment import (
     ALN_MAGIC,
-    SimilarityVector,
     TrainConfig,
+    _bce_elementwise,
+    _sigmoid,
     adam_init,
     adam_step,
-    bce_loss,
-    grad,
     init_relation,
     load_alignment,
     loss_and_grad,
     save_alignment,
-    score_all,
     score_matrix,
-    score_pair,
     train_alignment,
 )
-from tfa.embeddings import ClassPrototype
 from tfa.errors import (
     BadMagic,
     ConfigError,
@@ -77,6 +73,12 @@ def test_default_architecture_shape():
 
 # ---- forward scoring ----
 
+def score_pair(params, v, e):
+    """(sigmoid score, logit) of one (vision, text) pair, scored as a 1x1 table."""
+    z = score_matrix(params, np.reshape(v, (1, -1)), np.reshape(e, (1, -1)))
+    return float(_sigmoid(z)[0, 0]), float(z[0, 0])
+
+
 def test_zero_parameter_net_scores_half():
     p = init_relation(3, seed=0, hidden=(4, 2))
     for w in p.weights:
@@ -112,28 +114,28 @@ def test_score_pair_rejects_wrong_dimension():
         score_pair(p, [1.0, 0.0], [0.0, 1.0, 0.0, 0.0])
 
 
-def test_score_all_single_class_and_zero_net():
+def test_score_matrix_single_class_and_zero_net():
     p = init_relation(3, seed=0, hidden=(4, 2))
     for w in p.weights:
         w[:] = 0.0
-    sim = score_all(p, [1.0, 0.0, 0.0], [ClassPrototype(5, np.eye(3)[1])])
-    assert len(sim) == 1 and sim.class_ids.tolist() == [5]
-    assert sim.scores[0] == 0.5
+    table = score_matrix(p, [[1.0, 0.0, 0.0]], np.eye(3)[1:2])
+    assert table.shape == (1, 1)
+    assert _sigmoid(table)[0, 0] == 0.5
 
 
-def test_score_all_is_per_class_independent():
+def test_score_matrix_is_per_class_independent():
     p = init_relation(5, seed=4, hidden=(6, 3))
     stream = Stream(2)
-    protos = [ClassPrototype(i, make_unit(stream, 5)) for i in range(4)]
-    v = make_unit(stream, 5)
-    sim = score_all(p, v, protos)
+    protos = np.stack([make_unit(stream, 5) for _ in range(4)])
+    v = make_unit(stream, 5)[None, :]
+    logits = score_matrix(p, v, protos)[0]
     perm = [2, 0, 3, 1]
-    sim_p = score_all(p, v, [protos[i] for i in perm])
+    permuted = score_matrix(p, v, protos[perm])[0]
     # un-permute and compare
-    restored = np.empty_like(sim.logits)
+    restored = np.empty_like(logits)
     for out_pos, orig_pos in enumerate(perm):
-        restored[orig_pos] = sim_p.logits[out_pos]
-    np.testing.assert_allclose(restored, sim.logits, atol=0)
+        restored[orig_pos] = permuted[out_pos]
+    np.testing.assert_allclose(restored, logits, atol=0)
 
 
 def test_score_matrix_agrees_with_score_pair():
@@ -315,28 +317,33 @@ def test_score_matrix_bytes_do_not_depend_on_blas_threads():
 
 
 def test_sigmoid_monotone_argmax_identity():
-    sim = SimilarityVector.from_logits([0.3, -2.0, 5.1, 0.2])
-    assert int(np.argmax(sim.scores)) == int(np.argmax(sim.logits))
+    logits = np.array([0.3, -2.0, 5.1, 0.2])
+    assert int(np.argmax(_sigmoid(logits))) == int(np.argmax(logits))
 
 
 # ---- loss ----
 
+def bce_loss(logits, target_index):
+    """Mean one-vs-all binary cross-entropy of one logit row."""
+    logits = np.asarray(logits, dtype=np.float64)
+    t = np.zeros_like(logits)
+    t[target_index] = 1.0
+    return float(_bce_elementwise(logits, t).mean())
+
+
 def test_bce_uniform_scores_is_ln2():
     for c in (1, 2, 7):
-        sim = SimilarityVector.from_logits(np.zeros(c))
-        assert bce_loss(sim, 0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert bce_loss(np.zeros(c), 0) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bce_perfect_prediction_approaches_zero():
-    sim = SimilarityVector.from_logits([40.0, -40.0, -40.0])
-    assert bce_loss(sim, 0) < 1e-15
+    assert bce_loss([40.0, -40.0, -40.0], 0) < 1e-15
 
 
 def test_bce_two_class_example():
     # -(ln 0.8 + ln 0.7) / 2, computed directly
     logits = np.log([0.8 / 0.2, 0.3 / 0.7])
-    sim = SimilarityVector.from_logits(logits)
-    assert bce_loss(sim, 0) == pytest.approx(0.28990924762647107, abs=1e-9)
+    assert bce_loss(logits, 0) == pytest.approx(0.28990924762647107, abs=1e-9)
 
 
 def test_bce_is_permutation_invariant_under_relabeling():
@@ -381,8 +388,8 @@ def test_duplicating_the_batch_keeps_the_mean_gradient():
     vs = np.vstack([make_unit(stream, 4) for _ in range(3)])
     protos = np.vstack([make_unit(stream, 4) for _ in range(3)])
     targets = np.array([0, 2, 1])
-    g1 = grad(p, vs, protos, targets)
-    g2 = grad(p, np.vstack([vs, vs]), protos, np.concatenate([targets, targets]))
+    g1 = loss_and_grad(p, vs, protos, targets)[1]
+    g2 = loss_and_grad(p, np.vstack([vs, vs]), protos, np.concatenate([targets, targets]))[1]
     for a, b in zip((*g1.d_weights, *g1.d_biases), (*g2.d_weights, *g2.d_biases)):
         assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -460,7 +467,7 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
         vs = np.vstack([make_unit(stream, 6) for _ in range(4)])
         protos = np.vstack([make_unit(stream, 6) for _ in range(3)])
         targets = (stream.words(4) % 3).astype(np.int64)
-        g = grad(p, vs, protos, targets)
+        g = loss_and_grad(p, vs, protos, targets)[1]
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
         assert s_new.step == s_ref.step == step + 1
@@ -538,12 +545,11 @@ def test_trained_scorer_classifies_separable_base_task():
     hyper = TrainConfig(epochs=10, batch_size=25, lr=0.001, seed=2, hidden=(128, 64))
     trained, _ = train_alignment(init_relation(64, 2, (128, 64)), train, protos, hyper)
     test_idx = base.indices(split="test")
-    correct = 0
-    for i in test_idx:
-        sim = score_all(trained, base.vectors[i], protos)
-        pred = int(sim.class_ids[int(np.argmax(sim.scores))])
-        correct += pred == int(base.labels[i])
-    assert correct / len(test_idx) >= 0.99
+    ids = np.array([p.class_id for p in protos])
+    scores = _sigmoid(score_matrix(trained, base.vectors[test_idx],
+                                   np.stack([p.vector for p in protos])))
+    preds = ids[np.argmax(scores, axis=1)]
+    assert np.mean(preds == base.labels[test_idx]) >= 0.99
 
 
 def test_training_rejects_bad_inputs():

@@ -522,6 +522,23 @@ def test_structured_sidecar_record_fields_are_format_errors(tiny_world, tmp_path
     assert err.startswith(f"error: {emb}: sidecar record 0 {key} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name,value", [("task_000.emb.meta.json", 5),
+                                        ("task_000.emb.meta.json", None),
+                                        ("task_000.emb.meta.json", True),
+                                        ("task_000.emb.meta.json", 2.0),
+                                        ("prototypes.emb.meta.json", 7)])
+def test_sidecar_records_that_are_not_a_list_are_format_errors(tiny_world, tmp_path, capsys,
+                                                              name, value):
+    world = _copy_world(tiny_world, tmp_path / "w")
+    path = world / name
+    doc = json.loads(path.read_text())
+    doc["records"] = value
+    path.write_text(json.dumps(doc))
+    assert _run_world(world, tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: sidecar records is not a list\n"
+
+
 def _error_classes(cls):
     for sub in cls.__subclasses__():
         yield sub

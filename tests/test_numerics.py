@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfa.errors import ZeroVector
-from tfa.numerics import cosine, entropy, l2_normalize, softmax
+from tfa.numerics import entropy, l2_normalize, softmax
 
 finite_vecs = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=12)
@@ -38,33 +38,6 @@ def test_normalize_idempotent(v):
     twice = l2_normalize(once)
     assert np.linalg.norm(twice - once) <= 1e-12
     assert abs(np.linalg.norm(once) - 1.0) <= 1e-12
-
-
-def test_cosine_identity_and_antipodal():
-    u = l2_normalize([0.3, -1.2, 0.5])
-    assert cosine(u, u) == pytest.approx(1.0, abs=1e-12)
-    assert cosine(u, -u) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cosine_45_degrees():
-    # direct evaluation: 1/sqrt(2)
-    assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.70710678118654752, abs=1e-9)
-
-
-def test_cosine_zero_vector_raises():
-    with pytest.raises(ZeroVector):
-        cosine([0.0, 0.0], [1.0, 0.0])
-
-
-@given(finite_vecs, finite_vecs)
-def test_cosine_of_normalized_equals_dot(a, b):
-    n = min(len(a), len(b))
-    a, b = np.asarray(a[:n]), np.asarray(b[:n])
-    if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
-        return
-    ua, ub = l2_normalize(a), l2_normalize(b)
-    assert abs(cosine(ua, ub) - float(np.dot(ua, ub))) <= 1e-12
-    assert -1.0 <= cosine(ua, ub) <= 1.0
 
 
 def test_softmax_symmetry_and_shift():

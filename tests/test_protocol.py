@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tfa.protocol
-from tfa.alignment import TrainConfig, _sigmoid
+from tfa.alignment import TrainConfig, score_matrix
 from tfa.errors import (
     ConfigError,
     DisjointnessViolation,
@@ -40,6 +40,19 @@ def small_world():
                                              hidden=(64, 32)))
     alignment, _ = train_base_alignment(exp.align, data, protos)
     return cfg, data, protos, exp, alignment
+
+
+@pytest.fixture(scope="module")
+def small_table(small_world):
+    """The table ``run_experiments`` shares: every test record of tasks 0, 1,
+    ... scored against every class in reveal order."""
+    cfg, data, protos, exp, alignment = small_world
+    tasks = build_tasks(data)
+    by_id = {p.class_id: p.vector for p in protos}
+    class_order = [c for t in tasks for c in sorted(t.class_ids)]
+    test = [i for t in tasks for i in t.test_indices]
+    return score_matrix(alignment, data.vectors[test],
+                        np.stack([by_id[c] for c in class_order]))
 
 
 # ---- task validation ----
@@ -121,6 +134,12 @@ def test_config_is_frozen_hashable_and_replace_revalidates():
         dataclasses.replace(cfg, novel_capacity=0)
 
 
+@pytest.mark.parametrize("align", [{"epochs": 1}, None, 3])
+def test_config_align_must_be_a_train_config(align):
+    with pytest.raises(ConfigError, match="align must be a TrainConfig"):
+        ExperimentConfig(align=align)
+
+
 def test_config_validates_the_alignment_section():
     with pytest.raises(ConfigError, match="epochs"):
         ExperimentConfig.from_dict({"align": {"epochs": 0}})
@@ -129,80 +148,71 @@ def test_config_validates_the_alignment_section():
 
 @pytest.mark.parametrize("bad,error", [({"alpha": float("nan")}, ConfigError),
                                        ({"shots": 4}, ShotCountMismatch)])
-def test_bad_experiment_fails_before_training(small_world, monkeypatch, bad, error):
-    cfg, data, protos, exp, _ = small_world
-    def no_training(*args):
-        raise AssertionError("trained before rejecting the config")
-    monkeypatch.setattr(tfa.protocol, "train_base_alignment", no_training)
+def test_bad_experiment_fails_before_scoring(small_world, monkeypatch, bad, error):
+    cfg, data, protos, exp, alignment = small_world
+    calls = _counted_score_matrix(monkeypatch)
     with pytest.raises(error):
-        run_experiment(ExperimentConfig(**{**vars(exp), **bad}), data, protos)
+        run_experiment(ExperimentConfig(**{**vars(exp), **bad}), data, protos, alignment)
+    assert calls == []
 
 
 # ---- sessions ----
 
-def test_sessions_must_run_in_order(small_world):
+def test_sessions_must_run_in_order(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(params=alignment, cache=DualCache(5, 5))
+    state = SessionState(DualCache(5, 5))
     with pytest.raises(OutOfOrderSession):
-        run_session(state, tasks[1], data, protos, exp, stream_seed=1)
+        run_session(state, tasks[1], data, exp, 1, small_table)
 
 
-def test_session_zero_trains_when_state_has_no_scorer(small_world):
-    cfg, data, protos, exp, _ = small_world
-    tasks = build_tasks(data)
-    state = SessionState(params=None, cache=DualCache(5, 5))
-    state, rep = run_session(state, tasks[0], data, protos, exp, stream_seed=1)
-    assert state.params is not None and state.params.frozen
-    assert rep.accuracy > 50.0
-
-
-def test_session_zero_has_no_novel_side(small_world):
+def test_session_zero_has_no_novel_side(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(params=alignment, cache=DualCache(5, 5))
-    state, rep = run_session(state, tasks[0], data, protos, exp, stream_seed=1)
+    state = SessionState(DualCache(5, 5))
+    state, rep = run_session(state, tasks[0], data, exp, 1, small_table)
     assert rep.session == 0
     assert rep.novel_accuracy is None and rep.harmonic is None
     assert rep.n_test == len(tasks[0].test_indices)
     assert rep.base_accuracy == rep.accuracy
     assert rep.cache["novel_entries"] == 0
     assert rep.cache["base_entries"] > 0
+    assert rep.accuracy > 50.0
 
 
-def test_cumulative_eval_set_size(small_world):
+def test_cumulative_eval_set_size(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(params=alignment, cache=DualCache(5, 5))
+    state = SessionState(DualCache(5, 5))
     sizes = []
     for t, task in enumerate(tasks):
-        state, rep = run_session(state, task, data, protos, exp, stream_seed=t,
+        state, rep = run_session(state, task, data, exp, t, small_table,
                                  prior_tasks=tasks[:t])
         sizes.append(rep.n_test)
     expected = np.cumsum([len(t.test_indices) for t in tasks]).tolist()
     assert sizes == expected
 
 
-def test_alignment_params_never_change_after_base(small_world):
+def test_alignment_params_never_change_after_base(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
     before = [w.copy() for w in alignment.weights]
-    state = SessionState(params=alignment, cache=DualCache(5, 5))
+    state = SessionState(DualCache(5, 5))
     for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, protos, exp, stream_seed=t,
+        state, _ = run_session(state, task, data, exp, t, small_table,
                                prior_tasks=tasks[:t])
     for a, b in zip(alignment.weights, before):
         np.testing.assert_array_equal(a, b)
     assert alignment.frozen
 
 
-def test_class_order_is_append_only(small_world):
+def test_class_order_is_append_only(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(params=alignment, cache=DualCache(5, 5))
+    state = SessionState(DualCache(5, 5))
     orders = []
     for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, protos, exp, stream_seed=t,
+        state, _ = run_session(state, task, data, exp, t, small_table,
                                prior_tasks=tasks[:t])
         orders.append(list(state.class_order))
     for earlier, later in zip(orders, orders[1:]):
@@ -247,13 +257,6 @@ def test_no_cache_baseline_flag(small_world):
     c = ExperimentConfig.from_dict({**exp.to_dict(), "alpha": 0.0, "trials": 1})
     rep = run_experiment(c, data, protos, alignment=alignment)
     assert rep.flags["no_cache_baseline"] is True
-
-
-def test_experiment_trains_when_no_alignment_given(small_world):
-    cfg, data, protos, exp, _ = small_world
-    c = ExperimentConfig.from_dict({**exp.to_dict(), "trials": 1})
-    rep = run_experiment(c, data, protos, alignment=None)
-    assert rep.aggregate[0].accuracy_mean > 50.0
 
 
 def test_always_policy_keeps_updating_the_base_cache(small_world):
@@ -373,8 +376,7 @@ def test_query_that_evicts_an_entry_still_sees_it():
     queries = np.stack([e[0], e[1], e[1]])
     logits = np.array([[1.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
     cache = DualCache(capacity=1, shots=1)
-    plan = schedule_admissions(cache, queries, _sigmoid(logits), logits, [0, 1],
-                               frozenset({0, 1}))
+    plan = schedule_admissions(cache, queries, logits, [0, 1], frozenset({0, 1}))
     assert plan.start.tolist() == [0, 1] and plan.stop.tolist() == [1, 3]
     assert plan.live(3).tolist() == [[False, False], [True, False], [False, True]]
     np.testing.assert_array_equal(cache.base_entries(0)[0].key, e[1])
