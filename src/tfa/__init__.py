@@ -13,7 +13,6 @@ from .alignment import (
 from .embeddings import (
     ClassPrototype,
     EmbeddingSet,
-    SampleRecord,
     load_embeddings,
     load_prototypes,
     save_embeddings,

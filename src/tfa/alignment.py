@@ -15,9 +15,11 @@ Scoring and training share one kernel. The first layer's input is a pair
 ``[v, e]``, so its pre-activation is ``v @ W1[:m] + (e @ W1[m:] + b1)``: the
 two halves are computed once per call, for every sample and every
 prototype, and added per pair; the pair matrix is never built. Its gradient
-is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a row reduction, so a
-logit's bytes depend on neither the other rows scored with it nor the BLAS
-thread count. Adam runs over cache-sized blocks of each parameter.
+is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a row reduction. For a
+fixed BLAS, at 2048/1024 and 1024/512 where it was verified, a logit's
+bytes depend on neither the other rows in its block (of two or more) nor
+the BLAS thread count; at some other widths they do (ROADMAP item 4).
+Adam runs over cache-sized blocks of each parameter.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -220,8 +222,9 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
     With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
     ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
     exactly when its pre-activation is, so ``acts`` also serves as the
-    backward gate. The last layer is a row reduction, not a fan-out-1 gemv,
-    so a row's logit does not depend on the other rows or on BLAS threads.
+    backward gate. The last layer is a row reduction, not a fan-out-1 gemv;
+    the module docstring states when a row's logit is then independent of
+    the other rows and of BLAS threads.
     """
     z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
     acts = []

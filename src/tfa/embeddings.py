@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +44,9 @@ from .errors import (
 MAGIC = b"EMB1"
 FLAG_NORMALIZED = 1
 SPLITS = ("train", "test")
+COLUMNS = ("vectors", "labels", "tasks", "splits", "class_names")
 
 _HEADER = struct.Struct("<III")
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One embedded sample: unit-norm feature vector plus its metadata."""
-
-    vector: np.ndarray
-    label: int
-    task: int
-    split: str
-    class_name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -70,36 +60,19 @@ class ClassPrototype:
 
 @dataclass
 class EmbeddingSet:
-    """Ordered collection of samples over disjoint-label tasks, backed by
-    parallel arrays."""
+    """Ordered collection of samples over disjoint-label tasks, held as the
+    parallel per-row arrays named in ``COLUMNS``, each of length n."""
 
     dim: int
     vectors: np.ndarray                 # (n, dim) float64, unit rows
     labels: np.ndarray                  # (n,) int64
     tasks: np.ndarray                   # (n,) int64
-    splits: list[str]
-    class_names: list[str | None]
+    splits: np.ndarray                  # (n,) object: "train" or "test"
+    class_names: np.ndarray             # (n,) object: str or None
     provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
-
-    @classmethod
-    def from_records(cls, dim: int, records, provenance: dict | None = None) -> "EmbeddingSet":
-        records = list(records)
-        vectors = (np.vstack([r.vector for r in records]) if records
-                   else np.zeros((0, dim), dtype=np.float64))
-        out = cls(
-            dim=dim,
-            vectors=np.asarray(vectors, dtype=np.float64),
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            tasks=np.array([r.task for r in records], dtype=np.int64),
-            splits=[r.split for r in records],
-            class_names=[r.class_name for r in records],
-            provenance=provenance or {},
-        )
-        out.validate()
-        return out
 
     def task_ids(self) -> list[int]:
         return sorted(set(int(t) for t in self.tasks))
@@ -110,31 +83,26 @@ class EmbeddingSet:
         if task is not None:
             mask &= self.tasks == task
         if split is not None:
-            mask &= np.array([s == split for s in self.splits], dtype=bool)
+            mask &= self.splits == split
         return np.nonzero(mask)[0]
 
     def label_space(self, task: int) -> set[int]:
         """Train label space C^t of one task."""
-        idx = self.indices(task=task, split="train")
-        return set(int(self.labels[i]) for i in idx)
+        return set(self.labels[self.indices(task=task, split="train")].tolist())
 
     def subset(self, indices) -> "EmbeddingSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return EmbeddingSet(
-            dim=self.dim,
-            vectors=self.vectors[idx],
-            labels=self.labels[idx],
-            tasks=self.tasks[idx],
-            splits=[self.splits[i] for i in idx],
-            class_names=[self.class_names[i] for i in idx],
-            provenance=dict(self.provenance),
-        )
+        return replace(self, provenance=dict(self.provenance),
+                       **{c: getattr(self, c)[idx] for c in COLUMNS})
 
     def validate(self) -> None:
         n = len(self)
         if self.vectors.shape != (n, self.dim):
             raise DimMismatch(
                 f"vector block is {self.vectors.shape}, expected ({n}, {self.dim})")
+        for c in COLUMNS[1:]:
+            if not isinstance(getattr(self, c), np.ndarray) or getattr(self, c).shape != (n,):
+                raise DimMismatch(f"{c} column is not a ({n},) array")
         if not np.all(np.isfinite(self.vectors)):
             raise CorruptRecord("non-finite value in embedding set")
         for s in self.splits:
@@ -172,15 +140,8 @@ def merge_embedding_sets(sets) -> EmbeddingSet:
         if s.dim != dim:
             raise DimMismatch(f"cannot merge dimension {s.dim} into {dim}")
     merged = EmbeddingSet(
-        dim=dim,
-        vectors=np.vstack([s.vectors for s in sets]) if any(len(s) for s in sets)
-        else np.zeros((0, dim)),
-        labels=np.concatenate([s.labels for s in sets]),
-        tasks=np.concatenate([s.tasks for s in sets]),
-        splits=[x for s in sets for x in s.splits],
-        class_names=[x for s in sets for x in s.class_names],
-        provenance={"kind": "merged", "parts": [s.provenance for s in sets]},
-    )
+        dim=dim, provenance={"kind": "merged", "parts": [s.provenance for s in sets]},
+        **{c: np.concatenate([getattr(s, c) for s in sets]) for c in COLUMNS})
     merged.validate()
     return merged
 
@@ -257,6 +218,14 @@ def _record_id(path, i: int, rec: dict, key: str) -> int:
     return value
 
 
+def _record_text(path, i: int, rec: dict, key: str) -> str | None:
+    """A sidecar record's optional text field: None when absent, else a string."""
+    value = rec.get(key)
+    if key in rec and not isinstance(value, str):
+        raise CorruptRecord(f"{path}: sidecar record {i} {key} must be a string, got {value!r}")
+    return value
+
+
 def save_embeddings(es: EmbeddingSet, path) -> None:
     sidecar = []
     for i in range(len(es)):
@@ -270,22 +239,22 @@ def save_embeddings(es: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     dim, count, _flags, matrix, records = _read_emb(path)
     matrix = _renormalize(matrix, str(path))
-    labels, tasks, splits, names = [], [], [], []
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or "label" not in rec or "task" not in rec \
-                or "split" not in rec:
+        if not isinstance(rec, dict) or not {"label", "task", "split"} <= rec.keys():
             raise CorruptRecord(f"{path}: sidecar record {i} is missing fields")
-        labels.append(_record_id(path, i, rec, "label"))
-        tasks.append(_record_id(path, i, rec, "task"))
-        splits.append(str(rec["split"]))
-        names.append(rec.get("class_name"))
+        _record_id(path, i, rec, "label")
+        _record_id(path, i, rec, "task")
+        if rec["split"] not in SPLITS:
+            raise CorruptRecord(
+                f"{path}: sidecar record {i} split must be 'train' or 'test', got {rec['split']!r}")
+        _record_text(path, i, rec, "class_name")
     es = EmbeddingSet(
         dim=dim,
         vectors=matrix,
-        labels=np.array(labels, dtype=np.int64),
-        tasks=np.array(tasks, dtype=np.int64),
-        splits=splits,
-        class_names=names,
+        labels=np.array([rec["label"] for rec in records], dtype=np.int64),
+        tasks=np.array([rec["task"] for rec in records], dtype=np.int64),
+        splits=np.array([rec["split"] for rec in records], dtype=object),
+        class_names=np.array([rec.get("class_name") for rec in records], dtype=object),
         provenance={"kind": "file", "path": str(path)},
     )
     es.validate()
@@ -318,5 +287,5 @@ def load_prototypes(path) -> list[ClassPrototype]:
         if cid in seen:
             raise DuplicateClassId(f"{path}: class id {cid} appears twice")
         seen.add(cid)
-        protos.append(ClassPrototype(cid, matrix[i], rec.get("prompt_text")))
+        protos.append(ClassPrototype(cid, matrix[i], _record_text(path, i, rec, "prompt_text")))
     return protos

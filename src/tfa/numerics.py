@@ -1,6 +1,7 @@
 """Small deterministic float64 vector kernels used by every other module.
 
-Vectors are 1-D numpy float64 arrays (array-likes are coerced). Probability
+Vectors are 1-D numpy float64 arrays (array-likes are coerced);
+``l2_normalize`` also takes a 2-D block of row vectors. Probability
 vectors additionally have non-negative entries summing to one within 1e-9.
 All functions are pure, never mutate their input, and never return NaN/Inf.
 """
@@ -26,12 +27,17 @@ def as_vec(v) -> np.ndarray:
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale to unit Euclidean norm, preserving direction."""
-    arr = as_vec(v)
-    norm = float(np.linalg.norm(arr))
-    if norm < _ZERO_NORM:
+    """Scale a vector, or each row of a 2-D block, to unit Euclidean norm.
+    Each squared norm is ``row @ row`` from one stacked (1, m) @ (m, 1) matmul,
+    so a row's bytes depend only on that row; a vector is the one-row case."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected a finite vector or 2-D block, got shape {arr.shape}")
+    rows = np.atleast_2d(arr)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    if np.any(norms < _ZERO_NORM):
         raise ZeroVector("cannot normalize a zero vector")
-    return arr / norm
+    return (rows / norms).reshape(arr.shape)
 
 
 def softmax(v) -> np.ndarray:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .embeddings import ClassPrototype, EmbeddingSet, SampleRecord
+import numpy as np
+
+from .embeddings import ClassPrototype, EmbeddingSet
 from .errors import check_int, check_real, from_fields
 from .numerics import l2_normalize
 from .rng import (
@@ -88,29 +90,35 @@ def calibration_config(seed: int = 7) -> SynthConfig:
     )
 
 
-def _noisy(mean, sigma: float, stream: Stream, count: int, dim: int):
-    gauss = stream.normal(count * dim).reshape(count, dim)
-    return [l2_normalize(mean + sigma * gauss[i]) for i in range(count)]
+def _noisy(mean, sigma: float, stream: Stream, count: int, dim: int) -> np.ndarray:
+    """``count`` unit rows ``normalize(mean + sigma * g)`` from one stream."""
+    return l2_normalize(mean + sigma * stream.normal(count * dim).reshape(count, dim))
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[EmbeddingSet, list[ClassPrototype]]:
-    records: list[SampleRecord] = []
-    protos: list[ClassPrototype] = []
-    means = {}
-    for task, class_ids in class_layout(cfg):
-        for cid in class_ids:
-            mean = l2_normalize(Stream(derive_seed(cfg.seed, SCOPE_CLASS_MEAN, cid)).normal(cfg.dim))
-            means[cid] = mean
-            proto = _noisy(mean, cfg.modality_gap_sigma,
-                           Stream(derive_seed(cfg.seed, SCOPE_PROTOTYPE, cid)), 1, cfg.dim)[0]
-            protos.append(ClassPrototype(cid, proto))
-    for task, class_ids in class_layout(cfg):
+    def stream(scope: int, cid: int) -> Stream:
+        return Stream(derive_seed(cfg.seed, scope, cid))
+
+    layout = class_layout(cfg)
+    ids = [cid for _task, class_ids in layout for cid in class_ids]
+    means = l2_normalize(np.stack([stream(SCOPE_CLASS_MEAN, cid).normal(cfg.dim) for cid in ids]))
+    protos = [ClassPrototype(cid, _noisy(means[cid], cfg.modality_gap_sigma,
+                                         stream(SCOPE_PROTOTYPE, cid), 1, cfg.dim)[0]) for cid in ids]
+    blocks, labels, tasks, splits = [], [], [], []
+    for task, class_ids in layout:
         n_train = cfg.train_per_base_class if task == 0 else cfg.shots
         for split, count, scope in (("train", n_train, SCOPE_TRAIN),
                                     ("test", cfg.test_per_class, SCOPE_TEST)):
             for cid in class_ids:
-                stream = Stream(derive_seed(cfg.seed, scope, cid))
-                for vec in _noisy(means[cid], cfg.intra_class_sigma, stream, count, cfg.dim):
-                    records.append(SampleRecord(vec, cid, task, split))
-    provenance = {"kind": "synthetic", "seed": cfg.seed, "config": asdict(cfg)}
-    return EmbeddingSet.from_records(cfg.dim, records, provenance), protos
+                blocks.append(_noisy(means[cid], cfg.intra_class_sigma, stream(scope, cid),
+                                     count, cfg.dim))
+                labels += [cid] * count
+                tasks += [task] * count
+                splits += [split] * count
+    data = EmbeddingSet(
+        dim=cfg.dim, vectors=np.vstack(blocks),
+        labels=np.array(labels, dtype=np.int64), tasks=np.array(tasks, dtype=np.int64),
+        splits=np.array(splits, dtype=object), class_names=np.full(len(labels), None, dtype=object),
+        provenance={"kind": "synthetic", "seed": cfg.seed, "config": asdict(cfg)})
+    data.validate()
+    return data, protos

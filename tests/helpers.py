@@ -256,3 +256,50 @@ def ref_adam_step(params, state, grads):
         v *= b2
         v += (1.0 - b2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+
+
+# ---- the per-record synthetic generator that block draws replaced ----
+
+
+def ref_unit(v):
+    """One vector scaled by ``np.linalg.norm``, as a per-row normaliser did."""
+    return v / float(np.linalg.norm(v))
+
+
+def ref_generate_synthetic(cfg):
+    """Columns, provenance and (class id, vector) prototypes of the synthetic
+    world, drawn and normalised one row at a time; same contract as
+    ``tfa.synth.generate_synthetic``."""
+    from dataclasses import asdict
+
+    from tfa.rng import SCOPE_CLASS_MEAN, SCOPE_PROTOTYPE, SCOPE_TEST, SCOPE_TRAIN, Stream, derive_seed
+    from tfa.synth import class_layout
+
+    def noisy(mean, sigma, stream, count):
+        gauss = stream.normal(count * cfg.dim).reshape(count, cfg.dim)
+        return [ref_unit(mean + sigma * gauss[i]) for i in range(count)]
+
+    means, protos = {}, []
+    for _task, class_ids in class_layout(cfg):
+        for cid in class_ids:
+            means[cid] = ref_unit(Stream(derive_seed(cfg.seed, SCOPE_CLASS_MEAN, cid)).normal(cfg.dim))
+            stream = Stream(derive_seed(cfg.seed, SCOPE_PROTOTYPE, cid))
+            protos.append((cid, noisy(means[cid], cfg.modality_gap_sigma, stream, 1)[0]))
+    rows = []
+    for task, class_ids in class_layout(cfg):
+        n_train = cfg.train_per_base_class if task == 0 else cfg.shots
+        for split, count, scope in (("train", n_train, SCOPE_TRAIN),
+                                    ("test", cfg.test_per_class, SCOPE_TEST)):
+            for cid in class_ids:
+                stream = Stream(derive_seed(cfg.seed, scope, cid))
+                for vec in noisy(means[cid], cfg.intra_class_sigma, stream, count):
+                    rows.append((vec, cid, task, split))
+    columns = {
+        "vectors": np.vstack([r[0] for r in rows]),
+        "labels": [r[1] for r in rows],
+        "tasks": [r[2] for r in rows],
+        "splits": [r[3] for r in rows],
+        "class_names": [None] * len(rows),
+    }
+    provenance = {"kind": "synthetic", "seed": cfg.seed, "config": asdict(cfg)}
+    return columns, provenance, protos

@@ -63,6 +63,46 @@ def test_synth_is_deterministic(tmp_path):
         assert p.read_bytes() == (b / p.name).read_bytes()
 
 
+SYNTH_DIM7 = {"dim": 7, "base_classes": 4, "novel_tasks": 2, "classes_per_novel_task": 3,
+              "train_per_base_class": 9, "test_per_class": 5, "shots": 2, "seed": 11}
+# The benchmark's synthetic world (bench/run.py SYNTH) at seed 0.
+SYNTH_BENCH = {"dim": 64, "base_classes": 20, "novel_tasks": 3, "classes_per_novel_task": 5,
+               "train_per_base_class": 10, "test_per_class": 20, "shots": 5,
+               "intra_class_sigma": 0.05, "modality_gap_sigma": 0.15, "seed": 0}
+
+
+@pytest.mark.parametrize("cfg,shas", [
+    (SYNTH_DIM7, {
+        "prototypes.emb": "e36166e0dde7e226ff2064dfd24b32ebce1b9c346cfacc942d2abd3b00e685fa",
+        "prototypes.emb.meta.json": "128086dda120c979f701dcafd2d4e6c50741400c2863ba7808e9809bcc45bb4c",
+        "task_000.emb": "0c87fdd094a7e3010e5e890671cdcd91203ed756bd592f9648c2b0cc7216a035",
+        "task_000.emb.meta.json": "6269700bd6bc802bfd73dc5ea16ac755391cb1ea83376a0af57d4b9ee94d3a56",
+        "task_001.emb": "e55903bab19ebc475b9d599b2623c557834b7a3604c3c0496081cb51efae9b6a",
+        "task_001.emb.meta.json": "30a6cbafbd353d95a55f1d41f13215876d2feed5b27bbe079e19f80d29283203",
+        "task_002.emb": "72029848e91a7f0ead9cf2fe69fbb851a1e04cd0ef1c273112eea9380372e188",
+        "task_002.emb.meta.json": "85baccaee9d8e24ba931a7b86bb3420c925d407a35bdce6b511230ad47e30f34",
+    }),
+    (SYNTH_BENCH, {
+        "prototypes.emb": "d34ccb64d9574ee85411ada47527866b2ba72652937950df6e07bdc7596e0486",
+        "prototypes.emb.meta.json": "49ef4d71a83f3b53cdc1623ddb929d7c6847ea26bf2967673c4fd21348b4c5cf",
+        "task_000.emb": "c3d7396eb86fcba0dedf4fb61e517faa8efa585cb586d0e844aedcfc35741b1a",
+        "task_000.emb.meta.json": "d42b09f0a2f0e3a52e0fdd4e106ab2b07c665e7117b7306deb5e22816ae201fa",
+        "task_001.emb": "7c4de74dee63b204eab5944bf7e323446f30065a023856fd560588b6499d7517",
+        "task_001.emb.meta.json": "e2b702a6214500920814cec6595b0c0656d6887cdaa6128ef2aae05239f79a7d",
+        "task_002.emb": "5216f142bb4fd3e44e74a3102d6285dfcfc00b181c15085499270e50aa68c5f2",
+        "task_002.emb.meta.json": "ee6b218853ad08b00baa0403acadf2b53ae2ab1f3608b3a7f16a54c5031edabb",
+        "task_003.emb": "e589957cd2dd6e36cbbfbb191266c011e1bef8593becf86499bb2bdab2047e55",
+        "task_003.emb.meta.json": "5a0c76adb17e3b9031cc1e9fc10b109e45749f7e2d97068c3da9d803a8141571",
+    }),
+], ids=["dim7", "bench-shape"])
+def test_synth_writes_the_recorded_bytes(tmp_path, cfg, shas):
+    # SHA-256 of every file recorded when synth still built one record per row.
+    out = tmp_path / "out"
+    assert main(["synth", "--config", write_json(tmp_path / "s.json", cfg), "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == shas
+
+
 def test_synth_rejects_negative_sigma(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {**SYNTH_CFG, "intra_class_sigma": -1.0})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -505,10 +545,21 @@ def test_unparseable_sidecars_are_format_errors(tiny_world, tmp_path, capsys, na
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["abc", None, [0], 2**70, 1.5, True])
-@pytest.mark.parametrize("name,key", [("task_000.emb.meta.json", "label"),
-                                      ("task_000.emb.meta.json", "task"),
-                                      ("prototypes.emb.meta.json", "class_id")])
+# Case id -> value; the ids of the integer-field cases are pytest's own.
+BAD_IDS = {"abc": "abc", "None": None, "value2": [0], str(2**70): 2**70, "1.5": 1.5, "True": True}
+BAD_TEXTS = {"5": 5, "list": ["a", "b"], "dict": {"x": 1}, "None": None}
+RECORD_FIELD_CASES = [
+    pytest.param(name, key, value, id=f"{name}-{key}-{case}")
+    for fields, values in (
+        ([("task_000.emb.meta.json", "label"), ("task_000.emb.meta.json", "task"),
+          ("prototypes.emb.meta.json", "class_id")], BAD_IDS),
+        ([("task_000.emb.meta.json", "split"), ("task_000.emb.meta.json", "class_name"),
+          ("prototypes.emb.meta.json", "prompt_text")], BAD_TEXTS),
+        ([("task_000.emb.meta.json", "split")], {"valid": "valid", "Train": "Train", "empty": ""}))
+    for name, key in fields for case, value in values.items()]
+
+
+@pytest.mark.parametrize("name,key,value", RECORD_FIELD_CASES)
 def test_structured_sidecar_record_fields_are_format_errors(tiny_world, tmp_path, capsys,
                                                            name, key, value):
     world = _copy_world(tiny_world, tmp_path / "w")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tfa.embeddings import (
+    COLUMNS,
     ClassPrototype,
     EmbeddingSet,
-    SampleRecord,
     load_embeddings,
     load_prototypes,
     merge_embedding_sets,
@@ -24,16 +24,26 @@ from tfa.numerics import l2_normalize
 from tfa.rng import Stream
 
 
+def _columns_set(vectors, labels, tasks, splits):
+    """A validated set built from its columns, with no class names."""
+    es = EmbeddingSet(dim=vectors.shape[1], vectors=vectors,
+                      labels=np.array(labels, dtype=np.int64), tasks=np.array(tasks, dtype=np.int64),
+                      splits=np.array(splits, dtype=object),
+                      class_names=np.full(len(labels), None, dtype=object))
+    es.validate()
+    return es
+
+
 def _tiny_set(seed=0, m=8):
     stream = Stream(seed)
-    records = []
+    rows = []
     for task, labels in ((0, (0, 1)), (1, (2,))):
         for split, count in (("train", 3), ("test", 2)):
             for label in labels:
                 for _ in range(count):
-                    records.append(SampleRecord(
-                        l2_normalize(stream.normal(m)), label, task, split))
-    return EmbeddingSet.from_records(m, records)
+                    rows.append((l2_normalize(stream.normal(m)), label, task, split))
+    vectors, labels, tasks, splits = zip(*rows)
+    return _columns_set(np.vstack(vectors), labels, tasks, splits)
 
 
 def test_round_trip_is_exact_at_f32(tmp_path):
@@ -44,7 +54,7 @@ def test_round_trip_is_exact_at_f32(tmp_path):
     np.testing.assert_array_equal(es.vectors.astype("<f4"), back.vectors.astype("<f4"))
     assert back.labels.tolist() == es.labels.tolist()
     assert back.tasks.tolist() == es.tasks.tolist()
-    assert back.splits == es.splits
+    np.testing.assert_array_equal(back.splits, es.splits)
 
 
 def test_save_load_save_is_byte_stable(tmp_path):
@@ -118,14 +128,10 @@ def test_overlapping_train_spaces_rejected(tmp_path):
 
 
 def test_test_label_outside_own_task_rejected():
-    m = 4
-    recs = [
-        SampleRecord(l2_normalize([1, 0, 0, 0]), 0, 0, "train"),
-        SampleRecord(l2_normalize([0, 1, 0, 0]), 1, 1, "train"),
-        SampleRecord(l2_normalize([0, 0, 1, 0]), 1, 0, "test"),  # label 1 is task 1's
-    ]
+    vectors = np.eye(4)[:3]
     with pytest.raises(DisjointnessViolation):
-        EmbeddingSet.from_records(m, recs)
+        # the test record's label 1 is task 1's
+        _columns_set(vectors, [0, 1, 1], [0, 1, 0], ["train", "train", "test"])
 
 
 def test_prototype_round_trip(tmp_path):
@@ -166,9 +172,8 @@ def test_zero_vector_prototype_is_corrupt(tmp_path):
 def test_emb1_binary_layout_is_exact(tmp_path):
     # documented layout: magic, u32 dim, u32 count, u32 flags, f32 rows
     import struct
-    recs = [SampleRecord(l2_normalize([1.0, 2.0, 2.0]), 0, 0, "train"),
-            SampleRecord(l2_normalize([0.0, 3.0, 4.0]), 1, 0, "train")]
-    es = EmbeddingSet.from_records(3, recs)
+    es = _columns_set(l2_normalize([[1.0, 2.0, 2.0], [0.0, 3.0, 4.0]]), [0, 1], [0, 0],
+                      ["train", "train"])
     path = tmp_path / "layout.emb"
     save_embeddings(es, path)
     blob = path.read_bytes()
@@ -188,3 +193,38 @@ def test_merge_keeps_order_and_validates():
     a, b = _tiny_set(seed=1), _tiny_set(seed=2)
     merged = merge_embedding_sets([a.subset(a.indices(task=0)), b.subset(b.indices(task=1))])
     assert len(merged) == len(a.indices(task=0)) + len(b.indices(task=1))
+
+
+def test_subset_and_merge_keep_every_column_an_array():
+    es = _tiny_set(seed=3)
+    es.class_names[0] = "chair"
+    part = es.subset([4, 0])
+    merged = merge_embedding_sets([part, es.subset([])])
+    for s, n in ((part, 2), (merged, 2)):
+        for c in COLUMNS:
+            col = getattr(s, c)
+            assert isinstance(col, np.ndarray) and col.shape[0] == n
+        assert s.splits.dtype == s.class_names.dtype == object
+    assert merged.class_names.tolist() == [None, "chair"]
+    assert merged.labels.dtype == merged.tasks.dtype == np.int64
+    assert merged.vectors.tobytes() == es.vectors[[4, 0]].tobytes()
+
+
+def test_class_names_round_trip(tmp_path):
+    es = _tiny_set()
+    es.class_names[1] = "lamp"
+    save_embeddings(es, tmp_path / "set.emb")
+    back = load_embeddings(tmp_path / "set.emb")
+    assert back.class_names.tolist() == es.class_names.tolist()
+    assert back.splits.dtype == back.class_names.dtype == object
+
+
+@pytest.mark.parametrize("column", COLUMNS[1:])
+def test_validate_rejects_a_column_that_is_not_an_n_array(column):
+    # A list column would make indices() compare the whole list to a split.
+    es = _tiny_set()
+    full = getattr(es, column)
+    for bad in (full[:-1], full.reshape(-1, 1), full.tolist()):
+        setattr(es, column, bad)
+        with pytest.raises(DimMismatch, match=column):
+            es.validate()

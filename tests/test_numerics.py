@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from tfa.errors import ZeroVector
 from tfa.numerics import entropy, l2_normalize, softmax
 
+from helpers import ref_unit
+
 finite_vecs = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=12)
 
@@ -38,6 +40,32 @@ def test_normalize_idempotent(v):
     twice = l2_normalize(once)
     assert np.linalg.norm(twice - once) <= 1e-12
     assert abs(np.linalg.norm(once) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [*range(1, 301), 1024])
+def test_block_normalize_equals_the_vector_call_per_row(width):
+    # numpy's pairwise sums regroup at 8 and 128 terms; every width up to 300
+    # crosses both. The vector call also keeps the bytes of ``v / norm(v)``.
+    rng = np.random.default_rng(width)
+    block = rng.standard_normal((24, width)) * rng.uniform(1e-3, 1e3, (24, 1))
+    out = l2_normalize(block)
+    assert out.shape == block.shape
+    for i, row in enumerate(block):
+        assert out[i].tobytes() == l2_normalize(row).tobytes() == ref_unit(row).tobytes()
+
+
+def test_block_normalize_checks_every_row():
+    block = np.eye(3)
+    block[1] = 0.0
+    with pytest.raises(ZeroVector):
+        l2_normalize(block)
+    block[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        l2_normalize(block)
+    for bad in (np.ones((2, 2, 2)), 3.0):
+        with pytest.raises(ValueError):
+            l2_normalize(bad)
+    assert l2_normalize(np.zeros((0, 5))).shape == (0, 5)
 
 
 def test_softmax_symmetry_and_shift():

@@ -4,7 +4,7 @@ import pytest
 from tfa.errors import ConfigError
 from tfa.synth import SynthConfig, generate_synthetic
 
-from helpers import nearest_prototype_predictions
+from helpers import nearest_prototype_predictions, ref_generate_synthetic
 
 
 def small(**kw):
@@ -95,3 +95,29 @@ def test_vectors_are_unit_norm():
     assert np.max(np.abs(np.linalg.norm(data.vectors, axis=1) - 1.0)) <= 1e-12
     for p in protos:
         assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(dim=64, base_classes=4, novel_tasks=2, classes_per_novel_task=3,
+                train_per_base_class=9, test_per_class=5, shots=2, seed=11),
+    small(dim=7, seed=4),
+    small(dim=64, base_classes=20, novel_tasks=3, classes_per_novel_task=5,
+          train_per_base_class=10, test_per_class=20, shots=5, modality_gap_sigma=0.15, seed=0),
+    small(dim=129, intra_class_sigma=0.0, modality_gap_sigma=0.0, seed=2),
+    small(dim=1, base_classes=2, novel_tasks=1, classes_per_novel_task=1, seed=8),
+], ids=["dim64", "dim7", "bench-shape", "dim129-zero-noise", "dim1"])
+def test_block_draws_equal_the_per_record_generator(cfg):
+    data, protos = generate_synthetic(cfg)
+    columns, provenance, ref_protos = ref_generate_synthetic(cfg)
+    assert data.vectors.dtype == np.float64
+    assert data.vectors.shape == columns["vectors"].shape
+    assert data.vectors.tobytes() == columns["vectors"].tobytes()
+    assert data.labels.dtype == data.tasks.dtype == np.int64
+    assert data.labels.tolist() == columns["labels"]
+    assert data.tasks.tolist() == columns["tasks"]
+    assert data.splits.tolist() == columns["splits"]
+    assert data.class_names.tolist() == columns["class_names"]
+    assert data.provenance == provenance
+    assert [p.class_id for p in protos] == [cid for cid, _ in ref_protos]
+    for p, (_, vec) in zip(protos, ref_protos):
+        assert p.vector.shape == vec.shape and p.vector.tobytes() == vec.tobytes()
