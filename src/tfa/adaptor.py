@@ -20,7 +20,12 @@ product; an optional live mask limits each query to the entries it may see.
 
 Base-cache admission depends only on a query's pseudo-label and entropy,
 never on the fused prediction, so a whole stream's insert/evict history can
-be replayed before any query is scored (:func:`schedule_admissions`).
+be replayed before any query is scored (:func:`schedule_admissions`). The
+replay takes every offered row's label and entropy from one batched call
+(:func:`argmax_lowest_ids`, :func:`entropies`), checks every key norm before
+it mutates the cache, and then runs the per-class queues on Python floats.
+The one-row names (:func:`pseudo_label`, :func:`argmax_lowest_id`,
+:meth:`DualCache.try_insert_base`) call the same batched code.
 """
 
 from __future__ import annotations
@@ -61,9 +66,29 @@ def pseudo_label(logits: np.ndarray, class_ids: np.ndarray) -> tuple[int, float]
     entropy of the row's softmax; columns are aligned to ``class_ids``."""
     if len(logits) == 0:
         raise ValueError("pseudo_label of an empty logit row")
-    probs = softmax(logits)
-    best = argmax_lowest_id(logits, class_ids)
-    return best, entropy(probs)
+    row = np.reshape(np.asarray(logits, dtype=np.float64), (1, -1))
+    h = float(entropies(row)[0])
+    return int(argmax_lowest_ids(row, class_ids)[0]), h
+
+
+def entropies(logits) -> np.ndarray:
+    """Row-wise ``entropy(softmax(row))`` of a (rows, classes) logit block,
+    equal to the scalar functions byte for byte.
+
+    A row in which some probability underflows to 0 goes through the scalar
+    functions: they sum over the nonzero terms only, which groups the sum
+    differently. So does a row with a non-finite logit, which they reject.
+    """
+    logits = np.ascontiguousarray(logits, dtype=np.float64)   # rows sum as 1-D vectors do
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        positive = p > 0.0
+        h = -np.where(positive, p * np.log(p), 0.0).sum(axis=1)
+    h = np.where(h > 0.0, h, 0.0)
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        h[i] = entropy(softmax(logits[i]))
+    return h
 
 
 def argmax_lowest_id(values: np.ndarray, class_ids: np.ndarray) -> int:
@@ -88,12 +113,20 @@ def affinity(u: float, beta: float):
     return np.exp(-beta * (1.0 - np.asarray(u, dtype=np.float64)))
 
 
-def _check_unit(key: np.ndarray, what: str) -> np.ndarray:
-    key = np.asarray(key, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(key))
-    if abs(norm - 1.0) > _UNIT_TOL:
+def _unit_rows(keys, what: str) -> np.ndarray:
+    """A (rows, d) float64 block, checked that every row is unit-norm.
+
+    Each norm is ``sqrt(row @ row)`` from one stacked matmul, as in
+    ``numerics.l2_normalize``; the error reports the first bad row's
+    ``np.linalg.norm``.
+    """
+    rows = np.asarray(keys, dtype=np.float64)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))     # NaN norms too
+    if bad.size:
+        norm = float(np.linalg.norm(rows[bad[0]]))
         raise ValueError(f"{what} must be unit-norm (got norm {norm:.6g})")
-    return key.copy()
+    return rows
 
 
 class DualCache:
@@ -115,24 +148,41 @@ class DualCache:
 
     def try_insert_base(self, key, logits, class_ids) -> InsertOutcome:
         """Admit a test feature under the entropy gate, pseudo-labeled by its
-        scorer logits (columns aligned to ``class_ids``)."""
-        key = _check_unit(key, "cache key")
+        scorer logits (columns aligned to ``class_ids``): the one-row case
+        of :func:`schedule_admissions`."""
+        keys = _unit_rows(np.reshape(key, (1, -1)), "cache key")
         cls, h = pseudo_label(logits, class_ids)
-        queue = self._base.setdefault(cls, [])
-        entry = CacheEntry(key, cls, h, ORIGIN_BASE)
-        if len(queue) < self.capacity:
-            queue.append(entry)
-            return InsertOutcome("inserted", entry=entry)
-        worst = max(range(len(queue)), key=lambda i: queue[i].entropy)
-        if h < queue[worst].entropy:
-            evicted = queue.pop(worst)
-            queue.append(entry)
-            return InsertOutcome("replaced", evicted=evicted, entry=entry)
+        for _row, entry, evicted in self._admit_base(keys, [cls], [h]):
+            kind = "inserted" if evicted is None else "replaced"
+            return InsertOutcome(kind, evicted=evicted, entry=entry)
         return InsertOutcome("rejected", reason="HighEntropy")
+
+    def _admit_base(self, keys, labels, ents) -> list:
+        """Offer ``keys`` in order under the entropy gate, pseudo-labeled
+        ``labels`` (Python ints) with entropies ``ents`` (Python floats).
+
+        A class queue below capacity appends; a full one evicts its first
+        maximum-entropy entry, in queue order, only for a strictly lower
+        entropy. Returns one ``(row, entry, evicted or None)`` per admission.
+        """
+        admitted = []
+        for row, (cls, h) in enumerate(zip(labels, ents)):
+            queue = self._base.setdefault(cls, [])
+            evicted = None
+            if len(queue) >= self.capacity:
+                worst = max(range(len(queue)), key=lambda i: queue[i].entropy)
+                if not h < queue[worst].entropy:
+                    continue
+                evicted = queue.pop(worst)
+            # a copy, so no entry keeps the whole offered block alive
+            entry = CacheEntry(keys[row].copy(), cls, h, ORIGIN_BASE)
+            queue.append(entry)
+            admitted.append((row, entry, evicted))
+        return admitted
 
     def insert_novel(self, key, label: int) -> None:
         """Store one K-shot training feature; novel entries carry entropy 0."""
-        key = _check_unit(key, "cache key")
+        key = _unit_rows(np.reshape(key, (1, -1)), "cache key")[0].copy()
         queue = self._novel.setdefault(int(label), [])
         if len(queue) >= self.shots:
             raise ShotCapacityExceeded(
@@ -231,7 +281,10 @@ def schedule_admissions(cache: DualCache, queries, logits, class_ids, admit) -> 
     cache, in stream order, and record the resulting entry intervals.
 
     ``logits`` holds one row per query, columns aligned to ``class_ids``.
-    The cache ends in the state per-sample insertion leaves.
+    Labels and entropies of all offered rows come from one batched call, and
+    every offered key is checked before the cache changes. The cache ends in
+    the state per-sample insertion leaves; the schedule lists its entries as
+    they stood before the stream, then the admissions in stream order.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     n = queries.shape[0]
@@ -239,15 +292,18 @@ def schedule_admissions(cache: DualCache, queries, logits, class_ids, admit) -> 
     start, stop = [-1] * len(entries), [n] * len(entries)
     row_of = {id(e): i for i, e in enumerate(entries)}
     labels = argmax_lowest_ids(logits, class_ids)
-    for pos in np.flatnonzero(np.isin(labels, list(admit))):
-        out = cache.try_insert_base(queries[pos], logits[pos], class_ids)
-        if out.evicted is not None:
-            stop[row_of[id(out.evicted)]] = pos
-        if out.entry is not None:
-            row_of[id(out.entry)] = len(entries)
-            entries.append(out.entry)
-            start.append(pos)
-            stop.append(n)
+    offered = np.flatnonzero(np.isin(labels, list(admit)))
+    offered_keys = _unit_rows(queries[offered], "cache key")
+    ents = entropies(logits[offered]).tolist()
+    positions = offered.tolist()
+    for row, entry, evicted in cache._admit_base(offered_keys, labels[offered].tolist(), ents):
+        pos = positions[row]
+        if evicted is not None:
+            stop[row_of[id(evicted)]] = pos
+        row_of[id(entry)] = len(entries)
+        entries.append(entry)
+        start.append(pos)
+        stop.append(n)
     if entries:
         keys = np.vstack([e.key for e in entries])
     else:
@@ -256,17 +312,20 @@ def schedule_admissions(cache: DualCache, queries, logits, class_ids, admit) -> 
                     np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
 
 
-def retrieve(queries, keys, values, class_ids, beta: float, live=None) -> np.ndarray:
-    """Adaptive scores B, shape (queries, classes), columns in ``class_ids``
-    order: ``B = (exp(-beta * (1 - clip(Q K^T))) * live) @ onehot(values)``.
+def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndarray]:
+    """Adaptive scores, one (queries, classes) array per value in ``betas``,
+    columns in ``class_ids`` order:
+    ``B = (exp(-beta * (1 - clip(Q K^T))) * live) @ onehot(values)``.
 
-    ``live`` (queries x entries, optional) masks the entries each query sees.
-    Every cached class must appear in ``class_ids``.
+    ``clip(Q K^T)`` and the one-hot value matrix are formed once for all
+    betas. ``live`` (queries x entries, optional) masks the entries each
+    query sees. Every cached class must appear in ``class_ids``.
     """
     queries = np.asarray(queries, dtype=np.float64)
     class_ids = np.asarray(class_ids, dtype=np.int64)
     if values.size == 0:
-        return np.zeros((queries.shape[0], class_ids.shape[0]), dtype=np.float64)
+        return [np.zeros((queries.shape[0], class_ids.shape[0]), dtype=np.float64)
+                for _ in betas]
     if keys.shape[1] != queries.shape[1]:
         raise DimMismatch(f"query dimension {queries.shape[1]} vs cache keys {keys.shape[1]}")
     onehot = values[:, None] == class_ids[None, :]
@@ -274,17 +333,22 @@ def retrieve(queries, keys, values, class_ids, beta: float, live=None) -> np.nda
     if missing.any():
         raise DimMismatch(
             f"cache holds class {int(values[missing][0])} missing from class order")
-    w = affinity(np.clip(queries @ keys.T, -1.0, 1.0), beta)
-    if live is not None:
-        w *= live
-    return w @ onehot.astype(np.float64)
+    onehot = onehot.astype(np.float64)
+    u = np.clip(queries @ keys.T, -1.0, 1.0)
+    out = []
+    for beta in betas:
+        w = affinity(u, beta)
+        if live is not None:
+            w *= live
+        out.append(w @ onehot)
+    return out
 
 
 def cache_scores(cache: DualCache, v, beta: float, class_ids) -> np.ndarray:
     """Adaptive score vector aligned to an explicit class-id order."""
     keys, values = cache.pooled()
     v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-    return retrieve(v, keys, values, class_ids, beta)[0]
+    return retrieve(v, keys, values, class_ids, [beta])[0][0]
 
 
 def fuse(a, b, alpha: float) -> np.ndarray:

@@ -108,6 +108,7 @@ class EmbeddingSet:
         for s in self.splits:
             if s not in SPLITS:
                 raise CorruptRecord(f"unknown split tag {s!r}")
+        _check_texts(self.class_names, "class_name", "record")
         if np.any(self.labels < 0) or np.any(self.tasks < 0):
             raise CorruptRecord("labels and task indices must be non-negative")
         spaces = {t: self.label_space(t) for t in self.task_ids()}
@@ -218,6 +219,14 @@ def _record_id(path, i: int, rec: dict, key: str) -> int:
     return value
 
 
+def _check_texts(values, key: str, where: str) -> None:
+    """Raise ``CorruptRecord`` at the first of ``values`` that is neither
+    None nor a string, named as the sidecar loaders name it."""
+    for i, value in enumerate(values):
+        if value is not None and not isinstance(value, str):
+            raise CorruptRecord(f"{where} {i} {key} must be a string, got {value!r}")
+
+
 def _record_text(path, i: int, rec: dict, key: str) -> str | None:
     """A sidecar record's optional text field: None when absent, else a string."""
     value = rec.get(key)
@@ -227,6 +236,7 @@ def _record_text(path, i: int, rec: dict, key: str) -> str | None:
 
 
 def save_embeddings(es: EmbeddingSet, path) -> None:
+    _check_texts(es.class_names, "class_name", f"{path}: sidecar record")
     sidecar = []
     for i in range(len(es)):
         rec = {"label": int(es.labels[i]), "task": int(es.tasks[i]), "split": es.splits[i]}
@@ -265,6 +275,7 @@ def save_prototypes(protos, path) -> None:
     protos = list(protos)
     if not protos:
         raise ValueError("empty prototype set")
+    _check_texts([p.prompt_text for p in protos], "prompt_text", f"{path}: sidecar record")
     dim = protos[0].vector.shape[0]
     matrix = np.vstack([p.vector for p in protos])
     sidecar = []

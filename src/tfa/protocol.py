@@ -15,6 +15,12 @@ sample's pseudo-label and entropy, so the base cache's whole insert/evict
 history is replayed first, giving every entry a live interval over stream
 positions, and then all samples are scored in one masked matrix product.
 
+Nor does admission depend on ``alpha`` or ``beta``. Configs that differ only
+in those two form one sweep cell, and a cell runs each (trial, session) once:
+one stream permutation, novel-shot ingestion, schedule, ``clip(Q K^T)`` and
+live mask, and cache summary, then one cache score per distinct ``beta`` and
+one fusion per config.
+
 Trial seeds derive from the experiment seed as
 ``derive_seed(seed, SCOPE_TRIAL, trial_index)`` and session streams as
 ``derive_seed(trial_seed, SCOPE_STREAM, session)``. The alignment scorer is
@@ -25,7 +31,8 @@ once per :func:`run_experiments` call, and all trials read that table.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -177,9 +184,10 @@ def _novel_shot_indices(task: TaskSpec, cid: int, cap: int, stream_seed: int):
     return tuple(idxs[int(j)] for j in perm[:cap])
 
 
-def stream_predictions(cache: DualCache, queries, logits, class_order, alpha: float,
-                       beta: float, admit) -> np.ndarray:
-    """Predicted class of every query of a stream, in stream order.
+def stream_predictions(cache: DualCache, queries, logits, class_order, settings,
+                       admit) -> list[np.ndarray]:
+    """Predicted class of every query of a stream, in stream order, once per
+    ``(alpha, beta)`` pair in ``settings``.
 
     Each query is predicted against the cache as it stands before the query
     itself is offered for base admission; queries whose pseudo-label is in
@@ -187,24 +195,39 @@ def stream_predictions(cache: DualCache, queries, logits, class_order, alpha: fl
     ``class_order``. ``cache`` is left in its end-of-stream state.
     """
     plan = schedule_admissions(cache, queries, logits, class_order, admit)
-    b = retrieve(queries, plan.keys, plan.values, class_order, beta,
-                 plan.live(queries.shape[0]))
-    return argmax_lowest_ids(fuse(_sigmoid(logits), b, alpha), class_order)
+    betas = list(dict.fromkeys(beta for _alpha, beta in settings))
+    b = dict(zip(betas, retrieve(queries, plan.keys, plan.values, class_order, betas,
+                                 plan.live(queries.shape[0]))))
+    a = _sigmoid(logits)
+    return [argmax_lowest_ids(fuse(a, b[beta], alpha), class_order)
+            for alpha, beta in settings]
+
+
+def _sweep_cell(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with ``alpha`` and ``beta`` zeroed: configs with the same cell
+    share every stream, novel shot and admission schedule."""
+    return replace(cfg, alpha=0.0, beta=0.0)
 
 
 def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
-                cfg: ExperimentConfig, stream_seed: int, score_table: np.ndarray,
+                cfgs, stream_seed: int, score_table: np.ndarray,
                 prior_tasks: list | None = None
-                ) -> tuple[SessionState, metrics.SessionReport]:
+                ) -> tuple[SessionState, list[metrics.SessionReport]]:
     """Run one session: reveal classes, ingest shots, stream the cumulative
-    test set, and report.
+    test set, and report once per config of ``cfgs``.
 
-    ``prior_tasks`` lists the already-run tasks; the evaluation set is their
-    test records and then ``task``'s, in task order. ``score_table`` holds
-    the frozen scorer's logits: rows the test records of tasks 0, 1, ... in
-    that order, columns the classes in reveal order. The evaluation set is
-    its first rows, so stream position i reads row ``order[i]``.
+    ``cfgs`` are one sweep cell: they may differ only in ``alpha`` and
+    ``beta``. ``prior_tasks`` lists the already-run tasks; the evaluation set
+    is their test records and then ``task``'s, in task order. ``score_table``
+    holds the frozen scorer's logits: rows the test records of tasks 0, 1,
+    ... in that order, columns the classes in reveal order. The evaluation
+    set is its first rows, so stream position i reads row ``order[i]``.
     """
+    cfgs = list(cfgs)
+    if not cfgs or len({_sweep_cell(c) for c in cfgs}) != 1:
+        raise ConfigError("a session runs one or more configs that differ "
+                          "only in alpha and beta")
+    cfg = cfgs[0]
     if task.index != state.session + 1:
         raise OutOfOrderSession(
             f"task {task.index} cannot run after session {state.session}")
@@ -230,34 +253,37 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
     recs = eval_indices[order]
     insert_base = cfg.base_update_policy == "always" or (
         task.index == 0 and cfg.base_update_policy == "session0_only")
-    preds = stream_predictions(state.cache, data.vectors[recs], score_table[order, :n_classes],
-                               class_order, cfg.alpha, cfg.beta,
-                               state.base_class_ids if insert_base else frozenset())
+    all_preds = stream_predictions(
+        state.cache, data.vectors[recs], score_table[order, :n_classes], class_order,
+        [(c.alpha, c.beta) for c in cfgs],
+        state.base_class_ids if insert_base else frozenset())
     truths = data.labels[recs].astype(np.int64)
-
-    a_b, a_n = metrics.split_accuracy(preds, truths, state.base_class_ids)
-    both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None
-    hm = metrics.harmonic(a_b, a_n) if (a_b is not None and a_n is not None) else None
     # Keys are decided here, as strings: the canonical JSON sorts them as
     # text ("10" before "2"), and that order is part of the report bytes.
     ids, inverse = np.unique(truths, return_inverse=True)
     n_per_class = np.bincount(inverse, minlength=ids.size)
-    hits = np.bincount(inverse[preds == truths], minlength=ids.size)
-    per_class = {str(c): [int(n), int(k)] for c, n, k in zip(ids, n_per_class, hits)}
-    report = metrics.SessionReport(
-        session=task.index,
-        n_test=n_eval,
-        n_classes=n_classes,
-        accuracy=metrics.accuracy(preds, truths),
-        base_accuracy=a_b,
-        novel_accuracy=a_n,
-        harmonic=hm,
-        both_zero=bool(both_zero),
-        per_class=per_class,
-        cache=state.cache.stats(),
-    )
+    stats = state.cache.stats()
+    reports = []
+    for preds in all_preds:
+        a_b, a_n = metrics.split_accuracy(preds, truths, state.base_class_ids)
+        both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None
+        hm = metrics.harmonic(a_b, a_n) if (a_b is not None and a_n is not None) else None
+        hits = np.bincount(inverse[preds == truths], minlength=ids.size)
+        reports.append(metrics.SessionReport(
+            session=task.index,
+            n_test=n_eval,
+            n_classes=n_classes,
+            accuracy=metrics.accuracy(preds, truths),
+            base_accuracy=a_b,
+            novel_accuracy=a_n,
+            harmonic=hm,
+            both_zero=bool(both_zero),
+            per_class={str(c): [int(n), int(k)]
+                       for c, n, k in zip(ids, n_per_class, hits)},
+            cache=stats,
+        ))
     state.session = task.index
-    return state, report
+    return state, reports
 
 
 def train_base_alignment(hyper: TrainConfig, data: EmbeddingSet, prototypes
@@ -294,11 +320,14 @@ def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
 
 def run_experiments(cfgs, data: EmbeddingSet, prototypes,
                     alignment: RelationParams) -> list[metrics.ExperimentReport]:
-    """One report per config, each equal to ``run_experiment``'s for it.
+    """One report per config, in input order, each equal to
+    ``run_experiment``'s for it.
 
     The frozen scorer's logits for a (test sample, class) pair depend on no
     experiment setting, so the whole test set is scored against every
-    prototype once and all configs' trials read that one table.
+    prototype once and all configs' trials read that one table. Configs
+    that differ only in ``alpha`` and ``beta`` form one sweep cell and run
+    every (trial, session) together (:func:`run_session`).
     """
     cfgs = list(cfgs)
     tasks = _checked_tasks(cfgs, data)
@@ -310,34 +339,43 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
     all_test = np.concatenate([np.array(t.test_indices, dtype=np.int64) for t in tasks])
     table = score_matrix(alignment, data.vectors[all_test], proto_mat)
 
-    before = _param_bytes(alignment)
-    reports = []
-    for cfg in cfgs:
-        trials = []
-        for i in range(cfg.trials):
-            trial_seed = derive_seed(cfg.seed, SCOPE_TRIAL, i)
-            state = SessionState(DualCache(cfg.capacity, cfg.effective_novel_capacity(),
-                                           cfg.base_update_policy))
-            sessions = []
+    before = _param_digest(alignment)
+    cells: dict[ExperimentConfig, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        cells.setdefault(_sweep_cell(cfg), []).append(i)
+    trials = [[] for _ in cfgs]
+    for cell, members in cells.items():
+        group = [cfgs[i] for i in members]
+        for t in range(cell.trials):
+            trial_seed = derive_seed(cell.seed, SCOPE_TRIAL, t)
+            state = SessionState(DualCache(cell.capacity, cell.effective_novel_capacity(),
+                                           cell.base_update_policy))
+            sessions = [[] for _ in members]
             for task in tasks:
                 stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
-                state, rep = run_session(state, task, data, cfg, stream_seed, table,
-                                         prior_tasks=tasks[:task.index])
-                sessions.append(rep)
-            trials.append(metrics.TrialResult(seed=trial_seed, sessions=sessions))
-        aggs, dlt, hm = metrics.aggregate_trials(trials)
+                state, reps = run_session(state, task, data, group, stream_seed, table,
+                                          prior_tasks=tasks[:task.index])
+                for per_cfg, rep in zip(sessions, reps):
+                    per_cfg.append(rep)
+            for i, per_cfg in zip(members, sessions):
+                trials[i].append(metrics.TrialResult(seed=trial_seed, sessions=per_cfg))
+    if _param_digest(alignment) != before:
+        raise ValidationError("alignment parameters changed during inference")
+    reports = []
+    for cfg, cfg_trials in zip(cfgs, trials):
+        aggs, dlt, hm = metrics.aggregate_trials(cfg_trials)
         reports.append(metrics.ExperimentReport(
             config={"experiment": cfg.to_dict(), "data_provenance": data.provenance},
             flags={"no_cache_baseline": cfg.alpha == 0.0},
-            trials=trials,
+            trials=cfg_trials,
             aggregate=aggs,
             delta=dlt,
             mean_harmonic=hm,
         ))
-    if _param_bytes(alignment) != before:
-        raise ValidationError("alignment parameters changed during inference")
     return reports
 
 
-def _param_bytes(params: RelationParams) -> bytes:
-    return b"".join(a.tobytes() for a in (*params.weights, *params.biases))
+def _param_digest(params: RelationParams) -> tuple:
+    """CRC-32 of every parameter array, read in place, so that the check
+    holds no copy of the scorer while the experiment runs."""
+    return tuple(zlib.crc32(a) for a in (*params.weights, *params.biases))

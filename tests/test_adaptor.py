@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from tfa.adaptor import (
     argmax_lowest_id,
     argmax_lowest_ids,
     cache_scores,
+    entropies,
     fuse,
     pseudo_label,
     retrieve,
+    schedule_admissions,
 )
 from tfa.alignment import _sigmoid, init_relation, score_matrix
 from tfa.errors import DimMismatch, ShotCapacityExceeded
@@ -56,6 +59,92 @@ def test_pseudo_label_tie_goes_to_lowest_class_id():
 def test_pseudo_label_single_class():
     cls, h = pseudo_label(*row([2.5]))
     assert cls == 0 and h == 0.0
+
+
+# ---- batched entropies: the scalar functions' bytes, row by row ----
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _assert_scalar_bytes(block):
+    """Every row of ``entropies(block)`` is ``entropy(softmax(row))``'s bytes."""
+    got = entropies(block)
+    want = np.array([entropy(softmax(r)) for r in np.asarray(block)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    bad = [i for i in range(len(want)) if got[i:i + 1].tobytes() != want[i:i + 1].tobytes()]
+    assert bad == [], f"rows {bad[:5]}: {got[bad[:5]]} vs {want[bad[:5]]}"
+
+
+@pytest.mark.parametrize("width", range(1, 301))
+def test_entropies_equal_the_scalar_functions_at_every_width(width):
+    # numpy's pairwise sum regroups at 8 and at 128 terms, so every width
+    # up to 300 is its own case.
+    stream = Stream(1000 + width)
+    rows = [scale * stream.normal(width) + shift
+            for scale, shift in ((1e-3, 0.0), (0.3, -2.5), (1.0, 0.0), (4.0, 1.0), (30.0, 0.0))
+            for _ in range(4)]
+    ties = [np.zeros(width), np.full(width, -2.0)]
+    if width > 1:
+        top = np.round(stream.normal(width), 1)
+        top[[0, -1]] = top.max() + 1.0          # the maximum, twice
+        ties.append(top)
+    block = np.vstack(rows + ties)
+    _assert_scalar_bytes(block)
+    # the layout of the block does not move a row's bytes
+    _assert_scalar_bytes(np.asfortranarray(block))
+    _assert_scalar_bytes(np.hstack([block, block])[:, ::2])
+    if width > 1:
+        # a spread that underflows probabilities to 0 takes the scalar path
+        under = block[:4].copy()
+        under[:, -1] -= 1e4
+        under[1, : width // 2] -= 800.0
+        assert all(np.any(softmax(r) == 0.0) for r in under)
+        _assert_scalar_bytes(np.vstack([under, block]))
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    """The benchmark's seed-0, -207 and -603 worlds and scorers (synth shape
+    and scorer set-up from ``bench/run.py``): each 700 x 35 score table."""
+    import sys
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run as bench_run
+    finally:
+        sys.path.remove(str(BENCH))
+    from tfa.alignment import TrainConfig
+    from tfa.protocol import build_tasks, train_base_alignment
+    from tfa.synth import SynthConfig, generate_synthetic
+
+    tables = {}
+    for seed in (0, 207, 603):
+        data, protos = generate_synthetic(SynthConfig(**bench_run.SYNTH, seed=seed))
+        hyper = TrainConfig.from_dict({**bench_run.SCORER_ALIGN, "seed": seed})
+        scorer, _ = train_base_alignment(hyper, data, protos)
+        tasks = build_tasks(data)
+        by_id = {p.class_id: p.vector for p in protos}
+        order = [c for t in tasks for c in sorted(t.class_ids)]
+        test = [i for t in tasks for i in t.test_indices]
+        tables[seed] = score_matrix(scorer, data.vectors[test],
+                                    np.stack([by_id[c] for c in order]))
+    return tables
+
+
+@pytest.mark.parametrize("seed", [0, 207, 603])
+def test_entropies_equal_the_scalar_functions_on_bench_tables(bench_tables, seed):
+    table = bench_tables[seed]
+    assert table.shape == (700, 35)
+    for n_classes in (20, 25, 30, 35):        # the session widths a stream reads
+        _assert_scalar_bytes(table[:, :n_classes])
+
+
+def test_entropies_reject_what_the_scalar_functions_reject():
+    for bad in ([0.0, np.inf], [np.nan, 1.0], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            entropies(np.array([[0.5, 0.5], bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            pseudo_label(np.array(bad), np.arange(2))
 
 
 # ---- base cache ----
@@ -102,6 +191,22 @@ def test_higher_entropy_is_rejected_at_capacity():
     cache.try_insert_base(unit(4, 0), *_row_with_entropy(1, 3, 5.0))
     out = cache.try_insert_base(unit(4, 1), *_row_with_entropy(1, 3, 0.5))
     assert out.kind == "rejected"
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.6, 0.6, 0.6]])
+def test_every_insert_path_rejects_a_key_that_is_not_unit_norm(bad):
+    logits, ids = _row_with_entropy(0, 3, 2.0)
+    good = unit(3, 0)
+    cache = DualCache(capacity=2, shots=2)
+    with pytest.raises(ValueError, match="cache key must be unit-norm"):
+        cache.insert_novel(np.array(bad), 1)
+    with pytest.raises(ValueError, match="cache key must be unit-norm"):
+        cache.try_insert_base(np.array(bad), logits, ids)
+    # a batch is checked whole before the cache changes
+    with pytest.raises(ValueError, match="cache key must be unit-norm"):
+        schedule_admissions(cache, np.stack([good, np.array(bad)]), np.stack([logits, logits]),
+                            ids, frozenset({0}))
+    assert len(cache) == 0
 
 
 # ---- novel cache ----
@@ -203,7 +308,7 @@ def _predict(cache, v, logits, alpha, beta):
     """Fused scores and predicted class of one query; the cache is not updated."""
     ids = np.arange(logits.shape[1])
     z = fuse(_sigmoid(logits[0]), cache_scores(cache, v, beta, ids), alpha)
-    pred = stream_predictions(cache, v[None, :], logits, ids, alpha, beta, frozenset())
+    (pred,) = stream_predictions(cache, v[None, :], logits, ids, [(alpha, beta)], frozenset())
     assert pred.shape == (1,) and pred[0] == argmax_lowest_id(z, ids)
     return z, int(pred[0])
 
@@ -346,7 +451,7 @@ def test_retrieve_rows_match_single_query_scores():
             cache.insert_novel(make_unit(stream, 6), cls)
     queries = np.stack([make_unit(stream, 6) for _ in range(5)])
     keys, values = cache.pooled()
-    batch = retrieve(queries, keys, values, [7, 4, 1, 0], 1.5)
+    (batch,) = retrieve(queries, keys, values, [7, 4, 1, 0], [1.5])
     # batched and single-query products, and the per-entry scatter-add, sum
     # in different orders: equal to float64 rounding, not bit for bit
     for q, row in zip(queries, batch):
@@ -357,7 +462,7 @@ def test_retrieve_rows_match_single_query_scores():
     # a live mask drops exactly the masked entries
     live = np.ones((5, len(values)), dtype=bool)
     live[:, values == 4] = False
-    masked = retrieve(queries, keys, values, [7, 4, 1, 0], 1.5, live)
+    (masked,) = retrieve(queries, keys, values, [7, 4, 1, 0], [1.5], live)
     assert np.all(masked[:, 1] == 0.0)
     np.testing.assert_array_equal(masked[:, [0, 2]], batch[:, [0, 2]])
 

@@ -269,6 +269,31 @@ def test_ablate_writes_the_same_bytes_as_one_run_per_value(workspace, monkeypatc
         "6d6d31d1870a9c5765c819abc5767d2002b1002a43a19c75a88fa70ab5e9360c"
 
 
+def test_cli_streams_never_take_the_one_row_admission_path(workspace, monkeypatch):
+    # SHA-256s recorded while every stream query was still offered one row
+    # at a time. The one-row names must now stay off the CLI's path.
+    import tfa.adaptor
+
+    def one_row(*args, **kwargs):
+        raise AssertionError("one-row admission path called")
+
+    monkeypatch.setattr(tfa.adaptor.DualCache, "try_insert_base", one_row)
+    for name in ("pseudo_label", "argmax_lowest_id"):
+        monkeypatch.setattr(tfa.adaptor, name, one_row)
+    monkeypatch.setattr(tfa, "pseudo_label", one_row)
+    root, _, _, _ = workspace
+    monkeypatch.chdir(root)
+    assert main(["ablate", "--tasks", "tasks", "--align", "scorer.aln", "--config", "run.json",
+                 "--sweep", "alpha", "--values", "0,0.5,1,2,3", "--out", "alpha.json"]) == 0
+    assert main(["run", "--tasks", "tasks", "--align", "scorer.aln", "--config", "run.json",
+                 "--base-update-policy", "always", "--out", "always.json"]) == 0
+    assert {f: hashlib.sha256((root / f).read_bytes()).hexdigest()
+            for f in ("alpha.json", "always.json")} == {
+        "alpha.json": "1ad2fc11ae8cae79c44eef898b8b8e0d294f815432bccc0ca4ba60f4e2f3ef33",
+        "always.json": "e50344d69907265469178a90a4aca1d9ea93a3c42bd3d8a2cc7a02aac5d48179",
+    }
+
+
 WIDE_SYNTH = {
     "dim": 32, "base_classes": 6, "novel_tasks": 2, "classes_per_novel_task": 3,
     "train_per_base_class": 10, "test_per_class": 4, "shots": 3,

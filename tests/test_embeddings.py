@@ -228,3 +228,39 @@ def test_validate_rejects_a_column_that_is_not_an_n_array(column):
         setattr(es, column, bad)
         with pytest.raises(DimMismatch, match=column):
             es.validate()
+
+
+BAD_NAMES = [5, 2.5, ["a", "b"], {"x": 1}, b"chair"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=repr)
+def test_validate_rejects_a_class_name_that_is_not_a_string(name):
+    es = _tiny_set()
+    es.class_names[2] = name
+    with pytest.raises(CorruptRecord, match=f"record 2 class_name must be a string, got "):
+        es.validate()
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=repr)
+def test_save_embeddings_writes_no_class_name_its_loader_rejects(tmp_path, name):
+    es = _tiny_set()
+    es.class_names[2] = name
+    path = tmp_path / "set.emb"
+    with pytest.raises(CorruptRecord) as raised:
+        save_embeddings(es, path)
+    assert str(raised.value) == \
+        f"{path}: sidecar record 2 class_name must be a string, got {name!r}"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", [7, 1.5, ["a chair"], {"x": 1}], ids=repr)
+def test_save_prototypes_writes_no_prompt_text_its_loader_rejects(tmp_path, text):
+    protos = [ClassPrototype(3, l2_normalize([1.0, 2.0, 2.0]), "a chair"),
+              ClassPrototype(7, l2_normalize([0.0, 1.0, 0.0]), text)]
+    path = tmp_path / "protos.emb"
+    with pytest.raises(CorruptRecord) as raised:
+        save_prototypes(protos, path)
+    # the same words the loader uses for a sidecar holding this value
+    assert str(raised.value) == \
+        f"{path}: sidecar record 1 prompt_text must be a string, got {text!r}"
+    assert not path.exists()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from tfa.errors import (
     DisjointnessViolation,
     OutOfOrderSession,
     ShotCountMismatch,
+    ValidationError,
 )
 from tfa.metrics import report_json
 from tfa.protocol import (
@@ -163,14 +165,14 @@ def test_sessions_must_run_in_order(small_world, small_table):
     tasks = build_tasks(data)
     state = SessionState(DualCache(5, 5))
     with pytest.raises(OutOfOrderSession):
-        run_session(state, tasks[1], data, exp, 1, small_table)
+        run_session(state, tasks[1], data, [exp], 1, small_table)
 
 
 def test_session_zero_has_no_novel_side(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
     state = SessionState(DualCache(5, 5))
-    state, rep = run_session(state, tasks[0], data, exp, 1, small_table)
+    state, (rep,) = run_session(state, tasks[0], data, [exp], 1, small_table)
     assert rep.session == 0
     assert rep.novel_accuracy is None and rep.harmonic is None
     assert rep.n_test == len(tasks[0].test_indices)
@@ -186,8 +188,8 @@ def test_cumulative_eval_set_size(small_world, small_table):
     state = SessionState(DualCache(5, 5))
     sizes = []
     for t, task in enumerate(tasks):
-        state, rep = run_session(state, task, data, exp, t, small_table,
-                                 prior_tasks=tasks[:t])
+        state, (rep,) = run_session(state, task, data, [exp], t, small_table,
+                                    prior_tasks=tasks[:t])
         sizes.append(rep.n_test)
     expected = np.cumsum([len(t.test_indices) for t in tasks]).tolist()
     assert sizes == expected
@@ -199,7 +201,7 @@ def test_alignment_params_never_change_after_base(small_world, small_table):
     before = [w.copy() for w in alignment.weights]
     state = SessionState(DualCache(5, 5))
     for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, exp, t, small_table,
+        state, _ = run_session(state, task, data, [exp], t, small_table,
                                prior_tasks=tasks[:t])
     for a, b in zip(alignment.weights, before):
         np.testing.assert_array_equal(a, b)
@@ -212,7 +214,7 @@ def test_class_order_is_append_only(small_world, small_table):
     state = SessionState(DualCache(5, 5))
     orders = []
     for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, exp, t, small_table,
+        state, _ = run_session(state, task, data, [exp], t, small_table,
                                prior_tasks=tasks[:t])
         orders.append(list(state.class_order))
     for earlier, later in zip(orders, orders[1:]):
@@ -336,37 +338,106 @@ def test_run_experiments_validates_every_config_before_scoring(small_world, monk
     assert calls == []
 
 
+def test_a_scorer_changed_during_inference_is_rejected(small_world, monkeypatch):
+    cfg, data, protos, exp, alignment = small_world
+    scorer = copy.deepcopy(alignment)
+    w = scorer.weights[1]
+    real, done = tfa.protocol.run_session, []
+    def tampering(*args, **kwargs):
+        if not done:
+            w.flags.writeable = True
+            w[3, 2] = np.nextafter(w[3, 2], np.inf)      # one ulp of one weight
+            done.append(True)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tfa.protocol, "run_session", tampering)
+    with pytest.raises(ValidationError, match="alignment parameters changed during inference"):
+        run_experiment(dataclasses.replace(exp, trials=1), data, protos, scorer)
+
+
 # ---- schedule-then-score against the per-sample loop ----
 
 def _recording(stream, log):
     def recorded(cache, *args):
         preds = stream(cache, *args)
-        log.append((preds.tolist(), cache.audit()))
+        log.append(([p.tolist() for p in preds], cache.audit()))
         return preds
     return recorded
+
+
+def _per_sample_loop(cache, queries, logits, class_order, settings, admit):
+    """The per-sample oracle, for a stream run for one config alone."""
+    ((alpha, beta),) = settings
+    return [ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, admit)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("policy", ["off", "session0_only", "always"])
 def test_stream_matches_the_per_sample_loop(small_world, monkeypatch, policy, seed):
+    # One grouped run_experiments call against the per-sample loop run for
+    # each config alone: per-sample predictions, the cache audit after every
+    # session, and the report bytes.
     cfg, data, protos, exp, alignment = small_world
     cfgs = [ExperimentConfig.from_dict(
                 {**exp.to_dict(), "base_update_policy": policy, "capacity": capacity,
                  "alpha": alpha, "beta": beta, "seed": seed, "trials": 2})
             for capacity in (1, 3, 10) for alpha in (0.0, 2.0) for beta in (0.0, 2.0)]
-    runs = {}
-    for name, stream in (("batched", tfa.protocol.stream_predictions),
-                         ("loop", ref_stream_predictions)):
-        log = []
-        monkeypatch.setattr(tfa.protocol, "stream_predictions", _recording(stream, log))
-        runs[name] = ([report_json(r) for r in run_experiments(cfgs, data, protos,
-                                                               alignment)], log)
-    (reports, streams), (ref_reports, ref_streams) = runs["batched"], runs["loop"]
-    assert len(streams) == len(cfgs) * 2 * 3
-    for (preds, audit), (ref_preds, ref_audit) in zip(streams, ref_streams):
-        assert preds == ref_preds
-        assert audit == ref_audit
+    batched = tfa.protocol.stream_predictions
+    grouped = []
+    monkeypatch.setattr(tfa.protocol, "stream_predictions", _recording(batched, grouped))
+    reports = [report_json(r) for r in run_experiments(cfgs, data, protos, alignment)]
+    ref_reports, ref_streams = [], []
+    for c in cfgs:
+        ref_streams.append([])
+        monkeypatch.setattr(tfa.protocol, "stream_predictions",
+                            _recording(_per_sample_loop, ref_streams[-1]))
+        ref_reports.append(report_json(run_experiment(c, data, protos, alignment)))
+    # one cell per capacity, in input order, each running 2 trials x 3 sessions
+    assert len(grouped) == 3 * 2 * 3
+    for i, ref in enumerate(ref_streams):
+        cell, member = divmod(i, 4)
+        calls = grouped[cell * 6:(cell + 1) * 6]
+        assert len(ref) == len(calls) == 6
+        for (preds, audit), ([ref_preds], ref_audit) in zip(calls, ref):
+            assert preds[member] == ref_preds
+            assert audit == ref_audit
     assert reports == ref_reports
+
+
+# ---- one schedule per sweep cell ----
+
+def test_sweep_cells_share_one_schedule_and_keep_input_order(small_world, monkeypatch):
+    cfg, data, protos, exp, alignment = small_world
+    base = dataclasses.replace(exp, base_update_policy="always", trials=2)
+    settings = [(3, 0.5, 2.0), (5, 2.0, 2.0), (3, 2.0, 0.0), (5, 0.5, 7.5),
+                (3, 0.5, 2.0), (5, 0.0, 2.0), (3, 2.0, 2.0), (3, 0.5, 0.0)]
+    cfgs = [dataclasses.replace(base, capacity=c, alpha=a, beta=b) for c, a, b in settings]
+    singles = [report_json(run_experiment(c, data, protos, alignment)) for c in cfgs]
+    schedules, betas = [], []
+    real_schedule, real_retrieve = tfa.protocol.schedule_admissions, tfa.protocol.retrieve
+    def schedule(cache, *args):
+        schedules.append(cache.capacity)
+        return real_schedule(cache, *args)
+    def retrieve_(queries, keys, values, class_ids, bs, live=None):
+        betas.append(list(bs))
+        return real_retrieve(queries, keys, values, class_ids, bs, live)
+    monkeypatch.setattr(tfa.protocol, "schedule_admissions", schedule)
+    monkeypatch.setattr(tfa.protocol, "retrieve", retrieve_)
+    grouped = [report_json(r) for r in run_experiments(cfgs, data, protos, alignment)]
+    assert grouped == singles
+    # two cells (capacity 3, then 5), each one schedule per trial and session,
+    # and one cache score per distinct beta of the cell
+    assert schedules == [3] * 6 + [5] * 6
+    assert betas == [[2.0, 0.0]] * 6 + [[2.0, 7.5]] * 6
+    assert grouped[0] == grouped[4]
+
+
+def test_a_session_runs_configs_of_one_sweep_cell_only(small_world, small_table):
+    cfg, data, protos, exp, alignment = small_world
+    tasks = build_tasks(data)
+    for cfgs in ([], [exp, dataclasses.replace(exp, capacity=2)],
+                 [exp, dataclasses.replace(exp, alpha=0.5, seed=4)]):
+        with pytest.raises(ConfigError, match="differ only in alpha and beta"):
+            run_session(SessionState(DualCache(5, 5)), tasks[0], data, cfgs, 1, small_table)
 
 
 def test_query_that_evicts_an_entry_still_sees_it():
@@ -380,7 +451,7 @@ def test_query_that_evicts_an_entry_still_sees_it():
     assert plan.start.tolist() == [0, 1] and plan.stop.tolist() == [1, 3]
     assert plan.live(3).tolist() == [[False, False], [True, False], [False, True]]
     np.testing.assert_array_equal(cache.base_entries(0)[0].key, e[1])
-    b = retrieve(queries, plan.keys, plan.values, [0, 1], 2.0, plan.live(3))
+    (b,) = retrieve(queries, plan.keys, plan.values, [0, 1], [2.0], plan.live(3))
     # query 1 sees the entry it evicts (key e0, cosine 0), not its own (e1)
     assert b[:, 0].tolist() == [0.0, np.exp(-2.0), 1.0]
     assert b[:, 1].tolist() == [0.0, 0.0, 0.0]
