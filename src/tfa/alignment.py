@@ -21,6 +21,12 @@ bytes depend on neither the other rows in its block (of two or more) nor
 the BLAS thread count; at some other widths they do (ROADMAP item 4).
 Adam runs over cache-sized blocks of each parameter.
 
+Training updates the given scorer in place through one workspace, an
+activation and a delta buffer of ``batch_size × C`` rows per hidden layer
+(the delta buffer is the forward LeakyReLU's temp). The backward gate
+multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
+the masked multiply ``where=~g``'s bytes without its short masked runs.
+
 Checkpoint format "ALN1" (little-endian):
 
     bytes 0..3  magic "ALN1"
@@ -41,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, check_unique_ids
 from .errors import (
     BadMagic,
     ConfigError,
@@ -60,9 +66,9 @@ ALN_MAGIC = b"ALN1"
 DEFAULT_HIDDEN = (2048, 1024)
 DEFAULT_SLOPE = 0.01
 
-# Adam updates each parameter in blocks of about this many elements (256 KB),
-# so that its eleven passes over a block stay in cache.
-_ADAM_BLOCK = 1 << 15
+# Adam and the backward gate work in blocks of about this many elements
+# (256 KB), so that their passes over a block stay in cache.
+_BLOCK = 1 << 15
 
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
@@ -183,23 +189,45 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = np.sqrt(6.0 / fan_in)
-        u = Stream(derive_seed(seed, SCOPE_INIT, i)).uniform(fan_in * fan_out)
-        weights.append(((2.0 * u - 1.0) * bound).reshape(fan_in, fan_out))
+        w = Stream(derive_seed(seed, SCOPE_INIT, i)).uniform(fan_in * fan_out)
+        w *= 2.0
+        w -= 1.0
+        w *= bound
+        weights.append(w.reshape(fan_in, fan_out))
         biases.append(np.zeros(fan_out, dtype=np.float64))
     return RelationParams(weights, biases, slope, m)
 
 
-def _leaky_relu_(z: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit.
+def _leaky_relu_(z: np.ndarray, slope: float, tmp: np.ndarray | None = None) -> np.ndarray:
+    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit, with
+    ``slope*z`` in ``tmp`` or, if None, a new array.
 
     Rounding is monotone, so for ``0 <= slope <= 1`` the larger of ``z`` and
     ``slope*z`` is that value, and for ``slope > 1`` the smaller is; this holds
     for signed zeros and NaN too. The one exception is an overflowed ``+inf``
     at slope 0, where ``0*inf`` is NaN.
     """
+    scaled = np.multiply(z, slope, out=tmp)
     if slope <= 1.0:
-        return np.maximum(z, slope * z, out=z)
-    return np.minimum(z, slope * z, out=z)
+        return np.maximum(z, scaled, out=z)
+    return np.minimum(z, scaled, out=z)
+
+
+def _gate_(delta: np.ndarray, h: np.ndarray, slope: float) -> np.ndarray:
+    """``delta *= 1 if h > 0 else slope`` in place, one block of rows at a
+    time; the factor and ``x*1 == x`` (NaN too) make it the masked multiply's
+    bytes."""
+    rows = _block_rows(delta)
+    for r in range(0, delta.shape[0], rows):
+        g = h[r:r + rows] > 0.0
+        delta[r:r + rows] *= ~g * slope + g
+    return delta
+
+
+def _workspace(params: RelationParams, rows: int) -> list:
+    """One activation and one delta buffer of ``rows`` rows per hidden layer."""
+    return [(np.empty((rows, w.shape[1])), np.empty((rows, w.shape[1])))
+            for w in params.weights[:-1]]
 
 
 def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
@@ -215,29 +243,39 @@ def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False):
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, ws=None):
     """Logits for every pair of the samples whose first-layer half is ``a``
-    with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
+    with every prototype in ``cp``, and the hidden activations ``acts``;
+    row ``b*C + c`` is pair ``(b, c)`` and ``acts[i]`` is layer ``i + 1``'s
+    input.
 
-    With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
-    ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
-    exactly when its pre-activation is, so ``acts`` also serves as the
-    backward gate. The last layer is a row reduction, not a fan-out-1 gemv;
-    the module docstring states when a row's logit is then independent of
-    the other rows and of BLAS threads.
+    Hidden layer ``i`` writes its activations to the first ``B*C`` rows of
+    ``ws[i][0]`` and uses ``ws[i][1]`` as the LeakyReLU's temp (the last
+    one also for the last layer's products). Without a workspace, as in
+    ``score_matrix``, each layer allocates its activations and its temps
+    are transient, which keeps a table block's peak memory at two layers'
+    worth. For ``slope >= 0`` a hidden activation is positive exactly when
+    its pre-activation is, so ``acts`` also serves as the backward gate. The
+    last layer is a row reduction, not a fan-out-1 gemv; the module
+    docstring states when a row's logit is then independent of the other
+    rows and of BLAS threads.
     """
-    z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
+    b, c = a.shape[0], cp.shape[0]
+    n = b * c
     acts = []
-    last = len(params.weights) - 1
-    for i in range(1, last + 1):
-        h = _leaky_relu_(z, params.slope)
-        if keep:
-            acts.append(h)
-        w, b = params.weights[i], params.biases[i]
-        z = h @ w if i < last else (h * w[:, 0]).sum(axis=1, keepdims=True)
-        z += b
-    logits = z[:, 0]
-    return (logits, acts) if keep else logits
+    for i, w in enumerate(params.weights[:-1]):
+        h, tmp = (np.empty((n, w.shape[1])), None) if ws is None else (x[:n] for x in ws[i])
+        if i == 0:
+            np.add(a[:, None, :], cp[None, :, :], out=h.reshape(b, c, h.shape[1]))
+        else:
+            np.matmul(acts[-1], w, out=h)
+            h += params.biases[i]
+        acts.append(_leaky_relu_(h, params.slope, tmp))
+    if not acts:
+        return (a[:, None, :] + cp[None, :, :]).reshape(n), acts
+    logits = np.multiply(acts[-1], params.weights[-1][:, 0], out=tmp).sum(axis=1)
+    logits += params.biases[-1]
+    return logits, acts
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -259,7 +297,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     step = max(1, chunk // max(c, 1))
     out = np.empty((vs.shape[0], c), dtype=np.float64)
     for s0 in range(0, vs.shape[0], step):
-        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp).reshape(-1, c)
+        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp)[0].reshape(-1, c)
     return out
 
 
@@ -268,26 +306,31 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                  targets: np.ndarray) -> tuple[float, Gradients]:
+                  targets: np.ndarray, workspace=None) -> tuple[float, Gradients]:
     """Mean batch loss and its exact gradient.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
-    are 1/(B*C) times the sum of per-pair terms.
+    are 1/(B*C) times the sum of per-pair terms. Activations and deltas go
+    to ``workspace`` (B*C rows or more), or to a new one.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     if vs.shape[0] == 0:
         raise EmptyTrainSet("empty batch")
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("batch dimension does not match the scorer")
     b, c = vs.shape[0], protos.shape[0]
+    if targets.shape != (b,) or targets.dtype.kind not in "iu" \
+            or np.any((targets < 0) | (targets >= c)):
+        raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
     t = np.zeros((b, c), dtype=np.float64)
     t[np.arange(b), targets] = 1.0
     t = t.reshape(-1)
 
-    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True)
+    ws = _workspace(params, b * c) if workspace is None else workspace
+    logits, acts = _forward(params, *_first_layer(params, vs, protos), ws)
     loss = float(_bce_elementwise(logits, t).mean())
 
     d_weights = [None] * len(params.weights)
@@ -296,10 +339,8 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     for i in range(len(params.weights) - 1, 0, -1):
         d_weights[i] = acts[i - 1].T @ delta
         d_biases[i] = delta.sum(axis=0)
-        # The LeakyReLU derivative is 1 where the activation is positive
-        # and slope elsewhere; multiplying by 1 is exact, so skip it.
-        delta = delta @ params.weights[i].T
-        np.multiply(delta, params.slope, out=delta, where=~(acts[i - 1] > 0.0))
+        delta = np.matmul(delta, params.weights[i].T, out=ws[i - 1][1][:b * c])
+        _gate_(delta, acts[i - 1], params.slope)
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over samples.
     per_pair = delta.reshape(b, c, -1)
@@ -314,7 +355,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
     arrays = (*params.weights, *params.biases)
-    block = max(_adam_rows(a) * (a.size // a.shape[0]) for a in arrays)
+    block = max(_block_rows(a) * (a.size // a.shape[0]) for a in arrays)
     return AdamState(
         lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
         m_weights=[np.zeros_like(w) for w in params.weights],
@@ -325,9 +366,9 @@ def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
     )
 
 
-def _adam_rows(a: np.ndarray) -> int:
-    """Leading-axis rows of ``a`` per Adam block of about ``_ADAM_BLOCK`` elements."""
-    return max(1, _ADAM_BLOCK // (a.size // a.shape[0]))
+def _block_rows(a: np.ndarray) -> int:
+    """Leading-axis rows of ``a`` per block of about ``_BLOCK`` elements."""
+    return max(1, _BLOCK // (a.size // a.shape[0]))
 
 
 def adam_step(params: RelationParams, state: AdamState, grads: Gradients
@@ -344,7 +385,7 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
         *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
         *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
     ):
-        rows = _adam_rows(arrays[0])
+        rows = _block_rows(arrays[0])
         for r in range(0, arrays[0].shape[0], rows):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
             # in the order that formula evaluates, through two scratch
@@ -369,11 +410,12 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
 def train_alignment(params: RelationParams, train_set: EmbeddingSet,
                     prototypes, hyper: TrainConfig | None = None
                     ) -> tuple[RelationParams, list[float]]:
-    """Train on the base task and freeze; returns per-epoch mean losses.
+    """Train ``params`` in place on the base task and freeze it; returns it
+    and the per-epoch mean losses.
 
     The sample order is reshuffled each epoch with the stream seeded by
     ``derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)``; the trailing partial
-    batch is used, not dropped.
+    batch is used, not dropped. Every step shares one workspace.
     """
     hyper = hyper or TrainConfig()
     if len(train_set) == 0:
@@ -384,6 +426,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
         raise ValidationError("alignment training set must contain train-split records only")
 
     protos = sorted(prototypes, key=lambda p: p.class_id)
+    check_unique_ids([p.class_id for p in protos], "prototypes")
     id_to_idx = {p.class_id: i for i, p in enumerate(protos)}
     missing = sorted(set(int(y) for y in train_set.labels) - set(id_to_idx))
     if missing:
@@ -391,22 +434,22 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     proto_mat = np.vstack([p.vector for p in protos])
     targets = np.array([id_to_idx[int(y)] for y in train_set.labels], dtype=np.int64)
 
-    work = params.copy()
-    state = adam_init(work, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
+    state = adam_init(params, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
                       epsilon=hyper.epsilon)
     n = len(train_set)
+    ws = _workspace(params, min(n, hyper.batch_size) * proto_mat.shape[0])
     history = []
     for epoch in range(hyper.epochs):
         order = Stream(derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)).permutation(n)
         total = 0.0
         for start in range(0, n, hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            loss, grads = loss_and_grad(work, train_set.vectors[batch], proto_mat,
-                                        targets[batch])
+            loss, grads = loss_and_grad(params, train_set.vectors[batch], proto_mat,
+                                        targets[batch], workspace=ws)
             total += loss * batch.shape[0]
-            adam_step(work, state, grads)
+            adam_step(params, state, grads)
         history.append(total / n)
-    return work.freeze(), history
+    return params.freeze(), history
 
 
 # ---- checkpoint I/O ----

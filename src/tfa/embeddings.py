@@ -271,10 +271,20 @@ def load_embeddings(path) -> EmbeddingSet:
     return es
 
 
+def check_unique_ids(ids, where: str) -> None:
+    """Raise ``DuplicateClassId`` at the first class id in ``ids`` seen before."""
+    seen = set()
+    for cid in ids:
+        if cid in seen:
+            raise DuplicateClassId(f"{where}: class id {cid} appears twice")
+        seen.add(cid)
+
+
 def save_prototypes(protos, path) -> None:
     protos = list(protos)
     if not protos:
         raise ValueError("empty prototype set")
+    check_unique_ids([int(p.class_id) for p in protos], str(path))
     _check_texts([p.prompt_text for p in protos], "prompt_text", f"{path}: sidecar record")
     dim = protos[0].vector.shape[0]
     matrix = np.vstack([p.vector for p in protos])
@@ -290,13 +300,11 @@ def save_prototypes(protos, path) -> None:
 def load_prototypes(path) -> list[ClassPrototype]:
     _dim, _count, _flags, matrix, records = _read_emb(path)
     matrix = _renormalize(matrix, str(path))
-    protos, seen = [], set()
+    protos = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "class_id" not in rec:
             raise CorruptRecord(f"{path}: sidecar record {i} lacks class_id")
         cid = _record_id(path, i, rec, "class_id")
-        if cid in seen:
-            raise DuplicateClassId(f"{path}: class id {cid} appears twice")
-        seen.add(cid)
         protos.append(ClassPrototype(cid, matrix[i], _record_text(path, i, rec, "prompt_text")))
+    check_unique_ids([p.class_id for p in protos], str(path))
     return protos

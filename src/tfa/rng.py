@@ -74,14 +74,10 @@ def derive_seed(seed: int, *keys: int) -> int:
     return s
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_M1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_M2)
-    z ^= z >> np.uint64(31)
-    return z
+# Words are mixed in blocks of this many (256 KB), so that the finalizer's
+# passes over a block stay in cache.
+_WORD_BLOCK = 1 << 15
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 class Stream:
@@ -92,18 +88,33 @@ class Stream:
         self._consumed = 0
 
     def words(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit words as a uint64 array."""
+        """Next n raw 64-bit words as a uint64 array, mixed in place one
+        block at a time."""
         if n < 0:
             raise ValueError("word count must be non-negative")
-        idx = np.arange(self._consumed + 1, self._consumed + 1 + n, dtype=np.uint64)
+        out = np.empty(n, dtype=np.uint64)
+        t = np.empty(min(n, _WORD_BLOCK), dtype=np.uint64)
+        first = self._consumed + 1
         self._consumed += n
-        with np.errstate(over="ignore"):
-            counters = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-            return _mix64_array(counters)
+        for s in range(0, n, _WORD_BLOCK):
+            z, tz = out[s:s + _WORD_BLOCK], t[:n - s]
+            idx = np.arange(first + s, first + s + z.size, dtype=np.uint64)
+            np.multiply(idx, np.uint64(_GOLDEN), out=z)
+            z += np.uint64(self.seed)
+            z ^= np.right_shift(z, _S30, out=tz)
+            z *= np.uint64(_M1)
+            z ^= np.right_shift(z, _S27, out=tz)
+            z *= np.uint64(_M2)
+            z ^= np.right_shift(z, _S31, out=tz)
+        return out
 
     def uniform(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1)."""
-        return (self.words(n) >> np.uint64(11)) * (2.0 ** -53)
+        """n doubles uniform on [0, 1), drawn one block of words at a time."""
+        out = np.empty(n, dtype=np.float64)
+        for s in range(0, n, _WORD_BLOCK):
+            w = self.words(min(n - s, _WORD_BLOCK))
+            np.multiply(np.right_shift(w, _S11, out=w), 2.0 ** -53, out=out[s:s + w.size])
+        return out
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal deviates via Box-Muller."""

@@ -25,6 +25,7 @@ from tfa.errors import (
     BadMagic,
     ConfigError,
     DimMismatch,
+    DuplicateClassId,
     EmptyTrainSet,
     FormatError,
     ValidationError,
@@ -192,6 +193,57 @@ def test_leaky_relu_matches_where_bit_for_bit():
             assert got.tobytes() == want.tobytes(), slope
 
 
+@pytest.mark.parametrize("width", [3, 2048, (1 << 15) + 3])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.5])
+def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
+    from tfa.alignment import _BLOCK, _gate_
+
+    # Two and a half blocks of rows (three rows past one block when a row is
+    # wider than a block), every entry of both h and delta drawn from signed
+    # zeros, NaN, infinities and ordinary values, so every block edge meets them.
+    rows = max(3, 5 * _BLOCK // (2 * width))
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -1.5, 3e-310, -7.25])
+    rng = np.random.default_rng(width)
+    h = rng.choice(special, size=(rows, width))
+    delta = rng.choice(special, size=(rows, width))
+    want = delta.copy()
+    with np.errstate(all="ignore"):
+        np.multiply(want, slope, out=want, where=~(h > 0.0))
+        got = _gate_(delta, h, slope)
+    assert got is delta
+    assert got.tobytes() == want.tobytes()
+
+
+def test_loss_and_grad_with_a_workspace_matches_one_without():
+    from tfa.alignment import _workspace
+
+    p = _kernel_net(0.01, False)
+    vs, protos, targets = _kernel_inputs()
+    want_loss, want = loss_and_grad(p, vs, protos, targets)
+    ws = _workspace(p, 4 * vs.shape[0] * protos.shape[0])  # more rows than needed
+    for _ in range(2):
+        loss, g = loss_and_grad(p, vs, protos, targets, workspace=ws)
+        assert loss == want_loss
+        for a, b in zip((*g.d_weights, *g.d_biases), (*want.d_weights, *want.d_biases)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("targets", [
+    [-1, 0, 1, 1, 0],                   # a negative index would wrap to the last prototype
+    [0, 3, 1, 1, 0],                    # past the last prototype
+    [0],                                # one target for five samples would broadcast
+    [0, 2, 1, 1, 0, 0],
+    [[0, 2, 1, 1, 0]],
+    [0.0, 2.0, 1.0, 1.0, 0.0],
+    [True, False, True, True, False],
+])
+def test_loss_and_grad_needs_one_in_range_target_per_sample(targets):
+    p = _kernel_net(0.01, False)
+    vs, protos, _ = _kernel_inputs()
+    with pytest.raises(ValidationError):
+        loss_and_grad(p, vs, protos, np.array(targets))
+
+
 # The factored kernel adds the first layer's two halves and reduces the last
 # layer row-wise, where the oracle multiplies whole pair rows, so with random
 # weights the last bits of logits and gradients differ from it by design.
@@ -244,7 +296,7 @@ def test_forward_keep_returns_the_layer_inputs():
 
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
-    logits, acts = _forward(p, *_first_layer(p, vs, protos), keep=True)
+    logits, acts = _forward(p, *_first_layer(p, vs, protos))
     want_logits, want_acts, _ = ref_forward(p, ref_pairs(vs, protos), keep=True)
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=LOGIT_ATOL)
     # The oracle's first entry is the pair matrix, which the kernel never builds.
@@ -480,11 +532,11 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
 
 
 def test_blocked_adam_matches_the_temporaries_version_across_blocks():
-    from tfa.alignment import _ADAM_BLOCK, Gradients
+    from tfa.alignment import _BLOCK, Gradients
 
     # One hidden layer wider than an Adam block: the first weight matrix has
     # rows longer than a block, and the bias and last layer span two blocks.
-    p = init_relation(1, seed=42, hidden=(_ADAM_BLOCK + 7,))
+    p = init_relation(1, seed=42, hidden=(_BLOCK + 7,))
     q = p.copy()
     s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
     rng = np.random.default_rng(43)
@@ -560,6 +612,29 @@ def test_training_rejects_bad_inputs():
     with_test_split = base  # contains test records
     with pytest.raises(ValidationError):
         train_alignment(init_relation(16, 0, (4, 2)), with_test_split, protos)
+
+
+def test_training_trains_its_argument_in_place():
+    base, protos = _base_task_data(m=16, classes=4, per_class=8)
+    train = base.subset(base.indices(split="train"))
+    hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=(12, 6))
+    params = init_relation(16, 3, (12, 6))
+    before = [w.copy() for w in params.weights]
+    trained, _ = train_alignment(params, train, protos, hyper)
+    assert trained is params and params.frozen
+    assert not any(np.array_equal(a, b) for a, b in zip(before, params.weights))
+    with pytest.raises(ValidationError):
+        train_alignment(params, train, protos, hyper)
+
+
+def test_training_rejects_duplicate_prototype_ids():
+    from dataclasses import replace
+
+    base, protos = _base_task_data(m=16, classes=4, per_class=8)
+    train = base.subset(base.indices(split="train"))
+    with pytest.raises(DuplicateClassId):
+        train_alignment(init_relation(16, 0, (4, 2)), train,
+                        protos + [replace(protos[1], class_id=0)])
 
 
 # ---- checkpoints ----

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,75 @@ def test_train_align_deterministic_checkpoint(workspace, tmp_path):
                      "--config", run_cfg, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def bench_world(tmp_path_factory):
+    """The benchmark's seed-0 synthetic world."""
+    root = tmp_path_factory.mktemp("bench")
+    assert main(["synth", "--config", write_json(root / "synth.json", SYNTH_BENCH),
+                 "--out", str(root / "tasks")]) == 0
+    return root
+
+
+SMALL_ALIGN = {"epochs": 2, "batch_size": 30, "seed": 0, "hidden": [36, 20]}
+# train-align configs on the bench world: the benchmark's inference scorer
+# (1024/512, 24 steps) and its train op (2048/1024, 8 steps), then a 36/20
+# scorer whose 200 samples end in a partial batch of 20, at three slopes.
+BENCH_ALIGN = {
+    "scorer": {"seed": 0, "align": {"epochs": 3, "batch_size": 25, "lr": 0.001,
+                                    "hidden": [1024, 512], "seed": 0}},
+    "train": {"align": {"epochs": 1, "batch_size": 25, "lr": 0.001, "seed": 0}},
+    "partial": {"align": SMALL_ALIGN},
+    "slope0": {"align": {**SMALL_ALIGN, "slope": 0.0}},
+    "slope2.5": {"align": {**SMALL_ALIGN, "slope": 2.5}},
+}
+
+
+def _train_align(world, name, threads):
+    """Run ``tfa train-align`` with config ``name`` in a child process with
+    ``threads`` BLAS threads; return the SHA-256s of the ALN1 and sidecar."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = world / f"{name}-{threads}.aln"
+    subprocess.run([sys.executable, "-m", "tfa", "train-align",
+                    "--base", str(world / "tasks" / "task_000.emb"),
+                    "--protos", str(world / "tasks" / "prototypes.emb"),
+                    "--config", write_json(world / f"{name}.json", BENCH_ALIGN[name]),
+                    "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                 for f in (out, Path(f"{out}.meta.json")))
+
+
+# SHA-256s of the ALN1 and its sidecar at 1 BLAS thread, recorded when every
+# step still allocated its own activations and deltas, gated with a masked
+# multiply and trained a copy of the scorer.
+ALIGN_SHAS = {
+    "scorer": ("64d71f524a1f0a5b5757e06352df5fc728e94c53c159561b4e69dbf75d3dad77",
+               "65ee968bb9f04bddb6950af6ab8060c495dd71b608fcb9bc106ab588f63e8c29"),
+    "train": ("e78bca07d56326f8390f1c227925257db061ea2199c1bf3b075808b8a10fad4a",
+              "7e6f7a861c575e3788d475dd19531ad82a5668f4988180646c4084f5d7a7826c"),
+    "partial": ("7690a2dfe4a8e38c06d6adb90d32edc449bf1f2706fb50d5bb23c88922c2a46b",
+                "f2693deacd348f1f280e1c047946f7761b6cde37169dd2f9a551d509448647f1"),
+    "slope0": ("9675c0dcc4587ca191cfb79277fbe0f1f11afd7ce4c29727dea95b36a9f9a8ed",
+               "4e1bc6cdc5500ff89a94850d1a1d79ae5c6ddac5e848caad1d9b9161e966f000"),
+    "slope2.5": ("a1958b5e9d4d3f8474c79bd69be9797fc9cbde7048ca230ca3ef88bec7cda6ba",
+                 "cd46e8f9fc843f0d890dd559df808bc06f3ffdb8f5dd0c974629dcd23bc75dd5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIGN_SHAS))
+def test_train_align_writes_the_recorded_bytes(bench_world, name):
+    assert _train_align(bench_world, name, "1") == ALIGN_SHAS[name]
+
+
+@pytest.mark.parametrize("name", ["scorer", "train"])
+def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
+    # The ALN1 weights only: at 1024/512 the sidecar's first epoch loss, a
+    # float64 mean, differs in its last bit at 2 threads.
+    assert _train_align(bench_world, name, "2")[0] == ALIGN_SHAS[name][0]
 
 
 def test_run_writes_byte_identical_reports(workspace, tmp_path):

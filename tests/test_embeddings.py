@@ -158,6 +158,16 @@ def test_duplicate_class_id(tmp_path):
         load_prototypes(path)
 
 
+def test_save_prototypes_rejects_duplicate_class_ids_before_writing(tmp_path):
+    protos = [ClassPrototype(7, l2_normalize([1.0, 0.0])),
+              ClassPrototype(8, l2_normalize([0.0, 1.0])),
+              ClassPrototype(7, l2_normalize([1.0, 1.0]))]
+    path = tmp_path / "protos.emb"
+    with pytest.raises(DuplicateClassId):
+        save_prototypes(protos, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_vector_prototype_is_corrupt(tmp_path):
     protos = [ClassPrototype(0, l2_normalize([1.0, 0.0]))]
     path = tmp_path / "protos.emb"

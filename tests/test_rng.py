@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from tfa.rng import Stream, derive_seed, mix64
+from tfa.rng import _WORD_BLOCK, Stream, derive_seed, mix64
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -31,6 +31,31 @@ def test_stream_is_resumable():
     a = Stream(9)
     first = a.words(5).tolist() + a.words(5).tolist()
     assert first == Stream(9).words(10).tolist()
+
+
+B = _WORD_BLOCK
+
+
+def test_blocked_words_and_uniforms_match_sequential_splitmix64():
+    seed = 2**63 + 12345
+    ref = _ref_splitmix(seed, 3 * B + 5)
+    for n in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+        assert Stream(seed).words(n).tolist() == ref[:n]
+        got = Stream(seed).uniform(n)
+        assert got.dtype == np.float64
+        assert got.tolist() == [(w >> 11) * 2.0 ** -53 for w in ref[:n]]
+
+
+def test_words_resume_across_a_block_edge():
+    for a, b in ((B - 3, 10), (B, B + 1), (1, 2 * B)):
+        s = Stream(77)
+        first = s.words(a)
+        second = s.uniform(b)
+        assert first.tolist() == Stream(77).words(a + b)[:a].tolist()
+        assert second.tobytes() == Stream(77).uniform(a + b)[a:].tobytes()
+        s = Stream(77)
+        assert np.concatenate([s.words(a), s.words(b)]).tobytes() == \
+            Stream(77).words(a + b).tobytes()
 
 
 def test_uniform_range_and_determinism():
