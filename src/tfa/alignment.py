@@ -21,9 +21,7 @@ bytes depend on neither the other rows in its block (of two or more) nor
 the BLAS thread count; at some other widths they do (ROADMAP item 4).
 Adam runs over cache-sized blocks of each parameter.
 
-Training updates the given scorer in place through one workspace, an
-activation and a delta buffer of ``batch_size × C`` rows per hidden layer
-(the delta buffer is the forward LeakyReLU's temp). The backward gate
+Training updates the given scorer in place. The backward LeakyReLU gate
 multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
 the masked multiply ``where=~g``'s bytes without its short masked runs.
 
@@ -198,19 +196,17 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     return RelationParams(weights, biases, slope, m)
 
 
-def _leaky_relu_(z: np.ndarray, slope: float, tmp: np.ndarray | None = None) -> np.ndarray:
-    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit, with
-    ``slope*z`` in ``tmp`` or, if None, a new array.
+def _leaky_relu_(z: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit.
 
     Rounding is monotone, so for ``0 <= slope <= 1`` the larger of ``z`` and
     ``slope*z`` is that value, and for ``slope > 1`` the smaller is; this holds
     for signed zeros and NaN too. The one exception is an overflowed ``+inf``
     at slope 0, where ``0*inf`` is NaN.
     """
-    scaled = np.multiply(z, slope, out=tmp)
     if slope <= 1.0:
-        return np.maximum(z, scaled, out=z)
-    return np.minimum(z, scaled, out=z)
+        return np.maximum(z, slope * z, out=z)
+    return np.minimum(z, slope * z, out=z)
 
 
 def _gate_(delta: np.ndarray, h: np.ndarray, slope: float) -> np.ndarray:
@@ -222,12 +218,6 @@ def _gate_(delta: np.ndarray, h: np.ndarray, slope: float) -> np.ndarray:
         g = h[r:r + rows] > 0.0
         delta[r:r + rows] *= ~g * slope + g
     return delta
-
-
-def _workspace(params: RelationParams, rows: int) -> list:
-    """One activation and one delta buffer of ``rows`` rows per hidden layer."""
-    return [(np.empty((rows, w.shape[1])), np.empty((rows, w.shape[1])))
-            for w in params.weights[:-1]]
 
 
 def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
@@ -243,39 +233,29 @@ def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, ws=None):
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False):
     """Logits for every pair of the samples whose first-layer half is ``a``
-    with every prototype in ``cp``, and the hidden activations ``acts``;
-    row ``b*C + c`` is pair ``(b, c)`` and ``acts[i]`` is layer ``i + 1``'s
-    input.
+    with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
-    Hidden layer ``i`` writes its activations to the first ``B*C`` rows of
-    ``ws[i][0]`` and uses ``ws[i][1]`` as the LeakyReLU's temp (the last
-    one also for the last layer's products). Without a workspace, as in
-    ``score_matrix``, each layer allocates its activations and its temps
-    are transient, which keeps a table block's peak memory at two layers'
-    worth. For ``slope >= 0`` a hidden activation is positive exactly when
-    its pre-activation is, so ``acts`` also serves as the backward gate. The
-    last layer is a row reduction, not a fan-out-1 gemv; the module
-    docstring states when a row's logit is then independent of the other
-    rows and of BLAS threads.
+    With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
+    ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
+    exactly when its pre-activation is, so ``acts`` also serves as the
+    backward gate. The last layer is a row reduction, not a fan-out-1 gemv;
+    the module docstring states when a row's logit is then independent of
+    the other rows and of BLAS threads.
     """
-    b, c = a.shape[0], cp.shape[0]
-    n = b * c
+    z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
     acts = []
-    for i, w in enumerate(params.weights[:-1]):
-        h, tmp = (np.empty((n, w.shape[1])), None) if ws is None else (x[:n] for x in ws[i])
-        if i == 0:
-            np.add(a[:, None, :], cp[None, :, :], out=h.reshape(b, c, h.shape[1]))
-        else:
-            np.matmul(acts[-1], w, out=h)
-            h += params.biases[i]
-        acts.append(_leaky_relu_(h, params.slope, tmp))
-    if not acts:
-        return (a[:, None, :] + cp[None, :, :]).reshape(n), acts
-    logits = np.multiply(acts[-1], params.weights[-1][:, 0], out=tmp).sum(axis=1)
-    logits += params.biases[-1]
-    return logits, acts
+    last = len(params.weights) - 1
+    for i in range(1, last + 1):
+        h = _leaky_relu_(z, params.slope)
+        if keep:
+            acts.append(h)
+        w, b = params.weights[i], params.biases[i]
+        z = h @ w if i < last else (h * w[:, 0]).sum(axis=1, keepdims=True)
+        z += b
+    logits = z[:, 0]
+    return (logits, acts) if keep else logits
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -297,7 +277,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     step = max(1, chunk // max(c, 1))
     out = np.empty((vs.shape[0], c), dtype=np.float64)
     for s0 in range(0, vs.shape[0], step):
-        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp)[0].reshape(-1, c)
+        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp).reshape(-1, c)
     return out
 
 
@@ -306,13 +286,12 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                  targets: np.ndarray, workspace=None) -> tuple[float, Gradients]:
+                  targets: np.ndarray) -> tuple[float, Gradients]:
     """Mean batch loss and its exact gradient.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
-    are 1/(B*C) times the sum of per-pair terms. Activations and deltas go
-    to ``workspace`` (B*C rows or more), or to a new one.
+    are 1/(B*C) times the sum of per-pair terms.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -329,8 +308,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     t[np.arange(b), targets] = 1.0
     t = t.reshape(-1)
 
-    ws = _workspace(params, b * c) if workspace is None else workspace
-    logits, acts = _forward(params, *_first_layer(params, vs, protos), ws)
+    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True)
     loss = float(_bce_elementwise(logits, t).mean())
 
     d_weights = [None] * len(params.weights)
@@ -339,8 +317,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     for i in range(len(params.weights) - 1, 0, -1):
         d_weights[i] = acts[i - 1].T @ delta
         d_biases[i] = delta.sum(axis=0)
-        delta = np.matmul(delta, params.weights[i].T, out=ws[i - 1][1][:b * c])
-        _gate_(delta, acts[i - 1], params.slope)
+        delta = _gate_(delta @ params.weights[i].T, acts[i - 1], params.slope)
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over samples.
     per_pair = delta.reshape(b, c, -1)
@@ -415,9 +392,12 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
 
     The sample order is reshuffled each epoch with the stream seeded by
     ``derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)``; the trailing partial
-    batch is used, not dropped. Every step shares one workspace.
+    batch is used, not dropped. A frozen ``params`` is rejected before any
+    work; train ``params.copy()`` to keep the original.
     """
     hyper = hyper or TrainConfig()
+    if params.frozen:
+        raise ValidationError("cannot train a frozen scorer; pass params.copy()")
     if len(train_set) == 0:
         raise EmptyTrainSet("no training samples")
     if any(int(t) != 0 for t in train_set.tasks):
@@ -437,7 +417,6 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     state = adam_init(params, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
                       epsilon=hyper.epsilon)
     n = len(train_set)
-    ws = _workspace(params, min(n, hyper.batch_size) * proto_mat.shape[0])
     history = []
     for epoch in range(hyper.epochs):
         order = Stream(derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)).permutation(n)
@@ -445,7 +424,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
         for start in range(0, n, hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
             loss, grads = loss_and_grad(params, train_set.vectors[batch], proto_mat,
-                                        targets[batch], workspace=ws)
+                                        targets[batch])
             total += loss * batch.shape[0]
             adam_step(params, state, grads)
         history.append(total / n)

@@ -214,20 +214,6 @@ def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
     assert got.tobytes() == want.tobytes()
 
 
-def test_loss_and_grad_with_a_workspace_matches_one_without():
-    from tfa.alignment import _workspace
-
-    p = _kernel_net(0.01, False)
-    vs, protos, targets = _kernel_inputs()
-    want_loss, want = loss_and_grad(p, vs, protos, targets)
-    ws = _workspace(p, 4 * vs.shape[0] * protos.shape[0])  # more rows than needed
-    for _ in range(2):
-        loss, g = loss_and_grad(p, vs, protos, targets, workspace=ws)
-        assert loss == want_loss
-        for a, b in zip((*g.d_weights, *g.d_biases), (*want.d_weights, *want.d_biases)):
-            assert a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("targets", [
     [-1, 0, 1, 1, 0],                   # a negative index would wrap to the last prototype
     [0, 3, 1, 1, 0],                    # past the last prototype
@@ -296,7 +282,7 @@ def test_forward_keep_returns_the_layer_inputs():
 
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
-    logits, acts = _forward(p, *_first_layer(p, vs, protos))
+    logits, acts = _forward(p, *_first_layer(p, vs, protos), keep=True)
     want_logits, want_acts, _ = ref_forward(p, ref_pairs(vs, protos), keep=True)
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=LOGIT_ATOL)
     # The oracle's first entry is the pair matrix, which the kernel never builds.
@@ -614,7 +600,9 @@ def test_training_rejects_bad_inputs():
         train_alignment(init_relation(16, 0, (4, 2)), with_test_split, protos)
 
 
-def test_training_trains_its_argument_in_place():
+def test_training_trains_its_argument_in_place(monkeypatch):
+    import tfa.alignment as alignment
+
     base, protos = _base_task_data(m=16, classes=4, per_class=8)
     train = base.subset(base.indices(split="train"))
     hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=(12, 6))
@@ -623,8 +611,20 @@ def test_training_trains_its_argument_in_place():
     trained, _ = train_alignment(params, train, protos, hyper)
     assert trained is params and params.frozen
     assert not any(np.array_equal(a, b) for a, b in zip(before, params.weights))
-    with pytest.raises(ValidationError):
-        train_alignment(params, train, protos, hyper)
+
+    # A frozen scorer is rejected up front, before any forward pass, and a
+    # copy of it trains.
+    def no_step(*_args):
+        raise AssertionError("a frozen scorer reached a training step")
+
+    frozen = [w.tobytes() for w in params.weights]
+    with monkeypatch.context() as mp:
+        mp.setattr(alignment, "loss_and_grad", no_step)
+        with pytest.raises(ValidationError, match=r"params\.copy\(\)"):
+            train_alignment(params, train, protos, hyper)
+    assert [w.tobytes() for w in params.weights] == frozen
+    copy, _ = train_alignment(params.copy(), train, protos, hyper)
+    assert copy is not params and copy.frozen
 
 
 def test_training_rejects_duplicate_prototype_ids():
