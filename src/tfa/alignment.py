@@ -32,22 +32,20 @@ Checkpoint format "ALN1" (little-endian):
     per layer:  u32 rows, u32 cols, rows*cols float32 weights (row-major),
                 cols float32 biases
 
-with a JSON sidecar ``<file>.meta.json`` holding
+with the sidecar of :mod:`tfa.embeddings`' file pair holding
 ``{"m": .., "slope": .., "train_config": .., "final_loss": ..}``.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, check_unique_ids
+from .embeddings import EmbeddingSet, prototype_matrix, read_binary, read_sidecar, write_pair
 from .errors import (
-    BadMagic,
     ConfigError,
     CorruptRecord,
     DimMismatch,
@@ -56,7 +54,6 @@ from .errors import (
     check_int,
     check_real,
     from_fields,
-    load_json,
 )
 from .rng import SCOPE_INIT, SCOPE_SHUFFLE, Stream, derive_seed
 
@@ -117,10 +114,9 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
+    # First and second moments, one array per entry of (*weights, *biases).
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
     # Two flat buffers the size of one Adam block, reused by every step.
     scratch: list = field(default_factory=list, repr=False, compare=False)
 
@@ -335,10 +331,8 @@ def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
     block = max(_block_rows(a) * (a.size // a.shape[0]) for a in arrays)
     return AdamState(
         lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
+        m=[np.zeros(a.shape) for a in arrays],
+        v=[np.zeros(a.shape) for a in arrays],
         scratch=[np.empty(block) for _ in range(2)],
     )
 
@@ -358,10 +352,8 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     flat_s, flat_t = state.scratch
-    for arrays in (
-        *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
-        *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
-    ):
+    for arrays in zip((*params.weights, *params.biases), state.m, state.v,
+                      (*grads.d_weights, *grads.d_biases)):
         rows = _block_rows(arrays[0])
         for r in range(0, arrays[0].shape[0], rows):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
@@ -405,14 +397,10 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     if any(s != "train" for s in train_set.splits):
         raise ValidationError("alignment training set must contain train-split records only")
 
-    protos = sorted(prototypes, key=lambda p: p.class_id)
-    check_unique_ids([p.class_id for p in protos], "prototypes")
-    id_to_idx = {p.class_id: i for i, p in enumerate(protos)}
-    missing = sorted(set(int(y) for y in train_set.labels) - set(id_to_idx))
-    if missing:
-        raise ValidationError(f"no prototype for base classes {missing}")
-    proto_mat = np.vstack([p.vector for p in protos])
-    targets = np.array([id_to_idx[int(y)] for y in train_set.labels], dtype=np.int64)
+    # Every prototype in id order; a label without one fails the lookup.
+    ids = sorted({p.class_id for p in prototypes} | set(train_set.labels.tolist()))
+    proto_mat = prototype_matrix(prototypes, ids)
+    targets = np.searchsorted(ids, train_set.labels)
 
     state = adam_init(params, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
                       epsilon=hyper.epsilon)
@@ -436,14 +424,6 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
 
 def save_alignment(params: RelationParams, path, train_config: TrainConfig | dict | None = None,
                    final_loss: float | None = None, loss_history=None) -> None:
-    path = Path(path)
-    with open(path, "wb") as f:
-        f.write(ALN_MAGIC)
-        f.write(_U32.pack(len(params.weights)))
-        for w, b in zip(params.weights, params.biases):
-            f.write(_U32x2.pack(w.shape[0], w.shape[1]))
-            f.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
     if isinstance(train_config, TrainConfig):
         train_config = asdict(train_config)
         train_config["hidden"] = list(train_config["hidden"])
@@ -451,16 +431,20 @@ def save_alignment(params: RelationParams, path, train_config: TrainConfig | dic
                "final_loss": final_loss}
     if loss_history is not None:
         sidecar["loss_history"] = list(loss_history)
-    with open(Path(str(path) + ".meta.json"), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_pair(path, _aln_chunks(params), sidecar)
+
+
+def _aln_chunks(params: RelationParams):
+    yield ALN_MAGIC + _U32.pack(len(params.weights))
+    for w, b in zip(params.weights, params.biases):
+        yield _U32x2.pack(*w.shape)
+        yield np.ascontiguousarray(w, dtype="<f4").tobytes()
+        yield np.ascontiguousarray(b, dtype="<f4").tobytes()
 
 
 def load_alignment(path) -> tuple[RelationParams, dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 4 or blob[:4] != ALN_MAGIC:
-        raise BadMagic(f"{path}: not an ALN1 checkpoint")
+    blob = read_binary(path, ALN_MAGIC, "ALN1 checkpoint")
     off = 4
     if len(blob) < off + 4:
         raise DimMismatch(f"{path}: truncated header")
@@ -494,9 +478,7 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
             raise CorruptRecord(f"{path}: non-finite parameter")
-    meta = load_json(Path(str(path) + ".meta.json"))
-    if not isinstance(meta, dict):
-        raise CorruptRecord(f"{path}: sidecar is not a JSON object")
+    meta = read_sidecar(path)
     m = meta.get("m")
     check_int(f"{path}: sidecar m", m, lo=1, error=CorruptRecord)
     slope = meta.get("slope", DEFAULT_SLOPE)

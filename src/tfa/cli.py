@@ -6,8 +6,9 @@ experiment), ``ablate`` (sweep alpha/beta/cache-size), ``report`` (render a
 report file as CSV or markdown).
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or parse error,
-4 semantic validation error. Seeds resolve as flag > config file >
-``TFA_SEED`` environment variable > 0.
+4 semantic validation error. Every subcommand resolves its seed in
+:func:`_settings`: flag > config file > ``TFA_SEED`` > 0, and a ``seed``
+key that is present must be an integer.
 """
 
 from __future__ import annotations
@@ -48,24 +49,22 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("TFA_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise ConfigError(f"TFA_SEED must be an integer, got {raw!r}") from e
-
-
-def _resolve_seed(flag: int | None, cfg_seed: int | None, name: str = "seed") -> int:
-    if flag is not None:
-        return flag
-    if cfg_seed is not None:
-        check_int(name, cfg_seed)
-        return cfg_seed
-    env = _env_seed()
-    return 0 if env is None else env
+def _settings(section: dict, args, flags=(), seed_name: str = "seed") -> dict:
+    """A config section with the given CLI ``flags`` over it and its seed
+    resolved: flag > config > ``TFA_SEED`` > 0. A ``seed`` key that is
+    present must be an integer; the error names it ``seed_name``."""
+    d = {**section, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None}}
+    if args.seed is not None:
+        d["seed"] = args.seed
+    elif "seed" in d:
+        check_int(seed_name, d["seed"])
+    else:
+        raw = os.environ.get("TFA_SEED", "0")
+        try:
+            d["seed"] = int(raw)
+        except ValueError as e:
+            raise ConfigError(f"TFA_SEED must be an integer, got {raw!r}") from e
+    return d
 
 
 def _task_files(tasks_dir) -> list[Path]:
@@ -85,12 +84,7 @@ def _load_task_dir(tasks_dir):
 
 
 def cmd_synth(args) -> int:
-    cfg_dict = _load_config(args.config)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    elif "seed" not in cfg_dict:
-        cfg_dict["seed"] = _resolve_seed(None, None)
-    cfg = SynthConfig.from_dict(cfg_dict)
+    cfg = SynthConfig.from_dict(_settings(_load_config(args.config), args))
     data, protos = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,13 +104,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_align(args) -> int:
-    align_dict = dict(_load_config(args.config).get("align", {}))
-    for key, flag in (("epochs", args.epochs), ("batch_size", args.batch_size),
-                      ("lr", args.lr)):
-        if flag is not None:
-            align_dict[key] = flag
-    align_dict["seed"] = _resolve_seed(args.seed, align_dict.get("seed"), "align.seed")
-    hyper = TrainConfig.from_dict(align_dict)
+    hyper = TrainConfig.from_dict(_settings(_load_config(args.config).get("align", {}), args,
+                                            ("epochs", "batch_size", "lr"), "align.seed"))
 
     data = load_embeddings(args.base)
     non_base = [int(t) for t in data.task_ids() if int(t) != 0]
@@ -133,16 +122,9 @@ def cmd_train_align(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg_dict = _load_config(args.config)
-    for key, flag in (("alpha", args.alpha), ("beta", args.beta),
-                      ("capacity", args.capacity), ("shots", args.shots),
-                      ("novel_capacity", args.novel_capacity),
-                      ("base_update_policy", args.base_update_policy),
-                      ("trials", args.trials)):
-        if flag is not None:
-            cfg_dict[key] = flag
-    cfg_dict["seed"] = _resolve_seed(args.seed, cfg_dict.get("seed"))
-    return ExperimentConfig.from_dict(cfg_dict)
+    return ExperimentConfig.from_dict(_settings(_load_config(args.config), args, (
+        "alpha", "beta", "capacity", "shots", "novel_capacity", "base_update_policy",
+        "trials")))
 
 
 def cmd_run(args) -> int:

@@ -1,4 +1,8 @@
-"""Embedding sets, class prototypes, and the EMB1 on-disk format.
+"""Embedding sets, class prototypes, the EMB1 on-disk format, and the file
+pair that EMB1 and ALN1 share: a binary that starts with a 4-byte magic and
+a ``<file>.meta.json`` sidecar, a JSON object written with sorted keys and
+indent 2. Only the file-pair functions here know that convention; each
+loader parses its own header and reads the binary before the sidecar.
 
 EMB1 layout (little-endian throughout):
 
@@ -8,7 +12,7 @@ EMB1 layout (little-endian throughout):
     bytes 12..15 u32 flags (bit 0: vectors were stored unit-normalized)
     bytes 16..   n * m float32 values, row-major
 
-Record metadata lives next to the binary in ``<file>.meta.json``::
+Record metadata lives in the sidecar::
 
     {"dim": m, "count": n, "records": [{"label": .., "task": .., "split": ..,
                                         "class_name": ..?}, ...]}
@@ -37,6 +41,7 @@ from .errors import (
     DimMismatch,
     DisjointnessViolation,
     DuplicateClassId,
+    ValidationError,
     check_int,
     load_json,
 )
@@ -147,32 +152,51 @@ def merge_embedding_sets(sets) -> EmbeddingSet:
     return merged
 
 
-# ---- binary I/O ----
+# ---- the file pair: a binary and its JSON sidecar ----
 
 
-def _write_emb(path, dim: int, matrix: np.ndarray, sidecar_records: list[dict]) -> None:
-    path = Path(path)
-    n = matrix.shape[0]
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+def _sidecar_path(path) -> Path:
+    """The JSON sidecar of the binary at ``path``: ``<file>.meta.json``."""
+    return Path(str(path) + ".meta.json")
+
+
+def write_pair(path, chunks, sidecar: dict) -> None:
+    """Write the binary ``chunks`` in order to ``path``, then ``sidecar`` to
+    its sidecar as sorted, indent-2 JSON with a trailing newline."""
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(_HEADER.pack(dim, n, FLAG_NORMALIZED))
-        f.write(payload)
-    sidecar = {"dim": dim, "count": n, "records": sidecar_records}
+        for chunk in chunks:
+            f.write(chunk)
     with open(_sidecar_path(path), "w", encoding="utf-8") as f:
         json.dump(sidecar, f, sort_keys=True, indent=2)
         f.write("\n")
 
 
-def _sidecar_path(path) -> Path:
-    return Path(str(path) + ".meta.json")
+def read_binary(path, magic: bytes, what: str) -> bytes:
+    """The bytes of the binary at ``path``; ``BadMagic`` unless they start
+    with ``magic``."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != magic:
+        raise BadMagic(f"{path}: not an {what}")
+    return blob
+
+
+def read_sidecar(path) -> dict:
+    """The sidecar of the binary at ``path``, which must be a JSON object."""
+    doc = load_json(_sidecar_path(path))
+    if not isinstance(doc, dict):
+        raise CorruptRecord(f"{path}: sidecar is not a JSON object")
+    return doc
+
+
+def _write_emb(path, dim: int, matrix: np.ndarray, sidecar_records: list[dict]) -> None:
+    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+    write_pair(path, (MAGIC, _HEADER.pack(dim, matrix.shape[0], FLAG_NORMALIZED), payload),
+               {"dim": dim, "count": matrix.shape[0], "records": sidecar_records})
 
 
 def _read_emb(path) -> tuple[int, int, int, np.ndarray, list[dict]]:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: not an EMB1 file")
+    blob = read_binary(path, MAGIC, "EMB1 file")
     if len(blob) < 16:
         raise DimMismatch(f"{path}: truncated header")
     dim, count, flags = _HEADER.unpack(blob[4:16])
@@ -183,9 +207,9 @@ def _read_emb(path) -> tuple[int, int, int, np.ndarray, list[dict]]:
             f"header declares {4 * dim * count}")
     raw = np.frombuffer(blob, dtype="<f4", offset=16)
     matrix = raw.reshape(count, dim).astype(np.float64)
+    sidecar = read_sidecar(path)
     sidecar_file = _sidecar_path(path)
-    sidecar = load_json(sidecar_file)
-    if not isinstance(sidecar, dict) or "records" not in sidecar:
+    if "records" not in sidecar:
         raise CorruptRecord(f"{sidecar_file}: malformed sidecar")
     if sidecar.get("dim") != dim or sidecar.get("count") != count:
         raise DimMismatch(
@@ -280,13 +304,24 @@ def check_unique_ids(ids, where: str) -> None:
         seen.add(cid)
 
 
+def prototype_matrix(prototypes, class_ids) -> np.ndarray:
+    """The vectors of ``prototypes`` stacked in ``class_ids`` order: the one
+    prototype lookup. Raises ``DuplicateClassId`` if two prototypes share a
+    class id and ``ValidationError`` if a class id has no prototype."""
+    check_unique_ids([p.class_id for p in prototypes], "prototypes")
+    by_id = {p.class_id: p.vector for p in prototypes}
+    missing = [c for c in class_ids if c not in by_id]
+    if missing:
+        raise ValidationError(f"no prototype for classes {missing}")
+    return np.vstack([by_id[c] for c in class_ids])
+
+
 def save_prototypes(protos, path) -> None:
     protos = list(protos)
     if not protos:
         raise ValueError("empty prototype set")
     check_unique_ids([int(p.class_id) for p in protos], str(path))
     _check_texts([p.prompt_text for p in protos], "prompt_text", f"{path}: sidecar record")
-    dim = protos[0].vector.shape[0]
     matrix = np.vstack([p.vector for p in protos])
     sidecar = []
     for p in protos:
@@ -294,7 +329,7 @@ def save_prototypes(protos, path) -> None:
         if p.prompt_text is not None:
             rec["prompt_text"] = p.prompt_text
         sidecar.append(rec)
-    _write_emb(path, dim, matrix, sidecar)
+    _write_emb(path, matrix.shape[1], matrix, sidecar)
 
 
 def load_prototypes(path) -> list[ClassPrototype]:

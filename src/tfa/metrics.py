@@ -283,11 +283,11 @@ def report_markdown(doc: dict) -> str:
 
 def emit_report(doc: dict, fmt: str) -> str:
     """Render a report document (``ExperimentReport.to_dict()`` or a file
-    that passed ``check_report``) as json, csv or markdown."""
+    that passed ``check_report``) as ``"json"``, ``"csv"`` or ``"md"``."""
     if fmt == "json":
         return canonical_json(doc)
     if fmt == "csv":
         return report_csv(doc)
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return report_markdown(doc)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -8,7 +8,9 @@ splits of tasks 0..t, streamed in a seeded shuffled order; each sample is
 predicted against the current cache state *before* any insertion it may
 trigger. Results are therefore order-dependent through the base cache, which
 is why the stream seed is part of the trial: replaying a trial seed
-reproduces every per-sample prediction exactly.
+reproduces every per-sample prediction exactly. :func:`run_session` keeps
+no state of its own: it runs the last of the tasks it is given, which must
+be tasks 0..t, on the cache those sessions left.
 
 A session stream is computed schedule-then-score: admission needs only each
 sample's pseudo-label and entropy, so the base cache's whole insert/evict
@@ -53,7 +55,7 @@ from .alignment import (
     train_alignment,
     _sigmoid,
 )
-from .embeddings import EmbeddingSet, check_disjoint
+from .embeddings import EmbeddingSet, check_disjoint, prototype_matrix
 from .errors import (
     ConfigError,
     OutOfOrderSession,
@@ -117,14 +119,6 @@ class ExperimentConfig:
         return from_fields(cls, {**d, "align": align}, "experiment")
 
 
-@dataclass
-class SessionState:
-    cache: DualCache
-    class_order: list = field(default_factory=list)
-    session: int = -1
-    base_class_ids: frozenset = frozenset()
-
-
 def build_tasks(data: EmbeddingSet) -> list[TaskSpec]:
     """Derive the task list from an embedding set's records and validate it;
     a novel task's shot count is that of its first class."""
@@ -168,14 +162,6 @@ def validate_tasks(tasks) -> None:
         raise ValidationError(f"base task {tasks[0].index} has no test records")
 
 
-def _proto_matrix(prototypes, class_order) -> np.ndarray:
-    by_id = {p.class_id: p for p in prototypes}
-    missing = [c for c in class_order if c not in by_id]
-    if missing:
-        raise ValidationError(f"no prototype for classes {missing}")
-    return np.vstack([by_id[c].vector for c in class_order])
-
-
 def _novel_shot_indices(task: TaskSpec, cid: int, cap: int, stream_seed: int):
     idxs = task.train_by_class[cid]
     if cap >= len(idxs):
@@ -209,63 +195,58 @@ def _sweep_cell(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, alpha=0.0, beta=0.0)
 
 
-def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
-                cfgs, stream_seed: int, score_table: np.ndarray,
-                prior_tasks: list | None = None
-                ) -> tuple[SessionState, list[metrics.SessionReport]]:
-    """Run one session: reveal classes, ingest shots, stream the cumulative
-    test set, and report once per config of ``cfgs``.
+def run_session(cache: DualCache, tasks, data: EmbeddingSet, cfgs, stream_seed: int,
+                score_table: np.ndarray) -> list[metrics.SessionReport]:
+    """Run the last of ``tasks``, which lists tasks 0..t, the sessions run so
+    far on ``cache``: reveal its classes, ingest its shots, stream the test
+    records of ``tasks`` in task order, and report once per config of ``cfgs``.
 
     ``cfgs`` are one sweep cell: they may differ only in ``alpha`` and
-    ``beta``. ``prior_tasks`` lists the already-run tasks; the evaluation set
-    is their test records and then ``task``'s, in task order. ``score_table``
-    holds the frozen scorer's logits: rows the test records of tasks 0, 1,
-    ... in that order, columns the classes in reveal order. The evaluation
-    set is its first rows, so stream position i reads row ``order[i]``.
+    ``beta``. ``score_table`` holds the frozen scorer's logits: rows the test
+    records of tasks 0, 1, ... in that order, columns the classes in reveal
+    order. The evaluation set is its first rows, so stream position i reads
+    row ``order[i]``.
     """
     cfgs = list(cfgs)
     if not cfgs or len({_sweep_cell(c) for c in cfgs}) != 1:
         raise ConfigError("a session runs one or more configs that differ "
                           "only in alpha and beta")
     cfg = cfgs[0]
-    if task.index != state.session + 1:
-        raise OutOfOrderSession(
-            f"task {task.index} cannot run after session {state.session}")
-    prior_tasks = list(prior_tasks or [])
-    revealed = sorted(task.class_ids)
-    state.class_order = list(state.class_order) + revealed
-    class_order = np.array(state.class_order, dtype=np.int64)
+    tasks = list(tasks)
+    indices = [t.index for t in tasks]
+    if not tasks or indices != list(range(len(tasks))):
+        raise OutOfOrderSession(f"sessions must run as tasks 0, 1, ..., got {indices}")
+    task = tasks[-1]
+    class_order = np.array([c for t in tasks for c in sorted(t.class_ids)], dtype=np.int64)
+    base_class_ids = frozenset(tasks[0].class_ids)
 
-    if task.index == 0:
-        state.base_class_ids = frozenset(task.class_ids)
-    else:
+    if task.index > 0:
         cap = cfg.effective_novel_capacity()
         for cid in sorted(task.class_ids):
             for idx in _novel_shot_indices(task, cid, cap, stream_seed):
-                state.cache.insert_novel(data.vectors[idx], cid)
+                cache.insert_novel(data.vectors[idx], cid)
 
-    eval_indices = [i for t in (*prior_tasks, task) for i in t.test_indices]
-    eval_indices = np.array(eval_indices, dtype=np.int64)
+    eval_indices = np.array([i for t in tasks for i in t.test_indices], dtype=np.int64)
     n_eval = eval_indices.shape[0]
     order = Stream(derive_seed(stream_seed, SCOPE_STREAM)).permutation(n_eval)
 
-    n_classes = len(state.class_order)
+    n_classes = class_order.shape[0]
     recs = eval_indices[order]
     insert_base = cfg.base_update_policy == "always" or (
         task.index == 0 and cfg.base_update_policy == "session0_only")
     all_preds = stream_predictions(
-        state.cache, data.vectors[recs], score_table[order, :n_classes], class_order,
+        cache, data.vectors[recs], score_table[order, :n_classes], class_order,
         [(c.alpha, c.beta) for c in cfgs],
-        state.base_class_ids if insert_base else frozenset())
+        base_class_ids if insert_base else frozenset())
     truths = data.labels[recs].astype(np.int64)
     # Keys are decided here, as strings: the canonical JSON sorts them as
     # text ("10" before "2"), and that order is part of the report bytes.
     ids, inverse = np.unique(truths, return_inverse=True)
     n_per_class = np.bincount(inverse, minlength=ids.size)
-    stats = state.cache.stats()
+    stats = cache.stats()
     reports = []
     for preds in all_preds:
-        a_b, a_n = metrics.split_accuracy(preds, truths, state.base_class_ids)
+        a_b, a_n = metrics.split_accuracy(preds, truths, base_class_ids)
         both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None
         hm = metrics.harmonic(a_b, a_n) if (a_b is not None and a_n is not None) else None
         hits = np.bincount(inverse[preds == truths], minlength=ids.size)
@@ -282,8 +263,7 @@ def run_session(state: SessionState, task: TaskSpec, data: EmbeddingSet,
                        for c, n, k in zip(ids, n_per_class, hits)},
             cache=stats,
         ))
-    state.session = task.index
-    return state, reports
+    return reports
 
 
 def train_base_alignment(hyper: TrainConfig, data: EmbeddingSet, prototypes
@@ -335,7 +315,7 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
         raise ValidationError("experiments require a frozen alignment scorer")
 
     class_order = [c for t in tasks for c in sorted(t.class_ids)]
-    proto_mat = _proto_matrix(prototypes, class_order)
+    proto_mat = prototype_matrix(prototypes, class_order)
     all_test = np.concatenate([np.array(t.test_indices, dtype=np.int64) for t in tasks])
     table = score_matrix(alignment, data.vectors[all_test], proto_mat)
 
@@ -348,13 +328,13 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
         group = [cfgs[i] for i in members]
         for t in range(cell.trials):
             trial_seed = derive_seed(cell.seed, SCOPE_TRIAL, t)
-            state = SessionState(DualCache(cell.capacity, cell.effective_novel_capacity(),
-                                           cell.base_update_policy))
+            cache = DualCache(cell.capacity, cell.effective_novel_capacity(),
+                              cell.base_update_policy)
             sessions = [[] for _ in members]
             for task in tasks:
                 stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)
-                state, reps = run_session(state, task, data, group, stream_seed, table,
-                                          prior_tasks=tasks[:task.index])
+                reps = run_session(cache, tasks[:task.index + 1], data, group, stream_seed,
+                                   table)
                 for per_cfg, rep in zip(sessions, reps):
                     per_cfg.append(rep)
             for i, per_cfg in zip(members, sessions):

@@ -247,10 +247,8 @@ def ref_adam_step(params, state, grads):
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for p, m, v, g in (
-        *zip(params.weights, state.m_weights, state.v_weights, grads.d_weights),
-        *zip(params.biases, state.m_biases, state.v_biases, grads.d_biases),
-    ):
+    for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v,
+                          (*grads.d_weights, *grads.d_biases)):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -510,10 +510,8 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
         ref_adam_step(q, s_ref, g)
         assert s_new.step == s_ref.step == step + 1
         for got, want in zip(
-                (*p.weights, *p.biases, *s_new.m_weights, *s_new.v_weights,
-                 *s_new.m_biases, *s_new.v_biases),
-                (*q.weights, *q.biases, *s_ref.m_weights, *s_ref.v_weights,
-                 *s_ref.m_biases, *s_ref.v_biases)):
+                (*p.weights, *p.biases, *s_new.m, *s_new.v),
+                (*q.weights, *q.biases, *s_ref.m, *s_ref.v)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -532,8 +530,8 @@ def test_blocked_adam_matches_the_temporaries_version_across_blocks():
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
     for got, want in zip(
-            (*p.weights, *p.biases, *s_new.m_weights, *s_new.v_weights),
-            (*q.weights, *q.biases, *s_ref.m_weights, *s_ref.v_weights)):
+            (*p.weights, *p.biases, *s_new.m, *s_new.v),
+            (*q.weights, *q.biases, *s_ref.m, *s_ref.v)):
         assert got.tobytes() == want.tobytes()
 
 

@@ -524,7 +524,11 @@ def test_config_that_is_not_an_object_is_config_error(workspace, tmp_path, capsy
 
 @pytest.mark.parametrize("command,doc,field", [
     ("run", {**RUN_CFG, "seed": "abc"}, "seed"),
+    ("run", {**RUN_CFG, "seed": None}, "seed"),
+    ("ablate", {**RUN_CFG, "seed": None}, "seed"),
     ("train-align", {"align": {**RUN_CFG["align"], "seed": 1.5}}, "align.seed"),
+    ("train-align", {"align": {**RUN_CFG["align"], "seed": None}}, "align.seed"),
+    ("synth", {**SYNTH_CFG, "seed": None}, "seed"),
     ("synth", {**SYNTH_CFG, "dim": "abc"}, "dim"),
     ("synth", {**SYNTH_CFG, "seed": "abc"}, "seed"),
     ("synth", {**SYNTH_CFG, "modality_gap_sigma": "0.1"}, "modality_gap_sigma"),
@@ -536,6 +540,8 @@ def test_mistyped_seed_and_synth_settings_are_config_errors(workspace, tmp_path,
     argv = {
         "run": ["run", "--tasks", str(tasks), "--align", str(aln),
                 "--out", str(tmp_path / "r.json")],
+        "ablate": ["ablate", "--tasks", str(tasks), "--align", str(aln),
+                   "--sweep", "alpha", "--values", "0,1"],
         "train-align": ["train-align", "--base", str(tasks / "task_000.emb"),
                         "--protos", str(tasks / "prototypes.emb"),
                         "--out", str(tmp_path / "x.aln")],

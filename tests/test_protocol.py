@@ -9,6 +9,7 @@ from tfa.alignment import TrainConfig, score_matrix
 from tfa.errors import (
     ConfigError,
     DisjointnessViolation,
+    DuplicateClassId,
     OutOfOrderSession,
     ShotCountMismatch,
     ValidationError,
@@ -16,7 +17,6 @@ from tfa.errors import (
 from tfa.metrics import report_json
 from tfa.protocol import (
     ExperimentConfig,
-    SessionState,
     TaskSpec,
     build_tasks,
     run_experiment,
@@ -158,21 +158,31 @@ def test_bad_experiment_fails_before_scoring(small_world, monkeypatch, bad, erro
     assert calls == []
 
 
+
+def test_duplicate_prototype_ids_fail_before_scoring(small_world, monkeypatch):
+    # Two prototypes for one class: the experiment must not pick either.
+    cfg, data, protos, exp, alignment = small_world
+    calls = _counted_score_matrix(monkeypatch)
+    twin = dataclasses.replace(protos[1], class_id=protos[0].class_id)
+    with pytest.raises(DuplicateClassId):
+        run_experiments([exp], data, [*protos, twin], alignment)
+    assert calls == []
+
+
 # ---- sessions ----
 
 def test_sessions_must_run_in_order(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(DualCache(5, 5))
-    with pytest.raises(OutOfOrderSession):
-        run_session(state, tasks[1], data, [exp], 1, small_table)
+    for prefix in ([], tasks[1:2], [tasks[0], tasks[2]], [tasks[0], tasks[0]]):
+        with pytest.raises(OutOfOrderSession):
+            run_session(DualCache(5, 5), prefix, data, [exp], 1, small_table)
 
 
 def test_session_zero_has_no_novel_side(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(DualCache(5, 5))
-    state, (rep,) = run_session(state, tasks[0], data, [exp], 1, small_table)
+    (rep,) = run_session(DualCache(5, 5), tasks[:1], data, [exp], 1, small_table)
     assert rep.session == 0
     assert rep.novel_accuracy is None and rep.harmonic is None
     assert rep.n_test == len(tasks[0].test_indices)
@@ -185,11 +195,10 @@ def test_session_zero_has_no_novel_side(small_world, small_table):
 def test_cumulative_eval_set_size(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(DualCache(5, 5))
+    cache = DualCache(5, 5)
     sizes = []
-    for t, task in enumerate(tasks):
-        state, (rep,) = run_session(state, task, data, [exp], t, small_table,
-                                    prior_tasks=tasks[:t])
+    for t in range(len(tasks)):
+        (rep,) = run_session(cache, tasks[:t + 1], data, [exp], t, small_table)
         sizes.append(rep.n_test)
     expected = np.cumsum([len(t.test_indices) for t in tasks]).tolist()
     assert sizes == expected
@@ -199,24 +208,26 @@ def test_alignment_params_never_change_after_base(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
     before = [w.copy() for w in alignment.weights]
-    state = SessionState(DualCache(5, 5))
-    for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, [exp], t, small_table,
-                               prior_tasks=tasks[:t])
+    cache = DualCache(5, 5)
+    for t in range(len(tasks)):
+        run_session(cache, tasks[:t + 1], data, [exp], t, small_table)
     for a, b in zip(alignment.weights, before):
         np.testing.assert_array_equal(a, b)
     assert alignment.frozen
 
 
-def test_class_order_is_append_only(small_world, small_table):
+def test_class_order_is_append_only(small_world, small_table, monkeypatch):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
-    state = SessionState(DualCache(5, 5))
-    orders = []
-    for t, task in enumerate(tasks):
-        state, _ = run_session(state, task, data, [exp], t, small_table,
-                               prior_tasks=tasks[:t])
-        orders.append(list(state.class_order))
+    real, orders = tfa.protocol.stream_predictions, []
+    def recorded(cache, queries, logits, class_order, *args):
+        orders.append(class_order.tolist())
+        return real(cache, queries, logits, class_order, *args)
+    monkeypatch.setattr(tfa.protocol, "stream_predictions", recorded)
+    cache = DualCache(5, 5)
+    for t in range(len(tasks)):
+        run_session(cache, tasks[:t + 1], data, [exp], t, small_table)
+    assert len(orders) == len(tasks)
     for earlier, later in zip(orders, orders[1:]):
         assert later[:len(earlier)] == earlier
 
@@ -437,7 +448,7 @@ def test_a_session_runs_configs_of_one_sweep_cell_only(small_world, small_table)
     for cfgs in ([], [exp, dataclasses.replace(exp, capacity=2)],
                  [exp, dataclasses.replace(exp, alpha=0.5, seed=4)]):
         with pytest.raises(ConfigError, match="differ only in alpha and beta"):
-            run_session(SessionState(DualCache(5, 5)), tasks[0], data, cfgs, 1, small_table)
+            run_session(DualCache(5, 5), tasks[:1], data, cfgs, 1, small_table)
 
 
 def test_query_that_evicts_an_entry_still_sees_it():
