@@ -33,7 +33,8 @@ Checkpoint format "ALN1" (little-endian):
                 cols float32 biases
 
 with the sidecar of :mod:`tfa.embeddings`' file pair holding
-``{"m": .., "slope": .., "train_config": .., "final_loss": ..}``.
+``{"m": .., "slope": .., "train_config": .., "final_loss": ..}``. The
+loader's checks also run in ``save_alignment``, on what it is about to write.
 """
 
 from __future__ import annotations
@@ -158,6 +159,10 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return from_fields(cls, d, "alignment")
+
+    def to_dict(self) -> dict:
+        """The config as plain data, ``hidden`` as a list."""
+        return {**asdict(self), "hidden": list(self.hidden)}
 
 
 def _sigmoid(z):
@@ -376,6 +381,7 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     return params, state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_alignment(params: RelationParams, train_set: EmbeddingSet,
                     prototypes, hyper: TrainConfig | None = None
                     ) -> tuple[RelationParams, list[float]]:
@@ -385,7 +391,8 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     The sample order is reshuffled each epoch with the stream seeded by
     ``derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)``; the trailing partial
     batch is used, not dropped. A frozen ``params`` is rejected before any
-    work; train ``params.copy()`` to keep the original.
+    work; train ``params.copy()`` to keep the original. A diverging run
+    warns of no overflow; its non-finite weights fail ``save_alignment``.
     """
     hyper = hyper or TrainConfig()
     if params.frozen:
@@ -422,54 +429,14 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
 # ---- checkpoint I/O ----
 
 
-def save_alignment(params: RelationParams, path, train_config: TrainConfig | dict | None = None,
-                   final_loss: float | None = None, loss_history=None) -> None:
-    if isinstance(train_config, TrainConfig):
-        train_config = asdict(train_config)
-        train_config["hidden"] = list(train_config["hidden"])
-    sidecar = {"m": params.m, "slope": params.slope, "train_config": train_config,
-               "final_loss": final_loss}
-    if loss_history is not None:
-        sidecar["loss_history"] = list(loss_history)
-    write_pair(path, _aln_chunks(params), sidecar)
-
-
-def _aln_chunks(params: RelationParams):
-    yield ALN_MAGIC + _U32.pack(len(params.weights))
-    for w, b in zip(params.weights, params.biases):
-        yield _U32x2.pack(*w.shape)
-        yield np.ascontiguousarray(w, dtype="<f4").tobytes()
-        yield np.ascontiguousarray(b, dtype="<f4").tobytes()
-
-
-def load_alignment(path) -> tuple[RelationParams, dict]:
-    path = Path(path)
-    blob = read_binary(path, ALN_MAGIC, "ALN1 checkpoint")
-    off = 4
-    if len(blob) < off + 4:
-        raise DimMismatch(f"{path}: truncated header")
-    (n_layers,) = _U32.unpack_from(blob, off)
-    off += 4
-    weights, biases = [], []
-    for _ in range(n_layers):
-        if len(blob) < off + 8:
-            raise DimMismatch(f"{path}: truncated layer header")
-        rows, cols = _U32x2.unpack_from(blob, off)
-        off += 8
-        need = 4 * (rows * cols + cols)
-        if len(blob) < off + need:
-            raise DimMismatch(f"{path}: layer payload truncated")
-        w = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
-        off += 4 * rows * cols
-        b = np.frombuffer(blob, dtype="<f4", count=cols, offset=off)
-        off += 4 * cols
-        weights.append(w.astype(np.float64).reshape(rows, cols))
-        biases.append(b.astype(np.float64))
-    if off != len(blob):
-        raise DimMismatch(f"{path}: {len(blob) - off} trailing bytes")
+def _check_aln(path, weights, biases, sidecar) -> dict:
+    """The ALN1 checks, run by the writer before it writes and by the loader
+    after it reads: chained layers, the last of width 1, finite values; then
+    ``sidecar()`` has an integer ``m >= 1``, half the first fan-in, and a
+    finite ``slope >= 0``. Returns the sidecar."""
     if not weights:
         raise DimMismatch(f"{path}: no layers")
-    for i in range(1, n_layers):
+    for i in range(1, len(weights)):
         if weights[i].shape[0] != weights[i - 1].shape[1]:
             raise DimMismatch(f"{path}: layer {i} has {weights[i].shape[0]} rows, "
                               f"layer {i - 1} has {weights[i - 1].shape[1]} cols")
@@ -478,7 +445,7 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
             raise CorruptRecord(f"{path}: non-finite parameter")
-    meta = read_sidecar(path)
+    meta = sidecar()
     m = meta.get("m")
     check_int(f"{path}: sidecar m", m, lo=1, error=CorruptRecord)
     slope = meta.get("slope", DEFAULT_SLOPE)
@@ -486,5 +453,48 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     if weights[0].shape[0] != 2 * m:
         raise DimMismatch(f"{path}: first layer expects fan-in {weights[0].shape[0]}, "
                           f"sidecar says m={m}")
-    params = RelationParams(weights, biases, float(slope), m)
-    return params.freeze(), meta
+    return meta
+
+
+def save_alignment(params: RelationParams, path, train_config: TrainConfig | None = None,
+                   final_loss: float | None = None, loss_history=None) -> None:
+    """Write ``params`` as ALN1 once its float32 layers pass ``load_alignment``'s checks."""
+    with np.errstate(over="ignore"):  # a value past float32's range is inf: rejected
+        weights, biases = ([np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+                           for arrays in (params.weights, params.biases))
+    sidecar = {"m": params.m, "slope": params.slope, "final_loss": final_loss,
+               "train_config": None if train_config is None else train_config.to_dict()}
+    if loss_history is not None:
+        sidecar["loss_history"] = list(loss_history)
+    _check_aln(path, weights, biases, lambda: sidecar)
+    chunks = [ALN_MAGIC + _U32.pack(len(weights))]
+    for w, b in zip(weights, biases):
+        chunks += [_U32x2.pack(*w.shape), w, b]
+    write_pair(path, chunks, sidecar)
+
+
+def load_alignment(path) -> tuple[RelationParams, dict]:
+    path = Path(path)
+    blob = read_binary(path, ALN_MAGIC, "ALN1 checkpoint")
+    if len(blob) < 8:
+        raise DimMismatch(f"{path}: truncated header")
+    (n_layers,) = _U32.unpack_from(blob, 4)
+    off = 8
+    weights, biases = [], []
+    for _ in range(n_layers):
+        if len(blob) < off + 8:
+            raise DimMismatch(f"{path}: truncated layer header")
+        rows, cols = _U32x2.unpack_from(blob, off)
+        off += 8
+        if len(blob) < off + 4 * (rows * cols + cols):
+            raise DimMismatch(f"{path}: layer payload truncated")
+        w = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
+        weights.append(w.reshape(rows, cols))
+        biases.append(np.frombuffer(blob, dtype="<f4", count=cols, offset=off + w.nbytes))
+        off += 4 * (rows * cols + cols)
+    if off != len(blob):
+        raise DimMismatch(f"{path}: {len(blob) - off} trailing bytes")
+    meta = _check_aln(path, weights, biases, lambda: read_sidecar(path))
+    return RelationParams([w.astype(np.float64) for w in weights],
+                          [b.astype(np.float64) for b in biases],
+                          float(meta.get("slope", DEFAULT_SLOPE)), meta["m"]).freeze(), meta

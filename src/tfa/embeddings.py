@@ -20,10 +20,12 @@ Record metadata lives in the sidecar::
 in binary row order. Prototype files reuse the same binary layout with
 sidecar records ``{"class_id": .., "prompt_text": ..?}``.
 
-Vectors are stored in 32-bit floats; loading re-normalizes each row to unit
-Euclidean norm in 64-bit and validates the set invariants (finite values,
-disjoint train label spaces across tasks, test labels inside their own
-task's label space).
+Each kind has one codec: its record fields and one set of checks, run by
+``save_*`` on the float32 rows and records it is about to write and by
+``load_*`` on those it read. Rows are finite and nonzero, fields keep their
+rules, an embedding set keeps its invariants (disjoint train label spaces
+across tasks, test labels inside their own task's label space) and a
+prototype set names each class once. Loading re-normalizes rows in 64-bit.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ class EmbeddingSet:
         for s in self.splits:
             if s not in SPLITS:
                 raise CorruptRecord(f"unknown split tag {s!r}")
-        _check_texts(self.class_names, "class_name", "record")
+        for i, name in enumerate(self.class_names):
+            if name is not None and not isinstance(name, str):
+                raise CorruptRecord(f"record {i} class_name must be a string, got {name!r}")
         if np.any(self.labels < 0) or np.any(self.tasks < 0):
             raise CorruptRecord("labels and task indices must be non-negative")
         spaces = {t: self.label_space(t) for t in self.task_ids()}
@@ -161,7 +165,7 @@ def _sidecar_path(path) -> Path:
 
 
 def write_pair(path, chunks, sidecar: dict) -> None:
-    """Write the binary ``chunks`` in order to ``path``, then ``sidecar`` to
+    """Write the bytes-like ``chunks`` in order to ``path``, then ``sidecar`` to
     its sidecar as sorted, indent-2 JSON with a trailing newline."""
     with open(path, "wb") as f:
         for chunk in chunks:
@@ -188,111 +192,111 @@ def read_sidecar(path) -> dict:
     return doc
 
 
-def _write_emb(path, dim: int, matrix: np.ndarray, sidecar_records: list[dict]) -> None:
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    write_pair(path, (MAGIC, _HEADER.pack(dim, matrix.shape[0], FLAG_NORMALIZED), payload),
-               {"dim": dim, "count": matrix.shape[0], "records": sidecar_records})
+# ---- EMB1: one codec per kind, whose checks writer and loader share ----
+
+# Each kind's sidecar record fields, in check order, with the rule a value
+# meets: "id" an integer in [0, 2**63), "split" one of SPLITS, "text" a
+# string when present (the one kind of field that may be absent). The
+# embedding fields hold the columns COLUMNS[1:], in that order.
+_EMB_FIELDS = {"label": "id", "task": "id", "split": "split", "class_name": "text"}
+_PROTO_FIELDS = {"class_id": "id", "prompt_text": "text"}
 
 
-def _read_emb(path) -> tuple[int, int, int, np.ndarray, list[dict]]:
+def _check_record(where: str, rec, fields: dict) -> None:
+    if not isinstance(rec, dict):
+        raise CorruptRecord(f"{where} is not a JSON object")
+    for key, rule in fields.items():
+        value = rec.get(key)
+        if key not in rec:
+            if rule != "text":
+                raise CorruptRecord(f"{where} lacks {key}")
+        elif rule == "id" and not (type(value) is int and 0 <= value < 1 << 63):
+            check_int(f"{where} {key}", value, lo=0, error=CorruptRecord)
+            if value >= 1 << 63:
+                raise CorruptRecord(f"{where} {key} exceeds int64, got {value}")
+        elif rule == "split" and value not in SPLITS:
+            raise CorruptRecord(f"{where} split must be 'train' or 'test', got {value!r}")
+        elif rule == "text" and not isinstance(value, str):
+            raise CorruptRecord(f"{where} {key} must be a string, got {value!r}")
+
+
+def _decode(path, f32: np.ndarray, records: list, fields: dict, build):
+    """The EMB1 checks, run by a writer before it writes and by a loader
+    after it reads: finite float32 values, no zero row, and sidecar records
+    that keep ``fields``' rules. ``build`` then makes the kind's value from
+    the rows, re-normalized in float64, and runs the kind's own checks."""
+    matrix = f32.astype(np.float64)
+    if not np.all(np.isfinite(matrix)):
+        raise CorruptRecord(f"non-finite float in {path}")
+    norms = np.linalg.norm(matrix, axis=1)
+    if np.any(norms < 1e-300):
+        raise CorruptRecord(f"{path}: record {int(np.argmin(norms))} is a zero vector")
+    for i, rec in enumerate(records):
+        _check_record(f"{path}: sidecar record {i}", rec, fields)
+    matrix /= norms[:, None]
+    return build(path, matrix, records)
+
+
+def _save_emb(path, matrix, rows, fields: dict, build) -> None:
+    """Write ``matrix`` and a record per row of ``rows`` (the values of
+    ``fields``; None leaves one out) once they pass the loader's checks."""
+    with np.errstate(over="ignore"):  # a value past float32's range is inf: rejected
+        f32 = np.ascontiguousarray(matrix, dtype="<f4")
+    records = [{k: v for k, v in zip(fields, row) if v is not None} for row in rows]
+    _decode(path, f32, records, fields, build)
+    count, dim = f32.shape
+    write_pair(path, (MAGIC, _HEADER.pack(dim, count, FLAG_NORMALIZED), f32),
+               {"dim": dim, "count": count, "records": records})
+
+
+def _load_emb(path, fields: dict, build):
     path = Path(path)
     blob = read_binary(path, MAGIC, "EMB1 file")
     if len(blob) < 16:
         raise DimMismatch(f"{path}: truncated header")
-    dim, count, flags = _HEADER.unpack(blob[4:16])
-    expected = 16 + 4 * dim * count
-    if len(blob) != expected:
+    dim, count, _flags = _HEADER.unpack(blob[4:16])
+    if len(blob) != 16 + 4 * dim * count:
         raise DimMismatch(
             f"{path}: binary holds {len(blob) - 16} payload bytes, "
             f"header declares {4 * dim * count}")
-    raw = np.frombuffer(blob, dtype="<f4", offset=16)
-    matrix = raw.reshape(count, dim).astype(np.float64)
     sidecar = read_sidecar(path)
     sidecar_file = _sidecar_path(path)
-    if "records" not in sidecar:
-        raise CorruptRecord(f"{sidecar_file}: malformed sidecar")
+    records = sidecar.get("records")
+    if not isinstance(records, list):
+        raise CorruptRecord(f"{sidecar_file}: sidecar records is not a list")
     if sidecar.get("dim") != dim or sidecar.get("count") != count:
         raise DimMismatch(
             f"{sidecar_file}: sidecar declares dim={sidecar.get('dim')} "
             f"count={sidecar.get('count')}, binary has dim={dim} count={count}")
-    records = sidecar["records"]
-    if not isinstance(records, list):
-        raise CorruptRecord(f"{sidecar_file}: sidecar records is not a list")
     if len(records) != count:
         raise DimMismatch(
             f"{sidecar_file}: sidecar lists {len(records)} records, binary holds {count}")
-    return dim, count, flags, matrix, records
+    f32 = np.frombuffer(blob, dtype="<f4", offset=16).reshape(count, dim)
+    return _decode(path, f32, records, fields, build)
 
 
-def _renormalize(matrix: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(matrix)):
-        raise CorruptRecord(f"non-finite float in {what}")
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms < 1e-300):
-        bad = int(np.argmin(norms))
-        raise CorruptRecord(f"{what}: record {bad} is a zero vector")
-    return matrix / norms[:, None]
+def _embedding_set(path, matrix: np.ndarray, records: list) -> EmbeddingSet:
+    es = EmbeddingSet(matrix.shape[1], matrix, provenance={"kind": "file", "path": str(path)},
+                      **{c: np.array([rec.get(k) for rec in records],
+                                     dtype=np.int64 if rule == "id" else object)
+                         for c, (k, rule) in zip(COLUMNS[1:], _EMB_FIELDS.items())})
+    es.validate()
+    return es
 
 
-def _record_id(path, i: int, rec: dict, key: str) -> int:
-    """A sidecar record's id field: an integer in [0, 2**63)."""
-    value = rec[key]
-    check_int(f"{path}: sidecar record {i} {key}", value, lo=0, error=CorruptRecord)
-    if value >= 1 << 63:
-        raise CorruptRecord(f"{path}: sidecar record {i} {key} exceeds int64, got {value}")
-    return value
-
-
-def _check_texts(values, key: str, where: str) -> None:
-    """Raise ``CorruptRecord`` at the first of ``values`` that is neither
-    None nor a string, named as the sidecar loaders name it."""
-    for i, value in enumerate(values):
-        if value is not None and not isinstance(value, str):
-            raise CorruptRecord(f"{where} {i} {key} must be a string, got {value!r}")
-
-
-def _record_text(path, i: int, rec: dict, key: str) -> str | None:
-    """A sidecar record's optional text field: None when absent, else a string."""
-    value = rec.get(key)
-    if key in rec and not isinstance(value, str):
-        raise CorruptRecord(f"{path}: sidecar record {i} {key} must be a string, got {value!r}")
-    return value
+def _prototypes(path, matrix: np.ndarray, records: list) -> list[ClassPrototype]:
+    check_unique_ids([rec["class_id"] for rec in records], str(path))
+    return [ClassPrototype(rec["class_id"], row, rec.get("prompt_text"))
+            for rec, row in zip(records, matrix)]
 
 
 def save_embeddings(es: EmbeddingSet, path) -> None:
-    _check_texts(es.class_names, "class_name", f"{path}: sidecar record")
-    sidecar = []
-    for i in range(len(es)):
-        rec = {"label": int(es.labels[i]), "task": int(es.tasks[i]), "split": es.splits[i]}
-        if es.class_names[i] is not None:
-            rec["class_name"] = es.class_names[i]
-        sidecar.append(rec)
-    _write_emb(path, es.dim, es.vectors, sidecar)
+    columns = (np.asarray(getattr(es, c)).tolist() for c in COLUMNS[1:])
+    _save_emb(path, es.vectors, zip(*columns), _EMB_FIELDS, _embedding_set)
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    dim, count, _flags, matrix, records = _read_emb(path)
-    matrix = _renormalize(matrix, str(path))
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or not {"label", "task", "split"} <= rec.keys():
-            raise CorruptRecord(f"{path}: sidecar record {i} is missing fields")
-        _record_id(path, i, rec, "label")
-        _record_id(path, i, rec, "task")
-        if rec["split"] not in SPLITS:
-            raise CorruptRecord(
-                f"{path}: sidecar record {i} split must be 'train' or 'test', got {rec['split']!r}")
-        _record_text(path, i, rec, "class_name")
-    es = EmbeddingSet(
-        dim=dim,
-        vectors=matrix,
-        labels=np.array([rec["label"] for rec in records], dtype=np.int64),
-        tasks=np.array([rec["task"] for rec in records], dtype=np.int64),
-        splits=np.array([rec["split"] for rec in records], dtype=object),
-        class_names=np.array([rec.get("class_name") for rec in records], dtype=object),
-        provenance={"kind": "file", "path": str(path)},
-    )
-    es.validate()
-    return es
+    return _load_emb(path, _EMB_FIELDS, _embedding_set)
 
 
 def check_unique_ids(ids, where: str) -> None:
@@ -320,26 +324,9 @@ def save_prototypes(protos, path) -> None:
     protos = list(protos)
     if not protos:
         raise ValueError("empty prototype set")
-    check_unique_ids([int(p.class_id) for p in protos], str(path))
-    _check_texts([p.prompt_text for p in protos], "prompt_text", f"{path}: sidecar record")
-    matrix = np.vstack([p.vector for p in protos])
-    sidecar = []
-    for p in protos:
-        rec = {"class_id": int(p.class_id)}
-        if p.prompt_text is not None:
-            rec["prompt_text"] = p.prompt_text
-        sidecar.append(rec)
-    _write_emb(path, matrix.shape[1], matrix, sidecar)
+    _save_emb(path, np.vstack([p.vector for p in protos]),
+              [(int(p.class_id), p.prompt_text) for p in protos], _PROTO_FIELDS, _prototypes)
 
 
 def load_prototypes(path) -> list[ClassPrototype]:
-    _dim, _count, _flags, matrix, records = _read_emb(path)
-    matrix = _renormalize(matrix, str(path))
-    protos = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or "class_id" not in rec:
-            raise CorruptRecord(f"{path}: sidecar record {i} lacks class_id")
-        cid = _record_id(path, i, rec, "class_id")
-        protos.append(ClassPrototype(cid, matrix[i], _record_text(path, i, rec, "prompt_text")))
-    check_unique_ids([p.class_id for p in protos], str(path))
-    return protos
+    return _load_emb(path, _PROTO_FIELDS, _prototypes)

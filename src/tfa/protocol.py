@@ -108,10 +108,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The config as plain data, as reports record it: ``align`` leaves
         out Adam's beta1, beta2 and epsilon."""
-        d = asdict(self)
-        d["align"] = {k: d["align"][k] for k in ("epochs", "batch_size", "lr", "seed", "slope")}
-        d["align"]["hidden"] = list(self.align.hidden)
-        return d
+        align = self.align.to_dict()
+        keep = ("epochs", "batch_size", "lr", "seed", "slope", "hidden")
+        return {**asdict(self), "align": {k: align[k] for k in keep}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -317,7 +316,10 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
     class_order = [c for t in tasks for c in sorted(t.class_ids)]
     proto_mat = prototype_matrix(prototypes, class_order)
     all_test = np.concatenate([np.array(t.test_indices, dtype=np.int64) for t in tasks])
-    table = score_matrix(alignment, data.vectors[all_test], proto_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = score_matrix(alignment, data.vectors[all_test], proto_mat)
+    if not np.all(np.isfinite(table)):
+        raise ValidationError("the scorer gives non-finite logits on this data")
 
     before = _param_digest(alignment)
     cells: dict[ExperimentConfig, list[int]] = {}

@@ -734,6 +734,33 @@ def test_zero_base_accuracy_is_a_validation_error(tiny_world, tmp_path, capsys):
     assert err == "error: accuracy decline undefined for zero base accuracy\n"
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_non_finite_logits_are_a_validation_error(tiny_world, tmp_path, capsys, command):
+    # A finite checkpoint whose logits overflow: 11 layers 16→8→…→8→1 of
+    # weights ±3e38. No warning may escape (pytest turns one into an error).
+    world = _copy_world(tiny_world, tmp_path / "w")
+    signs = np.random.default_rng(5)
+    sizes = [16] + [8] * 10 + [1]
+    weights = [3e38 * signs.choice([-1.0, 1.0], size=shape) for shape in zip(sizes, sizes[1:])]
+    save_alignment(RelationParams(weights, [np.zeros(w.shape[1]) for w in weights], 0.01, 8),
+                   world / "scorer.aln")
+    argv = _run_argv(world, tmp_path / "r.json")
+    if command == "ablate":
+        argv = ["ablate", *argv[1:-2], "--sweep", "alpha", "--values", "0,1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: the scorer gives non-finite logits on this data\n"
+
+
+def test_a_diverged_training_writes_no_checkpoint(tiny_world, tmp_path, capsys):
+    out = tmp_path / "x.aln"
+    assert main(["train-align", "--base", str(tiny_world / "task_000.emb"),
+                 "--protos", str(tiny_world / "prototypes.emb"),
+                 "--config", str(tiny_world / "run.json"), "--out", str(out),
+                 "--lr", "1e300"]) == 3
+    assert capsys.readouterr().err == f"error: {out}: non-finite parameter\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fuzz_world_runs_clean(tiny_world, tmp_path):
     assert _run_world(tiny_world, tmp_path / "r.json") == 0
 

@@ -1,8 +1,12 @@
 import json
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tfa.alignment import init_relation, load_alignment, save_alignment
 from tfa.embeddings import (
     COLUMNS,
     ClassPrototype,
@@ -19,6 +23,7 @@ from tfa.errors import (
     DimMismatch,
     DisjointnessViolation,
     DuplicateClassId,
+    FormatError,
 )
 from tfa.numerics import l2_normalize
 from tfa.rng import Stream
@@ -274,3 +279,114 @@ def test_save_prototypes_writes_no_prompt_text_its_loader_rejects(tmp_path, text
     assert str(raised.value) == \
         f"{path}: sidecar record 1 prompt_text must be a string, got {text!r}"
     assert not path.exists()
+
+
+# ---- every writer rejects what its loader rejects ----
+
+def _prototypes():
+    return [ClassPrototype(3, l2_normalize([1.0, 2.0, 2.0]), "a chair"),
+            ClassPrototype(7, l2_normalize([0.0, 1.0, 0.0]))]
+
+
+WRITERS = {  # kind: (a valid value, its writer, its loader)
+    "embeddings": (_tiny_set, save_embeddings, load_embeddings),
+    "prototypes": (_prototypes, save_prototypes, load_prototypes),
+    "alignment": (lambda: init_relation(4, seed=6, hidden=(5, 3)), save_alignment,
+                  lambda path: load_alignment(path)[0]),
+}
+
+
+def _sidecar_edit(record=None, **changes):
+    """Set sidecar keys, or keys of sidecar record ``record``."""
+    def doctor(path):
+        side_path = Path(str(path) + ".meta.json")
+        side = json.loads(side_path.read_text())
+        (side if record is None else side["records"][record]).update(changes)
+        side_path.write_text(json.dumps(side))
+    return doctor
+
+
+def _first_floats(values):
+    """Overwrite the first float32 values of the payload, at byte 16 in both
+    EMB1 and ALN1 (after the ALN1 layer count and first layer shape)."""
+    def doctor(path):
+        blob = bytearray(path.read_bytes())
+        raw = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            blob[16:16 + 4 * len(values)] = raw.astype("<f4").tobytes()
+        path.write_bytes(bytes(blob))
+    return doctor
+
+
+def _set_column(column, value):
+    def spoil(es):
+        getattr(es, column)[0] = value
+    return spoil
+
+
+def _set_prototype(i, **changes):
+    def spoil(protos):
+        protos[i] = replace(protos[i], **changes)
+    return spoil
+
+
+def _set_weight(value):
+    def spoil(params):
+        params.weights[0][0, 0] = value
+    return spoil
+
+
+def _set_attr(**changes):
+    def spoil(params):
+        for k, v in changes.items():
+            setattr(params, k, v)
+    return spoil
+
+
+# case: (kind, spoil the valid value in place, do the same to its written file)
+WRITER_CASES = {
+    "negative-label": ("embeddings", _set_column("labels", -1), _sidecar_edit(0, label=-1)),
+    "negative-task": ("embeddings", _set_column("tasks", -1), _sidecar_edit(0, task=-1)),
+    "split-valid": ("embeddings", _set_column("splits", "valid"), _sidecar_edit(0, split="valid")),
+    "nan-vector": ("embeddings", _set_column("vectors", np.nan), _first_floats([np.nan] * 8)),
+    "vector-past-f32": ("embeddings", _set_column("vectors", 1e39), _first_floats([1e39] * 8)),
+    "zero-vector": ("embeddings", _set_column("vectors", 0.0), _first_floats([0.0] * 8)),
+    "negative-class-id": ("prototypes", _set_prototype(0, class_id=-1),
+                          _sidecar_edit(0, class_id=-1)),
+    "duplicate-class-id": ("prototypes", _set_prototype(1, class_id=3),
+                           _sidecar_edit(1, class_id=3)),
+    "nan-prototype": ("prototypes", _set_prototype(0, vector=np.full(3, np.nan)),
+                      _first_floats([np.nan] * 3)),
+    "prototype-past-f32": ("prototypes", _set_prototype(0, vector=np.array([1e39, 0.0, 0.0])),
+                           _first_floats([1e39])),
+    "zero-prototype": ("prototypes", _set_prototype(0, vector=np.zeros(3)),
+                       _first_floats([0.0] * 3)),
+    "nan-weight": ("alignment", _set_weight(np.nan), _first_floats([np.nan])),
+    "weight-past-f32": ("alignment", _set_weight(1e39), _first_floats([1e39])),
+    "nan-slope": ("alignment", _set_attr(slope=np.nan), _sidecar_edit(slope=np.nan)),
+    "fan-in-not-2m": ("alignment", _set_attr(m=3), _sidecar_edit(m=3)),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_each_writer_rejects_what_its_loader_rejects(tmp_path, case):
+    kind, spoil, doctor = WRITER_CASES[case]
+    make, save, load = WRITERS[kind]
+    # The valid value round-trips; its file, doctored, gives the loader's error.
+    good, again = tmp_path / "good", tmp_path / "again"
+    save(make(), good)
+    save(load(good), again)
+    assert again.read_bytes() == good.read_bytes()
+    doctor(good)
+    with pytest.raises(FormatError) as loaded:
+        load(good)
+    value = make()
+    spoil(value)
+    bad = tmp_path / "bad"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as written:
+            save(value, bad)
+    assert type(written.value) is type(loaded.value)
+    assert str(written.value) == str(loaded.value).replace(str(good), str(bad))
+    assert not bad.exists() and not Path(str(bad) + ".meta.json").exists()
