@@ -7,19 +7,20 @@ a similarity in (0, 1). It is trained with a one-vs-all binary cross-entropy
 over the base-task classes, using Adam, and is frozen afterwards: nothing in
 this package updates it again.
 
-All math is plain float64 numpy. The binary cross-entropy is evaluated in
-logit space, ``max(z, 0) - z*t + log1p(exp(-|z|))``, so saturated sigmoids
-never produce log(0).
+Training is float64 numpy; the score table runs its hidden layers in the
+checkpoint's float32 (see ``score_matrix``). The binary cross-entropy is
+evaluated in logit space, ``max(z, 0) - z*t + log1p(exp(-|z|))``, so
+saturated sigmoids never produce log(0).
 
 Scoring and training share one kernel. The first layer's input is a pair
 ``[v, e]``, so its pre-activation is ``v @ W1[:m] + (e @ W1[m:] + b1)``: the
 two halves are computed once per call, for every sample and every
 prototype, and added per pair; the pair matrix is never built. Its gradient
-is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a row reduction. For a
-fixed BLAS, at 2048/1024 and 1024/512 where it was verified, a logit's
-bytes depend on neither the other rows in its block (of two or more) nor
-the BLAS thread count; at some other widths they do (ROADMAP item 4).
-Adam runs over cache-sized blocks of each parameter.
+is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a float64 ``einsum`` row
+reduction. For a fixed BLAS, at 2048/1024 and 1024/512 where it was
+verified, a logit's bytes depend on neither the other rows in its block (of
+two or more) nor the BLAS thread count; at some other widths they do
+(ROADMAP item 4). Adam runs over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place. The backward LeakyReLU gate
 multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
@@ -87,8 +88,8 @@ class RelationParams:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def copy(self) -> "RelationParams":
-        return RelationParams([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases],
+        return RelationParams([w.astype(np.float64) for w in self.weights],
+                              [b.astype(np.float64) for b in self.biases],
                               self.slope, self.m, False)
 
     def freeze(self) -> "RelationParams":
@@ -241,9 +242,9 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
     With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
     ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
     exactly when its pre-activation is, so ``acts`` also serves as the
-    backward gate. The last layer is a row reduction, not a fan-out-1 gemv;
-    the module docstring states when a row's logit is then independent of
-    the other rows and of BLAS threads.
+    backward gate. The last layer is a float64 ``einsum`` row reduction, not
+    a fan-out-1 gemv; the module docstring states when a row's logit is then
+    independent of the other rows and of BLAS threads.
     """
     z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
     acts = []
@@ -253,7 +254,7 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
         if keep:
             acts.append(h)
         w, b = params.weights[i], params.biases[i]
-        z = h @ w if i < last else (h * w[:, 0]).sum(axis=1, keepdims=True)
+        z = h @ w if i < last else np.einsum("ij,j->i", h, w[:, 0], dtype=np.float64)[:, None]
         z += b
     logits = z[:, 0]
     return (logits, acts) if keep else logits
@@ -265,15 +266,23 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
 
     The table is built for ``max(1, chunk // C)`` whole samples at a time, so
     memory stays bounded by about ``chunk`` pair rows, not by B*C, and each
-    block's activations stay cache-sized. A logit's bytes do not depend on
-    the block size as long as the BLAS rounds a GEMM row the same way for
-    every block of two or more rows; OpenBLAS does at the default widths.
+    block's activations stay cache-sized. The first-layer halves, the last
+    layer and the logits are float64; the add, the LeakyReLUs and the hidden
+    GEMMs float32, on the checkpoint's weights (cast if held in float64).
+    On the benchmark worlds (1024/512) no logit moved by more than 3.1e-7
+    from the all-float64 table's. Its bytes depend on neither the BLAS
+    threads nor the block size (of two or more rows) at 1024/512 and
+    2048/1024 with OpenBLAS 0.3.31.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
     a, cp = _first_layer(params, vs, protos)
+    if len(params.weights) > 1:  # the hidden layers run in float32
+        a, cp = a.astype(np.float32), cp.astype(np.float32)
+        f32 = lambda xs: [xs[0], *(x.astype(np.float32, copy=False) for x in xs[1:-1]), xs[-1]]
+        params = RelationParams(f32(params.weights), f32(params.biases), params.slope, params.m)
     c = protos.shape[0]
     step = max(1, chunk // max(c, 1))
     out = np.empty((vs.shape[0], c), dtype=np.float64)
@@ -495,6 +504,5 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     if off != len(blob):
         raise DimMismatch(f"{path}: {len(blob) - off} trailing bytes")
     meta = _check_aln(path, weights, biases, lambda: read_sidecar(path))
-    return RelationParams([w.astype(np.float64) for w in weights],
-                          [b.astype(np.float64) for b in biases],
-                          float(meta.get("slope", DEFAULT_SLOPE)), meta["m"]).freeze(), meta
+    return RelationParams(weights, biases, float(meta.get("slope", DEFAULT_SLOPE)),
+                          meta["m"]).freeze(), meta

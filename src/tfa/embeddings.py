@@ -9,7 +9,7 @@ EMB1 layout (little-endian throughout):
     bytes 0..3   magic "EMB1"
     bytes 4..7   u32 dimension m
     bytes 8..11  u32 record count n
-    bytes 12..15 u32 flags (bit 0: vectors were stored unit-normalized)
+    bytes 12..15 u32 flags (bit 0: every row's norm is within 1e-6 of 1)
     bytes 16..   n * m float32 values, row-major
 
 Record metadata lives in the sidecar::
@@ -245,7 +245,8 @@ def _save_emb(path, matrix, rows, fields: dict, build) -> None:
     records = [{k: v for k, v in zip(fields, row) if v is not None} for row in rows]
     _decode(path, f32, records, fields, build)
     count, dim = f32.shape
-    write_pair(path, (MAGIC, _HEADER.pack(dim, count, FLAG_NORMALIZED), f32),
+    unit = np.all(np.abs(np.linalg.norm(f32.astype(np.float64), axis=1) - 1.0) <= 1e-6)
+    write_pair(path, (MAGIC, _HEADER.pack(dim, count, FLAG_NORMALIZED if unit else 0), f32),
                {"dim": dim, "count": count, "records": records})
 
 

@@ -214,6 +214,63 @@ def ref_score_matrix(params, vs, protos, chunk=8192):
     return out.reshape(b, c)
 
 
+def f64_score_matrix(params, vs, protos, chunk=256):
+    """The float64 score table that the float32 hidden path replaced, bit for
+    bit: the first layer in halves, ``max(1, chunk // C)`` samples per block,
+    every layer in float64 and a row-reduced last layer. Weights of any float
+    dtype are promoted exactly, so a loaded float32 scorer scores as before."""
+    vs = np.asarray(vs, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    w0, m = params.weights[0].astype(np.float64), params.m
+    a, cp = vs @ w0[:m], protos @ w0[m:] + params.biases[0]
+    c = protos.shape[0]
+    step = max(1, chunk // max(c, 1))
+    last = len(params.weights) - 1
+    out = np.empty((vs.shape[0], c), dtype=np.float64)
+    for s0 in range(0, vs.shape[0], step):
+        z = (a[s0:s0 + step, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
+        for i in range(1, last + 1):
+            h = np.where(z > 0, z, params.slope * z)
+            w, b = params.weights[i].astype(np.float64), params.biases[i]
+            z = h @ w if i < last else (h * w[:, 0]).sum(axis=1, keepdims=True)
+            z += b
+        out[s0:s0 + step] = z[:, 0].reshape(-1, c)
+    return out
+
+
+def f32_logit_bound(params, vs, protos):
+    """A (B, C) first-order bound on how far each float32-path logit of
+    ``score_matrix`` may lie from ``f64_score_matrix``'s.
+
+    With ``u = 2**-24``, float32's unit roundoff: casting the two first-layer
+    halves and adding them errs by at most ``u(|a| + |cp|) + u|z|``; a
+    LeakyReLU scales an error by at most ``max(1, slope)`` and rounds once
+    more (``u|h|``); a float32 GEMM of fan-in ``n`` plus its bias errs by at
+    most ``|dh| @ |W| + (n + 2)u (|h| @ |W| + |b|)`` whatever its summation
+    order. The float64 last layer only carries ``|dh| @ |w|`` forward.
+    """
+    u = 2.0 ** -24
+    vs = np.asarray(vs, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    b, c = vs.shape[0], protos.shape[0]
+    x = ref_pairs(vs, protos)
+    m = params.m
+    w0 = params.weights[0].astype(np.float64)
+    halves = np.abs(x[:, :m] @ w0[:m]) + np.abs(x[:, m:] @ w0[m:] + params.biases[0])
+    _, acts, pre = ref_forward(params, x, keep=True)
+    err = u * halves + u * np.abs(pre[0])
+    gain = max(1.0, params.slope)
+    last = len(params.weights) - 1
+    for i in range(1, last + 1):
+        h = np.abs(acts[i])
+        dh = gain * err + u * h
+        w = np.abs(params.weights[i].astype(np.float64))
+        err = dh @ w
+        if i < last:
+            err += (w.shape[0] + 2) * u * (h @ w + np.abs(params.biases[i]))
+    return err[:, 0].reshape(b, c)
+
+
 def ref_loss_and_grad(params, vs, protos, targets):
     """Mean batch loss and gradient, gating the backward pass on the kept
     pre-activations: (loss, d_weights, d_biases)."""

@@ -36,6 +36,8 @@ from tfa.synth import SynthConfig, generate_synthetic
 
 from helpers import (
     central_difference_check,
+    f32_logit_bound,
+    f64_score_matrix,
     make_unit,
     ref_adam_step,
     ref_forward,
@@ -74,9 +76,9 @@ def test_default_architecture_shape():
 
 # ---- forward scoring ----
 
-def score_pair(params, v, e):
+def score_pair(params, v, e, table=score_matrix):
     """(sigmoid score, logit) of one (vision, text) pair, scored as a 1x1 table."""
-    z = score_matrix(params, np.reshape(v, (1, -1)), np.reshape(e, (1, -1)))
+    z = table(params, np.reshape(v, (1, -1)), np.reshape(e, (1, -1)))
     return float(_sigmoid(z)[0, 0]), float(z[0, 0])
 
 
@@ -100,7 +102,7 @@ def test_score_pair_matches_loop_oracle_and_reference():
     params = init_relation(4, seed=42, hidden=(3, 2))
     v = l2_normalize([1.0, -2.0, 0.5, 0.25])
     e = l2_normalize([0.3, 0.3, -0.9, 1.1])
-    s, z = score_pair(params, v, e)
+    s, z = score_pair(params, v, e, table=f64_score_matrix)
     rs, rz = ref_score_pair(params, v, e)
     assert s == pytest.approx(rs, abs=1e-12)
     assert z == pytest.approx(rz, abs=1e-12)
@@ -252,7 +254,7 @@ def test_score_matrix_matches_the_where_kernel(slope, zero_weights):
     p = _kernel_net(slope, zero_weights)
     vs, protos, _ = _kernel_inputs()
     want = ref_score_matrix(p, vs, protos)
-    table = score_matrix(p, vs, protos, chunk=7)  # blocks of 2 samples, then 1
+    table = f64_score_matrix(p, vs, protos, chunk=7)  # blocks of 2 samples, then 1
     np.testing.assert_allclose(table, want, rtol=0, atol=LOGIT_ATOL)
     assert np.array_equal(np.argmax(table, axis=1), np.argmax(want, axis=1))
     if zero_weights:
@@ -260,6 +262,55 @@ def test_score_matrix_matches_the_where_kernel(slope, zero_weights):
         # LeakyReLU exactly as in the oracle: bit for bit.
         assert table.tobytes() == want.tobytes()
         assert np.unique(table).size == 1
+
+
+@pytest.mark.parametrize("slope", KERNEL_SLOPES)
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_float32_table_is_within_its_bound_of_the_oracle(slope, zero_weights):
+    p = _kernel_net(slope, zero_weights)
+    vs, protos, _ = _kernel_inputs()
+    want = f64_score_matrix(p, vs, protos, chunk=7)
+    table = score_matrix(p, vs, protos, chunk=7)
+    assert table.dtype == np.float64
+    err = np.abs(table - want)
+    assert np.all(err <= f32_logit_bound(p, vs, protos))
+    assert np.array_equal(np.argmax(table, axis=1), np.argmax(want, axis=1))
+    if zero_weights:
+        # Every hidden value is a bias of few bits, and the logit is the
+        # float64 last bias: bit for bit.
+        assert table.tobytes() == want.tobytes()
+    else:
+        assert err.max() > 0.0  # the hidden layers did run in float32
+
+
+def test_float32_table_at_the_benchmark_width():
+    p = init_relation(64, seed=3, hidden=(1024, 512))
+    rng = np.random.default_rng(0)
+    for b in p.biases:
+        b += rng.normal(size=b.shape) * 0.1
+    vs = l2_normalize(rng.normal(size=(40, 64)))
+    protos = l2_normalize(rng.normal(size=(35, 64)))
+    want = f64_score_matrix(p, vs, protos)
+    table = score_matrix(p, vs, protos)
+    err = np.abs(table - want)
+    assert np.all(err <= f32_logit_bound(p, vs, protos))
+    assert 0.0 < err.max() < 1e-5
+    assert np.array_equal(np.argmax(table, axis=1), np.argmax(want, axis=1))
+
+
+def test_a_loaded_scorer_keeps_float32_and_copies_to_float64(tmp_path):
+    p = _kernel_net(0.01, False)
+    save_alignment(p, tmp_path / "s.aln")
+    loaded, _ = load_alignment(tmp_path / "s.aln")
+    assert all(a.dtype == np.float32 and a.base is not None
+               for a in (*loaded.weights, *loaded.biases))
+    copy = loaded.copy()
+    assert all(a.dtype == np.float64 and a.flags.writeable for a in (*copy.weights, *copy.biases))
+    # The float64 copy holds the same values, so it scores to the same bytes.
+    vs, protos, _ = _kernel_inputs()
+    assert score_matrix(loaded, vs, protos).tobytes() == score_matrix(copy, vs, protos).tobytes()
+    assert f64_score_matrix(loaded, vs, protos).tobytes() == \
+        f64_score_matrix(copy, vs, protos).tobytes()
 
 
 @pytest.mark.parametrize("slope", KERNEL_SLOPES)
@@ -307,7 +358,8 @@ def test_scorer_without_hidden_layers_matches_the_oracle():
         score_matrix(p, vs, protos)[1, 2], rel=0, abs=LOGIT_ATOL)
 
 
-def test_score_matrix_bytes_do_not_depend_on_the_block_size():
+@pytest.mark.parametrize("hidden", [(40, 24), (1024, 512)], ids=["40x24", "1024x512"])
+def test_score_matrix_bytes_do_not_depend_on_the_block_size(hidden):
     # 3 prototypes: chunk 2 scores one sample (3 rows) per block, 7 two, 256
     # eighty-five and 8192 all 101 at once. This rests on the BLAS rounding a
     # GEMM row the same way whatever the row count. OpenBLAS does at these
@@ -315,7 +367,7 @@ def test_score_matrix_bytes_do_not_depend_on_the_block_size():
     # some others (36/20 with 35 prototypes) it does not. A block of one row
     # goes through gemv instead, which happens only with one prototype and a
     # chunk below 2.
-    p = init_relation(8, seed=5, hidden=(40, 24), slope=0.01)
+    p = init_relation(8, seed=5, hidden=hidden, slope=0.01)
     stream = Stream(6)
     for b in p.biases:
         b += stream.normal(b.shape[0])

@@ -9,12 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfa.alignment
 import tfa.cli
 import tfa.errors
+import tfa.protocol
 from tfa.alignment import RelationParams, load_alignment, save_alignment
 from tfa.cli import main
-from tfa.embeddings import load_embeddings, save_embeddings
+from tfa.embeddings import load_embeddings, load_prototypes, prototype_matrix, save_embeddings
 from tfa.protocol import ExperimentConfig
+
+from helpers import f64_score_matrix
 
 
 SYNTH_CFG = {
@@ -219,6 +223,59 @@ def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
     # The ALN1 weights only: at 1024/512 the sidecar's first epoch loss, a
     # float64 mean, differs in its last bit at 2 threads.
     assert _train_align(bench_world, name, "2")[0] == ALIGN_SHAS[name][0]
+
+
+def _run_with_table(monkeypatch, argv, table):
+    """Run ``argv`` in-process with ``table`` as the score table builder;
+    return the report bytes, the tables built and every per-sample
+    prediction array ``stream_predictions`` returned, in call order."""
+    tables, preds = [], []
+    stream = tfa.protocol.stream_predictions
+
+    def built(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    def recorded(*args):
+        out = stream(*args)
+        preds.extend(out)
+        return out
+
+    monkeypatch.setattr(tfa.protocol, "score_matrix", built)
+    monkeypatch.setattr(tfa.protocol, "stream_predictions", recorded)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return Path(argv[argv.index("--out") + 1]).read_bytes(), tables, preds
+
+
+@pytest.mark.parametrize("workload", ["sweep", "stream"])
+def test_float32_table_gives_the_float64_oracle_predictions(bench_world, tmp_path,
+                                                            monkeypatch, workload):
+    # The benchmark's seed-0 world, scorer and op command lines, with
+    # 2 stream trials instead of 6. The float32 hidden path moves logits by
+    # about 1e-7; every per-sample prediction and every report byte must
+    # still equal those from the float64 table.
+    tasks = bench_world / "tasks"
+    scorer = tmp_path / "scorer.aln"
+    cfg = write_json(tmp_path / "scorer.json", BENCH_ALIGN["scorer"])
+    assert main(["train-align", "--base", str(tasks / "task_000.emb"), "--protos",
+                 str(tasks / "prototypes.emb"), "--config", cfg, "--out", str(scorer)]) == 0
+    argv = ["--tasks", str(tasks), "--align", str(scorer), "--config", cfg]
+    if workload == "sweep":
+        argv = ["ablate", *argv, "--sweep", "alpha", "--values", "0,0.5,1,2,3", "--trials", "1"]
+    else:
+        argv = ["run", *argv, "--base-update-policy", "always", "--capacity", "10",
+                "--trials", "2"]
+    report, tables, preds = _run_with_table(
+        monkeypatch, argv + ["--out", str(tmp_path / "f32.json")], tfa.alignment.score_matrix)
+    want, want_tables, want_preds = _run_with_table(
+        monkeypatch, argv + ["--out", str(tmp_path / "f64.json")], f64_score_matrix)
+    assert len(tables) == len(want_tables) == 1
+    assert 0.0 < np.abs(tables[0] - want_tables[0]).max() < 1e-6
+    assert len(preds) == len(want_preds) > 0
+    for got, exp in zip(preds, want_preds):
+        assert got.tobytes() == exp.tobytes()
+    assert report == want
 
 
 def test_run_writes_byte_identical_reports(workspace, tmp_path):
@@ -744,6 +801,31 @@ def test_non_finite_logits_are_a_validation_error(tiny_world, tmp_path, capsys, 
     weights = [3e38 * signs.choice([-1.0, 1.0], size=shape) for shape in zip(sizes, sizes[1:])]
     save_alignment(RelationParams(weights, [np.zeros(w.shape[1]) for w in weights], 0.01, 8),
                    world / "scorer.aln")
+    argv = _run_argv(world, tmp_path / "r.json")
+    if command == "ablate":
+        argv = ["ablate", *argv[1:-2], "--sweep", "alpha", "--values", "0,1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: the scorer gives non-finite logits on this data\n"
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_hidden_values_past_float32_range_are_a_validation_error(tiny_world, tmp_path,
+                                                                 capsys, command):
+    # A finite checkpoint 16→16→1 whose first layer of weights ±3e38 gives
+    # pre-activations past float32's range but inside float64's, and whose
+    # last layer of 1e-37 brings them back: every float64 logit is finite,
+    # the float32 hidden path's are not. No warning may escape.
+    world = _copy_world(tiny_world, tmp_path / "w")
+    signs = np.random.default_rng(5)
+    weights = [3e38 * signs.choice([-1.0, 1.0], size=(16, 16)), np.full((16, 1), 1e-37)]
+    save_alignment(RelationParams(weights, [np.zeros(16), np.zeros(1)], 0.01, 8),
+                   world / "scorer.aln")
+    scorer, _ = load_alignment(world / "scorer.aln")
+    protos = load_prototypes(world / "prototypes.emb")
+    protos = prototype_matrix(protos, sorted(p.class_id for p in protos))
+    for task in sorted(world.glob("task_*.emb")):
+        assert np.all(np.isfinite(f64_score_matrix(scorer, load_embeddings(task).vectors,
+                                                   protos)))
     argv = _run_argv(world, tmp_path / "r.json")
     if command == "ablate":
         argv = ["ablate", *argv[1:-2], "--sweep", "alpha", "--values", "0,1"]

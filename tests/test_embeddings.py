@@ -173,6 +173,16 @@ def test_save_prototypes_rejects_duplicate_class_ids_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("row, flags", [([3.0, 4.0], 0), ([0.6, 0.8], 1),
+                                        ([0.6, 0.8 * (1 + 1e-5)], 0)])
+def test_the_normalized_flag_follows_the_written_rows(tmp_path, row, flags):
+    path = tmp_path / "protos.emb"
+    save_prototypes([ClassPrototype(0, np.array(row))], path)
+    assert np.frombuffer(path.read_bytes()[4:16], dtype="<u4").tolist() == [2, 1, flags]
+    np.testing.assert_allclose(load_prototypes(path)[0].vector, row / np.linalg.norm(row),
+                               rtol=1e-6)
+
+
 def test_zero_vector_prototype_is_corrupt(tmp_path):
     protos = [ClassPrototype(0, l2_normalize([1.0, 0.0]))]
     path = tmp_path / "protos.emb"
