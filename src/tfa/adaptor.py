@@ -106,11 +106,13 @@ def argmax_lowest_ids(values: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
     return np.where(winners, ids, np.iinfo(np.int64).max).min(axis=-1)
 
 
-def affinity(u: float, beta: float):
-    """Retrieval weight exp(-beta * (1 - u)); u=1 or beta=0 give weight 1."""
+def affinity(u: float, beta: float, out: np.ndarray | None = None):
+    """Retrieval weight exp(-beta * (1 - u)), into ``out`` if given; u=1 or
+    beta=0 give weight 1."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return np.exp(-beta * (1.0 - np.asarray(u, dtype=np.float64)))
+    d = np.subtract(1.0, np.asarray(u, dtype=np.float64), out=out)
+    return np.exp(np.multiply(-beta, d, out=out), out=out)
 
 
 def _unit_rows(keys, what: str) -> np.ndarray:
@@ -317,9 +319,11 @@ def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndar
     columns in ``class_ids`` order:
     ``B = (exp(-beta * (1 - clip(Q K^T))) * live) @ onehot(values)``.
 
-    ``clip(Q K^T)`` and the one-hot value matrix are formed once for all
-    betas. ``live`` (queries x entries, optional) masks the entries each
-    query sees. Every cached class must appear in ``class_ids``.
+    ``clip(Q K^T)``, the one-hot value matrix and one weight buffer that
+    every beta reuses (``clip(Q K^T)`` itself for one beta) are formed once,
+    so beyond the outputs memory peaks at two (queries, entries) float64
+    arrays, or one. ``live`` (queries x entries, optional) masks the entries
+    each query sees. Every cached class must appear in ``class_ids``.
     """
     queries = np.asarray(queries, dtype=np.float64)
     class_ids = np.asarray(class_ids, dtype=np.int64)
@@ -334,10 +338,12 @@ def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndar
         raise DimMismatch(
             f"cache holds class {int(values[missing][0])} missing from class order")
     onehot = onehot.astype(np.float64)
-    u = np.clip(queries @ keys.T, -1.0, 1.0)
+    u = queries @ keys.T
+    np.clip(u, -1.0, 1.0, out=u)
+    w = u if len(betas) == 1 else np.empty_like(u)
     out = []
     for beta in betas:
-        w = affinity(u, beta)
+        affinity(u, beta, out=w)
         if live is not None:
             w *= live
         out.append(w @ onehot)

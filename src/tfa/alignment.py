@@ -14,13 +14,13 @@ saturated sigmoids never produce log(0).
 
 Scoring and training share one kernel. The first layer's input is a pair
 ``[v, e]``, so its pre-activation is ``v @ W1[:m] + (e @ W1[m:] + b1)``: the
-two halves are computed once per call, for every sample and every
-prototype, and added per pair; the pair matrix is never built. Its gradient
-is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``. The last layer is a float64 ``einsum`` row
-reduction. For a fixed BLAS, at 2048/1024 and 1024/512 where it was
-verified, a logit's bytes depend on neither the other rows in its block (of
-two or more) nor the BLAS thread count; at some other widths they do
-(ROADMAP item 4). Adam runs over cache-sized blocks of each parameter.
+two halves are computed per sample and per prototype and added per pair;
+the pair matrix is never built. Its gradient is ``[Vᵀ Σ_c δ ; Pᵀ Σ_b δ]``.
+The last layer is a float64 ``einsum`` row reduction. The table runs on one
+block shape per call, so for a fixed BLAS and prototype count a logit's
+bytes never depend on the other samples; at 2048/1024 and 1024/512, where
+it was verified, not on the block size or BLAS threads either. Adam runs
+over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place. The backward LeakyReLU gate
 multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
@@ -235,7 +235,7 @@ def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False):
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False, work=None):
     """Logits for every pair of the samples whose first-layer half is ``a``
     with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
@@ -244,9 +244,11 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
     exactly when its pre-activation is, so ``acts`` also serves as the
     backward gate. The last layer is a float64 ``einsum`` row reduction, not
     a fan-out-1 gemv; the module docstring states when a row's logit is then
-    independent of the other rows and of BLAS threads.
+    independent of the other rows and of BLAS threads. ``work`` holds each
+    layer's output buffer (the first shaped (len(a), C, width)) for reuse.
     """
-    z = (a[:, None, :] + cp[None, :, :]).reshape(-1, cp.shape[1])
+    work = work or [None] * len(params.weights)
+    z = np.add(a[:, None, :], cp[None, :, :], out=work[0]).reshape(-1, cp.shape[1])
     acts = []
     last = len(params.weights) - 1
     for i in range(1, last + 1):
@@ -254,7 +256,8 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
         if keep:
             acts.append(h)
         w, b = params.weights[i], params.biases[i]
-        z = h @ w if i < last else np.einsum("ij,j->i", h, w[:, 0], dtype=np.float64)[:, None]
+        z = np.matmul(h, w, out=work[i]) if i < last else \
+            np.einsum("ij,j->i", h, w[:, 0], dtype=np.float64, out=work[i])[:, None]
         z += b
     logits = z[:, 0]
     return (logits, acts) if keep else logits
@@ -264,30 +267,41 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
                  chunk: int = 256) -> np.ndarray:
     """Logits for every (sample, prototype) pair, shape (B, C).
 
-    The table is built for ``max(1, chunk // C)`` whole samples at a time, so
-    memory stays bounded by about ``chunk`` pair rows, not by B*C, and each
-    block's activations stay cache-sized. The first-layer halves, the last
-    layer and the logits are float64; the add, the LeakyReLUs and the hidden
-    GEMMs float32, on the checkpoint's weights (cast if held in float64).
-    On the benchmark worlds (1024/512) no logit moved by more than 3.1e-7
-    from the all-float64 table's. Its bytes depend on neither the BLAS
-    threads nor the block size (of two or more rows) at 1024/512 and
-    2048/1024 with OpenBLAS 0.3.31.
+    Samples are scored in blocks of ``max(1, min(chunk, 1024) // C)``, the
+    tail block padded, so every product of a call has one shape and the
+    first-layer product at least two rows (one row goes to gemv). So, for a
+    fixed BLAS and C, ``score_matrix(V[:k])`` is ``score_matrix(V)[:k]``
+    byte for byte, and only the output grows with B. The first-layer halves,
+    the last layer and the logits are float64; the add, the LeakyReLUs and
+    the hidden GEMMs float32, on the checkpoint's weights (cast if held in
+    float64). On the benchmark worlds (1024/512) no logit moved by more than
+    3.1e-7 from the all-float64 table's. Its bytes depend on neither the
+    BLAS threads nor the block size at 1024/512 and 2048/1024 (OpenBLAS
+    0.3.31).
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
-    if vs.shape[1] != params.m or protos.shape[1] != params.m:
+    if vs.ndim != 2 or protos.ndim != 2 or vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
-    a, cp = _first_layer(params, vs, protos)
+    (n, m), c, w = vs.shape, protos.shape[0], params.weights[0]
+    step = max(1, min(chunk, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
+    cp, w1 = protos @ w[m:], w[:m].astype(np.float64, copy=False)  # cp's weight cast is freed first
+    cp += params.biases[0]
     if len(params.weights) > 1:  # the hidden layers run in float32
-        a, cp = a.astype(np.float32), cp.astype(np.float32)
+        cp = cp.astype(np.float32)
         f32 = lambda xs: [xs[0], *(x.astype(np.float32, copy=False) for x in xs[1:-1]), xs[-1]]
         params = RelationParams(f32(params.weights), f32(params.biases), params.slope, params.m)
-    c = protos.shape[0]
-    step = max(1, chunk // max(c, 1))
-    out = np.empty((vs.shape[0], c), dtype=np.float64)
-    for s0 in range(0, vs.shape[0], step):
-        out[s0:s0 + step] = _forward(params, a[s0:s0 + step], cp).reshape(-1, c)
+    # One block's samples, their first-layer half (float64, cast), each layer's output.
+    x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
+    ah = np.empty((step, w.shape[1]), dtype=cp.dtype)
+    work = [np.empty((step * c, b.size), cp.dtype) for b in params.biases[:-1]] + [np.empty(step * c)]
+    work[0] = work[0].reshape(step, c, w.shape[1])
+    out = np.empty((n, c))
+    for s0 in range(0, n, step):
+        k = min(step, n - s0)
+        x[:k] = vs[s0:s0 + k]
+        np.copyto(ah, np.matmul(x, w1, out=a)[:step])
+        out[s0:s0 + k] = _forward(params, ah, cp, work=work).reshape(step, c)[:k]
     return out
 
 

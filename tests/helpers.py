@@ -6,6 +6,7 @@ its oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -358,3 +359,12 @@ def ref_generate_synthetic(cfg):
     }
     provenance = {"kind": "synthetic", "seed": cfg.seed, "config": asdict(cfg)}
     return columns, provenance, protos
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -21,11 +21,11 @@ from tfa.adaptor import (
 )
 from tfa.alignment import _sigmoid, init_relation, score_matrix
 from tfa.errors import DimMismatch, ShotCapacityExceeded
-from tfa.numerics import entropy, softmax
+from tfa.numerics import entropy, l2_normalize, softmax
 from tfa.protocol import stream_predictions
 from tfa.rng import Stream
 
-from helpers import make_unit, ref_cache_scores
+from helpers import make_unit, ref_cache_scores, traced_peak
 
 
 def row(logits, ids=None):
@@ -465,6 +465,39 @@ def test_retrieve_rows_match_single_query_scores():
     (masked,) = retrieve(queries, keys, values, [7, 4, 1, 0], [1.5], live)
     assert np.all(masked[:, 1] == 0.0)
     np.testing.assert_array_equal(masked[:, [0, 2]], batch[:, [0, 2]])
+
+
+def _retrieve_with_temporaries(queries, keys, values, class_ids, betas, live):
+    """``retrieve`` before its weights moved into one reused buffer."""
+    onehot = (values[:, None] == np.asarray(class_ids)[None, :]).astype(np.float64)
+    u = np.clip(queries @ keys.T, -1.0, 1.0)
+    return [(np.exp(-beta * (1.0 - u)) * live) @ onehot for beta in betas]
+
+
+def test_retrieve_in_one_buffer_keeps_the_bytes_and_bounds_its_memory():
+    rng = np.random.default_rng(4)
+    queries, keys = (l2_normalize(rng.normal(size=(n, 16))) for n in (2000, 300))
+    keys[0] = queries[0]  # a cosine at the clip bound
+    values = rng.integers(0, 35, size=300)
+    class_ids, betas = list(range(35)), [0.0, 1.5, 5.5]
+    live = rng.random((2000, 300)) < 0.7
+    # Beyond its outputs and 0.5 MB of slack, retrieve holds two (Q, E)
+    # float64 arrays, and one when a single beta lets the weights overwrite
+    # clip(Q K^T).
+    for bs, arrays in ((betas, 2), (betas[1:2], 1)):
+        want = _retrieve_with_temporaries(queries, keys, values, class_ids, bs, live)
+        got, peak = traced_peak(retrieve, queries, keys, values, class_ids, bs, live)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert peak <= arrays * 2000 * 300 * 8 + len(bs) * 2000 * 35 * 8 + (1 << 19)
+
+
+def test_affinity_out_is_the_same_formula():
+    u = np.linspace(-1.0, 1.0, 101)
+    out = np.empty_like(u)
+    assert affinity(u, 2.5, out=out) is out
+    assert out.tobytes() == affinity(u, 2.5).tobytes()
+    with pytest.raises(ValueError):
+        affinity(u, -1.0, out=out)
 
 
 def test_argmax_lowest_ids_is_row_wise_with_ties_to_lowest_id():

@@ -46,6 +46,7 @@ from helpers import (
     ref_scalar_adam,
     ref_score_matrix,
     ref_score_pair,
+    traced_peak,
 )
 
 
@@ -404,6 +405,54 @@ def test_score_matrix_bytes_do_not_depend_on_blas_threads():
                              capture_output=True, text=True, timeout=120)
         digests.add(out.stdout.strip())
     assert len(digests) == 1
+
+
+PREFIX_SIZES = (*range(1, 30), 50, 99, 150, 299, 300)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["float64", "aln1"])
+@pytest.mark.parametrize("c", [35, 3, 1])
+@pytest.mark.parametrize("hidden", [(36, 20), (20, 36), (100, 50), (1024, 512)],
+                         ids=["36x20", "20x36", "100x50", "1024x512"])
+def test_score_matrix_rows_do_not_depend_on_later_samples(hidden, c, loaded, tmp_path):
+    # Every product of a call runs on one block shape, so scoring a prefix
+    # of the samples gives that prefix of the whole table, byte for byte,
+    # also at widths where a GEMM's rounding depends on its row count.
+    p = init_relation(16, seed=7, hidden=hidden, slope=0.01)
+    stream = Stream(8)
+    for b in p.biases:
+        b += stream.normal(b.shape[0])
+    if loaded:
+        save_alignment(p, tmp_path / "s.aln")
+        p, _ = load_alignment(tmp_path / "s.aln")
+    vs = np.vstack([make_unit(stream, 16) for _ in range(301)])
+    protos = np.vstack([make_unit(stream, 16) for _ in range(c)])
+    table = score_matrix(p, vs, protos)
+    for k in PREFIX_SIZES:
+        assert score_matrix(p, vs[:k], protos).tobytes() == table[:k].tobytes(), k
+
+
+def test_score_matrix_memory_does_not_grow_with_the_samples():
+    # Beyond its (B, C) output, the table works in buffers sized by the
+    # block, not by B: 30 times the samples add only the larger output.
+    p = init_relation(64, seed=3, hidden=(1024, 512))
+    rng = np.random.default_rng(1)
+    protos = l2_normalize(rng.normal(size=(35, 64)))
+    small, large = (l2_normalize(rng.normal(size=(n, 64))) for n in (70, 2100))
+    growth = traced_peak(score_matrix, p, large, protos)[1] - \
+        traced_peak(score_matrix, p, small, protos)[1]
+    assert growth <= (2100 - 70) * 35 * 8 + (1 << 19)
+
+
+def test_score_matrix_input_shapes():
+    p = init_relation(4, seed=0, hidden=(3, 2))
+    vs, protos = np.eye(4)[:3], np.eye(4)[1:]
+    for bad in ((vs[0], protos), (vs, protos[0]), (vs[None], protos), (vs, protos[None])):
+        with pytest.raises(DimMismatch):
+            score_matrix(p, *bad)
+    empty = score_matrix(p, vs, np.zeros((0, 4)))
+    assert empty.shape == (3, 0) and empty.dtype == np.float64
+    assert score_matrix(p, np.zeros((0, 4)), protos).shape == (0, 3)
 
 
 def test_sigmoid_monotone_argmax_identity():
