@@ -1,7 +1,7 @@
 """Training-free dual-cache adaptor for few-shot class-incremental
 classification over precomputed embedding vectors."""
 
-from .adaptor import DualCache, affinity, fuse, pseudo_label
+from .adaptor import DualCache, affinity, fuse
 from .alignment import (
     RelationParams,
     TrainConfig,

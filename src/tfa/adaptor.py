@@ -6,7 +6,9 @@ entropy of the softmax over the logits that pseudo-labeled them: a new entry
 is admitted while the class queue is below capacity, and once full it only
 displaces the current maximum-entropy entry when its own entropy is strictly
 lower. The novel cache holds up to K training features per novel class and
-is never evicted.
+is never evicted. :class:`DualCache` stores both caches as parallel arrays,
+one row per entry (key, class id, entropy, novel flag), class ascending,
+base before novel within a class and admission order within each.
 
 Retrieval pools both caches: for a unit-norm query v,
 
@@ -23,13 +25,14 @@ never on the fused prediction, so a whole stream's insert/evict history can
 be replayed before any query is scored (:func:`schedule_admissions`). The
 replay takes every offered row's label and entropy from one batched call
 (:func:`argmax_lowest_ids`, :func:`entropies`), checks every key norm before
-it mutates the cache, and then runs the per-class queues on Python floats.
-The one-row names (:func:`pseudo_label`, :func:`argmax_lowest_id`,
+it mutates the cache, and then runs the per-class queues on row indices and
+Python floats. The one-row names (:func:`pseudo_label`, :func:`argmax_lowest_id`,
 :meth:`DualCache.try_insert_base`) call the same batched code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,25 +43,14 @@ from .numerics import entropy, softmax
 ORIGIN_BASE = "base_pseudo"
 ORIGIN_NOVEL = "novel_shot"
 
-POLICIES = ("off", "session0_only", "always")
-
 _UNIT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: np.ndarray
-    value: int
-    entropy: float
-    origin: str
 
 
 @dataclass(frozen=True)
 class InsertOutcome:
     kind: str                      # "inserted" | "replaced" | "rejected"
-    evicted: CacheEntry | None = None
+    evicted: float | None = None   # the evicted entry's entropy, if replaced
     reason: str | None = None
-    entry: CacheEntry | None = None    # the admitted entry, unless rejected
 
 
 def pseudo_label(logits: np.ndarray, class_ids: np.ndarray) -> tuple[int, float]:
@@ -131,20 +123,34 @@ def _unit_rows(keys, what: str) -> np.ndarray:
     return rows
 
 
-class DualCache:
-    """Per-class bounded queues of base pseudo-label and novel shot entries."""
+def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of ``a``, then rows of ``b``; an empty side adds nothing, whatever its width."""
+    return b if not len(a) else a if not len(b) else np.concatenate([a, b])
 
-    def __init__(self, capacity: int = 5, shots: int = 5,
-                 base_update_policy: str = "session0_only"):
+
+class DualCache:
+    """The base and novel caches as parallel arrays, one row per entry:
+    ``keys`` (E, d), ``values`` (E,) class ids, ``entropies`` (E,), 0 for a
+    novel shot, and ``novel`` (E,) flags.
+
+    Rows run class ascending, base before novel within a class, and in
+    admission order within each; a class's base rows are its queue.
+    """
+
+    def __init__(self, capacity: int = 5, shots: int = 5):
         if capacity < 1 or shots < 1:
             raise ValueError("capacity and shots must be >= 1")
-        if base_update_policy not in POLICIES:
-            raise ValueError(f"unknown base_update_policy {base_update_policy!r}")
         self.capacity = capacity
         self.shots = shots
-        self.base_update_policy = base_update_policy
-        self._base: dict[int, list[CacheEntry]] = {}
-        self._novel: dict[int, list[CacheEntry]] = {}
+        self._store(np.zeros((0, 0)), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))
+
+    def _store(self, keys, values, ents, novel) -> None:
+        """Keep these rows, put in row order by one stable sort (Python's:
+        numpy's sort kernels would add ~0.25 MB of code pages to the RSS)."""
+        rank = list(zip(values.tolist(), novel.tolist()))
+        order = sorted(range(len(rank)), key=rank.__getitem__)
+        self.keys, self.values = keys[order], values[order]
+        self.entropies, self.novel = ents[order], novel[order]
 
     # -- mutation --
 
@@ -154,105 +160,96 @@ class DualCache:
         of :func:`schedule_admissions`."""
         keys = _unit_rows(np.reshape(key, (1, -1)), "cache key")
         cls, h = pseudo_label(logits, class_ids)
-        for _row, entry, evicted in self._admit_base(keys, [cls], [h]):
-            kind = "inserted" if evicted is None else "replaced"
-            return InsertOutcome(kind, evicted=evicted, entry=entry)
-        return InsertOutcome("rejected", reason="HighEntropy")
+        before = self.entropies
+        plan = self._admit_base(keys, [cls], [h], [0], 1)
+        if len(plan.values) == len(before):
+            return InsertOutcome("rejected", reason="HighEntropy")
+        evicted = before[plan.stop[:len(before)] == 0].tolist()   # stopped at position 0
+        return InsertOutcome("replaced", evicted[0]) if evicted else InsertOutcome("inserted")
 
-    def _admit_base(self, keys, labels, ents) -> list:
+    def _admit_base(self, keys, labels, ents, positions, n: int) -> Schedule:
         """Offer ``keys`` in order under the entropy gate, pseudo-labeled
-        ``labels`` (Python ints) with entropies ``ents`` (Python floats).
+        ``labels`` (Python ints) with entropies ``ents`` (Python floats);
+        offered row i is the query at ``positions[i]`` of an ``n``-query stream.
 
-        A class queue below capacity appends; a full one evicts its first
-        maximum-entropy entry, in queue order, only for a strictly lower
-        entropy. Returns one ``(row, entry, evicted or None)`` per admission.
+        The per-class queues run on row indices. A queue below capacity
+        appends; a full one evicts its first maximum-entropy entry, in queue
+        order, only for a strictly lower entropy. Returns the schedule of the
+        cache's rows, then the admissions in offer order, and keeps the rows
+        that no admission evicted.
         """
-        admitted = []
-        for row, (cls, h) in enumerate(zip(labels, ents)):
-            queue = self._base.setdefault(cls, [])
-            evicted = None
+        ent, vals = self.entropies.tolist(), self.values.tolist()
+        start, stop = [-1] * len(ent), [n] * len(ent)
+        queues: dict[int, list[int]] = {}
+        for row in np.flatnonzero(~self.novel).tolist():
+            queues.setdefault(vals[row], []).append(row)
+        taken = []
+        for i, (cls, h) in enumerate(zip(labels, ents)):
+            queue = queues.setdefault(cls, [])
             if len(queue) >= self.capacity:
-                worst = max(range(len(queue)), key=lambda i: queue[i].entropy)
-                if not h < queue[worst].entropy:
+                worst = max(queue, key=ent.__getitem__)
+                if not h < ent[worst]:
                     continue
-                evicted = queue.pop(worst)
-            # a copy, so no entry keeps the whole offered block alive
-            entry = CacheEntry(keys[row].copy(), cls, h, ORIGIN_BASE)
-            queue.append(entry)
-            admitted.append((row, entry, evicted))
-        return admitted
+                queue.remove(worst)
+                stop[worst] = positions[i]
+            queue.append(len(ent))
+            taken.append(i)
+            ent.append(h)
+            vals.append(cls)
+            start.append(positions[i])
+            stop.append(n)
+        plan = Schedule(_stacked(self.keys, keys[taken]), np.array(vals, dtype=np.int64),
+                        np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
+        kept = plan.stop == n
+        novel = np.concatenate([self.novel, np.zeros(len(taken), dtype=bool)])
+        self._store(plan.keys[kept], plan.values[kept], np.array(ent)[kept], novel[kept])
+        return plan
 
     def insert_novel(self, key, label: int) -> None:
         """Store one K-shot training feature; novel entries carry entropy 0."""
-        key = _unit_rows(np.reshape(key, (1, -1)), "cache key")[0].copy()
-        queue = self._novel.setdefault(int(label), [])
-        if len(queue) >= self.shots:
-            raise ShotCapacityExceeded(
-                f"class {label} already holds {self.shots} novel shots")
-        queue.append(CacheEntry(key, int(label), 0.0, ORIGIN_NOVEL))
+        key = _unit_rows(np.reshape(key, (1, -1)), "cache key")
+        label = int(label)
+        if np.count_nonzero(self.novel & (self.values == label)) >= self.shots:
+            raise ShotCapacityExceeded(f"class {label} already holds {self.shots} novel shots")
+        self._store(_stacked(self.keys, key), np.append(self.values, label),
+                    np.append(self.entropies, 0.0), np.append(self.novel, True))
 
     # -- inspection --
 
-    def base_entries(self, cls: int) -> list[CacheEntry]:
-        return list(self._base.get(cls, []))
-
-    def novel_entries(self, cls: int) -> list[CacheEntry]:
-        return list(self._novel.get(cls, []))
-
-    def entries(self) -> list[CacheEntry]:
-        """All entries in deterministic order: class ascending, base before
-        novel, queue order within."""
-        out = []
-        for cls in sorted(set(self._base) | set(self._novel)):
-            out.extend(self._base.get(cls, []))
-            out.extend(self._novel.get(cls, []))
-        return out
-
     def __len__(self) -> int:
-        return sum(len(q) for q in self._base.values()) + \
-            sum(len(q) for q in self._novel.values())
+        return len(self.values)
 
     def stats(self) -> dict:
-        base_fill = {c: len(q) for c, q in sorted(self._base.items()) if q}
-        novel_fill = {c: len(q) for c, q in sorted(self._novel.items()) if q}
-        ent = [e.entropy for q in self._base.values() for e in q]
+        base = ~self.novel
         return {
-            "base_entries": sum(base_fill.values()),
-            "novel_entries": sum(novel_fill.values()),
-            "base_fill": base_fill,
-            "novel_fill": novel_fill,
-            "mean_base_entropy": float(np.mean(ent)) if ent else None,
+            "base_entries": int(base.sum()),
+            "novel_entries": int(self.novel.sum()),
+            "base_fill": dict(Counter(self.values[base].tolist())),     # rows run class ascending
+            "novel_fill": dict(Counter(self.values[self.novel].tolist())),
+            "mean_base_entropy": float(np.mean(self.entropies[base])) if base.any() else None,
         }
 
     def audit(self) -> dict:
         """JSON-friendly dump: per-class entries with a short key digest."""
         import hashlib  # loads OpenSSL (~3.6 MB resident); only the audit needs it
 
-        classes = {}
-        for cls in sorted(set(self._base) | set(self._novel)):
-            rows = []
-            for e in (*self._base.get(cls, []), *self._novel.get(cls, [])):
-                rows.append({
-                    "class": e.value,
-                    "origin": e.origin,
-                    "entropy": e.entropy,
-                    "key_digest": {
-                        "head": [float(x) for x in e.key[:4]],
-                        "hash64": hashlib.blake2b(e.key.tobytes(),
-                                                  digest_size=8).hexdigest(),
-                    },
-                })
-            classes[str(cls)] = rows
-        return {"capacity": self.capacity, "shots": self.shots,
-                "base_update_policy": self.base_update_policy, "classes": classes}
+        classes: dict[str, list] = {}
+        for key, cls, h, novel in zip(self.keys, self.values.tolist(),
+                                      self.entropies.tolist(), self.novel.tolist()):
+            classes.setdefault(str(cls), []).append({
+                "class": cls,
+                "origin": ORIGIN_NOVEL if novel else ORIGIN_BASE,
+                "entropy": h,
+                "key_digest": {
+                    "head": [float(x) for x in key[:4]],
+                    "hash64": hashlib.blake2b(key.tobytes(), digest_size=8).hexdigest(),
+                },
+            })
+        return {"capacity": self.capacity, "shots": self.shots, "classes": classes}
 
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Key matrix and value vector over all entries, in :meth:`entries` order."""
-        entries = self.entries()
-        if not entries:
-            return np.zeros((0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
-        return (np.vstack([e.key for e in entries]),
-                np.array([e.value for e in entries], dtype=np.int64))
+        """Key matrix and value vector over all entries, in row order."""
+        return self.keys, self.values
 
 
 @dataclass(frozen=True)
@@ -285,33 +282,15 @@ def schedule_admissions(cache: DualCache, queries, logits, class_ids, admit) -> 
     ``logits`` holds one row per query, columns aligned to ``class_ids``.
     Labels and entropies of all offered rows come from one batched call, and
     every offered key is checked before the cache changes. The cache ends in
-    the state per-sample insertion leaves; the schedule lists its entries as
+    the state per-sample insertion leaves; the schedule lists its rows as
     they stood before the stream, then the admissions in stream order.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
-    n = queries.shape[0]
-    entries = cache.entries()
-    start, stop = [-1] * len(entries), [n] * len(entries)
-    row_of = {id(e): i for i, e in enumerate(entries)}
     labels = argmax_lowest_ids(logits, class_ids)
     offered = np.flatnonzero(np.isin(labels, list(admit)))
-    offered_keys = _unit_rows(queries[offered], "cache key")
-    ents = entropies(logits[offered]).tolist()
-    positions = offered.tolist()
-    for row, entry, evicted in cache._admit_base(offered_keys, labels[offered].tolist(), ents):
-        pos = positions[row]
-        if evicted is not None:
-            stop[row_of[id(evicted)]] = pos
-        row_of[id(entry)] = len(entries)
-        entries.append(entry)
-        start.append(pos)
-        stop.append(n)
-    if entries:
-        keys = np.vstack([e.key for e in entries])
-    else:
-        keys = np.zeros((0, queries.shape[1]), dtype=np.float64)
-    return Schedule(keys, np.array([e.value for e in entries], dtype=np.int64),
-                    np.array(start, dtype=np.int64), np.array(stop, dtype=np.int64))
+    keys = _unit_rows(queries[offered], "cache key")
+    return cache._admit_base(keys, labels[offered].tolist(), entropies(logits[offered]).tolist(),
+                             offered.tolist(), queries.shape[0])
 
 
 def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndarray]:

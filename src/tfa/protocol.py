@@ -39,14 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .adaptor import (
-    DualCache,
-    POLICIES,
-    argmax_lowest_ids,
-    fuse,
-    retrieve,
-    schedule_admissions,
-)
+from .adaptor import DualCache, argmax_lowest_ids, fuse, retrieve, schedule_admissions
 from .alignment import (
     RelationParams,
     TrainConfig,
@@ -66,6 +59,8 @@ from .errors import (
     from_fields,
 )
 from .rng import SCOPE_SHOTS, SCOPE_STREAM, SCOPE_TRIAL, Stream, derive_seed
+
+POLICIES = ("off", "session0_only", "always")
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -330,8 +325,7 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
         group = [cfgs[i] for i in members]
         for t in range(cell.trials):
             trial_seed = derive_seed(cell.seed, SCOPE_TRIAL, t)
-            cache = DualCache(cell.capacity, cell.effective_novel_capacity(),
-                              cell.base_update_policy)
+            cache = DualCache(cell.capacity, cell.effective_novel_capacity())
             sessions = [[] for _ in members]
             for task in tasks:
                 stream_seed = derive_seed(trial_seed, SCOPE_STREAM, task.index)

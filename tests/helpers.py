@@ -145,11 +145,101 @@ def ref_cache_scores(cache, v, beta, class_ids):
     return out
 
 
+class RefCache:
+    """The dual cache as the per-class entry lists that the array store
+    replaced: each admission pseudo-labels its row with the scalar entropy
+    and re-scans its class queue for the first maximum-entropy entry.
+
+    An entry is a ``(key, entropy)`` pair; a novel shot has entropy 0. Same
+    contract as ``tfa.adaptor.DualCache`` for the names listed here.
+    """
+
+    def __init__(self, capacity, shots):
+        self.capacity = capacity
+        self.shots = shots
+        self._base = {}
+        self._novel = {}
+
+    def try_insert_base(self, key, logits, class_ids):
+        """The admission outcome's kind and the evicted entropy, or None."""
+        from tfa.numerics import entropy, softmax
+
+        cls = ref_argmax_lowest_id(logits, class_ids)
+        h = entropy(softmax(np.asarray(logits, dtype=np.float64)))
+        queue = self._base.setdefault(cls, [])
+        evicted = None
+        if len(queue) >= self.capacity:
+            worst = max(range(len(queue)), key=lambda i: queue[i][1])
+            if not h < queue[worst][1]:
+                return "rejected", None
+            evicted = queue.pop(worst)[1]
+        queue.append((np.array(key, dtype=np.float64), h))
+        return ("inserted" if evicted is None else "replaced"), evicted
+
+    def insert_novel(self, key, label):
+        from tfa.errors import ShotCapacityExceeded
+
+        queue = self._novel.setdefault(int(label), [])
+        if len(queue) >= self.shots:
+            raise ShotCapacityExceeded(f"class {label} already holds {self.shots} novel shots")
+        queue.append((np.array(key, dtype=np.float64), 0.0))
+
+    def _entries(self):
+        """(class, origin, key, entropy) of every entry: class ascending, base
+        before novel, queue order within."""
+        for cls in sorted(set(self._base) | set(self._novel)):
+            for origin, queue in (("base_pseudo", self._base.get(cls, [])),
+                                  ("novel_shot", self._novel.get(cls, []))):
+                for key, h in queue:
+                    yield cls, origin, key, h
+
+    def pooled(self):
+        entries = list(self._entries())
+        if not entries:
+            return np.zeros((0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
+        return (np.vstack([e[2] for e in entries]),
+                np.array([e[0] for e in entries], dtype=np.int64))
+
+    def stats(self):
+        base_fill = {c: len(q) for c, q in sorted(self._base.items()) if q}
+        novel_fill = {c: len(q) for c, q in sorted(self._novel.items()) if q}
+        ent = [h for q in self._base.values() for _key, h in q]   # first-admission order
+        return {
+            "base_entries": sum(base_fill.values()),
+            "novel_entries": sum(novel_fill.values()),
+            "base_fill": base_fill,
+            "novel_fill": novel_fill,
+            "mean_base_entropy": float(np.mean(ent)) if ent else None,
+        }
+
+    def audit(self):
+        import hashlib
+
+        classes = {}
+        for cls, origin, key, h in self._entries():
+            classes.setdefault(str(cls), []).append({
+                "class": cls,
+                "origin": origin,
+                "entropy": h,
+                "key_digest": {
+                    "head": [float(x) for x in key[:4]],
+                    "hash64": hashlib.blake2b(key.tobytes(), digest_size=8).hexdigest(),
+                },
+            })
+        return {"capacity": self.capacity, "shots": self.shots, "classes": classes}
+
+
+def base_rows(cache, cls):
+    """Keys and entropies of a ``DualCache``'s base entries of class ``cls``,
+    in queue order."""
+    rows = ~cache.novel & (cache.values == cls)
+    return cache.keys[rows], cache.entropies[rows]
+
+
 def ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, admit):
-    """Predict each query against the current cache, then offer it for base
-    admission if its pseudo-label is in ``admit``; same contract as
+    """Predict each query against the current ``RefCache``, then offer it for
+    base admission if its pseudo-label is in ``admit``; same contract as
     ``tfa.protocol.stream_predictions``."""
-    from tfa.adaptor import pseudo_label
     from tfa.alignment import _sigmoid
 
     preds = np.empty(queries.shape[0], dtype=np.int64)
@@ -159,10 +249,8 @@ def ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, adm
         b = ref_cache_scores(cache, v, beta, class_order)
         z = _sigmoid(row) + alpha * b
         preds[pos] = ref_argmax_lowest_id(z, class_order)
-        if admit:
-            cls, _h = pseudo_label(row, class_order)
-            if cls in admit:
-                cache.try_insert_base(v, row, class_order)
+        if ref_argmax_lowest_id(row, class_order) in admit:
+            cache.try_insert_base(v, row, class_order)
     return preds
 
 

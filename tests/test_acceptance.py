@@ -18,7 +18,7 @@ from tfa.numerics import entropy, softmax
 from tfa.protocol import ExperimentConfig, run_experiments
 from tfa.rng import Stream, derive_seed
 
-from helpers import central_difference_check, make_unit
+from helpers import base_rows, central_difference_check, make_unit
 
 
 def _announce(tag, detail=""):
@@ -95,21 +95,21 @@ def test_a3_cache_invariants_over_randomized_streams():
         for _ in range(n_ops):
             logits = 3.0 * stream.normal(n_classes)
             cls, h = pseudo_label(logits, ids)
-            pre = cache.base_entries(cls)
-            pre_max = max((e.entropy for e in pre), default=None)
+            _, pre = base_rows(cache, cls)
+            pre_max = max(pre, default=None)
             out = cache.try_insert_base(make_unit(stream, 6), logits, ids)
-            post = cache.base_entries(cls)
+            _, post = base_rows(cache, cls)
             assert len(post) <= capacity                      # capacity safety
             if out.kind == "replaced":
                 assert len(pre) == capacity
-                assert out.evicted.entropy == pre_max         # evicts the max
+                assert out.evicted == pre_max                 # evicts the max
                 assert h < pre_max                            # strict gate
             elif out.kind == "rejected":
                 assert len(pre) == capacity and h >= pre_max
             else:
                 assert len(pre) < capacity
             if len(post) == capacity:
-                cur_max = max(e.entropy for e in post)
+                cur_max = max(post)
                 if cls in max_at_cap:
                     assert cur_max <= max_at_cap[cls]         # monotone at cap
                 max_at_cap[cls] = cur_max

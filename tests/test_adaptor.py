@@ -25,7 +25,7 @@ from tfa.numerics import entropy, l2_normalize, softmax
 from tfa.protocol import stream_predictions
 from tfa.rng import Stream
 
-from helpers import make_unit, ref_cache_scores, traced_peak
+from helpers import base_rows, make_unit, ref_cache_scores, traced_peak
 
 
 def row(logits, ids=None):
@@ -158,7 +158,7 @@ def _row_with_entropy(cls, n_classes, sharpness):
 def test_insert_below_capacity():
     cache = DualCache(capacity=5, shots=5)
     out = cache.try_insert_base(unit(4, 1), *_row_with_entropy(0, 3, 4.0))
-    assert out.kind == "inserted" and len(cache.base_entries(0)) == 1
+    assert out.kind == "inserted" and len(base_rows(cache, 0)[1]) == 1
 
 
 def test_replacement_evicts_the_max_entropy_entry():
@@ -167,15 +167,15 @@ def test_replacement_evicts_the_max_entropy_entry():
     sharps = [8.0, 4.0, 3.0, 2.5, 1.0]
     for k, s in enumerate(sharps):
         assert cache.try_insert_base(unit(4, k), *_row_with_entropy(0, 3, s)).kind == "inserted"
-    worst = max(e.entropy for e in cache.base_entries(0))
+    worst = base_rows(cache, 0)[1].max()
     mid_row = _row_with_entropy(0, 3, 2.0)  # entropy between the stored ones
     _, mid_h = pseudo_label(*mid_row)
     out = cache.try_insert_base(unit(4, 99), *mid_row)
     assert out.kind == "replaced"
-    assert out.evicted.entropy == pytest.approx(worst)
+    assert out.evicted == pytest.approx(worst)
     assert mid_h < worst
-    assert len(cache.base_entries(0)) == 5
-    assert max(e.entropy for e in cache.base_entries(0)) < worst
+    assert len(base_rows(cache, 0)[1]) == 5
+    assert base_rows(cache, 0)[1].max() < worst
 
 
 def test_equal_entropy_is_rejected():
@@ -229,11 +229,11 @@ def test_novel_total_count_and_verbatim_keys():
             cache.insert_novel(key, cls)
     assert len(cache) == 9
     for cls in (4, 7, 9):
-        stored = cache.novel_entries(cls)
-        assert len(stored) == 3
-        for k, e in enumerate(stored):
-            np.testing.assert_array_equal(e.key, keys[(cls, k)])
-            assert e.entropy == 0.0 and e.origin == "novel_shot"
+        rows = np.flatnonzero(cache.values == cls)
+        assert len(rows) == 3
+        for k, r in enumerate(rows):
+            np.testing.assert_array_equal(cache.keys[r], keys[(cls, k)])
+            assert cache.entropies[r] == 0.0 and cache.novel[r]
 
 
 # ---- affinity / retrieval / fusion ----
@@ -360,21 +360,21 @@ def test_capacity_safety_and_monotone_max(capacity, events):
     for cls, sharp in events:
         logits, ids = _row_with_entropy(cls, 5, sharp)
         labeled_cls, h = pseudo_label(logits, ids)
-        pre = cache.base_entries(labeled_cls)
-        pre_max = max((e.entropy for e in pre), default=None)
+        _, pre = base_rows(cache, labeled_cls)
+        pre_max = max(pre, default=None)
         out = cache.try_insert_base(make_unit(stream, 4), logits, ids)
-        post = cache.base_entries(labeled_cls)
+        _, post = base_rows(cache, labeled_cls)
         assert len(post) <= capacity
         if out.kind == "replaced":
             assert len(pre) == capacity
-            assert out.evicted.entropy == pre_max
+            assert out.evicted == pre_max
             assert h < pre_max
         elif out.kind == "rejected":
             assert len(pre) == capacity and h >= pre_max
         else:
             assert len(pre) < capacity
         if len(post) == capacity:
-            cur = max(e.entropy for e in post)
+            cur = max(post)
             if labeled_cls in max_at_capacity:
                 assert cur <= max_at_capacity[labeled_cls] + 1e-15
             max_at_capacity[labeled_cls] = cur
@@ -438,7 +438,7 @@ def test_audit_dump_is_json_friendly():
     assert all(len(r["key_digest"]["head"]) == 4 for r in rows)
     assert all(len(r["key_digest"]["hash64"]) == 16 for r in rows)
     head = rows[0]
-    key = cache.base_entries(1)[0].key
+    key = base_rows(cache, 1)[0][0]
     assert head["key_digest"]["hash64"] == \
         hashlib.blake2b(key.tobytes(), digest_size=8).hexdigest()
 

@@ -409,7 +409,7 @@ def test_cli_streams_never_take_the_one_row_admission_path(workspace, monkeypatc
     monkeypatch.setattr(tfa.adaptor.DualCache, "try_insert_base", one_row)
     for name in ("pseudo_label", "argmax_lowest_id"):
         monkeypatch.setattr(tfa.adaptor, name, one_row)
-    monkeypatch.setattr(tfa, "pseudo_label", one_row)
+    assert not hasattr(tfa, "pseudo_label")          # tfa.adaptor's name only
     root, _, _, _ = workspace
     monkeypatch.chdir(root)
     assert main(["ablate", "--tasks", "tasks", "--align", "scorer.aln", "--config", "run.json",

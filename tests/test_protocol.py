@@ -28,7 +28,7 @@ from tfa.protocol import (
 from tfa.adaptor import DualCache, retrieve, schedule_admissions
 from tfa.synth import SynthConfig, generate_synthetic
 
-from helpers import ref_stream_predictions
+from helpers import RefCache, ref_stream_predictions
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +376,8 @@ def _recording(stream, log):
 
 
 def _per_sample_loop(cache, queries, logits, class_order, settings, admit):
-    """The per-sample oracle, for a stream run for one config alone."""
+    """The per-sample oracle on a ``RefCache``, for a stream run for one config alone."""
+    assert isinstance(cache, RefCache)
     ((alpha, beta),) = settings
     return [ref_stream_predictions(cache, queries, logits, class_order, alpha, beta, admit)]
 
@@ -385,8 +386,8 @@ def _per_sample_loop(cache, queries, logits, class_order, settings, admit):
 @pytest.mark.parametrize("policy", ["off", "session0_only", "always"])
 def test_stream_matches_the_per_sample_loop(small_world, monkeypatch, policy, seed):
     # One grouped run_experiments call against the per-sample loop run for
-    # each config alone: per-sample predictions, the cache audit after every
-    # session, and the report bytes.
+    # each config alone on the list-of-entries oracle cache: per-sample
+    # predictions, the cache audit after every session, and the report bytes.
     cfg, data, protos, exp, alignment = small_world
     cfgs = [ExperimentConfig.from_dict(
                 {**exp.to_dict(), "base_update_policy": policy, "capacity": capacity,
@@ -397,6 +398,7 @@ def test_stream_matches_the_per_sample_loop(small_world, monkeypatch, policy, se
     monkeypatch.setattr(tfa.protocol, "stream_predictions", _recording(batched, grouped))
     reports = [report_json(r) for r in run_experiments(cfgs, data, protos, alignment)]
     ref_reports, ref_streams = [], []
+    monkeypatch.setattr(tfa.protocol, "DualCache", RefCache)
     for c in cfgs:
         ref_streams.append([])
         monkeypatch.setattr(tfa.protocol, "stream_predictions",
@@ -461,7 +463,8 @@ def test_query_that_evicts_an_entry_still_sees_it():
     plan = schedule_admissions(cache, queries, logits, [0, 1], frozenset({0, 1}))
     assert plan.start.tolist() == [0, 1] and plan.stop.tolist() == [1, 3]
     assert plan.live(3).tolist() == [[False, False], [True, False], [False, True]]
-    np.testing.assert_array_equal(cache.base_entries(0)[0].key, e[1])
+    assert cache.values.tolist() == [0] and not cache.novel.any()
+    np.testing.assert_array_equal(cache.keys[0], e[1])
     (b,) = retrieve(queries, plan.keys, plan.values, [0, 1], [2.0], plan.live(3))
     # query 1 sees the entry it evicts (key e0, cosine 0), not its own (e1)
     assert b[:, 0].tolist() == [0.0, np.exp(-2.0), 1.0]
