@@ -22,7 +22,9 @@ bytes never depend on the other samples; at 2048/1024 and 1024/512, where
 it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
-Training updates the given scorer in place. The backward LeakyReLU gate
+Training updates the given scorer in place, every step in one
+step workspace (a gradient set, the layer outputs and one delta per hidden
+layer; leading rows for a partial batch). The backward LeakyReLU gate
 multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
 the masked multiply ``where=~g``'s bytes without its short masked runs.
 
@@ -198,17 +200,16 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     return RelationParams(weights, biases, slope, m)
 
 
-def _leaky_relu_(z: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU in place: ``z if z > 0 else slope*z``, bit for bit.
+def _leaky_relu_(z: np.ndarray, slope: float, tmp=None) -> np.ndarray:
+    """LeakyReLU in place, ``z if z > 0 else slope*z`` bit for bit (``slope*z`` in ``tmp``).
 
     Rounding is monotone, so for ``0 <= slope <= 1`` the larger of ``z`` and
     ``slope*z`` is that value, and for ``slope > 1`` the smaller is; this holds
     for signed zeros and NaN too. The one exception is an overflowed ``+inf``
     at slope 0, where ``0*inf`` is NaN.
     """
-    if slope <= 1.0:
-        return np.maximum(z, slope * z, out=z)
-    return np.minimum(z, slope * z, out=z)
+    pick = np.maximum if slope <= 1.0 else np.minimum
+    return pick(z, np.multiply(z, slope, out=tmp), out=z)
 
 
 def _gate_(delta: np.ndarray, h: np.ndarray, slope: float) -> np.ndarray:
@@ -235,7 +236,8 @@ def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False, work=None):
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False,
+             work=None, scratch=None):
     """Logits for every pair of the samples whose first-layer half is ``a``
     with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
@@ -245,14 +247,14 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
     backward gate. The last layer is a float64 ``einsum`` row reduction, not
     a fan-out-1 gemv; the module docstring states when a row's logit is then
     independent of the other rows and of BLAS threads. ``work`` holds each
-    layer's output buffer (the first shaped (len(a), C, width)) for reuse.
+    layer's output and ``scratch`` each hidden ``slope*z`` buffer, for reuse.
     """
     work = work or [None] * len(params.weights)
     z = np.add(a[:, None, :], cp[None, :, :], out=work[0]).reshape(-1, cp.shape[1])
     acts = []
     last = len(params.weights) - 1
     for i in range(1, last + 1):
-        h = _leaky_relu_(z, params.slope)
+        h = _leaky_relu_(z, params.slope, scratch and scratch[i - 1])
         if keep:
             acts.append(h)
         w, b = params.weights[i], params.biases[i]
@@ -261,6 +263,13 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool =
         z += b
     logits = z[:, 0]
     return (logits, acts) if keep else logits
+
+
+def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
+    """``_forward``'s layer outputs, ``b`` samples by ``c`` prototypes, hidden ones in ``dtype``."""
+    work = [np.empty((b * c, x.size), dtype) for x in params.biases[:-1]] + [np.empty(b * c)]
+    work[0] = work[0].reshape(b, c, params.weights[0].shape[1])
+    return work
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -294,8 +303,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     # One block's samples, their first-layer half (float64, cast), each layer's output.
     x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
     ah = np.empty((step, w.shape[1]), dtype=cp.dtype)
-    work = [np.empty((step * c, b.size), cp.dtype) for b in params.biases[:-1]] + [np.empty(step * c)]
-    work[0] = work[0].reshape(step, c, w.shape[1])
+    work = _outputs(params, step, c, cp.dtype)
     out = np.empty((n, c))
     for s0 in range(0, n, step):
         k = min(step, n - s0)
@@ -309,13 +317,23 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
 
+def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
+    """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
+    a ``Gradients`` set, ``_forward``'s layer outputs, and per hidden layer a
+    delta that is also its LeakyReLU scratch."""
+    grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
+    return grads, _outputs(params, b, c), [np.empty((b * c, x.size)) for x in params.biases[:-1]]
+
+
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                  targets: np.ndarray) -> tuple[float, Gradients]:
+                  targets: np.ndarray, work=None) -> tuple[float, Gradients]:
     """Mean batch loss and its exact gradient.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
-    are 1/(B*C) times the sum of per-pair terms.
+    are 1/(B*C) times the sum of per-pair terms. It writes into the leading
+    rows of ``work`` (a ``_step_workspace``, by default a new one) and returns
+    its ``Gradients``.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -328,29 +346,28 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     if targets.shape != (b,) or targets.dtype.kind not in "iu" \
             or np.any((targets < 0) | (targets >= c)):
         raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
-    t = np.zeros((b, c), dtype=np.float64)
-    t[np.arange(b), targets] = 1.0
-    t = t.reshape(-1)
+    t = (targets[:, None] == np.arange(c)).astype(np.float64).reshape(-1)
 
-    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True)
+    grads, outs, deltas = work or _step_workspace(params, b, c)
+    outs, deltas = [outs[0][:b], *(o[:b * c] for o in outs[1:])], [d[:b * c] for d in deltas]
+    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True,
+                            work=outs, scratch=deltas)
     loss = float(_bce_elementwise(logits, t).mean())
 
-    d_weights = [None] * len(params.weights)
-    d_biases = [None] * len(params.biases)
+    dw, db = grads.d_weights, grads.d_biases
     delta = ((_sigmoid(logits) - t) / (b * c))[:, None]
-    for i in range(len(params.weights) - 1, 0, -1):
-        d_weights[i] = acts[i - 1].T @ delta
-        d_biases[i] = delta.sum(axis=0)
-        delta = _gate_(delta @ params.weights[i].T, acts[i - 1], params.slope)
+    for i in range(len(dw) - 1, 0, -1):
+        np.matmul(acts[i - 1].T, delta, out=dw[i])
+        delta.sum(axis=0, out=db[i])
+        delta = _gate_(np.matmul(delta, params.weights[i].T, out=deltas[i - 1]),
+                       acts[i - 1], params.slope)
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over samples.
     per_pair = delta.reshape(b, c, -1)
-    d_w1 = np.empty_like(params.weights[0])
-    np.matmul(vs.T, per_pair.sum(axis=1), out=d_w1[:params.m])
-    np.matmul(protos.T, per_pair.sum(axis=0), out=d_w1[params.m:])
-    d_weights[0] = d_w1
-    d_biases[0] = delta.sum(axis=0)
-    return loss, Gradients(d_weights, d_biases)
+    np.matmul(vs.T, per_pair.sum(axis=1), out=dw[0][:params.m])
+    np.matmul(protos.T, per_pair.sum(axis=0), out=dw[0][params.m:])
+    delta.sum(axis=0, out=db[0])
+    return loss, grads
 
 
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
@@ -435,6 +452,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     state = adam_init(params, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
                       epsilon=hyper.epsilon)
     n = len(train_set)
+    work = _step_workspace(params, min(hyper.batch_size, n), len(ids))
     history = []
     for epoch in range(hyper.epochs):
         order = Stream(derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)).permutation(n)
@@ -442,7 +460,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
         for start in range(0, n, hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
             loss, grads = loss_and_grad(params, train_set.vectors[batch], proto_mat,
-                                        targets[batch])
+                                        targets[batch], work)
             total += loss * batch.shape[0]
             adam_step(params, state, grads)
         history.append(total / n)

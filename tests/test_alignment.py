@@ -194,6 +194,8 @@ def test_leaky_relu_matches_where_bit_for_bit():
             want = np.where(z > 0.0, z, slope * z)
             got = _leaky_relu_(z.copy(), slope)
             assert got.tobytes() == want.tobytes(), slope
+            got = _leaky_relu_(z.copy(), slope, np.empty_like(z))  # slope*z in a buffer
+            assert got.tobytes() == want.tobytes(), slope
 
 
 @pytest.mark.parametrize("width", [3, 2048, (1 << 15) + 3])
@@ -361,8 +363,9 @@ def test_scorer_without_hidden_layers_matches_the_oracle():
 
 @pytest.mark.parametrize("hidden", [(40, 24), (1024, 512)], ids=["40x24", "1024x512"])
 def test_score_matrix_bytes_do_not_depend_on_the_block_size(hidden):
-    # 3 prototypes: chunk 2 scores one sample (3 rows) per block, 7 two, 256
-    # eighty-five and 8192 all 101 at once. This rests on the BLAS rounding a
+    # 3 prototypes: chunk 2 scores one sample (3 rows) per block, 7 two and
+    # 256 eighty-five; 8192 is capped at 1,024 pairs, so it scores the 101
+    # samples in one block padded to 341. This rests on the BLAS rounding a
     # GEMM row the same way whatever the row count. OpenBLAS does at these
     # widths and at the default and benchmark ones, all multiples of 8; at
     # some others (36/20 with 35 prototypes) it does not. A block of one row
@@ -724,6 +727,48 @@ def test_training_trains_its_argument_in_place(monkeypatch):
     assert [w.tobytes() for w in params.weights] == frozen
     copy, _ = train_alignment(params.copy(), train, protos, hyper)
     assert copy is not params and copy.frozen
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 2.5])
+def test_a_reused_step_workspace_gives_a_fresh_ones_bytes(slope):
+    from tfa.alignment import _step_workspace
+
+    # A training run's batches, 13 samples in batches of 5 (the last of 3),
+    # through one workspace and through a new one per call; the reused one
+    # still holds the previous step's values when the next step writes into it.
+    p = init_relation(6, seed=44, hidden=(40, 24), slope=slope)
+    stream = Stream(45)
+    for b in p.biases:
+        b += stream.normal(b.shape[0])
+    vs = np.vstack([make_unit(stream, 6) for _ in range(13)])
+    protos = np.vstack([make_unit(stream, 6) for _ in range(4)])
+    targets = (stream.words(13) % 4).astype(np.int64)
+    state, work = adam_init(p), _step_workspace(p, 5, 4)
+    for epoch in range(2):
+        for start in range(0, 13, 5):
+            batch = slice(start, start + 5)
+            want_loss, want = loss_and_grad(p, vs[batch], protos, targets[batch])
+            loss, got = loss_and_grad(p, vs[batch], protos, targets[batch], work)
+            assert got is work[0]
+            assert loss == want_loss
+            for g, w in zip((*got.d_weights, *got.d_biases), (*want.d_weights, *want.d_biases)):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            adam_step(p, state, got)
+
+
+def test_training_memory_does_not_grow_with_the_steps():
+    # One workspace serves every step, so 8 steps (two epochs of four
+    # batches, the last partial) peak where one step does. Each step that
+    # allocated its own gradients kept the previous set alive while it built
+    # the next: one more parameter set (4.14 MiB at this width).
+    base, protos = _base_task_data(m=8, classes=4, per_class=10)
+    train = base.subset(base.indices(split="train"))
+    peaks = []
+    for samples, epochs in ((10, 1), (36, 2)):
+        hyper = TrainConfig(epochs=epochs, batch_size=10, seed=1, hidden=(1024, 512))
+        peaks.append(traced_peak(train_alignment, init_relation(8, 1, hyper.hidden),
+                                 train.subset(np.arange(samples)), protos, hyper)[1])
+    assert peaks[1] - peaks[0] <= 1 << 19
 
 
 def test_training_rejects_duplicate_prototype_ids():

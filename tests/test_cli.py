@@ -221,7 +221,12 @@ def test_train_align_writes_the_recorded_bytes(bench_world, name):
 @pytest.mark.parametrize("name", ["scorer", "train"])
 def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
     # The ALN1 weights only: at 1024/512 the sidecar's first epoch loss, a
-    # float64 mean, differs in its last bit at 2 threads.
+    # float64 mean, differs in its last bit at 2 threads. In the first step
+    # every forward array (first-layer halves, activations, logits) and the
+    # loss are equal at 1 and 2 OpenBLAS threads; the first array that
+    # differs is dW2 = h1ᵀ δ, a 500-term reduction (41% of its entries, by at
+    # most 1.5e-15 relative), so the later steps' losses differ. Random
+    # (500, H1)ᵀ (500, H2) products differ too, at 1024/512 and 2048/1024.
     assert _train_align(bench_world, name, "2")[0] == ALIGN_SHAS[name][0]
 
 
