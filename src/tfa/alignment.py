@@ -22,11 +22,15 @@ bytes never depend on the other samples; at 2048/1024 and 1024/512, where
 it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
-Training updates the given scorer in place, every step in one
-step workspace (a gradient set, the layer outputs and one delta per hidden
-layer; leading rows for a partial batch). The backward LeakyReLU gate
-multiplies each block of delta rows by ``(~g)*slope + g``, ``g = h > 0``:
-the masked multiply ``where=~g``'s bytes without its short masked runs.
+Training updates the given scorer in place, every step in one step
+workspace (layer outputs, a delta per hidden layer, bias gradients and one
+2 MiB weight-gradient block; leading rows for a partial batch). Each weight
+gradient is made one block of rows at a time and goes straight to Adam
+once its layer's weights were last read, so no gradient set is held; where
+verified, a row block of ``hᵀ δ`` has the full product's bytes. The
+backward LeakyReLU gate multiplies each block of delta rows by
+``(~g)*slope + g``, ``g = h > 0``: the masked multiply ``where=~g``'s
+bytes without its short masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -68,6 +72,10 @@ DEFAULT_SLOPE = 0.01
 # Adam and the backward gate work in blocks of about this many elements
 # (256 KB), so that their passes over a block stay in cache.
 _BLOCK = 1 << 15
+# The backward makes each weight gradient in row blocks of about this many
+# elements (2 MiB). Each block's product re-packs the whole delta, so
+# smaller blocks cost time.
+_GRAD_BLOCK = 1 << 18
 
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
@@ -319,21 +327,27 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
-    a ``Gradients`` set, ``_forward``'s layer outputs, and per hidden layer a
-    delta that is also its LeakyReLU scratch."""
-    grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
-    return grads, _outputs(params, b, c), [np.empty((b * c, x.size)) for x in params.biases[:-1]]
+    ``_forward``'s layer outputs, per hidden layer a delta that is also its
+    LeakyReLU scratch, the bias gradients and one weight-gradient block."""
+    block = max(min(w.shape[0], _block_rows(w, _GRAD_BLOCK)) * w.shape[1] for w in params.weights)
+    return (_outputs(params, b, c), [np.empty((b * c, x.size)) for x in params.biases[:-1]],
+            [np.empty_like(x) for x in params.biases], np.empty(block))
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                  targets: np.ndarray, work=None) -> tuple[float, Gradients]:
+                  targets: np.ndarray, work=None, adam: AdamState | None = None
+                  ) -> tuple[float, Gradients | None]:
     """Mean batch loss and its exact gradient.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
-    are 1/(B*C) times the sum of per-pair terms. It writes into the leading
-    rows of ``work`` (a ``_step_workspace``, by default a new one) and returns
-    its ``Gradients``.
+    are 1/(B*C) times the sum of per-pair terms. It runs in the leading rows
+    of ``work`` (a ``_step_workspace``, by default a new one) and makes each
+    weight gradient in row blocks, layer i's only after the backward's last
+    read of ``W_i``. Without ``adam`` it copies every block into a new
+    ``Gradients`` set and returns it. Given an ``AdamState`` it applies each
+    block and bias gradient to those rows as one ``adam_step`` would, and
+    returns ``(loss, None)``: no gradient set is held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -347,26 +361,43 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
             or np.any((targets < 0) | (targets >= c)):
         raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
     t = (targets[:, None] == np.arange(c)).astype(np.float64).reshape(-1)
+    if adam is None:
+        grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
+        flat = (*grads.d_weights, *grads.d_biases)
+        put = lambda k, r, g: np.copyto(flat[k][r:r + g.shape[0]], g)
+    else:
+        grads, put = None, _adam_begin(params, adam)
 
-    grads, outs, deltas = work or _step_workspace(params, b, c)
+    outs, deltas, db, block = work or _step_workspace(params, b, c)
     outs, deltas = [outs[0][:b], *(o[:b * c] for o in outs[1:])], [d[:b * c] for d in deltas]
     logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True,
                             work=outs, scratch=deltas)
     loss = float(_bce_elementwise(logits, t).mean())
 
-    dw, db = grads.d_weights, grads.d_biases
+    def weight_blocks(i, r0, at, d):
+        """Rows ``r0:r0 + len(at)`` of ``dW_i``, ``at @ d``, one block at a time."""
+        cols = params.weights[i].shape[1]
+        rows = _block_rows(params.weights[i], _GRAD_BLOCK)
+        for r in range(0, at.shape[0], rows):
+            a = at[r:r + rows]
+            put(i, r0 + r, np.matmul(a, d, out=block[:a.shape[0] * cols].reshape(-1, cols)))
+
+    n_w = len(params.weights)
     delta = ((_sigmoid(logits) - t) / (b * c))[:, None]
-    for i in range(len(dw) - 1, 0, -1):
-        np.matmul(acts[i - 1].T, delta, out=dw[i])
-        delta.sum(axis=0, out=db[i])
-        delta = _gate_(np.matmul(delta, params.weights[i].T, out=deltas[i - 1]),
-                       acts[i - 1], params.slope)
+    for i in range(n_w - 1, 0, -1):
+        put(n_w + i, 0, delta.sum(axis=0, out=db[i]))
+        # The input delta is the backward's last read of W_i: only then may
+        # dW_i's blocks update it.
+        upstream = _gate_(np.matmul(delta, params.weights[i].T, out=deltas[i - 1]),
+                          acts[i - 1], params.slope)
+        weight_blocks(i, 0, acts[i - 1].T, delta)
+        delta = upstream
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over samples.
     per_pair = delta.reshape(b, c, -1)
-    np.matmul(vs.T, per_pair.sum(axis=1), out=dw[0][:params.m])
-    np.matmul(protos.T, per_pair.sum(axis=0), out=dw[0][params.m:])
-    delta.sum(axis=0, out=db[0])
+    put(n_w, 0, delta.sum(axis=0, out=db[0]))
+    weight_blocks(0, 0, vs.T, per_pair.sum(axis=1))
+    weight_blocks(0, params.m, protos.T, per_pair.sum(axis=0))
     return loss, grads
 
 
@@ -382,14 +413,15 @@ def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
     )
 
 
-def _block_rows(a: np.ndarray) -> int:
-    """Leading-axis rows of ``a`` per block of about ``_BLOCK`` elements."""
-    return max(1, _BLOCK // (a.size // a.shape[0]))
+def _block_rows(a: np.ndarray, block: int = _BLOCK) -> int:
+    """Leading-axis rows of ``a`` per block of about ``block`` elements."""
+    return max(1, block // (a.size // a.shape[0]))
 
 
-def adam_step(params: RelationParams, state: AdamState, grads: Gradients
-              ) -> tuple[RelationParams, AdamState]:
-    """One Adam update with bias correction; mutates params/state in place."""
+def _adam_begin(params: RelationParams, state: AdamState):
+    """Start one Adam step; returns its update ``put(k, r, g)``, which moves
+    rows ``r:r + len(g)`` of array ``k`` of ``(*weights, *biases)`` by
+    gradient ``g``. Each element's update is the same whatever the blocks."""
     if params.frozen:
         raise ValidationError("cannot update a frozen scorer")
     state.step += 1
@@ -397,14 +429,16 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     flat_s, flat_t = state.scratch
-    for arrays in zip((*params.weights, *params.biases), state.m, state.v,
-                      (*grads.d_weights, *grads.d_biases)):
-        rows = _block_rows(arrays[0])
-        for r in range(0, arrays[0].shape[0], rows):
+    arrays = list(zip((*params.weights, *params.biases), state.m, state.v))
+
+    def put(k: int, r0: int, grad: np.ndarray) -> None:
+        rows = _block_rows(grad)
+        for r in range(0, grad.shape[0], rows):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
             # in the order that formula evaluates, through two scratch
             # buffers, one cache-sized block of rows at a time.
-            p, m, v, g = (a[r:r + rows] for a in arrays)
+            g = grad[r:r + rows]
+            p, m, v = (a[r0 + r:r0 + r + g.shape[0]] for a in arrays[k])
             s = flat_s[:p.size].reshape(p.shape)
             t = flat_t[:p.size].reshape(p.shape)
             m *= b1
@@ -418,6 +452,17 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
             np.sqrt(t, out=t)
             t += state.epsilon
             p -= np.divide(s, t, out=s)
+    return put
+
+
+def adam_step(params: RelationParams, state: AdamState, grads: Gradients
+              ) -> tuple[RelationParams, AdamState]:
+    """One Adam update with bias correction from a full gradient set;
+    mutates params/state in place. Training applies the same per-block
+    update inside ``loss_and_grad`` instead."""
+    put = _adam_begin(params, state)
+    for k, g in enumerate((*grads.d_weights, *grads.d_biases)):
+        put(k, 0, g)
     return params, state
 
 
@@ -459,10 +504,9 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
         total = 0.0
         for start in range(0, n, hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            loss, grads = loss_and_grad(params, train_set.vectors[batch], proto_mat,
-                                        targets[batch], work)
+            loss, _ = loss_and_grad(params, train_set.vectors[batch], proto_mat,
+                                    targets[batch], work, state)
             total += loss * batch.shape[0]
-            adam_step(params, state, grads)
         history.append(total / n)
     return params.freeze(), history
 

@@ -729,31 +729,50 @@ def test_training_trains_its_argument_in_place(monkeypatch):
     assert copy is not params and copy.frozen
 
 
+@pytest.mark.parametrize("m, hidden", [(6, (40, 24)), (8, (1024, 512))])
 @pytest.mark.parametrize("slope", [0.0, 0.01, 2.5])
-def test_a_reused_step_workspace_gives_a_fresh_ones_bytes(slope):
-    from tfa.alignment import _step_workspace
+def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, m, hidden):
+    import tfa.alignment as alignment
 
-    # A training run's batches, 13 samples in batches of 5 (the last of 3),
-    # through one workspace and through a new one per call; the reused one
-    # still holds the previous step's values when the next step writes into it.
-    p = init_relation(6, seed=44, hidden=(40, 24), slope=slope)
-    stream = Stream(45)
-    for b in p.biases:
-        b += stream.normal(b.shape[0])
-    vs = np.vstack([make_unit(stream, 6) for _ in range(13)])
-    protos = np.vstack([make_unit(stream, 6) for _ in range(4)])
-    targets = (stream.words(13) % 4).astype(np.int64)
-    state, work = adam_init(p), _step_workspace(p, 5, 4)
-    for epoch in range(2):
-        for start in range(0, 13, 5):
-            batch = slice(start, start + 5)
-            want_loss, want = loss_and_grad(p, vs[batch], protos, targets[batch])
-            loss, got = loss_and_grad(p, vs[batch], protos, targets[batch], work)
-            assert got is work[0]
-            assert loss == want_loss
-            for g, w in zip((*got.d_weights, *got.d_biases), (*want.d_weights, *want.d_biases)):
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
-            adam_step(p, state, got)
+    # Two epochs of 13 samples in batches of 5 (the last of 3), once with
+    # each gradient block applied inside the backward pass through one
+    # reused workspace, once with every step's full gradient set built
+    # first and then passed to adam_step. At 1024/512 dW2 spans two blocks.
+    base, protos = _base_task_data(m=m, classes=4, per_class=8)
+    train = base.subset(base.indices(split="train")[:13])
+    hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=hidden, slope=slope)
+    states = []
+
+    def spy_init(*args, **kw):
+        states.append(adam_init(*args, **kw))
+        return states[-1]
+
+    def full_set_step(params, vs, protos, targets, work, adam):
+        loss, grads = loss_and_grad(params, vs, protos, targets)
+        adam_step(params, adam, grads)
+        return loss, None
+
+    monkeypatch.setattr(alignment, "adam_init", spy_init)
+    fused, fused_history = train_alignment(init_relation(m, 3, hidden, slope), train, protos, hyper)
+    monkeypatch.setattr(alignment, "loss_and_grad", full_set_step)
+    full, full_history = train_alignment(init_relation(m, 3, hidden, slope), train, protos, hyper)
+    assert fused_history == full_history
+    assert states[0].step == states[1].step == 6
+    for got, want in zip((*fused.weights, *fused.biases, *states[0].m, *states[0].v),
+                         (*full.weights, *full.biases, *states[1].m, *states[1].v)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_training_holds_no_gradient_set():
+    # A 1-step run at m=8 and 2048/1024 allocates Adam's two moments, one
+    # step's activations and deltas and one 2 MiB gradient block. A full
+    # gradient set on top of the moments is a third parameter set.
+    base, protos = _base_task_data(m=8, classes=4, per_class=10)
+    train = base.subset(base.indices(split="train")[:10])
+    hyper = TrainConfig(epochs=1, batch_size=10, seed=1, hidden=(2048, 1024))
+    params = init_relation(8, 1, hyper.hidden)
+    peak = traced_peak(train_alignment, params, train, protos, hyper)[1]
+    assert peak < 3 * 8 * params.n_params()
 
 
 def test_training_memory_does_not_grow_with_the_steps():
