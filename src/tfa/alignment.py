@@ -23,14 +23,21 @@ it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place, every step in one step
-workspace (layer outputs, a delta per hidden layer, bias gradients and one
-2 MiB weight-gradient block; leading rows for a partial batch). Each weight
-gradient is made one block of rows at a time and goes straight to Adam
-once its layer's weights were last read, so no gradient set is held; where
-verified, a row block of ``hᵀ δ`` has the full product's bytes. The
-backward LeakyReLU gate multiplies each block of delta rows by
-``(~g)*slope + g``, ``g = h > 0``: the masked multiply ``where=~g``'s
-bytes without its short masked runs.
+workspace with two full-batch buffers: the first hidden output X and each
+later hidden output (leading rows for a partial batch). The first hidden
+output is ``leaky(a[b] + cp[c])``, cheap to rebuild from the two halves, so
+once the forward has read it the backward reuses X: first for the whole
+input delta of the first hidden layer, gated against rebuilt rows of that
+output and reduced into the first layer's sums, then for the rebuilt
+halves, one column slab of the output and one 4 MiB row block of the next
+layer's weight gradient at a time. A later layer's delta overwrites its own
+layer's output. Each weight gradient block goes straight to Adam once its
+layer's weights were last read, so no gradient set is held; where verified,
+a row block of ``hᵀ δ`` has the full product's bytes. The LeakyReLU and the
+backward gate run in small blocks through one small scratch, and Adam in
+cache-sized blocks in the part of X that a weight-gradient block leaves
+free. The gate multiplies delta by ``(~g)*slope + g``, ``g = h > 0``: the
+masked multiply ``where=~g``'s bytes without its short masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -69,13 +76,17 @@ ALN_MAGIC = b"ALN1"
 DEFAULT_HIDDEN = (2048, 1024)
 DEFAULT_SLOPE = 0.01
 
-# Adam and the backward gate work in blocks of about this many elements
-# (256 KB), so that their passes over a block stay in cache.
+# Adam works in blocks of about this many elements (256 KB), so that its
+# passes over a block stay in cache, where its scratch has the room.
 _BLOCK = 1 << 15
+# The LeakyReLU and the backward gate work in blocks of about this many
+# elements (32 KiB): their scratch counts toward a step's peak memory.
+_SCRATCH = 1 << 12
 # The backward makes each weight gradient in row blocks of about this many
-# elements (2 MiB). Each block's product re-packs the whole delta, so
-# smaller blocks cost time.
-_GRAD_BLOCK = 1 << 18
+# elements (4 MiB) inside the step's first buffer. Each block's product
+# re-packs the whole delta, so smaller blocks cost time: at 2048/1024 the
+# 2 MiB blocks made dW2 about 10 ms slower than the whole product.
+_GRAD_BLOCK = 1 << 19
 
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
@@ -129,8 +140,6 @@ class AdamState:
     # First and second moments, one array per entry of (*weights, *biases).
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    # Two flat buffers the size of one Adam block, reused by every step.
-    scratch: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -208,8 +217,15 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     return RelationParams(weights, biases, slope, m)
 
 
-def _leaky_relu_(z: np.ndarray, slope: float, tmp=None) -> np.ndarray:
-    """LeakyReLU in place, ``z if z > 0 else slope*z`` bit for bit (``slope*z`` in ``tmp``).
+def _scratch(params: RelationParams, block: int) -> np.ndarray:
+    """Two scratch buffers of ``block`` elements, each at least as long as
+    the widest layer's row."""
+    return np.empty((2, max(block, *(w.shape[1] for w in params.weights))))
+
+
+def _leaky_relu_(z: np.ndarray, slope: float, tmp: np.ndarray) -> np.ndarray:
+    """LeakyReLU of a C-contiguous ``z`` in place, ``z if z > 0 else slope*z``
+    bit for bit, one block of ``tmp``'s size at a time (``slope*z`` in ``tmp``).
 
     Rounding is monotone, so for ``0 <= slope <= 1`` the larger of ``z`` and
     ``slope*z`` is that value, and for ``slope > 1`` the smaller is; this holds
@@ -217,60 +233,89 @@ def _leaky_relu_(z: np.ndarray, slope: float, tmp=None) -> np.ndarray:
     at slope 0, where ``0*inf`` is NaN.
     """
     pick = np.maximum if slope <= 1.0 else np.minimum
-    return pick(z, np.multiply(z, slope, out=tmp), out=z)
+    flat = z.reshape(-1)
+    for s in range(0, flat.size, tmp.size):
+        blk = flat[s:s + tmp.size]
+        pick(blk, np.multiply(blk, slope, out=tmp[:blk.size]), out=blk)
+    return z
 
 
-def _gate_(delta: np.ndarray, h: np.ndarray, slope: float) -> np.ndarray:
-    """``delta *= 1 if h > 0 else slope`` in place, one block of rows at a
-    time; the factor and ``x*1 == x`` (NaN too) make it the masked multiply's
-    bytes."""
-    rows = _block_rows(delta)
-    for r in range(0, delta.shape[0], rows):
-        g = h[r:r + rows] > 0.0
-        delta[r:r + rows] *= ~g * slope + g
+def _factor(g: np.ndarray, slope: float, tmp: np.ndarray) -> np.ndarray:
+    """The gate factor in ``tmp``: 1 where ``g`` and ``slope`` elsewhere, made
+    as ``(~g)*slope + g``; with ``x*1 == x`` (NaN too) a multiply by it has
+    the masked multiply's bytes."""
+    f = np.multiply(~g, slope, out=tmp[:g.size].reshape(g.shape))
+    f += g
+    return f
+
+
+def _gate_rows_(h: np.ndarray, slope: float, tmp: np.ndarray, fill) -> np.ndarray:
+    """Overwrite a layer output ``h`` with its delta, one block of rows at a
+    time: ``fill(r, rows)`` writes the ungated delta into ``rows``, which
+    start at row ``r``, and each is then multiplied by 1 where ``h`` was
+    positive and by ``slope`` elsewhere."""
+    step = max(1, tmp.size // h.shape[1])
+    for r in range(0, h.shape[0], step):
+        rows = h[r:r + step]
+        g = rows > 0.0
+        fill(r, rows)
+        rows *= _factor(g, slope, tmp)
+    return h
+
+
+def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Gate the first hidden layer's delta in place, pair row ``b*C + c`` by
+    that layer's output ``leaky(a[b] + cp[c])``, rebuilt a few rows of one
+    sample at a time in ``scratch``: the forward's bytes, so an overflowed
+    ``+inf`` at slope 0 gates as its NaN output does."""
+    (c, width), (z, t) = cp.shape, scratch
+    k = max(1, z.size // width)
+    for s in range(a.shape[0]):
+        for c0 in range(0, c, k):
+            h = np.add(a[s], cp[c0:c0 + k], out=z[:min(k, c - c0) * width].reshape(-1, width))
+            rows = delta[s * c + c0:s * c + c0 + h.shape[0]]
+            rows *= _factor(_leaky_relu_(h, slope, t) > 0.0, slope, t)
     return delta
 
 
-def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray):
-    """The first layer's two halves, ``vs @ W1[:m]`` and ``protos @ W1[m:] + b1``.
+def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray, a, cp):
+    """The first layer's two halves, ``vs @ W1[:m]`` into ``a`` and
+    ``protos @ W1[m:] + b1`` into ``cp``.
 
     The pre-activation of pair ``(b, c)`` is the sum of row ``b`` of the first
     and row ``c`` of the second.
     """
     w, m = params.weights[0], params.m
-    a = vs @ w[:m]
-    cp = protos @ w[m:]
+    np.matmul(vs, w[:m], out=a)
+    np.matmul(protos, w[m:], out=cp)
     cp += params.biases[0]
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, keep: bool = False,
-             work=None, scratch=None):
+def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, work: list,
+             tmp: np.ndarray) -> np.ndarray:
     """Logits for every pair of the samples whose first-layer half is ``a``
     with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
-    With ``keep`` it returns ``(logits, acts)``, where ``acts[i]`` is layer
-    ``i + 1``'s input. For ``slope >= 0`` a hidden activation is positive
-    exactly when its pre-activation is, so ``acts`` also serves as the
-    backward gate. The last layer is a float64 ``einsum`` row reduction, not
-    a fan-out-1 gemv; the module docstring states when a row's logit is then
-    independent of the other rows and of BLAS threads. ``work`` holds each
-    layer's output and ``scratch`` each hidden ``slope*z`` buffer, for reuse.
+    ``work[i]`` receives layer ``i``'s output, the hidden ones after their
+    LeakyReLU, which runs through ``tmp``; ``work[0]`` is shaped (B, C, width).
+    For ``slope >= 0`` a hidden activation is positive exactly when its
+    pre-activation is (but for an overflowed ``+inf`` at slope 0), so the
+    outputs also serve as the backward gate. The last layer is a float64
+    ``einsum`` row reduction, not a fan-out-1 gemv; the module docstring
+    states when a row's logit is then independent of the other rows and of
+    BLAS threads.
     """
-    work = work or [None] * len(params.weights)
     z = np.add(a[:, None, :], cp[None, :, :], out=work[0]).reshape(-1, cp.shape[1])
-    acts = []
     last = len(params.weights) - 1
     for i in range(1, last + 1):
-        h = _leaky_relu_(z, params.slope, scratch and scratch[i - 1])
-        if keep:
-            acts.append(h)
+        h = _leaky_relu_(z, params.slope, tmp)
         w, b = params.weights[i], params.biases[i]
         z = np.matmul(h, w, out=work[i]) if i < last else \
             np.einsum("ij,j->i", h, w[:, 0], dtype=np.float64, out=work[i])[:, None]
         z += b
-    logits = z[:, 0]
-    return (logits, acts) if keep else logits
+    return z[:, 0]
 
 
 def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
@@ -308,16 +353,17 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
         cp = cp.astype(np.float32)
         f32 = lambda xs: [xs[0], *(x.astype(np.float32, copy=False) for x in xs[1:-1]), xs[-1]]
         params = RelationParams(f32(params.weights), f32(params.biases), params.slope, params.m)
-    # One block's samples, their first-layer half (float64, cast), each layer's output.
+    # One block's samples, their first-layer half (float64, cast), each
+    # layer's output and the LeakyReLU's scratch.
     x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
     ah = np.empty((step, w.shape[1]), dtype=cp.dtype)
-    work = _outputs(params, step, c, cp.dtype)
+    work, tmp = _outputs(params, step, c, cp.dtype), np.empty(_SCRATCH, cp.dtype)
     out = np.empty((n, c))
     for s0 in range(0, n, step):
         k = min(step, n - s0)
         x[:k] = vs[s0:s0 + k]
         np.copyto(ah, np.matmul(x, w1, out=a)[:step])
-        out[s0:s0 + k] = _forward(params, ah, cp, work=work).reshape(step, c)[:k]
+        out[s0:s0 + k] = _forward(params, ah, cp, work, tmp).reshape(step, c)[:k]
     return out
 
 
@@ -327,11 +373,27 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
-    ``_forward``'s layer outputs, per hidden layer a delta that is also its
-    LeakyReLU scratch, the bias gradients and one weight-gradient block."""
-    block = max(min(w.shape[0], _block_rows(w, _GRAD_BLOCK)) * w.shape[1] for w in params.weights)
-    return (_outputs(params, b, c), [np.empty((b * c, x.size)) for x in params.biases[:-1]],
-            [np.empty_like(x) for x in params.biases], np.empty(block))
+    a flat buffer X, each later layer's output, the first layer's two halves
+    (then its delta's sums), the bias gradients and the scratch.
+
+    X holds the first hidden output and, in the backward, the largest of: a
+    row block of the first layer's weight gradient; a middle layer's input
+    delta beside one of its blocks; the rebuilt halves beside a column slab
+    of the first hidden output (two columns at least) and the slab's block
+    of the second layer's weight gradient.
+    """
+    n, ws = b * c, params.weights
+    h0 = ws[0].shape[1]
+    need = [min(params.m, _block_rows(ws[0], _GRAD_BLOCK)) * h0]
+    if len(ws) > 1:
+        need.append(n * h0)
+    if len(ws) > 2:
+        need.append((b + c) * h0 + min(h0, 2) * (b + c + n + ws[1].shape[1]))
+    need += [n * w.shape[0] + min(w.shape[0], _block_rows(w, _GRAD_BLOCK)) * w.shape[1]
+             for w in ws[2:-1]]
+    outs = [np.empty((n, w.shape[1])) for w in ws[1:-1]] + [np.empty(n)]
+    return (np.empty(max(need)), outs, np.empty((b + c, h0)),
+            [np.empty_like(x) for x in params.biases], _scratch(params, _SCRATCH))
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -361,55 +423,108 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
             or np.any((targets < 0) | (targets >= c)):
         raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
     t = (targets[:, None] == np.arange(c)).astype(np.float64).reshape(-1)
+    x, outs, halves, db, scratch = work or _step_workspace(params, b, c)
     if adam is None:
         grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
         flat = (*grads.d_weights, *grads.d_biases)
-        put = lambda k, r, g: np.copyto(flat[k][r:r + g.shape[0]], g)
+        put = lambda k, r, g, free=None: np.copyto(flat[k][r:r + g.shape[0]], g)
     else:
-        grads, put = None, _adam_begin(params, adam)
+        grads, put = None, _adam_begin(params, adam, scratch)
 
-    outs, deltas, db, block = work or _step_workspace(params, b, c)
-    outs, deltas = [outs[0][:b], *(o[:b * c] for o in outs[1:])], [d[:b * c] for d in deltas]
-    logits, acts = _forward(params, *_first_layer(params, vs, protos), keep=True,
-                            work=outs, scratch=deltas)
+    n, n_w, slope = b * c, len(params.weights), params.slope
+    h0 = params.weights[0].shape[1]
+    a, cp = _first_layer(params, vs, protos, halves[:b], halves[b:b + c])
+    fwd = [x[:n * h0].reshape(b, c, h0), *(o[:n] for o in outs)] if n_w > 1 \
+        else [outs[0][:n].reshape(b, c, 1)]
+    logits = _forward(params, a, cp, fwd, scratch[0])
     loss = float(_bce_elementwise(logits, t).mean())
+    hidden = [fwd[0].reshape(n, h0), *fwd[1:-1]] if n_w > 1 else []
 
-    def weight_blocks(i, r0, at, d):
-        """Rows ``r0:r0 + len(at)`` of ``dW_i``, ``at @ d``, one block at a time."""
-        cols = params.weights[i].shape[1]
+    def weight_blocks(i, r0, at, d, buf):
+        """Rows ``r0:r0 + len(at)`` of ``dW_i``, ``at @ d``, one block at a
+        time at the start of ``buf``; Adam may use the rest."""
+        cols = d.shape[1]
         rows = _block_rows(params.weights[i], _GRAD_BLOCK)
         for r in range(0, at.shape[0], rows):
-            a = at[r:r + rows]
-            put(i, r0 + r, np.matmul(a, d, out=block[:a.shape[0] * cols].reshape(-1, cols)))
+            blk = at[r:r + rows]
+            out = buf[:blk.shape[0] * cols].reshape(-1, cols)
+            put(i, r0 + r, np.matmul(blk, d, out=out), buf[out.size:])
 
-    n_w = len(params.weights)
-    delta = ((_sigmoid(logits) - t) / (b * c))[:, None]
-    for i in range(n_w - 1, 0, -1):
+    delta = ((_sigmoid(logits) - t) / n)[:, None]
+    if hidden:
+        # The last layer's one-column dW is taken before its input's rows
+        # become its input delta, the backward's last read of its weights.
+        w = params.weights[-1]
+        put(2 * n_w - 1, 0, delta.sum(axis=0, out=db[-1]))
+        dw = hidden[-1].T @ delta
+        delta = _gate_rows_(hidden[-1], slope, scratch[1],
+                            lambda r, rows: np.matmul(delta[r:r + len(rows)], w.T, out=rows))
+        put(n_w - 1, 0, dw)
+    for i in range(n_w - 2, 1, -1):
+        # A middle layer's input delta goes to X and its dW blocks after it;
+        # then, gated, it overwrites the layer's input.
         put(n_w + i, 0, delta.sum(axis=0, out=db[i]))
-        # The input delta is the backward's last read of W_i: only then may
-        # dW_i's blocks update it.
-        upstream = _gate_(np.matmul(delta, params.weights[i].T, out=deltas[i - 1]),
-                          acts[i - 1], params.slope)
-        weight_blocks(i, 0, acts[i - 1].T, delta)
-        delta = upstream
+        h = hidden[i - 1]
+        up = np.matmul(delta, params.weights[i].T, out=x[:h.size].reshape(h.shape))
+        weight_blocks(i, 0, h.T, delta, x[h.size:])
+        delta = _gate_rows_(h, slope, scratch[1],
+                            lambda r, rows: np.copyto(rows, up[r:r + len(rows)]))
+    if n_w > 2:
+        # The second layer's input delta fills X, where the first hidden
+        # output was; that output is rebuilt from the halves to gate it.
+        put(n_w + 1, 0, delta.sum(axis=0, out=db[1]))
+        d2, delta = delta, _gate_first_(np.matmul(delta, params.weights[1].T, out=hidden[0]),
+                                        a, cp, slope, scratch)
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
-    # half of dW1 sums delta over prototypes and the prototype half over samples.
+    # half of dW1 sums delta over prototypes and the prototype half over
+    # samples. The sums take the halves' place.
     per_pair = delta.reshape(b, c, -1)
-    put(n_w, 0, delta.sum(axis=0, out=db[0]))
-    weight_blocks(0, 0, vs.T, per_pair.sum(axis=1))
-    weight_blocks(0, params.m, protos.T, per_pair.sum(axis=0))
+    delta.sum(axis=0, out=db[0])
+    sums = per_pair.sum(axis=1, out=halves[:b]), per_pair.sum(axis=0, out=halves[b:b + c])
+    if n_w > 2:
+        _second_layer_blocks(params, vs, protos, d2, x, scratch[0], put)
+    weight_blocks(0, 0, vs.T, sums[0], x)
+    weight_blocks(0, params.m, protos.T, sums[1], x)
+    put(n_w, 0, db[0])  # after the last read of b1, the halves' rebuild
     return loss, grads
+
+
+def _second_layer_blocks(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
+                         d2: np.ndarray, x: np.ndarray, tmp: np.ndarray, put) -> None:
+    """``dW2 = h1ᵀ δ2`` made in X and ``put`` one row block at a time, once
+    the first layer's delta no longer needs X.
+
+    The halves are rebuilt at X's start (the first layer is not updated
+    yet), and block ``r`` comes from the column slab ``leaky(a[:, r:r+S] +
+    cp[:, r:r+S])`` of h1. The slabs are equal and as wide as ``_GRAD_BLOCK``
+    and X's room allow, and Adam works in the rest. Each slab's halves are
+    copied out whole first, as a sum of strided halves takes numpy a buffer
+    per operand.
+    """
+    b, c, n, h0 = vs.shape[0], protos.shape[0], d2.shape[0], params.weights[0].shape[1]
+    cols = params.weights[1].shape[1]
+    a, cp = _first_layer(params, vs, protos, x[:b * h0].reshape(b, h0),
+                         x[b * h0:(b + c) * h0].reshape(c, h0))
+    rest = x[(b + c) * h0:]
+    fit = min(h0, _block_rows(params.weights[1], _GRAD_BLOCK), rest.size // (b + c + n + cols))
+    step = -(-h0 // -(-h0 // fit))  # ceil(h0 / slabs), slabs = ceil(h0 / fit)
+    for r in range(0, h0, step):
+        s = min(step, h0 - r)
+        ha, hc, h, blk, free = np.split(rest, np.cumsum([b, c, n, cols]) * s)
+        ha, hc = ha.reshape(b, s), hc.reshape(c, s)
+        ha[:], hc[:] = a[:, r:r + s], cp[:, r:r + s]
+        h = np.add(ha[:, None, :], hc[None, :, :], out=h.reshape(b, c, s))
+        h = _leaky_relu_(h, params.slope, tmp).reshape(n, s)
+        put(1, r, np.matmul(h.T, d2, out=blk.reshape(s, cols)), free)
 
 
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
     arrays = (*params.weights, *params.biases)
-    block = max(_block_rows(a) * (a.size // a.shape[0]) for a in arrays)
     return AdamState(
         lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
         m=[np.zeros(a.shape) for a in arrays],
         v=[np.zeros(a.shape) for a in arrays],
-        scratch=[np.empty(block) for _ in range(2)],
     )
 
 
@@ -418,21 +533,25 @@ def _block_rows(a: np.ndarray, block: int = _BLOCK) -> int:
     return max(1, block // (a.size // a.shape[0]))
 
 
-def _adam_begin(params: RelationParams, state: AdamState):
-    """Start one Adam step; returns its update ``put(k, r, g)``, which moves
-    rows ``r:r + len(g)`` of array ``k`` of ``(*weights, *biases)`` by
-    gradient ``g``. Each element's update is the same whatever the blocks."""
+def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
+    """Start one Adam step; returns its update ``put(k, r, g, free=None)``,
+    which moves rows ``r:r + len(g)`` of array ``k`` of ``(*weights,
+    *biases)`` by gradient ``g``. Its two scratch buffers are the halves of
+    the flat ``free``, where that is larger than the two rows of
+    ``scratch``, and those rows otherwise. Each element's update is the
+    same whatever the blocks."""
     if params.frozen:
         raise ValidationError("cannot update a frozen scorer")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    flat_s, flat_t = state.scratch
     arrays = list(zip((*params.weights, *params.biases), state.m, state.v))
 
-    def put(k: int, r0: int, grad: np.ndarray) -> None:
-        rows = _block_rows(grad)
+    def put(k: int, r0: int, grad: np.ndarray, free=None) -> None:
+        flat_s, flat_t = scratch if free is None or free.size < scratch.size else \
+            free[:free.size // 2 * 2].reshape(2, -1)
+        rows = _block_rows(grad, min(_BLOCK, flat_s.size))
         for r in range(0, grad.shape[0], rows):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
             # in the order that formula evaluates, through two scratch
@@ -460,7 +579,7 @@ def adam_step(params: RelationParams, state: AdamState, grads: Gradients
     """One Adam update with bias correction from a full gradient set;
     mutates params/state in place. Training applies the same per-block
     update inside ``loss_and_grad`` instead."""
-    put = _adam_begin(params, state)
+    put = _adam_begin(params, state, _scratch(params, _BLOCK))
     for k, g in enumerate((*grads.d_weights, *grads.d_biases)):
         put(k, 0, g)
     return params, state

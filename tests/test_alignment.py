@@ -192,16 +192,18 @@ def test_leaky_relu_matches_where_bit_for_bit():
             # +inf at slope 0 is the one documented exception (0*inf is NaN).
             z = np.append(special, np.inf) if slope > 0 else special
             want = np.where(z > 0.0, z, slope * z)
-            got = _leaky_relu_(z.copy(), slope)
+            # slope*z in one block of the whole size, then in blocks of 4
+            # values, the last one partial, over a 2-D array.
+            got = _leaky_relu_(z.copy(), slope, np.empty_like(z))
             assert got.tobytes() == want.tobytes(), slope
-            got = _leaky_relu_(z.copy(), slope, np.empty_like(z))  # slope*z in a buffer
+            got = _leaky_relu_(z.reshape(-1, 2 - z.size % 2).copy(), slope, np.empty(4))
             assert got.tobytes() == want.tobytes(), slope
 
 
 @pytest.mark.parametrize("width", [3, 2048, (1 << 15) + 3])
 @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.5])
 def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
-    from tfa.alignment import _BLOCK, _gate_
+    from tfa.alignment import _BLOCK, _gate_first_, _gate_rows_, _leaky_relu_
 
     # Two and a half blocks of rows (three rows past one block when a row is
     # wider than a block), every entry of both h and delta drawn from signed
@@ -211,12 +213,29 @@ def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
     rng = np.random.default_rng(width)
     h = rng.choice(special, size=(rows, width))
     delta = rng.choice(special, size=(rows, width))
-    want = delta.copy()
+    tmp = np.empty(max(_BLOCK, width))
     with np.errstate(all="ignore"):
+        want = delta.copy()
         np.multiply(want, slope, out=want, where=~(h > 0.0))
-        got = _gate_(delta, h, slope)
-    assert got is delta
-    assert got.tobytes() == want.tobytes()
+        got = _gate_rows_(h.copy(), slope, tmp,
+                          lambda r, out: np.copyto(out, delta[r:r + len(out)]))
+        assert got.tobytes() == want.tobytes()
+
+        # The first hidden layer's gate rebuilds its output from the halves,
+        # rows*2 pairs of `rows` samples and 2 prototypes. At slope 0 a +inf
+        # pre-activation's output is NaN, so it gates by slope where its
+        # pre-activation is positive, and a gate on the sign of the
+        # pre-activation fails here.
+        a, cp = rng.choice(special, size=(rows, width)), rng.choice(special, size=(2, width))
+        z = (a[:, None, :] + cp[None, :, :]).reshape(-1, width)
+        delta = rng.choice(special, size=z.shape)
+        want, by_sign = delta.copy(), delta.copy()
+        np.multiply(want, slope, out=want, where=~(_leaky_relu_(z.copy(), slope, tmp) > 0.0))
+        np.multiply(by_sign, slope, out=by_sign, where=~(z > 0.0))
+        got = _gate_first_(delta, a, cp, slope, np.empty((2, tmp.size)))
+        assert got is delta
+        assert got.tobytes() == want.tobytes()
+        assert (by_sign.tobytes() == want.tobytes()) == (slope > 0.0)
 
 
 @pytest.mark.parametrize("targets", [
@@ -331,17 +350,21 @@ def test_loss_and_grad_matches_the_pre_activation_gate(slope, zero_weights):
             assert got.tobytes() == want.tobytes()
 
 
-def test_forward_keep_returns_the_layer_inputs():
-    from tfa.alignment import _first_layer, _forward
+def test_forward_writes_the_layer_outputs():
+    from tfa.alignment import _first_layer, _forward, _outputs
 
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
-    logits, acts = _forward(p, *_first_layer(p, vs, protos), keep=True)
+    halves = _first_layer(p, vs, protos, np.empty((5, 9)), np.empty((3, 9)))
+    work = _outputs(p, 5, 3)
+    logits = _forward(p, *halves, work, np.empty(4))
     want_logits, want_acts, _ = ref_forward(p, ref_pairs(vs, protos), keep=True)
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=LOGIT_ATOL)
+    assert np.shares_memory(logits, work[-1])
     # The oracle's first entry is the pair matrix, which the kernel never builds.
-    assert len(acts) == len(want_acts) - 1 == 2
-    for got, want in zip(acts, want_acts[1:]):
+    hidden = [work[0].reshape(15, 9), work[1]]
+    assert len(want_acts) - 1 == len(hidden) == 2
+    for got, want in zip(hidden, want_acts[1:]):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
         assert np.array_equal(got > 0.0, want > 0.0)
@@ -729,19 +752,32 @@ def test_training_trains_its_argument_in_place(monkeypatch):
     assert copy is not params and copy.frozen
 
 
-@pytest.mark.parametrize("m, hidden", [(6, (40, 24)), (8, (1024, 512))])
-@pytest.mark.parametrize("slope", [0.0, 0.01, 2.5])
-def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, m, hidden):
+@pytest.mark.parametrize("m, hidden", [(6, (40, 24)), (6, (8, 600)), (8, (1024, 512))],
+                         ids=["40x24", "8x600", "1024x512"])
+@pytest.mark.parametrize("slope, overflow",
+                         [(0.0, False), (0.0, True), (0.01, False), (2.5, False)],
+                         ids=["0", "0-inf", "0.01", "2.5"])
+def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, hidden):
     import tfa.alignment as alignment
 
     # Two epochs of 13 samples in batches of 5 (the last of 3), once with
     # each gradient block applied inside the backward pass through one
     # reused workspace, once with every step's full gradient set built
-    # first and then passed to adam_step. At 1024/512 dW2 spans two blocks.
+    # first and then passed to adam_step. At 1024/512 dW2 spans several
+    # blocks; at 8/600 the backward needs more room than the first hidden
+    # output, so the workspace sizes its first buffer for it. With overflow
+    # one first-layer bias is +inf, so at slope 0 a pre-activation is +inf
+    # and its output NaN.
     base, protos = _base_task_data(m=m, classes=4, per_class=8)
     train = base.subset(base.indices(split="train")[:13])
     hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=hidden, slope=slope)
     states = []
+
+    def scorer():
+        p = init_relation(m, 3, hidden, slope)
+        if overflow:
+            p.biases[0][1] = np.inf
+        return p
 
     def spy_init(*args, **kw):
         states.append(adam_init(*args, **kw))
@@ -753,10 +789,11 @@ def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, m, hidden):
         return loss, None
 
     monkeypatch.setattr(alignment, "adam_init", spy_init)
-    fused, fused_history = train_alignment(init_relation(m, 3, hidden, slope), train, protos, hyper)
+    fused, fused_history = train_alignment(scorer(), train, protos, hyper)
     monkeypatch.setattr(alignment, "loss_and_grad", full_set_step)
-    full, full_history = train_alignment(init_relation(m, 3, hidden, slope), train, protos, hyper)
-    assert fused_history == full_history
+    full, full_history = train_alignment(scorer(), train, protos, hyper)
+    assert np.array(fused_history).tobytes() == np.array(full_history).tobytes()
+    assert np.isnan(fused_history[0]) == overflow
     assert states[0].step == states[1].step == 6
     for got, want in zip((*fused.weights, *fused.biases, *states[0].m, *states[0].v),
                          (*full.weights, *full.biases, *states[1].m, *states[1].v)):
@@ -788,6 +825,22 @@ def test_training_memory_does_not_grow_with_the_steps():
         peaks.append(traced_peak(train_alignment, init_relation(8, 1, hyper.hidden),
                                  train.subset(np.arange(samples)), protos, hyper)[1])
     assert peaks[1] - peaks[0] <= 1 << 19
+
+
+def test_training_step_holds_two_full_batch_buffers():
+    # One step at the benchmark's train shape: m=64, 20 prototypes, a batch
+    # of 25 samples and 2048/1024. Beyond the parameters and Adam's two
+    # moments it holds the first and the second hidden output, n*(H0 + H1)
+    # float64 values for n = 500 pairs, and at most 1 MiB more: the first
+    # layer's halves, the bias gradients, the small scratch and numpy's own
+    # buffers. An output and a delta per hidden layer and a 2 MiB gradient
+    # block read 26.8 MiB here.
+    base, protos = _base_task_data(m=64, classes=20, per_class=2)
+    train = base.subset(base.indices(split="train")[:25])
+    hyper = TrainConfig(epochs=1, batch_size=25, seed=1, hidden=(2048, 1024))
+    params, peak = traced_peak(
+        lambda: train_alignment(init_relation(64, 1, hyper.hidden), train, protos, hyper)[0])
+    assert peak - 3 * 8 * params.n_params() <= 500 * (2048 + 1024) * 8 + (1 << 20)
 
 
 def test_training_rejects_duplicate_prototype_ids():

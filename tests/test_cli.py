@@ -168,7 +168,8 @@ def bench_world(tmp_path_factory):
 SMALL_ALIGN = {"epochs": 2, "batch_size": 30, "seed": 0, "hidden": [36, 20]}
 # train-align configs on the bench world: the benchmark's inference scorer
 # (1024/512, 24 steps) and its train op (2048/1024, 8 steps), then a 36/20
-# scorer whose 200 samples end in a partial batch of 20, at three slopes.
+# scorer whose 200 samples end in a partial batch of 20, at three slopes, and
+# the same run with no, one and three hidden layers.
 BENCH_ALIGN = {
     "scorer": {"seed": 0, "align": {"epochs": 3, "batch_size": 25, "lr": 0.001,
                                     "hidden": [1024, 512], "seed": 0}},
@@ -176,6 +177,9 @@ BENCH_ALIGN = {
     "partial": {"align": SMALL_ALIGN},
     "slope0": {"align": {**SMALL_ALIGN, "slope": 0.0}},
     "slope2.5": {"align": {**SMALL_ALIGN, "slope": 2.5}},
+    "hidden0": {"align": {**SMALL_ALIGN, "hidden": []}},
+    "hidden1": {"align": {**SMALL_ALIGN, "hidden": [40]}},
+    "hidden3": {"align": {**SMALL_ALIGN, "hidden": [40, 24, 16]}},
 }
 
 
@@ -198,7 +202,8 @@ def _train_align(world, name, threads):
 
 # SHA-256s of the ALN1 and its sidecar at 1 BLAS thread, recorded when every
 # step still allocated its own activations and deltas, gated with a masked
-# multiply and trained a copy of the scorer.
+# multiply and trained a copy of the scorer; the three hidden-depth runs when
+# the backward still held one delta per hidden layer.
 ALIGN_SHAS = {
     "scorer": ("64d71f524a1f0a5b5757e06352df5fc728e94c53c159561b4e69dbf75d3dad77",
                "65ee968bb9f04bddb6950af6ab8060c495dd71b608fcb9bc106ab588f63e8c29"),
@@ -210,6 +215,12 @@ ALIGN_SHAS = {
                "4e1bc6cdc5500ff89a94850d1a1d79ae5c6ddac5e848caad1d9b9161e966f000"),
     "slope2.5": ("a1958b5e9d4d3f8474c79bd69be9797fc9cbde7048ca230ca3ef88bec7cda6ba",
                  "cd46e8f9fc843f0d890dd559df808bc06f3ffdb8f5dd0c974629dcd23bc75dd5"),
+    "hidden0": ("9a0dfe3b61eaba78f4402c94d94ddcecf25d222b0b22693798103b741b5f2dc7",
+                "04a818eb521d880e68d892491d5cb2f3afff9cefa4abde56f9677e1889f78a61"),
+    "hidden1": ("96fef09cfb25b971608c962fbb405099c68dfdfb8f46090edb6cf7c4bdaa83f9",
+                "dd842e9df00d6b6879b9a30f89a87248fd3a8255de069aa5d26037db35d6b381"),
+    "hidden3": ("3b03281315debd36222b2355127092b633806ab3f51acd31c29f8eb53e535659",
+                "edf1a907b879d67c24fb08244d485ab1ca9447e4c8b15ba322513e88a9abb286"),
 }
 
 
