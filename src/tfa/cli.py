@@ -132,15 +132,14 @@ def cmd_run(args) -> int:
     data, protos = _load_task_dir(args.tasks)
     alignment, _meta = load_alignment(args.align)
     report = run_experiment(cfg, data, protos, alignment=alignment)
-    doc = metrics.report_json(report)
     with open(args.out, "w", encoding="utf-8") as f:
-        f.write(doc)
-    last = report.aggregate[-1]
-    hm = "n/a" if report.mean_harmonic is None else f"{report.mean_harmonic:.2f}"
-    tag = " [no-cache baseline]" if report.flags.get("no_cache_baseline") else ""
-    print(f"{len(report.trials)} trials, {len(report.aggregate)} sessions{tag}")
-    print(f"final accuracy {last.accuracy_mean:.2f}, delta {report.delta:.2f}, "
-          f"mean harmonic {hm}")
+        f.write(metrics.report_json(report))
+    agg = report["aggregate"]
+    hm = "n/a" if agg["mean_harmonic"] is None else f"{agg['mean_harmonic']:.2f}"
+    tag = " [no-cache baseline]" if report["flags"]["no_cache_baseline"] else ""
+    print(f"{len(report['trials'])} trials, {len(agg['sessions'])} sessions{tag}")
+    print(f"final accuracy {agg['sessions'][-1]['accuracy_mean']:.2f}, "
+          f"delta {agg['delta']:.2f}, mean harmonic {hm}")
     print(f"wrote {args.out}")
     return 0
 
@@ -180,7 +179,7 @@ def cmd_ablate(args) -> int:
 
     label = {"alpha": "residual ratio alpha", "beta": "sharpness ratio beta",
              "cache-size": "cache size"}[args.sweep]
-    hms = [r.mean_harmonic for r in reports]
+    hms = [r["aggregate"]["mean_harmonic"] for r in reports]
     print(f"| {label} | " + " | ".join(fmt(v) for v in values) + " |")
     print("|" + "---|" * (len(values) + 1))
     print("| mean harmonic accuracy | "
@@ -190,8 +189,8 @@ def cmd_ablate(args) -> int:
             "sweep": args.sweep,
             "values": values,
             "mean_harmonic": hms,
-            "delta": [r.delta for r in reports],
-            "reports": [r.to_dict() for r in reports],
+            "delta": [r["aggregate"]["delta"] for r in reports],
+            "reports": reports,
         }
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(metrics.canonical_json(combined))

@@ -3,12 +3,17 @@
 Accuracies are percentages in [0, 100]. Per-session results split into base
 and novel parts; the harmonic accuracy 2*A_b*A_n/(A_b+A_n) summarizes their
 balance, and the accuracy decline Delta = |acc_T - acc_0| / acc_0 * 100
-summarizes end-to-end degradation. A report is one plain document,
-``ExperimentReport.to_dict()``: it is written as canonical JSON (sorted
-keys, floats rounded to 4 decimals, byte-deterministic), checked on the way
-back in by ``check_report``, and rendered as CSV with the fixed column order
-``trial,session,n_test,acc,A_b,A_n,A_h`` or as a markdown summary with one
-wide accuracy row plus the per-session detail table (1 decimal place).
+summarizes end-to-end degradation. A report is one plain document from the
+start (``experiment_report``): ``trials`` lists ``{"seed", "sessions"}``,
+each session a dict of ``session, n_test, n_classes, accuracy,
+base_accuracy, novel_accuracy, harmonic, both_zero, per_class`` (str(class
+id) -> [n, correct]) and ``cache``; ``aggregate`` holds the per-session
+means, ``delta`` and ``mean_harmonic``. It is written as canonical JSON
+(sorted keys, floats rounded to 4 decimals, byte-deterministic), checked on
+the way back in by ``check_report``, and rendered as CSV with the fixed
+column order ``trial,session,n_test,acc,A_b,A_n,A_h`` or as a markdown
+summary with one wide accuracy row plus the per-session detail table (1
+decimal place).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,73 +79,17 @@ def delta(session_accuracies) -> float:
     return abs(accs[-1] - accs[0]) / accs[0] * 100.0
 
 
-def mean_harmonic(session_reports) -> float:
-    """Mean A_h over sessions where both base and novel samples exist."""
-    vals = [r.harmonic for r in session_reports if r.harmonic is not None]
+def mean_harmonic(sessions) -> float:
+    """Mean A_h over session dicts where both base and novel samples exist."""
+    vals = [s["harmonic"] for s in sessions if s["harmonic"] is not None]
     if not vals:
         raise NoNovelSessions("no session with both base and novel classes")
     return float(np.mean(vals))
 
 
-# ---- report containers ----
+# ---- the report document ----
 
 SCHEMA = "tfa-report-v1"
-
-
-@dataclass
-class SessionReport:
-    session: int
-    n_test: int
-    n_classes: int
-    accuracy: float
-    base_accuracy: float | None
-    novel_accuracy: float | None
-    harmonic: float | None
-    both_zero: bool = False
-    per_class: dict = field(default_factory=dict)     # str(class id) -> [n, correct]
-    cache: dict | None = None
-
-
-@dataclass
-class TrialResult:
-    seed: int
-    sessions: list
-
-
-@dataclass
-class SessionAggregate:
-    session: int
-    n_test: int
-    n_classes: int
-    accuracy_mean: float
-    accuracy_std: float
-    base_mean: float | None
-    novel_mean: float | None
-    harmonic_mean: float | None
-
-
-@dataclass
-class ExperimentReport:
-    config: dict
-    flags: dict
-    trials: list
-    aggregate: list
-    delta: float
-    mean_harmonic: float | None
-
-    def to_dict(self) -> dict:
-        """The report document: what is written, checked and rendered."""
-        return {
-            "schema": SCHEMA,
-            "config": self.config,
-            "flags": self.flags,
-            "trials": [asdict(t) for t in self.trials],
-            "aggregate": {
-                "sessions": [asdict(a) for a in self.aggregate],
-                "delta": self.delta,
-                "mean_harmonic": self.mean_harmonic,
-            },
-        }
 
 
 def _mean_opt(values):
@@ -150,29 +98,41 @@ def _mean_opt(values):
 
 
 def aggregate_trials(trials: list) -> tuple[list, float, float | None]:
-    """Per-session aggregates over trials, plus delta and mean harmonic."""
+    """Per-session aggregate dicts over trials, plus delta and mean harmonic."""
     if not trials:
         raise EmptyInput("no trials to aggregate")
-    n_sessions = len(trials[0].sessions)
     aggs = []
-    for s in range(n_sessions):
-        reports = [t.sessions[s] for t in trials]
-        accs = [r.accuracy for r in reports]
-        aggs.append(SessionAggregate(
-            session=s,
-            n_test=reports[0].n_test,
-            n_classes=reports[0].n_classes,
-            accuracy_mean=float(np.mean(accs)),
-            accuracy_std=float(np.std(accs)),
-            base_mean=_mean_opt([r.base_accuracy for r in reports]),
-            novel_mean=_mean_opt([r.novel_accuracy for r in reports]),
-            harmonic_mean=_mean_opt([r.harmonic for r in reports]),
-        ))
-    d = delta([a.accuracy_mean for a in aggs]) if n_sessions >= 2 else 0.0
-    return aggs, d, _mean_opt([a.harmonic_mean for a in aggs])
+    for s in range(len(trials[0]["sessions"])):
+        reports = [t["sessions"][s] for t in trials]
+        accs = [r["accuracy"] for r in reports]
+        aggs.append({
+            "session": s,
+            "n_test": reports[0]["n_test"],
+            "n_classes": reports[0]["n_classes"],
+            "accuracy_mean": float(np.mean(accs)),
+            "accuracy_std": float(np.std(accs)),
+            "base_mean": _mean_opt([r["base_accuracy"] for r in reports]),
+            "novel_mean": _mean_opt([r["novel_accuracy"] for r in reports]),
+            "harmonic_mean": _mean_opt([r["harmonic"] for r in reports]),
+        })
+    d = delta([a["accuracy_mean"] for a in aggs]) if len(aggs) >= 2 else 0.0
+    return aggs, d, _mean_opt([a["harmonic_mean"] for a in aggs])
 
 
-# ---- the report document: boundary check and emission ----
+def experiment_report(config: dict, flags: dict, trials: list) -> dict:
+    """The report document of ``trials``, each ``{"seed", "sessions"}`` with
+    one session dict per session run: what is written, checked and rendered."""
+    aggs, d, hm = aggregate_trials(trials)
+    return {
+        "schema": SCHEMA,
+        "config": config,
+        "flags": flags,
+        "trials": trials,
+        "aggregate": {"sessions": aggs, "delta": d, "mean_harmonic": hm},
+    }
+
+
+# ---- boundary check and emission ----
 
 # Every field the renderers read, nested as in the document: "int" and
 # "real" must be finite and >= 0, "real?" the same or null.
@@ -237,8 +197,8 @@ def canonical_json(doc) -> str:
     return json.dumps(_round_floats(doc), sort_keys=True, indent=2) + "\n"
 
 
-def report_json(report: ExperimentReport) -> str:
-    return canonical_json(report.to_dict())
+def report_json(doc: dict) -> str:
+    return canonical_json(doc)
 
 
 def _cell(x) -> str:
@@ -282,8 +242,8 @@ def report_markdown(doc: dict) -> str:
 
 
 def emit_report(doc: dict, fmt: str) -> str:
-    """Render a report document (``ExperimentReport.to_dict()`` or a file
-    that passed ``check_report``) as ``"json"``, ``"csv"`` or ``"md"``."""
+    """Render a report document (``experiment_report``'s, or a file that
+    passed ``check_report``) as ``"json"``, ``"csv"`` or ``"md"``."""
     if fmt == "json":
         return canonical_json(doc)
     if fmt == "csv":

@@ -190,10 +190,11 @@ def _sweep_cell(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_session(cache: DualCache, tasks, data: EmbeddingSet, cfgs, stream_seed: int,
-                score_table: np.ndarray) -> list[metrics.SessionReport]:
+                score_table: np.ndarray) -> list[dict]:
     """Run the last of ``tasks``, which lists tasks 0..t, the sessions run so
     far on ``cache``: reveal its classes, ingest its shots, stream the test
-    records of ``tasks`` in task order, and report once per config of ``cfgs``.
+    records of ``tasks`` in task order, and report once per config of ``cfgs``,
+    as the report document's session dicts.
 
     ``cfgs`` are one sweep cell: they may differ only in ``alpha`` and
     ``beta``. ``score_table`` holds the frozen scorer's logits: rows the test
@@ -244,19 +245,19 @@ def run_session(cache: DualCache, tasks, data: EmbeddingSet, cfgs, stream_seed: 
         both_zero = a_b == 0.0 and a_n == 0.0 and a_n is not None
         hm = metrics.harmonic(a_b, a_n) if (a_b is not None and a_n is not None) else None
         hits = np.bincount(inverse[preds == truths], minlength=ids.size)
-        reports.append(metrics.SessionReport(
-            session=task.index,
-            n_test=n_eval,
-            n_classes=n_classes,
-            accuracy=metrics.accuracy(preds, truths),
-            base_accuracy=a_b,
-            novel_accuracy=a_n,
-            harmonic=hm,
-            both_zero=bool(both_zero),
-            per_class={str(c): [int(n), int(k)]
-                       for c, n, k in zip(ids, n_per_class, hits)},
-            cache=stats,
-        ))
+        reports.append({
+            "session": task.index,
+            "n_test": n_eval,
+            "n_classes": n_classes,
+            "accuracy": metrics.accuracy(preds, truths),
+            "base_accuracy": a_b,
+            "novel_accuracy": a_n,
+            "harmonic": hm,
+            "both_zero": bool(both_zero),
+            "per_class": {str(c): [int(n), int(k)]
+                          for c, n, k in zip(ids, n_per_class, hits)},
+            "cache": stats,
+        })
     return reports
 
 
@@ -286,15 +287,15 @@ def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
 
 
 def run_experiment(cfg: ExperimentConfig, data: EmbeddingSet, prototypes,
-                   alignment: RelationParams) -> metrics.ExperimentReport:
+                   alignment: RelationParams) -> dict:
     """All trials, all sessions with the frozen scorer ``alignment``;
     deterministic for a fixed config and data."""
     return run_experiments([cfg], data, prototypes, alignment)[0]
 
 
 def run_experiments(cfgs, data: EmbeddingSet, prototypes,
-                    alignment: RelationParams) -> list[metrics.ExperimentReport]:
-    """One report per config, in input order, each equal to
+                    alignment: RelationParams) -> list[dict]:
+    """One report document per config, in input order, each equal to
     ``run_experiment``'s for it.
 
     The frozen scorer's logits for a (test sample, class) pair depend on no
@@ -334,21 +335,13 @@ def run_experiments(cfgs, data: EmbeddingSet, prototypes,
                 for per_cfg, rep in zip(sessions, reps):
                     per_cfg.append(rep)
             for i, per_cfg in zip(members, sessions):
-                trials[i].append(metrics.TrialResult(seed=trial_seed, sessions=per_cfg))
+                trials[i].append({"seed": trial_seed, "sessions": per_cfg})
     if _param_digest(alignment) != before:
         raise ValidationError("alignment parameters changed during inference")
-    reports = []
-    for cfg, cfg_trials in zip(cfgs, trials):
-        aggs, dlt, hm = metrics.aggregate_trials(cfg_trials)
-        reports.append(metrics.ExperimentReport(
-            config={"experiment": cfg.to_dict(), "data_provenance": data.provenance},
-            flags={"no_cache_baseline": cfg.alpha == 0.0},
-            trials=cfg_trials,
-            aggregate=aggs,
-            delta=dlt,
-            mean_harmonic=hm,
-        ))
-    return reports
+    return [metrics.experiment_report(
+                {"experiment": cfg.to_dict(), "data_provenance": data.provenance},
+                {"no_cache_baseline": cfg.alpha == 0.0}, cfg_trials)
+            for cfg, cfg_trials in zip(cfgs, trials)]
 
 
 def _param_digest(params: RelationParams) -> tuple:

@@ -131,19 +131,20 @@ def calibration_runs(calibration):
 
 def test_a4_end_to_end_calibration_run(calibration_runs):
     full, baseline = calibration_runs
-    final = full.aggregate[-1]
-    assert final.accuracy_mean >= 95.0, f"final joint accuracy {final.accuracy_mean}"
-    assert full.mean_harmonic >= 90.0, f"mean harmonic {full.mean_harmonic}"
-    for agg in baseline.aggregate[1:]:
-        assert agg.novel_mean <= 10.0, \
-            f"no-cache novel accuracy {agg.novel_mean} at session {agg.session}"
-    for agg in full.aggregate[1:]:
-        assert agg.novel_mean >= 80.0, \
-            f"cached novel accuracy {agg.novel_mean} at session {agg.session}"
-    _announce("A4", f"(final acc {final.accuracy_mean:.2f}, "
-                    f"mean harmonic {full.mean_harmonic:.2f}, "
-                    f"no-cache A_n {[round(a.novel_mean, 1) for a in baseline.aggregate[1:]]}, "
-                    f"cached A_n {[round(a.novel_mean, 1) for a in full.aggregate[1:]]})")
+    full, baseline = full["aggregate"], baseline["aggregate"]
+    final = full["sessions"][-1]
+    assert final["accuracy_mean"] >= 95.0, f"final joint accuracy {final['accuracy_mean']}"
+    assert full["mean_harmonic"] >= 90.0, f"mean harmonic {full['mean_harmonic']}"
+    for agg in baseline["sessions"][1:]:
+        assert agg["novel_mean"] <= 10.0, \
+            f"no-cache novel accuracy {agg['novel_mean']} at session {agg['session']}"
+    for agg in full["sessions"][1:]:
+        assert agg["novel_mean"] >= 80.0, \
+            f"cached novel accuracy {agg['novel_mean']} at session {agg['session']}"
+    _announce("A4", f"(final acc {final['accuracy_mean']:.2f}, "
+                    f"mean harmonic {full['mean_harmonic']:.2f}, "
+                    f"no-cache A_n {[round(a['novel_mean'], 1) for a in baseline['sessions'][1:]]}, "
+                    f"cached A_n {[round(a['novel_mean'], 1) for a in full['sessions'][1:]]})")
 
 
 # ---------------------------------------------------------------- A5
@@ -161,7 +162,7 @@ def _sweep(calibration, axis, values):
         cfgs.append(ExperimentConfig.from_dict(d))
     reports = run_experiments(cfgs, calibration.data, calibration.protos,
                               calibration.alignment)
-    return [rep.mean_harmonic for rep in reports]
+    return [rep["aggregate"]["mean_harmonic"] for rep in reports]
 
 
 def test_a5a_alpha_sweep_ordering(calibration):

@@ -183,19 +183,26 @@ BENCH_ALIGN = {
 }
 
 
-def _train_align(world, name, threads):
-    """Run ``tfa train-align`` with config ``name`` in a child process with
-    ``threads`` BLAS threads; return the SHA-256s of the ALN1 and sidecar."""
+def _child(args, threads):
+    """Run ``python args`` in a child process with ``threads`` BLAS threads
+    and this checkout's ``src`` first on the path; return its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                MKL_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True,
+                          text=True, timeout=300).stdout
+
+
+def _train_align(world, name, threads):
+    """Run ``tfa train-align`` with config ``name`` in a child process with
+    ``threads`` BLAS threads; return the SHA-256s of the ALN1 and sidecar."""
     out = world / f"{name}-{threads}.aln"
-    subprocess.run([sys.executable, "-m", "tfa", "train-align",
-                    "--base", str(world / "tasks" / "task_000.emb"),
-                    "--protos", str(world / "tasks" / "prototypes.emb"),
-                    "--config", write_json(world / f"{name}.json", BENCH_ALIGN[name]),
-                    "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+    _child(["-m", "tfa", "train-align",
+            "--base", str(world / "tasks" / "task_000.emb"),
+            "--protos", str(world / "tasks" / "prototypes.emb"),
+            "--config", write_json(world / f"{name}.json", BENCH_ALIGN[name]),
+            "--out", str(out)], threads)
     return tuple(hashlib.sha256(f.read_bytes()).hexdigest()
                  for f in (out, Path(f"{out}.meta.json")))
 
@@ -231,17 +238,48 @@ def test_train_align_writes_the_recorded_bytes(bench_world, name):
 
 @pytest.mark.parametrize("name", ["scorer", "train"])
 def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
-    # The ALN1 weights only: at 1024/512 the sidecar's first epoch loss, a
-    # float64 mean, differs in its last bit at 2 threads. In the first step
-    # every forward array (first-layer halves, activations, logits) and the
-    # loss are equal at 1 and 2 OpenBLAS threads; the first array that
-    # differs is dW2 = h1ᵀ δ, a 500-term reduction (41% of its entries, by at
-    # most 1.5e-15 relative), so the later steps' losses differ. Random
-    # (500, H1)ᵀ (500, H2) products differ too, at 1024/512 and 2048/1024.
-    # Training makes dW2 in row blocks, and that does not change this: at
-    # 64, 256 and 512 rows a blocked product equals the full one at each
-    # thread count, and 76% of its entries differ between 1 and 2 threads.
+    # The ALN1 weights only. Every golden now writes the same ALN1 and
+    # sidecar bytes (loss history included) at 1 and 2 OpenBLAS threads, but
+    # that is rounding luck, not thread independence: the trained float64
+    # parameters differ between 1 and 2 threads (TRAINED_PARAM_SHAS "train"
+    # reads 7d9bd215... at 2), and the float32 cast and the epoch-mean
+    # losses happen to round the difference away. The first array that
+    # differs is dW2 = h1ᵀ δ, a 500-term reduction; training makes it in row
+    # blocks, and at 64, 256 and 512 rows a blocked product equals the full
+    # one at each thread count.
     assert _train_align(bench_world, name, "2")[0] == ALIGN_SHAS[name][0]
+
+
+_TRAINED_PARAM_SHA = """
+import hashlib, json, sys
+from pathlib import Path
+from tfa.alignment import TrainConfig
+from tfa.embeddings import load_embeddings, load_prototypes
+from tfa.protocol import train_base_alignment
+tasks, align = Path(sys.argv[1]), json.loads(sys.argv[2])
+params, _ = train_base_alignment(TrainConfig.from_dict(align),
+                                 load_embeddings(tasks / "task_000.emb"),
+                                 load_prototypes(tasks / "prototypes.emb"))
+print(hashlib.sha256(b"".join(a.tobytes() for a in (*params.weights, *params.biases)))
+      .hexdigest())
+"""
+
+# SHA-256 of the trained float64 weights then biases, in layer order, at 1
+# BLAS thread, recorded when a step held two buffers (the first hidden
+# output and the second). ALIGN_SHAS hash the float32 checkpoint, which
+# hides changes in the last bits of float64 training: a backward that forms
+# δ2 W2ᵀ in 410-wide column slabs moves both digests and no ALN1 byte.
+TRAINED_PARAM_SHAS = {
+    "scorer": "2988fa20d1d1865f009d958b6acf450f877157df9c4ba069877ea1a1248f3281",
+    "train": "0ed038d424910bbc8ba294371f47fd515592c7eac82678e22eaa011a88d07570",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_PARAM_SHAS))
+def test_trained_float64_parameters_are_the_recorded_bytes(bench_world, name):
+    out = _child(["-c", _TRAINED_PARAM_SHA, str(bench_world / "tasks"),
+                  json.dumps(BENCH_ALIGN[name]["align"])], "1")
+    assert out.strip() == TRAINED_PARAM_SHAS[name]
 
 
 def _run_with_table(monkeypatch, argv, table):

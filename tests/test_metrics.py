@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from tfa.errors import EmptyInput, NoNovelSessions, ZeroBaseAccuracy
 from tfa.metrics import (
-    ExperimentReport,
-    SessionReport,
-    TrialResult,
     accuracy,
-    aggregate_trials,
     check_report,
     delta,
     emit_report,
+    experiment_report,
     harmonic,
     mean_harmonic,
     report_csv,
@@ -115,16 +112,17 @@ def _session(idx, acc, a_b=None, a_n=None, n=10, classes=5):
     hm = None
     if a_b is not None and a_n is not None:
         hm = harmonic(a_b, a_n)
-    return SessionReport(session=idx, n_test=n, n_classes=classes, accuracy=acc,
-                         base_accuracy=a_b, novel_accuracy=a_n, harmonic=hm)
+    return {"session": idx, "n_test": n, "n_classes": classes, "accuracy": acc,
+            "base_accuracy": a_b, "novel_accuracy": a_n, "harmonic": hm,
+            "both_zero": False, "per_class": {}, "cache": None}
 
 
 def test_mean_harmonic():
     reps = [_session(0, 99.0, a_b=99.0),
             _session(1, 80.0, 90.0, 90.0),
             _session(2, 70.0, 70.0, 70.0)]
-    reps[1].harmonic = 60.0
-    reps[2].harmonic = 80.0
+    reps[1]["harmonic"] = 60.0
+    reps[2]["harmonic"] = 80.0
     assert mean_harmonic(reps) == pytest.approx(70.0)
     with pytest.raises(NoNovelSessions):
         mean_harmonic([_session(0, 99.0, a_b=99.0)])
@@ -133,21 +131,20 @@ def test_mean_harmonic():
 def _report():
     trials = []
     for seed in (11, 22):
-        trials.append(TrialResult(seed=seed, sessions=[
+        trials.append({"seed": seed, "sessions": [
             _session(0, 98.0, a_b=98.0, n=40, classes=4),
             _session(1, 90.0 + seed / 100.0, 95.0, 85.0, n=50, classes=6),
-        ]))
-    aggs, d, hm = aggregate_trials(trials)
-    return ExperimentReport(config={"experiment": {"seed": 1}}, flags={},
-                            trials=trials, aggregate=aggs, delta=d, mean_harmonic=hm)
+        ]})
+    return experiment_report({"experiment": {"seed": 1}}, {}, trials)
 
 
 def test_aggregate_means():
     rep = _report()
-    assert rep.aggregate[1].accuracy_mean == pytest.approx((90.11 + 90.22) / 2)
-    assert rep.aggregate[0].novel_mean is None
-    assert rep.mean_harmonic == pytest.approx(
-        np.mean([t.sessions[1].harmonic for t in rep.trials]))
+    aggs = rep["aggregate"]["sessions"]
+    assert aggs[1]["accuracy_mean"] == pytest.approx((90.11 + 90.22) / 2)
+    assert aggs[0]["novel_mean"] is None
+    assert rep["aggregate"]["mean_harmonic"] == pytest.approx(
+        np.mean([t["sessions"][1]["harmonic"] for t in rep["trials"]]))
 
 
 def test_json_emission_is_byte_deterministic():
@@ -156,14 +153,14 @@ def test_json_emission_is_byte_deterministic():
     assert report_json(r1).endswith("\n")
     # the parsed form passes the boundary check and renders as the report does
     doc = check_report(json.loads(report_json(r1)))
-    assert doc["aggregate"]["delta"] == pytest.approx(r1.delta, abs=1e-4)
-    assert report_csv(doc) == report_csv(r1.to_dict())
-    assert report_markdown(doc) == report_markdown(r1.to_dict())
+    assert doc["aggregate"]["delta"] == pytest.approx(r1["aggregate"]["delta"], abs=1e-4)
+    assert report_csv(doc) == report_csv(r1)
+    assert report_markdown(doc) == report_markdown(r1)
 
 
 def test_csv_shape_and_values():
     rep = _report()
-    lines = report_csv(rep.to_dict()).strip().split("\n")
+    lines = report_csv(rep).strip().split("\n")
     assert lines[0] == "trial,session,n_test,acc,A_b,A_n,A_h"
     assert len(lines) == 1 + 2 * 2  # header + trials x sessions
     first = lines[1].split(",")
@@ -174,26 +171,26 @@ def test_csv_shape_and_values():
 
 def test_markdown_contains_wide_row_and_parses_back():
     rep = _report()
-    md = report_markdown(rep.to_dict())
+    md = report_markdown(rep)
     lines = md.strip().split("\n")
     wide = lines[2]
     cells = [c.strip() for c in wide.strip("|").split("|")]
     assert cells[0] == "accuracy"
     # wide row: one accuracy per session plus delta, at 1 decimal
-    assert len(cells) == 2 + len(rep.aggregate)
-    assert float(cells[1]) == pytest.approx(round(rep.aggregate[0].accuracy_mean, 1))
-    assert float(cells[-1]) == pytest.approx(round(rep.delta, 1))
+    aggs = rep["aggregate"]["sessions"]
+    assert len(cells) == 2 + len(aggs)
+    assert float(cells[1]) == pytest.approx(round(aggs[0]["accuracy_mean"], 1))
+    assert float(cells[-1]) == pytest.approx(round(rep["aggregate"]["delta"], 1))
     # per-session detail rows parse back to the same 1-decimal numbers
     detail = [l for l in lines if l.startswith("| 1 |")][0]
     vals = [c.strip() for c in detail.strip("|").split("|")]
-    assert float(vals[2]) == pytest.approx(round(rep.aggregate[1].accuracy_mean, 1))
+    assert float(vals[2]) == pytest.approx(round(aggs[1]["accuracy_mean"], 1))
     assert "mean harmonic accuracy" in lines[-1]
 
 
 def test_emit_report_dispatch():
-    rep = _report()
-    doc = rep.to_dict()
-    assert emit_report(doc, "json") == report_json(rep)
+    doc = _report()
+    assert emit_report(doc, "json") == report_json(doc)
     assert emit_report(doc, "csv") == report_csv(doc)
     assert emit_report(doc, "md") == report_markdown(doc)
     with pytest.raises(ValueError):

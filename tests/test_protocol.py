@@ -183,13 +183,13 @@ def test_session_zero_has_no_novel_side(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
     (rep,) = run_session(DualCache(5, 5), tasks[:1], data, [exp], 1, small_table)
-    assert rep.session == 0
-    assert rep.novel_accuracy is None and rep.harmonic is None
-    assert rep.n_test == len(tasks[0].test_indices)
-    assert rep.base_accuracy == rep.accuracy
-    assert rep.cache["novel_entries"] == 0
-    assert rep.cache["base_entries"] > 0
-    assert rep.accuracy > 50.0
+    assert rep["session"] == 0
+    assert rep["novel_accuracy"] is None and rep["harmonic"] is None
+    assert rep["n_test"] == len(tasks[0].test_indices)
+    assert rep["base_accuracy"] == rep["accuracy"]
+    assert rep["cache"]["novel_entries"] == 0
+    assert rep["cache"]["base_entries"] > 0
+    assert rep["accuracy"] > 50.0
 
 
 def test_cumulative_eval_set_size(small_world, small_table):
@@ -199,7 +199,7 @@ def test_cumulative_eval_set_size(small_world, small_table):
     sizes = []
     for t in range(len(tasks)):
         (rep,) = run_session(cache, tasks[:t + 1], data, [exp], t, small_table)
-        sizes.append(rep.n_test)
+        sizes.append(rep["n_test"])
     expected = np.cumsum([len(t.test_indices) for t in tasks]).tolist()
     assert sizes == expected
 
@@ -244,11 +244,11 @@ def test_experiment_report_is_deterministic(small_world):
 def test_trial_mean_of_constant_metric(small_world):
     cfg, data, protos, exp, alignment = small_world
     rep = run_experiment(exp, data, protos, alignment=alignment)
-    for agg in rep.aggregate:
-        accs = [t.sessions[agg.session].accuracy for t in rep.trials]
-        assert agg.accuracy_mean == pytest.approx(float(np.mean(accs)))
+    for agg in rep["aggregate"]["sessions"]:
+        accs = [t["sessions"][agg["session"]]["accuracy"] for t in rep["trials"]]
+        assert agg["accuracy_mean"] == pytest.approx(float(np.mean(accs)))
         if len(set(accs)) == 1:
-            assert agg.accuracy_std == 0.0
+            assert agg["accuracy_std"] == 0.0
 
 
 def test_stream_order_only_matters_through_the_base_cache(small_world):
@@ -260,16 +260,16 @@ def test_stream_order_only_matters_through_the_base_cache(small_world):
                         data, protos, alignment=alignment)
     r2 = run_experiment(ExperimentConfig.from_dict({**base, "seed": 202}),
                         data, protos, alignment=alignment)
-    for t1, t2 in zip(r1.trials, r2.trials):
-        for s1, s2 in zip(t1.sessions, t2.sessions):
-            assert s1.per_class == s2.per_class
+    for t1, t2 in zip(r1["trials"], r2["trials"]):
+        for s1, s2 in zip(t1["sessions"], t2["sessions"]):
+            assert s1["per_class"] == s2["per_class"]
 
 
 def test_no_cache_baseline_flag(small_world):
     cfg, data, protos, exp, alignment = small_world
     c = ExperimentConfig.from_dict({**exp.to_dict(), "alpha": 0.0, "trials": 1})
     rep = run_experiment(c, data, protos, alignment=alignment)
-    assert rep.flags["no_cache_baseline"] is True
+    assert rep["flags"]["no_cache_baseline"] is True
 
 
 def test_always_policy_keeps_updating_the_base_cache(small_world):
@@ -279,14 +279,14 @@ def test_always_policy_keeps_updating_the_base_cache(small_world):
     rep = run_experiment(c, data, protos, alignment=alignment)
     # per-class fills never shrink across sessions, stay within capacity, and
     # only base classes ever receive pseudo-label entries
-    fills = [t.cache["base_fill"] for t in rep.trials[0].sessions]
+    fills = [s["cache"]["base_fill"] for s in rep["trials"][0]["sessions"]]
     for earlier, later in zip(fills, fills[1:]):
         for cls, n in earlier.items():
             assert later.get(cls, 0) >= n
     for fill in fills:
         assert all(v <= 2 for v in fill.values())
         assert set(fill) <= set(range(6))
-    assert rep.trials[0].sessions[-1].cache["base_entries"] > 0
+    assert rep["trials"][0]["sessions"][-1]["cache"]["base_entries"] > 0
 
 
 def test_off_policy_never_fills_the_base_cache(small_world):
@@ -294,17 +294,17 @@ def test_off_policy_never_fills_the_base_cache(small_world):
     c = ExperimentConfig.from_dict(
         {**exp.to_dict(), "base_update_policy": "off", "trials": 1})
     rep = run_experiment(c, data, protos, alignment=alignment)
-    for s in rep.trials[0].sessions:
-        assert s.cache["base_entries"] == 0
+    for s in rep["trials"][0]["sessions"]:
+        assert s["cache"]["base_entries"] == 0
 
 
 def test_novel_capacity_below_shots_subsamples(small_world):
     cfg, data, protos, exp, alignment = small_world
     c = ExperimentConfig.from_dict({**exp.to_dict(), "novel_capacity": 2, "trials": 2})
     rep = run_experiment(c, data, protos, alignment=alignment)
-    for trial in rep.trials:
-        for s in trial.sessions[1:]:
-            fills = s.cache["novel_fill"].values()
+    for trial in rep["trials"]:
+        for s in trial["sessions"][1:]:
+            fills = s["cache"]["novel_fill"].values()
             assert all(f == 2 for f in fills)
 
 
