@@ -18,7 +18,7 @@ from .embeddings import (
     save_embeddings,
     save_prototypes,
 )
-from .metrics import accuracy, delta, emit_report, harmonic, mean_harmonic, split_accuracy
+from .metrics import accuracy, delta, emit_report, harmonic, split_accuracy
 from .protocol import (
     ExperimentConfig,
     TaskSpec,

@@ -1,11 +1,13 @@
 """Vision-text alignment scorer: a small fully connected relation network.
 
 The scorer maps a concatenated (vision, text) feature pair through three
-fully connected layers (2m -> 2048 -> 1024 -> 1 by default) with LeakyReLU
-activations on the hidden layers and a sigmoid on the scalar output, giving
-a similarity in (0, 1). It is trained with a one-vs-all binary cross-entropy
-over the base-task classes, using Adam, and is frozen afterwards: nothing in
-this package updates it again.
+fully connected layers, 2m -> H1 -> H2 -> 1 (2048/1024 by default), with
+LeakyReLU activations on the two hidden layers and a sigmoid on the scalar
+output, giving a similarity in (0, 1): the relation module of Sung et al.,
+"Learning to Compare" (CVPR 2018). The depth is fixed; the two widths are
+not. It is trained with a one-vs-all binary cross-entropy over the
+base-task classes, using Adam, and is frozen afterwards: nothing in this
+package updates it again.
 
 Training is float64 numpy; the score table runs its hidden layers in the
 checkpoint's float32 (see ``score_matrix``). The binary cross-entropy is
@@ -23,26 +25,26 @@ it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place, every step in one step
-workspace with two full-batch buffers: the first hidden output X and each
-later hidden output (leading rows for a partial batch). The first hidden
+workspace with two full-batch buffers: the first hidden output X and the
+second hidden output (leading rows for a partial batch). The first hidden
 output is ``leaky(a[b] + cp[c])``, cheap to rebuild from the two halves, so
 once the forward has read it the backward reuses X: first for the whole
 input delta of the first hidden layer, gated against rebuilt rows of that
 output and reduced into the first layer's sums, then for the rebuilt
-halves, one column slab of the output and one 4 MiB row block of the next
-layer's weight gradient at a time. A later layer's delta overwrites its own
-layer's output. Each weight gradient block goes straight to Adam once its
-layer's weights were last read, so no gradient set is held; where verified,
-a row block of ``hᵀ δ`` has the full product's bytes. The LeakyReLU and the
-backward gate run in small blocks through one small scratch, and Adam in
-cache-sized blocks in the part of X that a weight-gradient block leaves
-free. The gate multiplies delta by ``(~g)*slope + g``, ``g = h > 0``: the
+halves, one column slab of the output and one 4 MiB row block of the
+second layer's weight gradient at a time. The second hidden layer's delta
+overwrites that layer's output. Each weight gradient block goes straight to
+Adam once its layer's weights were last read, so no gradient set is held;
+where verified, a row block of ``hᵀ δ`` has the full product's bytes. The
+LeakyReLU and the backward gate run in small blocks through one small
+scratch, and Adam in cache-sized blocks in the part of X that a
+weight-gradient block leaves free. The gate multiplies delta by ``(~g)*slope + g``, ``g = h > 0``: the
 masked multiply ``where=~g``'s bytes without its short masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
     bytes 0..3  magic "ALN1"
-    bytes 4..7  u32 layer count
+    bytes 4..7  u32 layer count (3)
     per layer:  u32 rows, u32 cols, rows*cols float32 weights (row-major),
                 cols float32 biases
 
@@ -125,10 +127,6 @@ class Gradients:
     d_weights: list
     d_biases: list
 
-    def norm(self) -> float:
-        total = sum(float(np.sum(g * g)) for g in (*self.d_weights, *self.d_biases))
-        return float(np.sqrt(total))
-
 
 @dataclass
 class AdamState:
@@ -170,8 +168,7 @@ class TrainConfig:
             if value >= 1:
                 raise ConfigError(f"{name} must be < 1, got {value}")
         check_real("slope", self.slope, lo=0.0)
-        if not isinstance(self.hidden, (list, tuple)):
-            raise ConfigError(f"hidden must be a list of widths, got {self.hidden!r}")
+        _check_depth(self.hidden)
         for width in self.hidden:
             check_int("hidden width", width, lo=1)
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -183,6 +180,11 @@ class TrainConfig:
     def to_dict(self) -> dict:
         """The config as plain data, ``hidden`` as a list."""
         return {**asdict(self), "hidden": list(self.hidden)}
+
+
+def _check_depth(hidden) -> None:
+    if not isinstance(hidden, (list, tuple)) or len(hidden) != 2:
+        raise ConfigError(f"hidden must list the two hidden layer widths, got {hidden!r}")
 
 
 def _sigmoid(z):
@@ -203,6 +205,7 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     """
     if m < 1:
         raise ValueError("feature dimension must be >= 1")
+    _check_depth(hidden)
     sizes = [2 * m, *hidden, 1]
     weights, biases = [], []
     for i in range(len(sizes) - 1):
@@ -249,16 +252,16 @@ def _factor(g: np.ndarray, slope: float, tmp: np.ndarray) -> np.ndarray:
     return f
 
 
-def _gate_rows_(h: np.ndarray, slope: float, tmp: np.ndarray, fill) -> np.ndarray:
-    """Overwrite a layer output ``h`` with its delta, one block of rows at a
-    time: ``fill(r, rows)`` writes the ungated delta into ``rows``, which
-    start at row ``r``, and each is then multiplied by 1 where ``h`` was
-    positive and by ``slope`` elsewhere."""
+def _gate_rows_(h: np.ndarray, delta: np.ndarray, w: np.ndarray, slope: float,
+                tmp: np.ndarray) -> np.ndarray:
+    """Overwrite the second hidden output ``h`` with its delta, one block of
+    rows at a time: the rows of ``delta @ wᵀ``, each multiplied by 1 where
+    ``h`` was positive and by ``slope`` elsewhere."""
     step = max(1, tmp.size // h.shape[1])
     for r in range(0, h.shape[0], step):
         rows = h[r:r + step]
         g = rows > 0.0
-        fill(r, rows)
+        np.matmul(delta[r:r + len(rows)], w.T, out=rows)
         rows *= _factor(g, slope, tmp)
     return h
 
@@ -298,8 +301,8 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, work: list,
     """Logits for every pair of the samples whose first-layer half is ``a``
     with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
 
-    ``work[i]`` receives layer ``i``'s output, the hidden ones after their
-    LeakyReLU, which runs through ``tmp``; ``work[0]`` is shaped (B, C, width).
+    ``work`` receives the two hidden outputs, after their LeakyReLU, which
+    runs through ``tmp``, and the logits; ``work[0]`` is shaped (B, C, H1).
     For ``slope >= 0`` a hidden activation is positive exactly when its
     pre-activation is (but for an overflowed ``+inf`` at slope 0), so the
     outputs also serve as the backward gate. The last layer is a float64
@@ -307,22 +310,20 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, work: list,
     states when a row's logit is then independent of the other rows and of
     BLAS threads.
     """
+    (_, w2, w3), (_, b2, b3) = params.weights, params.biases
     z = np.add(a[:, None, :], cp[None, :, :], out=work[0]).reshape(-1, cp.shape[1])
-    last = len(params.weights) - 1
-    for i in range(1, last + 1):
-        h = _leaky_relu_(z, params.slope, tmp)
-        w, b = params.weights[i], params.biases[i]
-        z = np.matmul(h, w, out=work[i]) if i < last else \
-            np.einsum("ij,j->i", h, w[:, 0], dtype=np.float64, out=work[i])[:, None]
-        z += b
-    return z[:, 0]
+    z = np.matmul(_leaky_relu_(z, params.slope, tmp), w2, out=work[1])
+    z += b2
+    z = np.einsum("ij,j->i", _leaky_relu_(z, params.slope, tmp), w3[:, 0],
+                  dtype=np.float64, out=work[2])
+    z += b3
+    return z
 
 
 def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
-    """``_forward``'s layer outputs, ``b`` samples by ``c`` prototypes, hidden ones in ``dtype``."""
-    work = [np.empty((b * c, x.size), dtype) for x in params.biases[:-1]] + [np.empty(b * c)]
-    work[0] = work[0].reshape(b, c, params.weights[0].shape[1])
-    return work
+    """``_forward``'s outputs, ``b`` samples by ``c`` prototypes, hidden ones in ``dtype``."""
+    h0, h1 = params.weights[1].shape
+    return [np.empty((b, c, h0), dtype), np.empty((b * c, h1), dtype), np.empty(b * c)]
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -349,10 +350,10 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     step = max(1, min(chunk, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
     cp, w1 = protos @ w[m:], w[:m].astype(np.float64, copy=False)  # cp's weight cast is freed first
     cp += params.biases[0]
-    if len(params.weights) > 1:  # the hidden layers run in float32
-        cp = cp.astype(np.float32)
-        f32 = lambda xs: [xs[0], *(x.astype(np.float32, copy=False) for x in xs[1:-1]), xs[-1]]
-        params = RelationParams(f32(params.weights), f32(params.biases), params.slope, params.m)
+    cp = cp.astype(np.float32)  # the hidden layers run in float32
+    (_, w2, w3), (b1, b2, b3) = params.weights, params.biases
+    params = RelationParams([w, w2.astype(np.float32, copy=False), w3],
+                            [b1, b2.astype(np.float32, copy=False), b3], params.slope, m)
     # One block's samples, their first-layer half (float64, cast), each
     # layer's output and the LeakyReLU's scratch.
     x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
@@ -373,26 +374,18 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
-    a flat buffer X, each later layer's output, the first layer's two halves
-    (then its delta's sums), the bias gradients and the scratch.
+    a flat buffer X, the second hidden output, the logits, the first layer's
+    two halves (then its delta's sums), the bias gradients and the scratch.
 
-    X holds the first hidden output and, in the backward, the largest of: a
-    row block of the first layer's weight gradient; a middle layer's input
-    delta beside one of its blocks; the rebuilt halves beside a column slab
-    of the first hidden output (two columns at least) and the slab's block
-    of the second layer's weight gradient.
+    X holds the first hidden output and, in the backward, the larger of: a
+    row block of the first layer's weight gradient; the rebuilt halves
+    beside a column slab of the first hidden output (two columns at least)
+    and the slab's block of the second layer's weight gradient.
     """
-    n, ws = b * c, params.weights
-    h0 = ws[0].shape[1]
-    need = [min(params.m, _block_rows(ws[0], _GRAD_BLOCK)) * h0]
-    if len(ws) > 1:
-        need.append(n * h0)
-    if len(ws) > 2:
-        need.append((b + c) * h0 + min(h0, 2) * (b + c + n + ws[1].shape[1]))
-    need += [n * w.shape[0] + min(w.shape[0], _block_rows(w, _GRAD_BLOCK)) * w.shape[1]
-             for w in ws[2:-1]]
-    outs = [np.empty((n, w.shape[1])) for w in ws[1:-1]] + [np.empty(n)]
-    return (np.empty(max(need)), outs, np.empty((b + c, h0)),
+    n, (h0, h1) = b * c, params.weights[1].shape
+    size = max(n * h0, min(params.m, _block_rows(params.weights[0], _GRAD_BLOCK)) * h0,
+               (b + c) * h0 + min(h0, 2) * (b + c + n + h1))
+    return (np.empty(size), np.empty((n, h1)), np.empty(n), np.empty((b + c, h0)),
             [np.empty_like(x) for x in params.biases], _scratch(params, _SCRATCH))
 
 
@@ -423,7 +416,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
             or np.any((targets < 0) | (targets >= c)):
         raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
     t = (targets[:, None] == np.arange(c)).astype(np.float64).reshape(-1)
-    x, outs, halves, db, scratch = work or _step_workspace(params, b, c)
+    x, x2, z, halves, db, scratch = work or _step_workspace(params, b, c)
     if adam is None:
         grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
         flat = (*grads.d_weights, *grads.d_biases)
@@ -431,61 +424,41 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     else:
         grads, put = None, _adam_begin(params, adam, scratch)
 
-    n, n_w, slope = b * c, len(params.weights), params.slope
-    h0 = params.weights[0].shape[1]
+    n, slope, (w1, w2, w3) = b * c, params.slope, params.weights
+    h0 = w1.shape[1]
     a, cp = _first_layer(params, vs, protos, halves[:b], halves[b:b + c])
-    fwd = [x[:n * h0].reshape(b, c, h0), *(o[:n] for o in outs)] if n_w > 1 \
-        else [outs[0][:n].reshape(b, c, 1)]
-    logits = _forward(params, a, cp, fwd, scratch[0])
+    y1, y2 = x[:n * h0].reshape(n, h0), x2[:n]
+    logits = _forward(params, a, cp, [y1.reshape(b, c, h0), y2, z[:n]], scratch[0])
     loss = float(_bce_elementwise(logits, t).mean())
-    hidden = [fwd[0].reshape(n, h0), *fwd[1:-1]] if n_w > 1 else []
 
-    def weight_blocks(i, r0, at, d, buf):
-        """Rows ``r0:r0 + len(at)`` of ``dW_i``, ``at @ d``, one block at a
-        time at the start of ``buf``; Adam may use the rest."""
-        cols = d.shape[1]
-        rows = _block_rows(params.weights[i], _GRAD_BLOCK)
-        for r in range(0, at.shape[0], rows):
-            blk = at[r:r + rows]
-            out = buf[:blk.shape[0] * cols].reshape(-1, cols)
-            put(i, r0 + r, np.matmul(blk, d, out=out), buf[out.size:])
-
+    # ``put``'s k counts through (W1, W2, W3, b1, b2, b3). The last layer's
+    # one-column dW is taken before its input's rows become its input
+    # delta, the backward's last read of its weights.
     delta = ((_sigmoid(logits) - t) / n)[:, None]
-    if hidden:
-        # The last layer's one-column dW is taken before its input's rows
-        # become its input delta, the backward's last read of its weights.
-        w = params.weights[-1]
-        put(2 * n_w - 1, 0, delta.sum(axis=0, out=db[-1]))
-        dw = hidden[-1].T @ delta
-        delta = _gate_rows_(hidden[-1], slope, scratch[1],
-                            lambda r, rows: np.matmul(delta[r:r + len(rows)], w.T, out=rows))
-        put(n_w - 1, 0, dw)
-    for i in range(n_w - 2, 1, -1):
-        # A middle layer's input delta goes to X and its dW blocks after it;
-        # then, gated, it overwrites the layer's input.
-        put(n_w + i, 0, delta.sum(axis=0, out=db[i]))
-        h = hidden[i - 1]
-        up = np.matmul(delta, params.weights[i].T, out=x[:h.size].reshape(h.shape))
-        weight_blocks(i, 0, h.T, delta, x[h.size:])
-        delta = _gate_rows_(h, slope, scratch[1],
-                            lambda r, rows: np.copyto(rows, up[r:r + len(rows)]))
-    if n_w > 2:
-        # The second layer's input delta fills X, where the first hidden
-        # output was; that output is rebuilt from the halves to gate it.
-        put(n_w + 1, 0, delta.sum(axis=0, out=db[1]))
-        d2, delta = delta, _gate_first_(np.matmul(delta, params.weights[1].T, out=hidden[0]),
-                                        a, cp, slope, scratch)
+    put(5, 0, delta.sum(axis=0, out=db[2]))
+    dw = y2.T @ delta
+    delta = _gate_rows_(y2, delta, w3, slope, scratch[1])
+    put(2, 0, dw)
+    # The second layer's input delta fills X, where the first hidden
+    # output was; that output is rebuilt from the halves to gate it.
+    put(4, 0, delta.sum(axis=0, out=db[1]))
+    d2, delta = delta, _gate_first_(np.matmul(delta, w2.T, out=y1), a, cp, slope, scratch)
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over
     # samples. The sums take the halves' place.
     per_pair = delta.reshape(b, c, -1)
     delta.sum(axis=0, out=db[0])
     sums = per_pair.sum(axis=1, out=halves[:b]), per_pair.sum(axis=0, out=halves[b:b + c])
-    if n_w > 2:
-        _second_layer_blocks(params, vs, protos, d2, x, scratch[0], put)
-    weight_blocks(0, 0, vs.T, sums[0], x)
-    weight_blocks(0, params.m, protos.T, sums[1], x)
-    put(n_w, 0, db[0])  # after the last read of b1, the halves' rebuild
+    _second_layer_blocks(params, vs, protos, d2, x, scratch[0], put)
+    # dW1 = [vsᵀ sums[0] ; protosᵀ sums[1]], one row block at a time at the
+    # start of X; Adam may use the rest.
+    rows = _block_rows(w1, _GRAD_BLOCK)
+    for r0, at, d in ((0, vs.T, sums[0]), (params.m, protos.T, sums[1])):
+        for r in range(0, at.shape[0], rows):
+            blk = at[r:r + rows]
+            out = x[:blk.shape[0] * h0].reshape(-1, h0)
+            put(0, r0 + r, np.matmul(blk, d, out=out), x[out.size:])
+    put(3, 0, db[0])  # after the last read of b1, the halves' rebuild
     return loss, grads
 
 
@@ -635,11 +608,11 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
 
 def _check_aln(path, weights, biases, sidecar) -> dict:
     """The ALN1 checks, run by the writer before it writes and by the loader
-    after it reads: chained layers, the last of width 1, finite values; then
-    ``sidecar()`` has an integer ``m >= 1``, half the first fan-in, and a
-    finite ``slope >= 0``. Returns the sidecar."""
-    if not weights:
-        raise DimMismatch(f"{path}: no layers")
+    after it reads: three chained layers, the last of width 1, finite values;
+    then ``sidecar()`` has an integer ``m >= 1``, half the first fan-in, and
+    a finite ``slope >= 0``. Returns the sidecar."""
+    if len(weights) != 3:
+        raise DimMismatch(f"{path}: {len(weights)} layers, not 3")
     for i in range(1, len(weights)):
         if weights[i].shape[0] != weights[i - 1].shape[1]:
             raise DimMismatch(f"{path}: layer {i} has {weights[i].shape[0]} rows, "

@@ -94,10 +94,6 @@ class ZeroBaseAccuracy(ValidationError):
     """Accuracy decline is undefined when the first session scores zero."""
 
 
-class NoNovelSessions(ValidationError):
-    """Mean harmonic accuracy needs at least one session with novel classes."""
-
-
 # ---- the JSON loader and checks for configs, flags and sidecars ----
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     EmptyInput,
     FormatError,
-    NoNovelSessions,
     ZeroBaseAccuracy,
     check_int,
     check_real,
@@ -77,14 +76,6 @@ def delta(session_accuracies) -> float:
     if accs[0] <= 0.0:
         raise ZeroBaseAccuracy("accuracy decline undefined for zero base accuracy")
     return abs(accs[-1] - accs[0]) / accs[0] * 100.0
-
-
-def mean_harmonic(sessions) -> float:
-    """Mean A_h over session dicts where both base and novel samples exist."""
-    vals = [s["harmonic"] for s in sessions if s["harmonic"] is not None]
-    if not vals:
-        raise NoNovelSessions("no session with both base and novel classes")
-    return float(np.mean(vals))
 
 
 # ---- the report document ----

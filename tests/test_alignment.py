@@ -212,13 +212,13 @@ def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
     special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -1.5, 3e-310, -7.25])
     rng = np.random.default_rng(width)
     h = rng.choice(special, size=(rows, width))
-    delta = rng.choice(special, size=(rows, width))
+    # The last layer's delta and weights: a one-term product per entry.
+    delta, w = rng.choice(special, size=(rows, 1)), rng.choice(special, size=(width, 1))
     tmp = np.empty(max(_BLOCK, width))
     with np.errstate(all="ignore"):
-        want = delta.copy()
+        want = delta @ w.T
         np.multiply(want, slope, out=want, where=~(h > 0.0))
-        got = _gate_rows_(h.copy(), slope, tmp,
-                          lambda r, out: np.copyto(out, delta[r:r + len(out)]))
+        got = _gate_rows_(h.copy(), delta, w, slope, tmp)
         assert got.tobytes() == want.tobytes()
 
         # The first hidden layer's gate rebuilds its output from the halves,
@@ -368,20 +368,6 @@ def test_forward_writes_the_layer_outputs():
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
         assert np.array_equal(got > 0.0, want > 0.0)
-
-
-def test_scorer_without_hidden_layers_matches_the_oracle():
-    p = init_relation(6, seed=12, hidden=())
-    p.biases[0] += 0.25
-    vs, protos, targets = _kernel_inputs()
-    np.testing.assert_allclose(score_matrix(p, vs, protos),
-                               ref_score_matrix(p, vs, protos), rtol=0, atol=LOGIT_ATOL)
-    loss, g = loss_and_grad(p, vs, protos, targets)
-    want_loss, want_dw, want_db = ref_loss_and_grad(p, vs, protos, targets)
-    assert loss == pytest.approx(want_loss, rel=GRAD_RTOL, abs=0)
-    _assert_grads_close((*g.d_weights, *g.d_biases), (*want_dw, *want_db))
-    assert score_pair(p, vs[1], protos[2])[1] == pytest.approx(
-        score_matrix(p, vs, protos)[1, 2], rel=0, abs=LOGIT_ATOL)
 
 
 @pytest.mark.parametrize("hidden", [(40, 24), (1024, 512)], ids=["40x24", "1024x512"])
@@ -544,7 +530,7 @@ def test_zero_loss_configuration_is_stationary():
     protos = np.array([[1.0], [-1.0]])
     loss, g = loss_and_grad(p, vs, protos, np.array([0]))
     assert loss < 1e-15
-    assert g.norm() <= 1e-9
+    assert np.sqrt(sum(np.sum(x * x) for x in (*g.d_weights, *g.d_biases))) <= 1e-9
 
 
 def test_duplicating_the_batch_keeps_the_mean_gradient():
@@ -604,9 +590,9 @@ def test_adam_first_step_magnitude():
 
 def test_adam_matches_scalar_oracle_on_quadratic():
     # embed a 1-D quadratic in one weight coordinate, zero gradients elsewhere
-    p = init_relation(1, seed=3, hidden=(1,))
-    p.weights[0][:] = 0.0
-    p.weights[1][:] = 0.0
+    p = init_relation(1, seed=3, hidden=(1, 1))
+    for w in p.weights:
+        w[:] = 0.0
     x0 = 1.7
     p.weights[0][0, 0] = x0
     state = adam_init(p, lr=0.1)
@@ -645,9 +631,10 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
 def test_blocked_adam_matches_the_temporaries_version_across_blocks():
     from tfa.alignment import _BLOCK, Gradients
 
-    # One hidden layer wider than an Adam block: the first weight matrix has
-    # rows longer than a block, and the bias and last layer span two blocks.
-    p = init_relation(1, seed=42, hidden=(_BLOCK + 7,))
+    # A first hidden layer wider than an Adam block: the first weight matrix
+    # has rows longer than a block, and its bias and the second layer's
+    # weights span two blocks.
+    p = init_relation(1, seed=42, hidden=(_BLOCK + 7, 1))
     q = p.copy()
     s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
     rng = np.random.default_rng(43)
@@ -663,7 +650,7 @@ def test_blocked_adam_matches_the_temporaries_version_across_blocks():
 
 
 def test_adam_refuses_frozen_params():
-    p = init_relation(2, seed=1, hidden=(2,)).freeze()
+    p = init_relation(2, seed=1, hidden=(2, 2)).freeze()
     with pytest.raises(ValidationError):
         adam_step(p, adam_init(p), grad_like_zero(p))
 
@@ -872,12 +859,12 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_binary_layout_is_exact(tmp_path):
     import struct
-    p = init_relation(2, seed=4, hidden=(3,))
+    p = init_relation(2, seed=4, hidden=(3, 2))
     path = tmp_path / "layout.aln"
     save_alignment(p, path)
     blob = path.read_bytes()
     assert blob[:4] == b"ALN1"
-    assert struct.unpack("<I", blob[4:8]) == (2,)  # layer count
+    assert struct.unpack("<I", blob[4:8]) == (3,)  # layer count
     rows, cols = struct.unpack("<II", blob[8:16])
     assert (rows, cols) == (4, 3)
     w0 = np.frombuffer(blob, dtype="<f4", count=12, offset=16).reshape(4, 3)
@@ -891,7 +878,7 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(BadMagic):
         load_alignment(path)
-    p = init_relation(3, seed=1, hidden=(2,))
+    p = init_relation(3, seed=1, hidden=(2, 2))
     good = tmp_path / "y.aln"
     save_alignment(p, good)
     blob = good.read_bytes()
@@ -915,33 +902,35 @@ def _write_checkpoint(path, layers, sidecar):
 @pytest.mark.parametrize("sidecar", [{}, {"m": "4"}, {"m": 4.5}, {"m": None}, [4]],
                          ids=["missing", "string", "float", "null", "not-an-object"])
 def test_checkpoint_sidecar_needs_an_integer_m(tmp_path, sidecar):
-    path = _write_checkpoint(tmp_path / "s.aln", [(8, 3), (3, 1)], sidecar)
+    path = _write_checkpoint(tmp_path / "s.aln", [(8, 3), (3, 2), (2, 1)], sidecar)
     with pytest.raises(FormatError):
         load_alignment(path)
 
 
 def test_checkpoint_layers_must_chain(tmp_path):
-    path = _write_checkpoint(tmp_path / "c.aln", [(8, 5), (4, 1)], {"m": 4})
+    path = _write_checkpoint(tmp_path / "c.aln", [(8, 5), (4, 3), (3, 1)], {"m": 4})
     with pytest.raises(DimMismatch, match="layer 1 has 4 rows"):
         load_alignment(path)
 
 
 def test_checkpoint_last_layer_must_have_width_one(tmp_path):
-    path = _write_checkpoint(tmp_path / "w.aln", [(8, 5), (5, 2)], {"m": 4})
+    path = _write_checkpoint(tmp_path / "w.aln", [(8, 5), (5, 3), (3, 2)], {"m": 4})
     with pytest.raises(DimMismatch, match="last layer has width 2"):
         load_alignment(path)
 
 
-def test_checkpoint_needs_a_layer(tmp_path):
-    path = _write_checkpoint(tmp_path / "e.aln", [], {"m": 4})
-    with pytest.raises(DimMismatch):
+@pytest.mark.parametrize("layers", [[], [(8, 5), (5, 1)], [(8, 5), (5, 4), (4, 3), (3, 1)]],
+                         ids=["0", "2", "4"])
+def test_checkpoint_needs_three_layers(tmp_path, layers):
+    path = _write_checkpoint(tmp_path / "e.aln", layers, {"m": 4})
+    with pytest.raises(DimMismatch, match=f"{len(layers)} layers, not 3"):
         load_alignment(path)
 
 
 def test_checkpoint_built_by_hand_loads(tmp_path):
-    path = _write_checkpoint(tmp_path / "ok.aln", [(8, 5), (5, 1)], {"m": 4})
+    path = _write_checkpoint(tmp_path / "ok.aln", [(8, 5), (5, 3), (3, 1)], {"m": 4})
     params, _meta = load_alignment(path)
-    assert params.layer_sizes() == [8, 5, 1]
+    assert params.layer_sizes() == [8, 5, 3, 1]
 
 
 # ---- training config ----
@@ -949,13 +938,21 @@ def test_checkpoint_built_by_hand_loads(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("epochs", 0), ("epochs", 1.5), ("epochs", True), ("batch_size", 0),
     ("batch_size", "25"), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
-    ("lr", float("inf")), ("lr", "0.001"), ("seed", 1.0), ("hidden", (0,)),
+    ("lr", float("inf")), ("lr", "0.001"), ("seed", 1.0), ("hidden", (4, 0)),
     ("hidden", (4, 2.5)), ("hidden", 5), ("epsilon", 0.0), ("beta1", 1.0),
     ("beta2", -0.1), ("slope", float("nan")),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("hidden", [(), (40,), (40, 24, 16)], ids=["0", "1", "3"])
+def test_the_scorer_has_two_hidden_layers(hidden):
+    with pytest.raises(ConfigError, match="two hidden layer widths"):
+        TrainConfig(hidden=hidden)
+    with pytest.raises(ConfigError, match="two hidden layer widths"):
+        init_relation(4, seed=0, hidden=hidden)
 
 
 def test_train_config_normalises_hidden_and_rejects_unknown_keys():

@@ -168,8 +168,7 @@ def bench_world(tmp_path_factory):
 SMALL_ALIGN = {"epochs": 2, "batch_size": 30, "seed": 0, "hidden": [36, 20]}
 # train-align configs on the bench world: the benchmark's inference scorer
 # (1024/512, 24 steps) and its train op (2048/1024, 8 steps), then a 36/20
-# scorer whose 200 samples end in a partial batch of 20, at three slopes, and
-# the same run with no, one and three hidden layers.
+# scorer whose 200 samples end in a partial batch of 20, at three slopes.
 BENCH_ALIGN = {
     "scorer": {"seed": 0, "align": {"epochs": 3, "batch_size": 25, "lr": 0.001,
                                     "hidden": [1024, 512], "seed": 0}},
@@ -177,9 +176,6 @@ BENCH_ALIGN = {
     "partial": {"align": SMALL_ALIGN},
     "slope0": {"align": {**SMALL_ALIGN, "slope": 0.0}},
     "slope2.5": {"align": {**SMALL_ALIGN, "slope": 2.5}},
-    "hidden0": {"align": {**SMALL_ALIGN, "hidden": []}},
-    "hidden1": {"align": {**SMALL_ALIGN, "hidden": [40]}},
-    "hidden3": {"align": {**SMALL_ALIGN, "hidden": [40, 24, 16]}},
 }
 
 
@@ -209,8 +205,7 @@ def _train_align(world, name, threads):
 
 # SHA-256s of the ALN1 and its sidecar at 1 BLAS thread, recorded when every
 # step still allocated its own activations and deltas, gated with a masked
-# multiply and trained a copy of the scorer; the three hidden-depth runs when
-# the backward still held one delta per hidden layer.
+# multiply and trained a copy of the scorer.
 ALIGN_SHAS = {
     "scorer": ("64d71f524a1f0a5b5757e06352df5fc728e94c53c159561b4e69dbf75d3dad77",
                "65ee968bb9f04bddb6950af6ab8060c495dd71b608fcb9bc106ab588f63e8c29"),
@@ -222,12 +217,6 @@ ALIGN_SHAS = {
                "4e1bc6cdc5500ff89a94850d1a1d79ae5c6ddac5e848caad1d9b9161e966f000"),
     "slope2.5": ("a1958b5e9d4d3f8474c79bd69be9797fc9cbde7048ca230ca3ef88bec7cda6ba",
                  "cd46e8f9fc843f0d890dd559df808bc06f3ffdb8f5dd0c974629dcd23bc75dd5"),
-    "hidden0": ("9a0dfe3b61eaba78f4402c94d94ddcecf25d222b0b22693798103b741b5f2dc7",
-                "04a818eb521d880e68d892491d5cb2f3afff9cefa4abde56f9677e1889f78a61"),
-    "hidden1": ("96fef09cfb25b971608c962fbb405099c68dfdfb8f46090edb6cf7c4bdaa83f9",
-                "dd842e9df00d6b6879b9a30f89a87248fd3a8255de069aa5d26037db35d6b381"),
-    "hidden3": ("3b03281315debd36222b2355127092b633806ab3f51acd31c29f8eb53e535659",
-                "edf1a907b879d67c24fb08244d485ab1ca9447e4c8b15ba322513e88a9abb286"),
 }
 
 
@@ -556,7 +545,8 @@ def test_run_rejects_mistyped_and_non_finite_settings(workspace, tmp_path, capsy
 
 
 @pytest.mark.parametrize("align", [{"epochs": 0}, {"batch_size": 0}, {"lr": -1.0},
-                                   {"hidden": [8, 0]}, {"epoch": 3}])
+                                   {"hidden": [8, 0]}, {"epoch": 3}, {"hidden": []},
+                                   {"hidden": [40]}, {"hidden": [40, 24, 16]}])
 def test_train_align_rejects_bad_settings(workspace, tmp_path, capsys, align):
     root, tasks, _, _ = workspace
     cfg = write_json(tmp_path / "bad.json", {"align": align})
@@ -567,6 +557,23 @@ def test_train_align_rejects_bad_settings(workspace, tmp_path, capsys, align):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [[(64, 5), (5, 1)], [(64, 5), (5, 4), (4, 3), (3, 1)]],
+                         ids=["2", "4"])
+def test_run_rejects_a_scorer_without_three_layers(workspace, tmp_path, capsys, layers):
+    # Finite zero weights that chain, the last of width 1, and m=32 in the
+    # sidecar: everything but the layer count is a valid ALN1.
+    root, tasks, aln, run_cfg = workspace
+    bad = tmp_path / "bad.aln"
+    blob = tfa.alignment.ALN_MAGIC + len(layers).to_bytes(4, "little")
+    for rows, cols in layers:
+        blob += np.array([rows, cols], "<u4").tobytes() + bytes(4 * (rows * cols + cols))
+    bad.write_bytes(blob)
+    write_json(str(bad) + ".meta.json", {"m": 32, "slope": 0.01})
+    assert main(["run", "--tasks", str(tasks), "--align", str(bad),
+                 "--config", run_cfg, "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == f"error: {bad}: {len(layers)} layers, not 3\n"
 
 
 def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
@@ -815,7 +822,7 @@ def _error_classes(cls):
 
 def test_every_error_class_maps_to_a_documented_exit_code():
     classes = list(_error_classes(tfa.errors.TfaError))
-    assert len(classes) >= 16
+    assert len(classes) >= 15
     assert {c.__name__: c.exit_code for c in classes if c.exit_code not in (2, 3, 4)} == {}
 
 
@@ -850,11 +857,13 @@ def test_zero_base_accuracy_is_a_validation_error(tiny_world, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
 def test_non_finite_logits_are_a_validation_error(tiny_world, tmp_path, capsys, command):
-    # A finite checkpoint whose logits overflow: 11 layers 16→8→…→8→1 of
-    # weights ±3e38. No warning may escape (pytest turns one into an error).
+    # A finite checkpoint whose logits overflow: 16→8→8→1 of weights ±3e38.
+    # Three layers of float32 weights keep every float64 logit below ~1e120,
+    # so it is the float32 hidden path that overflows, its products past
+    # float32's range. No warning may escape (pytest turns one into an error).
     world = _copy_world(tiny_world, tmp_path / "w")
     signs = np.random.default_rng(5)
-    sizes = [16] + [8] * 10 + [1]
+    sizes = [16, 8, 8, 1]
     weights = [3e38 * signs.choice([-1.0, 1.0], size=shape) for shape in zip(sizes, sizes[1:])]
     save_alignment(RelationParams(weights, [np.zeros(w.shape[1]) for w in weights], 0.01, 8),
                    world / "scorer.aln")
@@ -868,14 +877,15 @@ def test_non_finite_logits_are_a_validation_error(tiny_world, tmp_path, capsys, 
 @pytest.mark.parametrize("command", ["run", "ablate"])
 def test_hidden_values_past_float32_range_are_a_validation_error(tiny_world, tmp_path,
                                                                  capsys, command):
-    # A finite checkpoint 16→16→1 whose first layer of weights ±3e38 gives
-    # pre-activations past float32's range but inside float64's, and whose
-    # last layer of 1e-37 brings them back: every float64 logit is finite,
-    # the float32 hidden path's are not. No warning may escape.
+    # A finite checkpoint 16→16→16→1 whose first layer of weights ±3e38
+    # gives pre-activations past float32's range but inside float64's, and
+    # whose later layers of 1e-19 bring them back: every float64 logit is
+    # finite, the float32 hidden path's are not. No warning may escape.
     world = _copy_world(tiny_world, tmp_path / "w")
     signs = np.random.default_rng(5)
-    weights = [3e38 * signs.choice([-1.0, 1.0], size=(16, 16)), np.full((16, 1), 1e-37)]
-    save_alignment(RelationParams(weights, [np.zeros(16), np.zeros(1)], 0.01, 8),
+    weights = [3e38 * signs.choice([-1.0, 1.0], size=(16, 16)), np.full((16, 16), 1e-19),
+               np.full((16, 1), 1e-19)]
+    save_alignment(RelationParams(weights, [np.zeros(16), np.zeros(16), np.zeros(1)], 0.01, 8),
                    world / "scorer.aln")
     scorer, _ = load_alignment(world / "scorer.aln")
     protos = load_prototypes(world / "prototypes.emb")

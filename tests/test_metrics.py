@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfa.errors import EmptyInput, NoNovelSessions, ZeroBaseAccuracy
+from tfa.errors import EmptyInput, ZeroBaseAccuracy
 from tfa.metrics import (
     accuracy,
+    aggregate_trials,
     check_report,
     delta,
     emit_report,
     experiment_report,
     harmonic,
-    mean_harmonic,
     report_csv,
     report_json,
     report_markdown,
@@ -123,9 +123,8 @@ def test_mean_harmonic():
             _session(2, 70.0, 70.0, 70.0)]
     reps[1]["harmonic"] = 60.0
     reps[2]["harmonic"] = 80.0
-    assert mean_harmonic(reps) == pytest.approx(70.0)
-    with pytest.raises(NoNovelSessions):
-        mean_harmonic([_session(0, 99.0, a_b=99.0)])
+    assert aggregate_trials([{"seed": 1, "sessions": reps}])[2] == pytest.approx(70.0)
+    assert aggregate_trials([{"seed": 1, "sessions": [_session(0, 99.0, a_b=99.0)]}])[2] is None
 
 
 def _report():
