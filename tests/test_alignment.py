@@ -739,12 +739,18 @@ def test_training_trains_its_argument_in_place(monkeypatch):
     assert copy is not params and copy.frozen
 
 
-@pytest.mark.parametrize("m, hidden", [(6, (40, 24)), (6, (8, 600)), (8, (1024, 512))],
-                         ids=["40x24", "8x600", "1024x512"])
+# (classes, samples per class, training samples, batch size)
+_FUSED_WORLD = (4, 8, 13, 5)
+
+
+@pytest.mark.parametrize("m, hidden, world",
+                         [(6, (40, 24), _FUSED_WORLD), (6, (8, 600), _FUSED_WORLD),
+                          (8, (1024, 512), _FUSED_WORLD), (6, (2048, 1024), (20, 2, 30, 13))],
+                         ids=["40x24", "8x600", "1024x512", "2048x1024"])
 @pytest.mark.parametrize("slope, overflow",
                          [(0.0, False), (0.0, True), (0.01, False), (2.5, False)],
                          ids=["0", "0-inf", "0.01", "2.5"])
-def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, hidden):
+def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, hidden, world):
     import tfa.alignment as alignment
 
     # Two epochs of 13 samples in batches of 5 (the last of 3), once with
@@ -752,12 +758,15 @@ def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, 
     # reused workspace, once with every step's full gradient set built
     # first and then passed to adam_step. At 1024/512 dW2 spans several
     # blocks; at 8/600 the backward needs more room than the first hidden
-    # output, so the workspace sizes its first buffer for it. With overflow
-    # one first-layer bias is +inf, so at slope 0 a pre-activation is +inf
-    # and its output NaN.
-    base, protos = _base_task_data(m=m, classes=4, per_class=8)
-    train = base.subset(base.indices(split="train")[:13])
-    hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=hidden, slope=slope)
+    # output, so the workspace sizes its first buffer for it. At 2048/1024
+    # 30 samples of 20 classes go in batches of 13: a batch of 260 pairs
+    # runs in sample blocks of 7 and 6, the last batch of 4 in one block.
+    # With overflow one first-layer bias is +inf, so at slope 0 a
+    # pre-activation is +inf and its output NaN.
+    classes, per_class, samples, batch = world
+    base, protos = _base_task_data(m=m, classes=classes, per_class=per_class)
+    train = base.subset(base.indices(split="train")[:samples])
+    hyper = TrainConfig(epochs=2, batch_size=batch, seed=3, hidden=hidden, slope=slope)
     states = []
 
     def scorer():

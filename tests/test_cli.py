@@ -167,12 +167,15 @@ def bench_world(tmp_path_factory):
 
 SMALL_ALIGN = {"epochs": 2, "batch_size": 30, "seed": 0, "hidden": [36, 20]}
 # train-align configs on the bench world: the benchmark's inference scorer
-# (1024/512, 24 steps) and its train op (2048/1024, 8 steps), then a 36/20
-# scorer whose 200 samples end in a partial batch of 20, at three slopes.
+# (1024/512, 24 steps) and its train op (2048/1024, 8 steps); the train op's
+# widths in batches of 30, six of 600 pairs and a last one of 20 samples;
+# then a 36/20 scorer whose 200 samples end in a partial batch of 20, at
+# three slopes.
 BENCH_ALIGN = {
     "scorer": {"seed": 0, "align": {"epochs": 3, "batch_size": 25, "lr": 0.001,
                                     "hidden": [1024, 512], "seed": 0}},
     "train": {"align": {"epochs": 1, "batch_size": 25, "lr": 0.001, "seed": 0}},
+    "train-partial": {"align": {"epochs": 1, "batch_size": 30, "lr": 0.001, "seed": 0}},
     "partial": {"align": SMALL_ALIGN},
     "slope0": {"align": {**SMALL_ALIGN, "slope": 0.0}},
     "slope2.5": {"align": {**SMALL_ALIGN, "slope": 2.5}},
@@ -211,6 +214,8 @@ ALIGN_SHAS = {
                "65ee968bb9f04bddb6950af6ab8060c495dd71b608fcb9bc106ab588f63e8c29"),
     "train": ("e78bca07d56326f8390f1c227925257db061ea2199c1bf3b075808b8a10fad4a",
               "7e6f7a861c575e3788d475dd19531ad82a5668f4988180646c4084f5d7a7826c"),
+    "train-partial": ("b6fe6800c7ae48515ad2d440b8766240ee2281b60d88ca08ed1cb4f19a4d3f98",
+                      "9b0ebcfe8a554b56a0c0f92b0d0f26d011d9d0b271a8cf75e9eacfaf999726b1"),
     "partial": ("7690a2dfe4a8e38c06d6adb90d32edc449bf1f2706fb50d5bb23c88922c2a46b",
                 "f2693deacd348f1f280e1c047946f7761b6cde37169dd2f9a551d509448647f1"),
     "slope0": ("9675c0dcc4587ca191cfb79277fbe0f1f11afd7ce4c29727dea95b36a9f9a8ed",
@@ -261,6 +266,7 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (*params.weights, *params.bia
 TRAINED_PARAM_SHAS = {
     "scorer": "2988fa20d1d1865f009d958b6acf450f877157df9c4ba069877ea1a1248f3281",
     "train": "0ed038d424910bbc8ba294371f47fd515592c7eac82678e22eaa011a88d07570",
+    "train-partial": "9f87733971716c40a3e6df9b13cda89c73953dd0a51ffcf153ddc0b85bdcd7a7",
 }
 
 
