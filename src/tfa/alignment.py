@@ -25,21 +25,28 @@ it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place, every step in one step
-workspace with two full-batch buffers: the first hidden output X and the
-second hidden output (leading rows for a partial batch). The first hidden
-output is ``leaky(a[b] + cp[c])``, cheap to rebuild from the two halves, so
-once the forward has read it the backward reuses X: first for the whole
-input delta of the first hidden layer, gated against rebuilt rows of that
-output and reduced into the first layer's sums, then for the rebuilt
-halves, one column slab of the output and one 4 MiB row block of the
-second layer's weight gradient at a time. The second hidden layer's delta
-overwrites that layer's output. Each weight gradient block goes straight to
-Adam once its layer's weights were last read, so no gradient set is held;
-where verified, a row block of ``hᵀ δ`` has the full product's bytes. The
-LeakyReLU and the backward gate run in small blocks through one small
-scratch, and Adam in cache-sized blocks in the part of X that a
-weight-gradient block leaves free. The gate multiplies delta by ``(~g)*slope + g``, ``g = h > 0``: the
-masked multiply ``where=~g``'s bytes without its short masked runs.
+workspace: the second hidden output for the whole batch (leading rows for a
+partial batch) and one buffer X. The first hidden output is ``leaky(a[b] +
+cp[c])``, cheap to rebuild from the two halves, which the step keeps, so it
+is never held whole. The forward and the first hidden layer's input delta
+``δ2 W2ᵀ`` run on blocks of whole samples, and X holds one block beside the
+first layer's per-sample and per-prototype delta sums. Each forward block
+goes on into the second hidden output; in the backward, each block's input
+delta is made where the block was, gated against the rebuilt pre-activation
+and added into the sums in numpy's own sequential orders, so the blocked
+sums have the whole batch's bytes. Once the first layer's gradient is made
+from the sums, X holds one column slab of the rebuilt first hidden output
+and its row block of the second layer's weight gradient at a time. The
+second hidden layer's delta overwrites that layer's output. Each weight
+gradient block goes straight to Adam once its layer's weights were last
+read, so no gradient set is held; where verified, a product made in row
+blocks (a sample block, a row block of ``hᵀ δ``) has the whole product's
+bytes. The LeakyReLU and the backward gate run in small blocks through one
+small scratch, and Adam in cache-sized blocks in the part of X that a
+weight-gradient block leaves free. The gate multiplies delta by
+``(~g)*slope + g``, ``g`` where the output is positive (for the first
+hidden layer at a slope above 0, its pre-activation): the masked multiply
+``where=~g``'s bytes without its short masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -82,12 +89,18 @@ DEFAULT_SLOPE = 0.01
 # passes over a block stay in cache, where its scratch has the room.
 _BLOCK = 1 << 15
 # The LeakyReLU and the backward gate work in blocks of about this many
-# elements (32 KiB): their scratch counts toward a step's peak memory.
+# elements, as their scratch counts toward peak memory: 4,096 in the score
+# table and 8,192 in a training step, where a 2048-wide gate spent about
+# 1.7 ms more per step in numpy's per-call costs with 4,096-value blocks.
 _SCRATCH = 1 << 12
-# The backward makes each weight gradient in row blocks of about this many
-# elements (4 MiB) inside the step's first buffer. Each block's product
-# re-packs the whole delta, so smaller blocks cost time: at 2048/1024 the
-# 2 MiB blocks made dW2 about 10 ms slower than the whole product.
+_STEP_SCRATCH = 1 << 13
+# A training step's first buffer holds blocks of about this many elements
+# (4 MiB): a block of whole samples of the first hidden output, or a row
+# block of a weight gradient. Each block's product re-packs the other
+# operand whole (W2 for a sample block, the delta for a gradient block), so
+# smaller blocks cost time: at 2048/1024 the 2 MiB gradient blocks made dW2
+# about 10 ms slower than the whole product, and three sample blocks add
+# about 2.5 ms to the forward.
 _GRAD_BLOCK = 1 << 19
 
 _U32 = struct.Struct("<I")
@@ -269,16 +282,20 @@ def _gate_rows_(h: np.ndarray, delta: np.ndarray, w: np.ndarray, slope: float,
 def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
                  scratch: np.ndarray) -> np.ndarray:
     """Gate the first hidden layer's delta in place, pair row ``b*C + c`` by
-    that layer's output ``leaky(a[b] + cp[c])``, rebuilt a few rows of one
-    sample at a time in ``scratch``: the forward's bytes, so an overflowed
-    ``+inf`` at slope 0 gates as its NaN output does."""
+    the sign of that layer's pre-activation ``a[b] + cp[c]``, rebuilt a few
+    rows of one sample at a time in ``scratch``. For ``slope > 0`` an output
+    is positive exactly when its pre-activation is; at slope 0 the gate reads
+    the rebuilt output ``leaky(a[b] + cp[c])``, so an overflowed ``+inf``
+    gates as its NaN output does."""
     (c, width), (z, t) = cp.shape, scratch
     k = max(1, z.size // width)
     for s in range(a.shape[0]):
         for c0 in range(0, c, k):
             h = np.add(a[s], cp[c0:c0 + k], out=z[:min(k, c - c0) * width].reshape(-1, width))
+            if slope == 0.0:
+                h = _leaky_relu_(h, slope, t)
             rows = delta[s * c + c0:s * c + c0 + h.shape[0]]
-            rows *= _factor(_leaky_relu_(h, slope, t) > 0.0, slope, t)
+            rows *= _factor(h > 0.0, slope, t)
     return delta
 
 
@@ -372,21 +389,31 @@ def _bce_elementwise(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
 
+def _even(total: int, most: int) -> int:
+    """The size of the fewest equal parts of ``total`` no larger than ``most``
+    (at least 1); the last part may be smaller."""
+    return -(-total // -(-total // max(1, most)))
+
+
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
     a flat buffer X, the second hidden output, the logits, the first layer's
-    two halves (then its delta's sums), the bias gradients and the scratch.
+    two halves, the bias gradients and the scratch.
 
-    X holds the first hidden output and, in the backward, the larger of: a
-    row block of the first layer's weight gradient; the rebuilt halves
-    beside a column slab of the first hidden output (two columns at least)
-    and the slab's block of the second layer's weight gradient.
+    X holds the larger of: the first layer's per-sample and per-prototype
+    delta sums, one row and one block of whole samples of the first hidden
+    output (of up to ``_GRAD_BLOCK`` values, the whole batch if it fits);
+    the sums beside a row block of the first layer's weight gradient; a
+    column slab of the first hidden output (two columns at least) with its
+    copied halves and its block of the second layer's weight gradient.
     """
     n, (h0, h1) = b * c, params.weights[1].shape
-    size = max(n * h0, min(params.m, _block_rows(params.weights[0], _GRAD_BLOCK)) * h0,
-               (b + c) * h0 + min(h0, 2) * (b + c + n + h1))
+    rows = min(b, max(1, _GRAD_BLOCK // (c * h0)))
+    size = max((b + c + 1 + rows * c) * h0,
+               (b + c + min(params.m, _block_rows(params.weights[0], _GRAD_BLOCK))) * h0,
+               min(h0, 2) * (b + c + n + h1))
     return (np.empty(size), np.empty((n, h1)), np.empty(n), np.empty((b + c, h0)),
-            [np.empty_like(x) for x in params.biases], _scratch(params, _SCRATCH))
+            [np.empty_like(x) for x in params.biases], _scratch(params, _STEP_SCRATCH))
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
@@ -397,12 +424,14 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
     are 1/(B*C) times the sum of per-pair terms. It runs in the leading rows
-    of ``work`` (a ``_step_workspace``, by default a new one) and makes each
-    weight gradient in row blocks, layer i's only after the backward's last
-    read of ``W_i``. Without ``adam`` it copies every block into a new
-    ``Gradients`` set and returns it. Given an ``AdamState`` it applies each
-    block and bias gradient to those rows as one ``adam_step`` would, and
-    returns ``(loss, None)``: no gradient set is held.
+    of ``work`` (a ``_step_workspace``, by default a new one): the forward
+    and the first layer's input delta one block of whole samples at a time
+    in X, as many as ``_GRAD_BLOCK`` holds in the fewest equal blocks. Each
+    weight gradient is made in row blocks, layer i's only after the
+    backward's last read of ``W_i``. Without ``adam`` it copies every block
+    into a new ``Gradients`` set and returns it. Given an ``AdamState`` it
+    applies each block and bias gradient to those rows as one ``adam_step``
+    would, and returns ``(loss, None)``: no gradient set is held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -427,8 +456,17 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     n, slope, (w1, w2, w3) = b * c, params.slope, params.weights
     h0 = w1.shape[1]
     a, cp = _first_layer(params, vs, protos, halves[:b], halves[b:b + c])
-    y1, y2 = x[:n * h0].reshape(n, h0), x2[:n]
-    logits = _forward(params, a, cp, [y1.reshape(b, c, h0), y2, z[:n]], scratch[0])
+    # X: the per-sample and per-prototype sums of the first layer's delta,
+    # one row for db1's running sum, then one sample block.
+    per_sample, per_proto = x[:b * h0].reshape(b, h0), x[b * h0:(b + c) * h0].reshape(c, h0)
+    run, blk = x[(b + c) * h0:], x[(b + c + 1) * h0:]
+    step = _even(b, _GRAD_BLOCK // (c * h0))
+    blocks = [(s, min(step, b - s)) for s in range(0, b, step)]
+    y2, logits = x2[:n], z[:n]
+    for s, k in blocks:
+        _forward(params, a[s:s + k], cp, [blk[:k * c * h0].reshape(k, c, h0),
+                                          y2[s * c:(s + k) * c], logits[s * c:(s + k) * c]],
+                 scratch[0])
     loss = float(_bce_elementwise(logits, t).mean())
 
     # ``put``'s k counts through (W1, W2, W3, b1, b2, b3). The last layer's
@@ -437,53 +475,62 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     delta = ((_sigmoid(logits) - t) / n)[:, None]
     put(5, 0, delta.sum(axis=0, out=db[2]))
     dw = y2.T @ delta
-    delta = _gate_rows_(y2, delta, w3, slope, scratch[1])
+    d2 = _gate_rows_(y2, delta, w3, slope, scratch[1])
     put(2, 0, dw)
-    # The second layer's input delta fills X, where the first hidden
-    # output was; that output is rebuilt from the halves to gate it.
-    put(4, 0, delta.sum(axis=0, out=db[1]))
-    d2, delta = delta, _gate_first_(np.matmul(delta, w2.T, out=y1), a, cp, slope, scratch)
+    put(4, 0, d2.sum(axis=0, out=db[1]))
+    # The second layer's input delta, one sample block at a time where that
+    # block's first hidden output was, gated and reduced into the sums.
     # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
     # half of dW1 sums delta over prototypes and the prototype half over
-    # samples. The sums take the halves' place.
-    per_pair = delta.reshape(b, c, -1)
-    delta.sum(axis=0, out=db[0])
-    sums = per_pair.sum(axis=1, out=halves[:b]), per_pair.sum(axis=0, out=halves[b:b + c])
-    _second_layer_blocks(params, vs, protos, d2, x, scratch[0], put)
-    # dW1 = [vsᵀ sums[0] ; protosᵀ sums[1]], one row block at a time at the
-    # start of X; Adam may use the rest.
+    # samples. The sums continue numpy's sequential orders across blocks:
+    # db1 row by row (the running sum goes in the row before the block),
+    # the per-prototype sums sample by sample.
+    for s, k in blocks:
+        d1 = np.matmul(d2[s * c:(s + k) * c], w2.T, out=blk[:k * c * h0].reshape(-1, h0))
+        per_pair = _gate_first_(d1, a[s:s + k], cp, slope, scratch).reshape(k, c, h0)
+        per_pair.sum(axis=1, out=per_sample[s:s + k])
+        if s == 0:
+            d1.sum(axis=0, out=db[0])
+            per_pair.sum(axis=0, out=per_proto)
+        else:
+            run[:h0] = db[0]
+            run[:h0 + d1.size].reshape(-1, h0).sum(axis=0, out=db[0])
+            for sample in per_pair:
+                per_proto += sample
+    # dW1 = [vsᵀ per_sample ; protosᵀ per_proto], one row block at a
+    # time after the sums; Adam may use the rest. The halves stay as they
+    # are, so W1 and b1 are read no more.
     rows = _block_rows(w1, _GRAD_BLOCK)
-    for r0, at, d in ((0, vs.T, sums[0]), (params.m, protos.T, sums[1])):
+    for r0, at, d in ((0, vs.T, per_sample), (params.m, protos.T, per_proto)):
         for r in range(0, at.shape[0], rows):
-            blk = at[r:r + rows]
-            out = x[:blk.shape[0] * h0].reshape(-1, h0)
-            put(0, r0 + r, np.matmul(blk, d, out=out), x[out.size:])
-    put(3, 0, db[0])  # after the last read of b1, the halves' rebuild
+            part = at[r:r + rows]
+            out = run[:part.shape[0] * h0].reshape(-1, h0)
+            put(0, r0 + r, np.matmul(part, d, out=out), run[out.size:])
+    put(3, 0, db[0])
+    _second_layer_blocks(params, a, cp, d2, x, scratch[0], put)
     return loss, grads
 
 
-def _second_layer_blocks(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
+def _second_layer_blocks(params: RelationParams, a: np.ndarray, cp: np.ndarray,
                          d2: np.ndarray, x: np.ndarray, tmp: np.ndarray, put) -> None:
     """``dW2 = h1ᵀ δ2`` made in X and ``put`` one row block at a time, once
-    the first layer's delta no longer needs X.
+    the first layer's gradient no longer needs X.
 
-    The halves are rebuilt at X's start (the first layer is not updated
-    yet), and block ``r`` comes from the column slab ``leaky(a[:, r:r+S] +
-    cp[:, r:r+S])`` of h1. The slabs are equal and as wide as ``_GRAD_BLOCK``
-    and X's room allow, and Adam works in the rest. Each slab's halves are
-    copied out whole first, as a sum of strided halves takes numpy a buffer
-    per operand.
+    Block ``r`` comes from the column slab ``leaky(a[:, r:r+S] + cp[:,
+    r:r+S])`` of h1, read from the first layer's halves as the forward made
+    them. The slabs are equal and as wide as ``_GRAD_BLOCK`` and X's room
+    allow, and Adam works in the rest. Only dW2's rows are split: column
+    tiles of some widths (342, 500 at 2048/1024) change its bytes. Each
+    slab's halves are copied out whole first, as a sum of strided halves
+    takes numpy a buffer per operand.
     """
-    b, c, n, h0 = vs.shape[0], protos.shape[0], d2.shape[0], params.weights[0].shape[1]
+    (b, h0), c, n = a.shape, cp.shape[0], d2.shape[0]
     cols = params.weights[1].shape[1]
-    a, cp = _first_layer(params, vs, protos, x[:b * h0].reshape(b, h0),
-                         x[b * h0:(b + c) * h0].reshape(c, h0))
-    rest = x[(b + c) * h0:]
-    fit = min(h0, _block_rows(params.weights[1], _GRAD_BLOCK), rest.size // (b + c + n + cols))
-    step = -(-h0 // -(-h0 // fit))  # ceil(h0 / slabs), slabs = ceil(h0 / fit)
+    step = _even(h0, min(_block_rows(params.weights[1], _GRAD_BLOCK),
+                         x.size // (b + c + n + cols)))
     for r in range(0, h0, step):
         s = min(step, h0 - r)
-        ha, hc, h, blk, free = np.split(rest, np.cumsum([b, c, n, cols]) * s)
+        ha, hc, h, blk, free = np.split(x, np.cumsum([b, c, n, cols]) * s)
         ha, hc = ha.reshape(b, s), hc.reshape(c, s)
         ha[:], hc[:] = a[:, r:r + s], cp[:, r:r + s]
         h = np.add(ha[:, None, :], hc[None, :, :], out=h.reshape(b, c, s))

@@ -221,11 +221,11 @@ def test_gate_matches_the_masked_multiply_bit_for_bit(width, slope):
         got = _gate_rows_(h.copy(), delta, w, slope, tmp)
         assert got.tobytes() == want.tobytes()
 
-        # The first hidden layer's gate rebuilds its output from the halves,
-        # rows*2 pairs of `rows` samples and 2 prototypes. At slope 0 a +inf
-        # pre-activation's output is NaN, so it gates by slope where its
-        # pre-activation is positive, and a gate on the sign of the
-        # pre-activation fails here.
+        # The first hidden layer's gate rebuilds its pre-activation from the
+        # halves, rows*2 pairs of `rows` samples and 2 prototypes, and gates
+        # on its sign where the slope is above 0. At slope 0 a +inf
+        # pre-activation's output is NaN and gates by slope, so a gate on
+        # the sign fails there, and the gate reads the rebuilt output.
         a, cp = rng.choice(special, size=(rows, width)), rng.choice(special, size=(2, width))
         z = (a[:, None, :] + cp[None, :, :]).reshape(-1, width)
         delta = rng.choice(special, size=z.shape)
@@ -823,20 +823,25 @@ def test_training_memory_does_not_grow_with_the_steps():
     assert peaks[1] - peaks[0] <= 1 << 19
 
 
-def test_training_step_holds_two_full_batch_buffers():
+def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
+    from tfa.alignment import _step_workspace
+
     # One step at the benchmark's train shape: m=64, 20 prototypes, a batch
     # of 25 samples and 2048/1024. Beyond the parameters and Adam's two
-    # moments it holds the first and the second hidden output, n*(H0 + H1)
-    # float64 values for n = 500 pairs, and at most 1 MiB more: the first
+    # moments it holds the second hidden output, n*H1 float64 values for
+    # n = 500 pairs, and X: the first layer's delta sums and one block of
+    # whole samples of the first hidden output (the batch runs in blocks of
+    # 9, 9 and 7), not the whole n*H0. At most 1 MiB more: the first
     # layer's halves, the bias gradients, the small scratch and numpy's own
-    # buffers. An output and a delta per hidden layer and a 2 MiB gradient
-    # block read 26.8 MiB here.
+    # buffers.
     base, protos = _base_task_data(m=64, classes=20, per_class=2)
     train = base.subset(base.indices(split="train")[:25])
     hyper = TrainConfig(epochs=1, batch_size=25, seed=1, hidden=(2048, 1024))
     params, peak = traced_peak(
         lambda: train_alignment(init_relation(64, 1, hyper.hidden), train, protos, hyper)[0])
-    assert peak - 3 * 8 * params.n_params() <= 500 * (2048 + 1024) * 8 + (1 << 20)
+    x = _step_workspace(params, 25, 20)[0].size
+    assert x <= 603_000 < 500 * 2048
+    assert peak - 3 * 8 * params.n_params() <= (500 * 1024 + x) * 8 + (1 << 20)
 
 
 def test_training_rejects_duplicate_prototype_ids():
