@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, ShotCapacityExceeded
-from .numerics import entropy, softmax
 
 ORIGIN_BASE = "base_pseudo"
 ORIGIN_NOVEL = "novel_shot"
@@ -56,20 +55,19 @@ class InsertOutcome:
 def pseudo_label(logits: np.ndarray, class_ids: np.ndarray) -> tuple[int, float]:
     """Argmax class of one logit row (ties to the lowest class id) and the
     entropy of the row's softmax; columns are aligned to ``class_ids``."""
-    if len(logits) == 0:
-        raise ValueError("pseudo_label of an empty logit row")
     row = np.reshape(np.asarray(logits, dtype=np.float64), (1, -1))
     h = float(entropies(row)[0])
     return int(argmax_lowest_ids(row, class_ids)[0]), h
 
 
 def entropies(logits) -> np.ndarray:
-    """Row-wise ``entropy(softmax(row))`` of a (rows, classes) logit block,
-    equal to the scalar functions byte for byte.
+    """Row-wise Shannon entropy (nats, ``0 * ln(0) := 0``) of the softmax of
+    a (rows, classes) logit block, each row's bytes those of the one-vector
+    ``entropy(softmax(row))``.
 
-    A row in which some probability underflows to 0 goes through the scalar
-    functions: they sum over the nonzero terms only, which groups the sum
-    differently. So does a row with a non-finite logit, which they reject.
+    A row in which some probability underflows to 0 sums its nonzero terms
+    only, as the one-vector form does, which groups the sum differently. A
+    row with a non-finite logit is rejected.
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)   # rows sum as 1-D vectors do
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -79,7 +77,10 @@ def entropies(logits) -> np.ndarray:
         h = -np.where(positive, p * np.log(p), 0.0).sum(axis=1)
     h = np.where(h > 0.0, h, 0.0)
     for i in np.flatnonzero(~positive.all(axis=1)):
-        h[i] = entropy(softmax(logits[i]))
+        if not np.isfinite(logits[i]).all():
+            raise ValueError("logit row contains non-finite entries")
+        nz = p[i][positive[i]]
+        h[i] = max(0.0, float(-(nz * np.log(nz)).sum()))
     return h
 
 
@@ -111,7 +112,7 @@ def _unit_rows(keys, what: str) -> np.ndarray:
     """A (rows, d) float64 block, checked that every row is unit-norm.
 
     Each norm is ``sqrt(row @ row)`` from one stacked matmul, as in
-    ``numerics.l2_normalize``; the error reports the first bad row's
+    ``synth.l2_normalize``; the error reports the first bad row's
     ``np.linalg.norm``.
     """
     rows = np.asarray(keys, dtype=np.float64)
@@ -309,8 +310,6 @@ def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndar
     if values.size == 0:
         return [np.zeros((queries.shape[0], class_ids.shape[0]), dtype=np.float64)
                 for _ in betas]
-    if keys.shape[1] != queries.shape[1]:
-        raise DimMismatch(f"query dimension {queries.shape[1]} vs cache keys {keys.shape[1]}")
     onehot = values[:, None] == class_ids[None, :]
     missing = ~onehot.any(axis=1)
     if missing.any():

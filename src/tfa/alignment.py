@@ -94,6 +94,9 @@ _BLOCK = 1 << 15
 # 1.7 ms more per step in numpy's per-call costs with 4,096-value blocks.
 _SCRATCH = 1 << 12
 _STEP_SCRATCH = 1 << 13
+# The score table forwards blocks of about this many (sample, prototype)
+# pairs, whole samples each.
+_TABLE_CHUNK = 256
 # A training step's first buffer holds blocks of about this many elements
 # (4 MiB): a block of whole samples of the first hidden output, or a row
 # block of a weight gradient. Each block's product re-packs the other
@@ -343,12 +346,11 @@ def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
     return [np.empty((b, c, h0), dtype), np.empty((b * c, h1), dtype), np.empty(b * c)]
 
 
-def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                 chunk: int = 256) -> np.ndarray:
+def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """Logits for every (sample, prototype) pair, shape (B, C).
 
-    Samples are scored in blocks of ``max(1, min(chunk, 1024) // C)``, the
-    tail block padded, so every product of a call has one shape and the
+    Samples are scored in blocks of ``max(1, min(_TABLE_CHUNK, 1024) // C)``,
+    the tail block padded, so every product of a call has one shape and the
     first-layer product at least two rows (one row goes to gemv). So, for a
     fixed BLAS and C, ``score_matrix(V[:k])`` is ``score_matrix(V)[:k]``
     byte for byte, and only the output grows with B. The first-layer halves,
@@ -364,7 +366,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     if vs.ndim != 2 or protos.ndim != 2 or vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
     (n, m), c, w = vs.shape, protos.shape[0], params.weights[0]
-    step = max(1, min(chunk, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
+    step = max(1, min(_TABLE_CHUNK, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
     cp, w1 = protos @ w[m:], w[:m].astype(np.float64, copy=False)  # cp's weight cast is freed first
     cp += params.biases[0]
     cp = cp.astype(np.float32)  # the hidden layers run in float32
@@ -436,8 +438,6 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     targets = np.asarray(targets)
-    if vs.shape[0] == 0:
-        raise EmptyTrainSet("empty batch")
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("batch dimension does not match the scorer")
     b, c = vs.shape[0], protos.shape[0]

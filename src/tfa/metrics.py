@@ -90,8 +90,6 @@ def _mean_opt(values):
 
 def aggregate_trials(trials: list) -> tuple[list, float, float | None]:
     """Per-session aggregate dicts over trials, plus delta and mean harmonic."""
-    if not trials:
-        raise EmptyInput("no trials to aggregate")
     aggs = []
     for s in range(len(trials[0]["sessions"])):
         reports = [t["sessions"][s] for t in trials]

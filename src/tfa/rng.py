@@ -90,8 +90,6 @@ class Stream:
     def words(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words as a uint64 array, mixed in place one
         block at a time."""
-        if n < 0:
-            raise ValueError("word count must be non-negative")
         out = np.empty(n, dtype=np.uint64)
         t = np.empty(min(n, _WORD_BLOCK), dtype=np.uint64)
         first = self._consumed + 1

@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .embeddings import ClassPrototype, EmbeddingSet
-from .errors import check_int, check_real, from_fields
-from .numerics import l2_normalize
+from .errors import ZeroVector, check_int, check_real, from_fields
 from .rng import (
     SCOPE_CLASS_MEAN,
     SCOPE_PROTOTYPE,
@@ -29,6 +28,8 @@ from .rng import (
     Stream,
     derive_seed,
 )
+
+_ZERO_NORM = 1e-300
 
 
 @dataclass(frozen=True)
@@ -68,26 +69,18 @@ def class_layout(cfg: SynthConfig) -> list[tuple[int, list[int]]]:
     return layout
 
 
-def calibration_config(seed: int = 7) -> SynthConfig:
-    """Small separable preset used by the end-to-end calibration suite.
-
-    The modality gap of 0.15 is calibrated so that nearest-prototype
-    classification stays at ~100% while the frozen scorer alone generalizes
-    poorly to unseen prototypes (novel-class accuracy collapses without the
-    cache), which is the regime the calibration run exercises.
-    """
-    return SynthConfig(
-        dim=64,
-        base_classes=20,
-        novel_tasks=3,
-        classes_per_novel_task=5,
-        train_per_base_class=100,
-        test_per_class=20,
-        shots=5,
-        intra_class_sigma=0.05,
-        modality_gap_sigma=0.15,
-        seed=seed,
-    )
+def l2_normalize(v) -> np.ndarray:
+    """Scale a vector, or each row of a 2-D block, to unit Euclidean norm.
+    Each squared norm is ``row @ row`` from one stacked (1, m) @ (m, 1) matmul,
+    so a row's bytes depend only on that row; a vector is the one-row case."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected a finite vector or 2-D block, got shape {arr.shape}")
+    rows = np.atleast_2d(arr)
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    if np.any(norms < _ZERO_NORM):
+        raise ZeroVector("cannot normalize a zero vector")
+    return (rows / norms).reshape(arr.shape)
 
 
 def _noisy(mean, sigma: float, stream: Stream, count: int, dim: int) -> np.ndarray:

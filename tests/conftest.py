@@ -8,7 +8,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tfa.alignment import TrainConfig
 from tfa.protocol import ExperimentConfig, train_base_alignment
-from tfa.synth import calibration_config, generate_synthetic
+from tfa.synth import SynthConfig, generate_synthetic
+
+
+def calibration_config(seed: int = 7) -> SynthConfig:
+    """Small separable preset used by the end-to-end calibration suite.
+
+    The modality gap of 0.15 is calibrated so that nearest-prototype
+    classification stays at ~100% while the frozen scorer alone generalizes
+    poorly to unseen prototypes (novel-class accuracy collapses without the
+    cache), which is the regime the calibration run exercises.
+    """
+    return SynthConfig(
+        dim=64,
+        base_classes=20,
+        novel_tasks=3,
+        classes_per_novel_task=5,
+        train_per_base_class=100,
+        test_per_class=20,
+        shots=5,
+        intra_class_sigma=0.05,
+        modality_gap_sigma=0.15,
+        seed=seed,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -111,6 +111,41 @@ def make_unit(stream, m):
     return v / np.linalg.norm(v)
 
 
+# ---- the scalar softmax and entropy that ``tfa.adaptor.entropies`` batches ----
+
+_PROB_TOL = 1e-9
+
+
+def as_vec(v) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("vector contains non-finite entries")
+    return arr
+
+
+def softmax(v) -> np.ndarray:
+    """Numerically stable softmax (max-subtraction); output sums to 1."""
+    arr = as_vec(v)
+    if arr.size == 0:
+        raise ValueError("softmax of an empty vector")
+    e = np.exp(arr - arr.max())
+    return e / e.sum()
+
+
+def entropy(p) -> float:
+    """Shannon entropy in nats with the 0*ln(0) := 0 convention."""
+    arr = as_vec(p)
+    if arr.size == 0:
+        raise ValueError("entropy of an empty vector")
+    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > _PROB_TOL:
+        raise ValueError("entropy expects a probability vector")
+    nz = arr[arr > 0.0]
+    return max(0.0, float(-(nz * np.log(nz)).sum()))
+
+
 # ---- the per-sample stream loop that schedule-then-score replaced ----
 
 
@@ -162,8 +197,6 @@ class RefCache:
 
     def try_insert_base(self, key, logits, class_ids):
         """The admission outcome's kind and the evicted entropy, or None."""
-        from tfa.numerics import entropy, softmax
-
         cls = ref_argmax_lowest_id(logits, class_ids)
         h = entropy(softmax(np.asarray(logits, dtype=np.float64)))
         queue = self._base.setdefault(cls, [])

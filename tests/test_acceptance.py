@@ -14,11 +14,10 @@ from tfa.adaptor import DualCache, cache_scores, fuse, pseudo_label, affinity
 from tfa.alignment import _sigmoid, init_relation
 from tfa.cli import main
 from tfa.metrics import delta, harmonic
-from tfa.numerics import entropy, softmax
 from tfa.protocol import ExperimentConfig, run_experiments
 from tfa.rng import Stream, derive_seed
 
-from helpers import base_rows, central_difference_check, make_unit
+from helpers import base_rows, central_difference_check, entropy, make_unit, softmax
 
 
 def _announce(tag, detail=""):

@@ -21,11 +21,11 @@ from tfa.adaptor import (
 )
 from tfa.alignment import _sigmoid, init_relation, score_matrix
 from tfa.errors import DimMismatch, ShotCapacityExceeded
-from tfa.numerics import entropy, l2_normalize, softmax
 from tfa.protocol import stream_predictions
 from tfa.rng import Stream
+from tfa.synth import l2_normalize
 
-from helpers import base_rows, make_unit, ref_cache_scores, traced_peak
+from helpers import base_rows, entropy, make_unit, ref_cache_scores, softmax, traced_peak
 
 
 def row(logits, ids=None):
@@ -207,6 +207,12 @@ def test_every_insert_path_rejects_a_key_that_is_not_unit_norm(bad):
         schedule_admissions(cache, np.stack([good, np.array(bad)]), np.stack([logits, logits]),
                             ids, frozenset({0}))
     assert len(cache) == 0
+
+
+def test_cache_sizes_must_be_positive():
+    for capacity, shots in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match=">= 1"):
+            DualCache(capacity=capacity, shots=shots)
 
 
 # ---- novel cache ----

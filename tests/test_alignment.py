@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tfa import alignment
 from tfa.alignment import (
     ALN_MAGIC,
     TrainConfig,
@@ -30,9 +31,8 @@ from tfa.errors import (
     FormatError,
     ValidationError,
 )
-from tfa.numerics import l2_normalize
 from tfa.rng import Stream
-from tfa.synth import SynthConfig, generate_synthetic
+from tfa.synth import SynthConfig, generate_synthetic, l2_normalize
 
 from helpers import (
     central_difference_check,
@@ -288,11 +288,12 @@ def test_score_matrix_matches_the_where_kernel(slope, zero_weights):
 
 @pytest.mark.parametrize("slope", KERNEL_SLOPES)
 @pytest.mark.parametrize("zero_weights", [False, True])
-def test_float32_table_is_within_its_bound_of_the_oracle(slope, zero_weights):
+def test_float32_table_is_within_its_bound_of_the_oracle(slope, zero_weights, monkeypatch):
     p = _kernel_net(slope, zero_weights)
     vs, protos, _ = _kernel_inputs()
     want = f64_score_matrix(p, vs, protos, chunk=7)
-    table = score_matrix(p, vs, protos, chunk=7)
+    monkeypatch.setattr(alignment, "_TABLE_CHUNK", 7)
+    table = score_matrix(p, vs, protos)
     assert table.dtype == np.float64
     err = np.abs(table - want)
     assert np.all(err <= f32_logit_bound(p, vs, protos))
@@ -371,7 +372,7 @@ def test_forward_writes_the_layer_outputs():
 
 
 @pytest.mark.parametrize("hidden", [(40, 24), (1024, 512)], ids=["40x24", "1024x512"])
-def test_score_matrix_bytes_do_not_depend_on_the_block_size(hidden):
+def test_score_matrix_bytes_do_not_depend_on_the_block_size(hidden, monkeypatch):
     # 3 prototypes: chunk 2 scores one sample (3 rows) per block, 7 two and
     # 256 eighty-five; 8192 is capped at 1,024 pairs, so it scores the 101
     # samples in one block padded to 341. This rests on the BLAS rounding a
@@ -386,7 +387,10 @@ def test_score_matrix_bytes_do_not_depend_on_the_block_size(hidden):
         b += stream.normal(b.shape[0])
     vs = np.vstack([make_unit(stream, 8) for _ in range(101)])
     protos = np.vstack([make_unit(stream, 8) for _ in range(3)])
-    tables = [score_matrix(p, vs, protos, chunk=chunk) for chunk in (2, 7, 256, 8192)]
+    tables = []
+    for chunk in (2, 7, 256, 8192):
+        monkeypatch.setattr(alignment, "_TABLE_CHUNK", chunk)
+        tables.append(score_matrix(p, vs, protos))
     for table in tables[1:]:
         assert table.tobytes() == tables[0].tobytes()
 
@@ -710,11 +714,13 @@ def test_training_rejects_bad_inputs():
     with_test_split = base  # contains test records
     with pytest.raises(ValidationError):
         train_alignment(init_relation(16, 0, (4, 2)), with_test_split, protos)
+    novel = base.subset(base.indices(split="train"))
+    novel.tasks[-1] = 1
+    with pytest.raises(ValidationError, match="base task only"):
+        train_alignment(init_relation(16, 0, (4, 2)), novel, protos)
 
 
 def test_training_trains_its_argument_in_place(monkeypatch):
-    import tfa.alignment as alignment
-
     base, protos = _base_task_data(m=16, classes=4, per_class=8)
     train = base.subset(base.indices(split="train"))
     hyper = TrainConfig(epochs=2, batch_size=5, seed=3, hidden=(12, 6))
@@ -751,8 +757,6 @@ _FUSED_WORLD = (4, 8, 13, 5)
                          [(0.0, False), (0.0, True), (0.01, False), (2.5, False)],
                          ids=["0", "0-inf", "0.01", "2.5"])
 def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, hidden, world):
-    import tfa.alignment as alignment
-
     # Two epochs of 13 samples in batches of 5 (the last of 3), once with
     # each gradient block applied inside the backward pass through one
     # reused workspace, once with every step's full gradient set built
@@ -967,6 +971,11 @@ def test_the_scorer_has_two_hidden_layers(hidden):
         TrainConfig(hidden=hidden)
     with pytest.raises(ConfigError, match="two hidden layer widths"):
         init_relation(4, seed=0, hidden=hidden)
+
+
+def test_init_relation_rejects_a_zero_feature_dimension():
+    with pytest.raises(ValueError, match="feature dimension must be >= 1"):
+        init_relation(0, seed=0)
 
 
 def test_train_config_normalises_hidden_and_rejects_unknown_keys():

@@ -15,7 +15,14 @@ import tfa.errors
 import tfa.protocol
 from tfa.alignment import RelationParams, load_alignment, save_alignment
 from tfa.cli import main
-from tfa.embeddings import load_embeddings, load_prototypes, prototype_matrix, save_embeddings
+from tfa.embeddings import (
+    ClassPrototype,
+    load_embeddings,
+    load_prototypes,
+    prototype_matrix,
+    save_embeddings,
+    save_prototypes,
+)
 from tfa.protocol import ExperimentConfig
 
 from helpers import f64_score_matrix
@@ -945,6 +952,120 @@ def test_corrupted_inputs_end_in_a_documented_exit_code(tiny_world, tmp_path, ca
             if code:
                 assert err.startswith("error: ") and err.count("\n") == 1, \
                     (name, kind, case, err)
+
+
+# ---- inputs that only the command line can bring ----
+
+
+def _run(world):
+    return _run_argv(world, world / "r.json")
+
+
+def _train(world):
+    return ["train-align", "--base", str(world / "task_000.emb"),
+            "--protos", str(world / "prototypes.emb"),
+            "--config", str(world / "run.json"), "--out", str(world / "x.aln")]
+
+
+def _ablate(sweep, values):
+    return lambda world: [
+        "ablate", "--tasks", str(world), "--align", str(world / "scorer.aln"),
+        "--config", str(world / "run.json"), "--sweep", sweep, "--values", values]
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _seed_from_env(world, monkeypatch):
+    _edit_json(world / "run.json", lambda doc: doc.pop("seed"))
+    monkeypatch.setenv("TFA_SEED", "abc")
+
+
+def _no_task_files(world, monkeypatch):
+    for path in world.glob("task_*.emb"):
+        path.unlink()
+
+
+def _short_checkpoint(world, monkeypatch):
+    (world / "scorer.aln").write_bytes(b"ALN1xx")
+
+
+def _record_not_object(world, monkeypatch):
+    def edit(doc):
+        doc["records"][0] = 5
+    _edit_json(world / "task_000.emb.meta.json", edit)
+
+
+def _record_count(world, monkeypatch):
+    _edit_json(world / "task_000.emb.meta.json", lambda doc: doc["records"].pop())
+
+
+def _missing_prototype(world, monkeypatch):
+    save_prototypes(load_prototypes(world / "prototypes.emb")[:-1], world / "prototypes.emb")
+
+
+def _tasks_0_and_2(world, monkeypatch):
+    data = load_embeddings(world / "task_001.emb")
+    data.tasks[:] = 2
+    save_embeddings(data, world / "task_002.emb")
+    (world / "task_001.emb").unlink()
+
+
+def _no_records(world, monkeypatch):
+    save_embeddings(load_embeddings(world / "task_000.emb").subset([]), world / "task_000.emb")
+    (world / "task_001.emb").unlink()
+
+
+def _narrow_prototypes(world, monkeypatch):
+    protos = load_prototypes(world / "prototypes.emb")
+    save_prototypes([ClassPrototype(p.class_id, p.vector[:4] + 1.0) for p in protos],
+                    world / "prototypes.emb")
+
+
+def _dimension_0(world, monkeypatch):
+    (world / "task_000.emb").write_bytes(b"EMB1" + bytes(12))
+    write_json(world / "task_000.emb.meta.json", {"dim": 0, "count": 0, "records": []})
+
+
+# Case id -> (change to the world, command, exit code, part of the message)
+CLI_ONLY_ERRORS = {
+    "TFA_SEED-abc": (_seed_from_env, _run, 2, "TFA_SEED must be an integer, got 'abc'"),
+    "values-1,x": (None, _ablate("alpha", "1,x"), 2, "bad sweep value in '1,x'"),
+    "cache-size-2.5": (None, _ablate("cache-size", "2.5"), 2,
+                       "cache-size values must be positive integers, got 2.5"),
+    "no-task-files": (_no_task_files, _run, 3, "no task_*.emb files under"),
+    "aln-6-bytes": (_short_checkpoint, _run, 3, "truncated header"),
+    "record-not-object": (_record_not_object, _run, 3, "sidecar record 0 is not a JSON object"),
+    "record-count": (_record_count, _run, 3, "sidecar lists 17 records, binary holds 18"),
+    "missing-prototype": (_missing_prototype, _run, 4, "no prototype for classes [4]"),
+    "tasks-0-and-2": (_tasks_0_and_2, _run, 4,
+                      "task indices must be contiguous from 0, got [0, 2]"),
+    "no-records": (_no_records, _run, 4, "empty task list"),
+    "prototype-dim-train-align": (_narrow_prototypes, _train, 3,
+                                  "batch dimension does not match the scorer"),
+    "prototype-dim-run": (_narrow_prototypes, _run, 3,
+                          "sample/prototype dimension does not match the scorer"),
+    "dimension-0": (_dimension_0, _train, 3, "dimension must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ONLY_ERRORS))
+def test_inputs_only_the_command_line_brings_exit_with_one_error_line(
+        tiny_world, tmp_path, capsys, monkeypatch, case):
+    change, command, code, message = CLI_ONLY_ERRORS[case]
+    world = _copy_world(tiny_world, tmp_path / "w")
+    if change:
+        change(world, monkeypatch)
+    files = sorted(world.iterdir())
+    capsys.readouterr()
+    assert main(command(world)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert sorted(world.iterdir()) == files          # no report, no checkpoint
 
 
 # (path to a value of a real report, the raw JSON text put there or None to

@@ -25,8 +25,8 @@ from tfa.errors import (
     DuplicateClassId,
     FormatError,
 )
-from tfa.numerics import l2_normalize
 from tfa.rng import Stream
+from tfa.synth import l2_normalize
 
 
 def _columns_set(vectors, labels, tasks, splits):
@@ -170,6 +170,15 @@ def test_save_prototypes_rejects_duplicate_class_ids_before_writing(tmp_path):
     path = tmp_path / "protos.emb"
     with pytest.raises(DuplicateClassId):
         save_prototypes(protos, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_prototypes_rejects_an_empty_set_and_dimension_0(tmp_path):
+    path = tmp_path / "protos.emb"
+    with pytest.raises(ValueError, match="empty prototype set"):
+        save_prototypes([], path)
+    with pytest.raises(DimMismatch, match="dimension must be >= 1, got 0"):
+        save_prototypes([ClassPrototype(0, np.zeros(0))], path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -29,6 +29,8 @@ def test_accuracy_basics():
     assert accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 75.0
     with pytest.raises(EmptyInput):
         accuracy([], [])
+    with pytest.raises(ValueError, match="differ in length"):
+        accuracy([1, 2], [1])
 
 
 def test_split_accuracy_sides():
@@ -39,6 +41,8 @@ def test_split_accuracy_sides():
     assert a_b == 100.0 and a_n is None
     a_b, a_n = split_accuracy([0, 9], [1, 5], base)
     assert a_b == 0.0 and a_n == 0.0
+    with pytest.raises(EmptyInput):
+        split_accuracy([], [], base)
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=60),
@@ -73,6 +77,8 @@ def test_harmonic_examples():
     assert harmonic(80.0, 0.0) == 0.0
     assert harmonic(0.0, 0.0) == 0.0
     assert harmonic(80.0, 60.0) == pytest.approx(68.571428571428571, abs=1e-9)
+    with pytest.raises(ValueError, match=">= 0"):
+        harmonic(-1.0, 1.0)
 
 
 @given(accs, accs)

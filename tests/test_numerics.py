@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfa.errors import ZeroVector
-from tfa.numerics import entropy, l2_normalize, softmax
+from tfa.synth import l2_normalize
 
-from helpers import ref_unit
+from helpers import entropy, ref_unit, softmax
 
 finite_vecs = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=12)

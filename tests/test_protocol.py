@@ -73,6 +73,16 @@ def test_wrong_shot_count_rejected():
         validate_tasks([t0, t1])
 
 
+@pytest.mark.parametrize("t1, error, message", [
+    (TaskSpec(1, (), {}, (), 5), ValidationError, "task 1 has no classes"),
+    (TaskSpec(1, (1,), {1: (1,)}, (), None), ShotCountMismatch, "novel task 1 declares no shot"),
+], ids=["no-classes", "no-shot-count"])
+def test_task_without_classes_or_shot_count_rejected(t1, error, message):
+    t0 = TaskSpec(0, (0,), {0: (0,)}, (), None)
+    with pytest.raises(error, match=message):
+        validate_tasks([t0, t1])
+
+
 def test_build_tasks_from_data(small_world):
     cfg, data, protos, exp, _ = small_world
     tasks = build_tasks(data)
@@ -346,6 +356,8 @@ def test_run_experiments_validates_every_config_before_scoring(small_world, monk
         run_experiments([exp, dataclasses.replace(exp, trials=0)], data, protos, alignment)
     with pytest.raises(ShotCountMismatch):
         run_experiments([exp, dataclasses.replace(exp, shots=4)], data, protos, alignment)
+    with pytest.raises(ValidationError, match="frozen alignment scorer"):
+        run_experiments([exp], data, protos, alignment.copy())
     assert calls == []
 
 
