@@ -9,10 +9,12 @@ not. It is trained with a one-vs-all binary cross-entropy over the
 base-task classes, using Adam, and is frozen afterwards: nothing in this
 package updates it again.
 
-Training is float64 numpy; the score table runs its hidden layers in the
-checkpoint's float32 (see ``score_matrix``). The binary cross-entropy is
-evaluated in logit space, ``max(z, 0) - z*t + log1p(exp(-|z|))``, so
-saturated sigmoids never produce log(0).
+Training runs the three hidden-layer GEMMs in float32 on float64 master
+weights: the parameters, Adam's moments, Adam, the first layer's halves,
+the last layer and the loss stay float64. The score table runs its hidden
+layers in the checkpoint's float32 (see ``score_matrix``). The binary
+cross-entropy is evaluated in logit space, ``max(z, 0) - z*t +
+log1p(exp(-|z|))``, so saturated sigmoids never produce log(0).
 
 Scoring and training share one kernel. The first layer's input is a pair
 ``[v, e]``, so its pre-activation is ``v @ W1[:m] + (e @ W1[m:] + b1)``: the
@@ -25,28 +27,32 @@ it was verified, not on the block size or BLAS threads either. Adam runs
 over cache-sized blocks of each parameter.
 
 Training updates the given scorer in place, every step in one step
-workspace: the second hidden output for the whole batch (leading rows for a
-partial batch) and one buffer X. The first hidden output is ``leaky(a[b] +
-cp[c])``, cheap to rebuild from the two halves, which the step keeps, so it
-is never held whole. The forward and the first hidden layer's input delta
-``δ2 W2ᵀ`` run on blocks of whole samples, and X holds one block beside the
-first layer's per-sample and per-prototype delta sums. Each forward block
-goes on into the second hidden output; in the backward, each block's input
-delta is made where the block was, gated against the rebuilt pre-activation
-and added into the sums in numpy's own sequential orders, so the blocked
-sums have the whole batch's bytes. Once the first layer's gradient is made
-from the sums, X holds one column slab of the rebuilt first hidden output
-and its row block of the second layer's weight gradient at a time. The
-second hidden layer's delta overwrites that layer's output. Each weight
-gradient block goes straight to Adam once its layer's weights were last
-read, so no gradient set is held; where verified, a product made in row
-blocks (a sample block, a row block of ``hᵀ δ``) has the whole product's
-bytes. The LeakyReLU and the backward gate run in small blocks through one
-small scratch, and Adam in cache-sized blocks in the part of X that a
-weight-gradient block leaves free. The gate multiplies delta by
-``(~g)*slope + g``, ``g`` where the output is positive (for the first
-hidden layer at a slope above 0, its pre-activation): the masked multiply
-``where=~g``'s bytes without its short masked runs.
+workspace: the second hidden output for the whole batch in float32 (leading
+rows for a partial batch), the first layer's two halves and one buffer X,
+carved phase by phase into float32 and float64 parts (``_step_layout``).
+The first hidden output is ``leaky(a[b] + cp[c])``, cheap to rebuild from
+the halves, so it is never held whole. W2 is cast to float32 one row slab at
+a time into X, as a whole float32 copy would cost more memory than the
+float32 buffers save. The forward adds each block of whole samples' slab of
+the first hidden output times that slab into the second hidden output. The
+input delta ``δ2 W2ᵀ`` makes that slab's columns of the first layer's delta
+per sample block, gates them on the sign of the float32 pre-activation the
+forward used and reduces them into float64 per-sample and per-prototype
+sums, from which the first layer's gradient is made in float64. Then X
+holds one column slab of the rebuilt first hidden output and its row block
+of ``dW2 = h1ᵀ δ2``, summed over fixed pieces of the batch's pair rows in
+order: a threaded BLAS may split one long reduction another way at each
+thread count, while the other products split only over rows and columns.
+So at 1 and 2 OpenBLAS threads training writes the same bytes. The second
+hidden layer's delta overwrites that layer's output. Each weight gradient
+block goes straight to Adam, widened to float64, once its layer's weights
+were last read, so no gradient set is held. The LeakyReLU and the backward
+gates run in small blocks through one small scratch, and Adam in
+cache-sized blocks in the part of X that a weight-gradient block leaves
+free. The gate multiplies delta by ``(~g)*slope + g``, ``g`` where the
+output is positive (for the first hidden layer at a slope above 0, its
+pre-activation): the masked multiply ``where=~g``'s bytes without its short
+masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -97,14 +103,18 @@ _STEP_SCRATCH = 1 << 13
 # The score table forwards blocks of about this many (sample, prototype)
 # pairs, whole samples each.
 _TABLE_CHUNK = 256
-# A training step's first buffer holds blocks of about this many elements
-# (4 MiB): a block of whole samples of the first hidden output, or a row
-# block of a weight gradient. Each block's product re-packs the other
-# operand whole (W2 for a sample block, the delta for a gradient block), so
-# smaller blocks cost time: at 2048/1024 the 2 MiB gradient blocks made dW2
-# about 10 ms slower than the whole product, and three sample blocks add
-# about 2.5 ms to the forward.
-_GRAD_BLOCK = 1 << 19
+# A training step casts W2 to float32 in row slabs of about this many values
+# (2 MiB), as a whole float32 copy (8 MiB at 2048/1024) would outweigh what
+# the float32 step buffers save. A forward block (its slab of the first
+# hidden output and one partial product) and a dW2 row slab with its piece
+# sum are held to the same size, and a dW1 row block to as many float64
+# values. Each slab or block's product re-packs the other operand whole, so
+# smaller ones cost time.
+_SLAB = 1 << 19
+# dW2 = h1ᵀ δ2 reduces over the batch's pair rows. It is summed over fixed
+# pieces of this many rows, in order, as a threaded BLAS splits one longer
+# reduction differently at each thread count and so rounds it differently.
+_PIECE = 256
 
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
@@ -263,7 +273,7 @@ def _factor(g: np.ndarray, slope: float, tmp: np.ndarray) -> np.ndarray:
     """The gate factor in ``tmp``: 1 where ``g`` and ``slope`` elsewhere, made
     as ``(~g)*slope + g``; with ``x*1 == x`` (NaN too) a multiply by it has
     the masked multiply's bytes."""
-    f = np.multiply(~g, slope, out=tmp[:g.size].reshape(g.shape))
+    f = np.multiply(~g, slope, out=tmp[:g.size].reshape(g.shape), dtype=tmp.dtype)
     f += g
     return f
 
@@ -271,14 +281,15 @@ def _factor(g: np.ndarray, slope: float, tmp: np.ndarray) -> np.ndarray:
 def _gate_rows_(h: np.ndarray, delta: np.ndarray, w: np.ndarray, slope: float,
                 tmp: np.ndarray) -> np.ndarray:
     """Overwrite the second hidden output ``h`` with its delta, one block of
-    rows at a time: the rows of ``delta @ wᵀ``, each multiplied by 1 where
-    ``h`` was positive and by ``slope`` elsewhere."""
+    rows at a time: the rows of ``delta @ wᵀ``, made in the float64 ``tmp``
+    and stored in ``h``'s dtype, each multiplied by 1 where ``h`` was
+    positive and by ``slope`` (in ``h``'s dtype) elsewhere."""
     step = max(1, tmp.size // h.shape[1])
     for r in range(0, h.shape[0], step):
         rows = h[r:r + step]
         g = rows > 0.0
-        np.matmul(delta[r:r + len(rows)], w.T, out=rows)
-        rows *= _factor(g, slope, tmp)
+        rows[:] = np.matmul(delta[r:r + len(rows)], w.T, out=tmp[:rows.size].reshape(rows.shape))
+        rows *= _factor(g, slope, tmp.view(h.dtype))
     return h
 
 
@@ -286,10 +297,11 @@ def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
                  scratch: np.ndarray) -> np.ndarray:
     """Gate the first hidden layer's delta in place, pair row ``b*C + c`` by
     the sign of that layer's pre-activation ``a[b] + cp[c]``, rebuilt a few
-    rows of one sample at a time in ``scratch``. For ``slope > 0`` an output
-    is positive exactly when its pre-activation is; at slope 0 the gate reads
-    the rebuilt output ``leaky(a[b] + cp[c])``, so an overflowed ``+inf``
-    gates as its NaN output does."""
+    rows of one sample at a time in ``scratch`` (of the halves' dtype; a
+    training step passes the float32 halves its forward added). For ``slope
+    > 0`` an output is positive exactly when its pre-activation is; at slope
+    0 the gate reads the rebuilt output ``leaky(a[b] + cp[c])``, so an
+    overflowed ``+inf`` gates as its NaN output does."""
     (c, width), (z, t) = cp.shape, scratch
     k = max(1, z.size // width)
     for s in range(a.shape[0]):
@@ -298,7 +310,7 @@ def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
             if slope == 0.0:
                 h = _leaky_relu_(h, slope, t)
             rows = delta[s * c + c0:s * c + c0 + h.shape[0]]
-            rows *= _factor(h > 0.0, slope, t)
+            rows *= _factor(h > 0.0, slope, t.view(delta.dtype))
     return delta
 
 
@@ -330,14 +342,27 @@ def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, work: list,
     states when a row's logit is then independent of the other rows and of
     BLAS threads.
     """
-    (_, w2, w3), (_, b2, b3) = params.weights, params.biases
-    z = np.add(a[:, None, :], cp[None, :, :], out=work[0]).reshape(-1, cp.shape[1])
-    z = np.matmul(_leaky_relu_(z, params.slope, tmp), w2, out=work[1])
-    z += b2
-    z = np.einsum("ij,j->i", _leaky_relu_(z, params.slope, tmp), w3[:, 0],
-                  dtype=np.float64, out=work[2])
-    z += b3
-    return z
+    h = _first_hidden(a, cp, work[0], params.slope, tmp)
+    return _head(params, np.matmul(h, params.weights[1], out=work[1]), work[2], tmp)
+
+
+def _first_hidden(a: np.ndarray, cp: np.ndarray, out: np.ndarray, slope: float,
+                  tmp: np.ndarray) -> np.ndarray:
+    """The first hidden output ``leaky(a[b] + cp[c])`` in ``out``, shaped
+    (B, C, W), returned as its (B*C, W) pair rows."""
+    np.add(a[:, None, :], cp[None, :, :], out=out)
+    return _leaky_relu_(out.reshape(-1, out.shape[2]), slope, tmp)
+
+
+def _head(params: RelationParams, z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The logits in ``out`` from the second hidden layer's product ``z``,
+    which becomes that layer's output: the bias, the LeakyReLU, then the last
+    layer as a float64 row reduction."""
+    z += params.biases[1].astype(z.dtype, copy=False)
+    out = np.einsum("ij,j->i", _leaky_relu_(z, params.slope, tmp), params.weights[2][:, 0],
+                    dtype=np.float64, out=out)
+    out += params.biases[2]
+    return out
 
 
 def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
@@ -397,43 +422,130 @@ def _even(total: int, most: int) -> int:
     return -(-total // -(-total // max(1, most)))
 
 
+def _words(parts) -> int:
+    """The float64 words that ``_carve`` takes for ``parts``."""
+    return sum(-(-count * np.dtype(dtype).itemsize // 8) for count, dtype in parts)
+
+
+def _carve(x: np.ndarray, parts) -> list:
+    """Consecutive flat views of the float64 buffer ``x``, one per ``(count,
+    dtype)`` of ``parts``, each starting on a float64 word, then the rest of ``x``."""
+    views, at = [], 0
+    for count, dtype in parts:
+        words = _words([(count, dtype)])
+        views.append(x[at:at + words].view(dtype)[:count])
+        at += words
+    return [*views, x[at:]]
+
+
+def _step_layout(params: RelationParams, b: int, c: int) -> tuple:
+    """A training step's sizes for ``b`` samples by ``c`` prototypes: the rows
+    of a W2 slab, the samples of a block (the fewest equal blocks), the rows
+    of a dW2 slab and of a dW1 block, then X's parts, ``(count, dtype)``, in
+    each of four phases.
+
+    The forward and the input delta ``δ2 W2ᵀ`` take W2 one float32 slab at a
+    time, and beside it that slab's columns of the two first-layer halves in
+    float32. The forward holds, per block of whole samples, the block's slab
+    of the first hidden output and one partial product. The input delta
+    holds the float64 per-sample and per-prototype delta sums, one block's
+    slab of the delta and two float64 slabs of prototype sums (the running
+    one and one block's). dW1 holds the sums and a row block; dW2 the
+    halves' columns of its slab, that slab of the first hidden output for
+    the whole batch, its row block and one piece product. Where a weight
+    gradient goes to Adam, room for two of Adam's blocks follows it.
+    """
+    (h0, h1), n = params.weights[1].shape, b * c
+    s = _even(h0, _SLAB // h1)
+    k = _even(b, _SLAB // (c * (s + h1)))
+    s2 = _even(h0, _SLAB // (2 * h1))
+    rows = min(params.m, _block_rows(params.weights[0], _SLAB))
+    f32, f64 = np.float32, np.float64
+    sums = ((b + c) * h0, f64)
+    return s, k, s2, rows, (
+        [(s * h1, f32), (b * s, f32), (c * s, f32), (k * c * s, f32), (k * c * h1, f32)],
+        [sums, (s * h1, f32), (b * s, f32), (c * s, f32), (k * c * s, f32), (2 * c * s, f64)],
+        [sums, (rows * h0, f64), (2 * min(_BLOCK, rows * h0), f64)],
+        [(b * s2, f32), (c * s2, f32), (n * s2, f32), (s2 * h1, f32), (s2 * h1, f32),
+         (2 * min(_BLOCK, s2 * h1), f64)])
+
+
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
-    a flat buffer X, the second hidden output, the logits, the first layer's
-    two halves, the bias gradients and the scratch.
-
-    X holds the larger of: the first layer's per-sample and per-prototype
-    delta sums, one row and one block of whole samples of the first hidden
-    output (of up to ``_GRAD_BLOCK`` values, the whole batch if it fits);
-    the sums beside a row block of the first layer's weight gradient; a
-    column slab of the first hidden output (two columns at least) with its
-    copied halves and its block of the second layer's weight gradient.
-    """
+    a flat float64 buffer X as large as ``_step_layout``'s largest phase, the
+    second hidden output in float32, the logits, the first layer's two halves,
+    the bias gradients and the scratch."""
     n, (h0, h1) = b * c, params.weights[1].shape
-    rows = min(b, max(1, _GRAD_BLOCK // (c * h0)))
-    size = max((b + c + 1 + rows * c) * h0,
-               (b + c + min(params.m, _block_rows(params.weights[0], _GRAD_BLOCK))) * h0,
-               min(h0, 2) * (b + c + n + h1))
-    return (np.empty(size), np.empty((n, h1)), np.empty(n), np.empty((b + c, h0)),
+    size = max(_words(parts) for parts in _step_layout(params, b, c)[-1])
+    return (np.empty(size), np.empty((n, h1), np.float32), np.empty(n), np.empty((b + c, h0)),
             [np.empty_like(x) for x in params.biases], _scratch(params, _STEP_SCRATCH))
+
+
+def _slabs(w: np.ndarray, rows: int, buf: np.ndarray):
+    """Row slabs ``(r, w[r:r + rows])`` of ``w``, each cast to float32 into
+    ``buf`` in turn."""
+    for r in range(0, w.shape[0], rows):
+        slab = buf[:min(rows, w.shape[0] - r) * w.shape[1]].reshape(-1, w.shape[1])
+        slab[:] = w[r:r + rows]
+        yield r, slab
+
+
+def _half_slab(a: np.ndarray, cp: np.ndarray, r: int, width: int, ha: np.ndarray,
+               hc: np.ndarray) -> tuple:
+    """Columns ``r:r + width`` of the first layer's two halves, cast to
+    float32 into ``ha`` and ``hc``; a contiguous copy also spares numpy a
+    buffer per strided operand in the sum that follows."""
+    ha, hc = (buf[:h.shape[0] * width].reshape(-1, width) for buf, h in ((ha, a), (hc, cp)))
+    ha[:], hc[:] = a[:, r:r + width], cp[:, r:r + width]
+    return ha, hc
+
+
+def _dot_pieces(h: np.ndarray, d: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``hᵀ d`` into ``out``: the products of consecutive ``_PIECE``-row
+    pieces of ``h`` and ``d``, added in order through ``tmp``."""
+    np.matmul(h[:_PIECE].T, d[:_PIECE], out=out)
+    for p in range(_PIECE, h.shape[0], _PIECE):
+        out += np.matmul(h[p:p + _PIECE].T, d[p:p + _PIECE], out=tmp)
+    return out
+
+
+def _widened_tdot(h: np.ndarray, delta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``hᵀ delta`` in float64 for a float32 ``h``: blocks of rows of ``h``
+    widened into the first scratch row, their products added in order
+    through the second."""
+    wide, part = scratch
+    step = max(1, wide.size // h.shape[1])
+    out = np.empty((h.shape[1], delta.shape[1]))
+    for r in range(0, h.shape[0], step):
+        rows = wide[:min(step, h.shape[0] - r) * h.shape[1]].reshape(-1, h.shape[1])
+        rows[:] = h[r:r + step]
+        if r == 0:
+            np.matmul(rows.T, delta[:step], out=out)
+        else:
+            out += np.matmul(rows.T, delta[r:r + step], out=part[:out.size].reshape(out.shape))
+    return out
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
                   targets: np.ndarray, work=None, adam: AdamState | None = None
                   ) -> tuple[float, Gradients | None]:
-    """Mean batch loss and its exact gradient.
+    """Mean batch loss and its gradient.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
-    are 1/(B*C) times the sum of per-pair terms. It runs in the leading rows
-    of ``work`` (a ``_step_workspace``, by default a new one): the forward
-    and the first layer's input delta one block of whole samples at a time
-    in X, as many as ``_GRAD_BLOCK`` holds in the fewest equal blocks. Each
-    weight gradient is made in row blocks, layer i's only after the
-    backward's last read of ``W_i``. Without ``adam`` it copies every block
-    into a new ``Gradients`` set and returns it. Given an ``AdamState`` it
-    applies each block and bias gradient to those rows as one ``adam_step``
-    would, and returns ``(loss, None)``: no gradient set is held.
+    are 1/(B*C) times the sum of per-pair terms. The three hidden-layer GEMMs,
+    the forward through W2, the input delta ``δ2 W2ᵀ`` and ``dW2 = h1ᵀ δ2``,
+    run in float32 on W2 cast one slab at a time; the parameters, the first
+    layer's halves, the last layer, the loss, dW1, the bias gradients and
+    Adam are float64. It runs in the leading rows of ``work`` (a
+    ``_step_workspace``, by default a new one), in ``_step_layout``'s slabs
+    and blocks of whole samples, as many as it allows in the fewest equal
+    blocks. Each weight gradient is made in row blocks, layer i's only after
+    the backward's last read of ``W_i``. Without ``adam`` it widens every
+    block into a new float64 ``Gradients`` set and returns it. Given an
+    ``AdamState`` it applies each block and bias gradient to those rows as
+    one ``adam_step`` would, and returns ``(loss, None)``: no gradient set is
+    held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -453,89 +565,77 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     else:
         grads, put = None, _adam_begin(params, adam, scratch)
 
-    n, slope, (w1, w2, w3) = b * c, params.slope, params.weights
-    h0 = w1.shape[1]
+    n, slope, (_, w2, w3) = b * c, params.slope, params.weights
+    (h0, h1), tmp = w2.shape, scratch[0].view(np.float32)
+    # The workspace's layout, for its batch; a partial batch takes its
+    # leading rows in no larger blocks.
+    s, k, s2, rows, (forward, backward, first, second) = _step_layout(params, len(x2) // c, c)
+    k = _even(b, k)
     a, cp = _first_layer(params, vs, protos, halves[:b], halves[b:b + c])
-    # X: the per-sample and per-prototype sums of the first layer's delta,
-    # one row for db1's running sum, then one sample block.
-    per_sample, per_proto = x[:b * h0].reshape(b, h0), x[b * h0:(b + c) * h0].reshape(c, h0)
-    run, blk = x[(b + c) * h0:], x[(b + c + 1) * h0:]
-    step = _even(b, _GRAD_BLOCK // (c * h0))
-    blocks = [(s, min(step, b - s)) for s in range(0, b, step)]
     y2, logits = x2[:n], z[:n]
-    for s, k in blocks:
-        _forward(params, a[s:s + k], cp, [blk[:k * c * h0].reshape(k, c, h0),
-                                          y2[s * c:(s + k) * c], logits[s * c:(s + k) * c]],
-                 scratch[0])
-    loss = float(_bce_elementwise(logits, t).mean())
+    # The forward: per W2 slab, each sample block's slab of the first hidden
+    # output times it, added into the block's rows of y2 slab after slab.
+    w, ha, hc, h, acc, _ = _carve(x, forward)
+    for r, ws in _slabs(w2, s, w):
+        ah, ch = _half_slab(a, cp, r, ws.shape[0], ha, hc)
+        for s0 in range(0, b, k):
+            kk = min(k, b - s0)
+            hk = _first_hidden(ah[s0:s0 + kk], ch, h[:kk * ch.size].reshape(kk, c, -1), slope, tmp)
+            out = y2[s0 * c:(s0 + kk) * c]
+            if r == 0:
+                np.matmul(hk, ws, out=out)
+            else:
+                out += np.matmul(hk, ws, out=acc[:out.size].reshape(out.shape))
+    loss = float(_bce_elementwise(_head(params, y2, logits, tmp), t).mean())
 
     # ``put``'s k counts through (W1, W2, W3, b1, b2, b3). The last layer's
     # one-column dW is taken before its input's rows become its input
     # delta, the backward's last read of its weights.
     delta = ((_sigmoid(logits) - t) / n)[:, None]
     put(5, 0, delta.sum(axis=0, out=db[2]))
-    dw = y2.T @ delta
+    dw = _widened_tdot(y2, delta, scratch)
     d2 = _gate_rows_(y2, delta, w3, slope, scratch[1])
     put(2, 0, dw)
     put(4, 0, d2.sum(axis=0, out=db[1]))
-    # The second layer's input delta, one sample block at a time where that
-    # block's first hidden output was, gated and reduced into the sums.
-    # Pair (b, c)'s first-layer input is [vs[b], protos[c]], so the sample
-    # half of dW1 sums delta over prototypes and the prototype half over
-    # samples. The sums continue numpy's sequential orders across blocks:
-    # db1 row by row (the running sum goes in the row before the block),
-    # the per-prototype sums sample by sample.
-    for s, k in blocks:
-        d1 = np.matmul(d2[s * c:(s + k) * c], w2.T, out=blk[:k * c * h0].reshape(-1, h0))
-        per_pair = _gate_first_(d1, a[s:s + k], cp, slope, scratch).reshape(k, c, h0)
-        per_pair.sum(axis=1, out=per_sample[s:s + k])
-        if s == 0:
-            d1.sum(axis=0, out=db[0])
-            per_pair.sum(axis=0, out=per_proto)
-        else:
-            run[:h0] = db[0]
-            run[:h0 + d1.size].reshape(-1, h0).sum(axis=0, out=db[0])
-            for sample in per_pair:
-                per_proto += sample
-    # dW1 = [vsᵀ per_sample ; protosᵀ per_proto], one row block at a
-    # time after the sums; Adam may use the rest. The halves stay as they
-    # are, so W1 and b1 are read no more.
-    rows = _block_rows(w1, _GRAD_BLOCK)
-    for r0, at, d in ((0, vs.T, per_sample), (params.m, protos.T, per_proto)):
+    # The second layer's input delta, one W2 slab's columns of one sample
+    # block at a time, gated and reduced into the float64 sums. Pair (b,
+    # c)'s first-layer input is [vs[b], protos[c]], so the sample half of
+    # dW1 sums delta over prototypes and the prototype half over samples.
+    sums, w, ha, hc, d, sums_c, _ = _carve(x, backward)
+    per_sample, per_proto = sums[:b * h0].reshape(b, h0), sums[b * h0:(b + c) * h0].reshape(c, h0)
+    for r, ws in _slabs(w2, s, w):
+        cols, psum = slice(r, r + ws.shape[0]), sums_c[:2 * c * ws.shape[0]].reshape(2, c, -1)
+        ah, ch = _half_slab(a, cp, r, ws.shape[0], ha, hc)
+        for s0 in range(0, b, k):
+            kk = min(k, b - s0)
+            d1 = np.matmul(d2[s0 * c:(s0 + kk) * c], ws.T,
+                           out=d[:kk * c * ws.shape[0]].reshape(-1, ws.shape[0]))
+            per_pair = _gate_first_(d1, ah[s0:s0 + kk], ch, slope,
+                                    scratch.view(np.float32)).reshape(kk, c, -1)
+            per_pair.sum(axis=1, out=per_sample[s0:s0 + kk, cols])
+            block = per_pair.sum(axis=0, out=psum[min(s0, 1)])
+            if s0:
+                psum[0] += block
+        per_proto[:, cols] = psum[0]
+    per_sample.sum(axis=0, out=db[0])
+    # dW1 = [vsᵀ per_sample ; protosᵀ per_proto], one row block at a time;
+    # Adam may use the rest. W1 and b1 are read no more.
+    _, run = _carve(x, first[:1])
+    for r0, at, dd in ((0, vs.T, per_sample), (params.m, protos.T, per_proto)):
         for r in range(0, at.shape[0], rows):
             part = at[r:r + rows]
             out = run[:part.shape[0] * h0].reshape(-1, h0)
-            put(0, r0 + r, np.matmul(part, d, out=out), run[out.size:])
+            put(0, r0 + r, np.matmul(part, dd, out=out), run[out.size:])
     put(3, 0, db[0])
-    _second_layer_blocks(params, a, cp, d2, x, scratch[0], put)
+    # dW2 = h1ᵀ δ2, one row slab at a time from that column slab of h1,
+    # rebuilt from the halves as the forward made it.
+    ha, hc, h, blk, acc, free = _carve(x, second[:5])
+    for r in range(0, h0, s2):
+        ah, ch = _half_slab(a, cp, r, min(s2, h0 - r), ha, hc)
+        hk = _first_hidden(ah, ch, h[:b * ch.size].reshape(b, c, -1), slope, tmp)
+        g = blk[:hk.shape[1] * h1].reshape(-1, h1)
+        put(1, r, _dot_pieces(hk, d2, g, acc[:g.size].reshape(g.shape)), free)
     return loss, grads
-
-
-def _second_layer_blocks(params: RelationParams, a: np.ndarray, cp: np.ndarray,
-                         d2: np.ndarray, x: np.ndarray, tmp: np.ndarray, put) -> None:
-    """``dW2 = h1ᵀ δ2`` made in X and ``put`` one row block at a time, once
-    the first layer's gradient no longer needs X.
-
-    Block ``r`` comes from the column slab ``leaky(a[:, r:r+S] + cp[:,
-    r:r+S])`` of h1, read from the first layer's halves as the forward made
-    them. The slabs are equal and as wide as ``_GRAD_BLOCK`` and X's room
-    allow, and Adam works in the rest. Only dW2's rows are split: column
-    tiles of some widths (342, 500 at 2048/1024) change its bytes. Each
-    slab's halves are copied out whole first, as a sum of strided halves
-    takes numpy a buffer per operand.
-    """
-    (b, h0), c, n = a.shape, cp.shape[0], d2.shape[0]
-    cols = params.weights[1].shape[1]
-    step = _even(h0, min(_block_rows(params.weights[1], _GRAD_BLOCK),
-                         x.size // (b + c + n + cols)))
-    for r in range(0, h0, step):
-        s = min(step, h0 - r)
-        ha, hc, h, blk, free = np.split(x, np.cumsum([b, c, n, cols]) * s)
-        ha, hc = ha.reshape(b, s), hc.reshape(c, s)
-        ha[:], hc[:] = a[:, r:r + s], cp[:, r:r + s]
-        h = np.add(ha[:, None, :], hc[None, :, :], out=h.reshape(b, c, s))
-        h = _leaky_relu_(h, params.slope, tmp).reshape(n, s)
-        put(1, r, np.matmul(h.T, d2, out=blk.reshape(s, cols)), free)
 
 
 def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
@@ -558,8 +658,9 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
     which moves rows ``r:r + len(g)`` of array ``k`` of ``(*weights,
     *biases)`` by gradient ``g``. Its two scratch buffers are the halves of
     the flat ``free``, where that is larger than the two rows of
-    ``scratch``, and those rows otherwise. Each element's update is the
-    same whatever the blocks."""
+    ``scratch``, and those rows otherwise. A float32 ``g`` is widened to
+    float64 as it is read. Each element's update is the same whatever the
+    blocks."""
     if params.frozen:
         raise ValidationError("cannot update a frozen scorer")
     state.step += 1
@@ -580,6 +681,9 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
             p, m, v = (a[r0 + r:r0 + r + g.shape[0]] for a in arrays[k])
             s = flat_s[:p.size].reshape(p.shape)
             t = flat_t[:p.size].reshape(p.shape)
+            if g.dtype != t.dtype:
+                t[:] = g
+                g = t
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=s)
             v *= b2

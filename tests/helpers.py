@@ -57,7 +57,10 @@ def flat_param_views(params):
 
 def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
                              coords=None):
-    """Compare every analytic gradient coordinate with central differences.
+    """Compare every analytic gradient coordinate of ``loss_and_grad`` with
+    central differences of the float64 oracle's loss, ``ref_loss``. The
+    kernel's own loss runs its hidden layers in float32, and a difference
+    quotient would magnify that rounding by 1/h.
 
     Relative error uses the guarded denominator max(|analytic|, |fd|, 1e-3),
     so near-zero coordinates are compared absolutely at rtol * 1e-3. Returns
@@ -78,9 +81,9 @@ def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
         flat, i = views[c]
         keep = flat[i]
         flat[i] = keep + h
-        up = loss_and_grad(params, vs, protos, targets)[0]
+        up = ref_loss(params, vs, protos, targets)
         flat[i] = keep - h
-        down = loss_and_grad(params, vs, protos, targets)[0]
+        down = ref_loss(params, vs, protos, targets)
         flat[i] = keep
         fd = (up - down) / (2.0 * h)
         ana = flat_grads[c]
@@ -391,6 +394,81 @@ def f32_logit_bound(params, vs, protos):
         if i < last:
             err += (w.shape[0] + 2) * u * (h @ w + np.abs(params.biases[i]))
     return err[:, 0].reshape(b, c)
+
+
+def f32_grad_bound(params, vs, protos, targets):
+    """First-order bounds on how far ``loss_and_grad``'s loss and gradients
+    may lie from ``ref_loss_and_grad``'s: ``(loss, d_weights, d_biases)``,
+    each gradient bound entry by entry.
+
+    Built as ``f32_logit_bound`` is, with ``u = 2**-24``. Forward: the halves'
+    float32 casts and sum err by ``u(|a| + |cp|) + u|z1|``; a LeakyReLU scales
+    an error by at most ``max(1, slope)`` and rounds twice (its float32 slope
+    and the product), ``2u|h|``; the second layer, a float32 GEMM of fan-in
+    ``n`` on W2 and b2 cast to float32, errs by at most ``|dh1| @ |W2| + (n +
+    3)u (|h1| @ |W2| + |b2|)`` in any summation order, slabs included; the
+    float64 last layer carries ``|dh2| @ |w3|``. The loss then moves by at
+    most the mean of ``|σ(z) - t| |dz|``, and ``δ3 = (σ(z) - t)/N`` by
+    ``|dz| / 4N``. Backward: a product carries its operands' errors, ``|dA|
+    |B| + |A| |dB|``, and a float32 product of fan-in ``k`` adds ``(k + 3)u
+    |A| |B|`` (``k`` = N pair rows for dW2, in any order of pieces); a float64
+    product stored in float32 adds ``u`` of it. A gate scales an error by
+    ``max(1, slope)`` and rounds twice; where the oracle's pre-activation lies
+    within the forward's error of 0 the gate may take the other branch, which
+    adds ``|1 - slope|`` times the ungated delta and its error. The float64
+    sums, dW1 and the last layer round far below these terms.
+    """
+    from tfa.alignment import _sigmoid
+
+    u = 2.0 ** -24
+    vs = np.asarray(vs, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    b, c = vs.shape[0], protos.shape[0]
+    n, m, slope = b * c, params.m, params.slope
+    gain, flip = max(1.0, slope), abs(1.0 - slope)
+    w = [np.abs(a.astype(np.float64)) for a in params.weights]
+    x = ref_pairs(vs, protos)
+    logits, (_, h1, h2), (z1, z2) = ref_forward(params, x, keep=True)
+    w0 = params.weights[0].astype(np.float64)
+    halves = np.abs(x[:, :m] @ w0[:m]) + np.abs(x[:, m:] @ w0[m:] + params.biases[0])
+    e_z1 = u * halves + u * np.abs(z1)
+    e_h1 = gain * e_z1 + 2 * u * np.abs(h1)
+    e_z2 = e_h1 @ w[1] + (w[1].shape[0] + 3) * u * (np.abs(h1) @ w[1] + np.abs(params.biases[1]))
+    e_h2 = gain * e_z2 + 2 * u * np.abs(h2)
+    e_z3 = (e_h2 @ w[2])[:, 0]
+    t = np.zeros((b, c))
+    t[np.arange(b), np.asarray(targets, dtype=np.int64)] = 1.0
+    r = _sigmoid(logits) - t.reshape(-1)
+    d3, e_d3 = (r / n)[:, None], (e_z3 / (4 * n))[:, None]
+
+    def gated(up, e_up, z, e_z):
+        d = up * np.where(z > 0.0, 1.0, slope)
+        return d, gain * e_up + 2 * u * np.abs(d) + (np.abs(z) <= e_z) * flip * (np.abs(up) + e_up)
+
+    up2 = d3 @ params.weights[2].T.astype(np.float64)
+    d2, e_d2 = gated(up2, e_d3 @ w[2].T + u * np.abs(up2), z2, e_z2)
+    up1 = d2 @ params.weights[1].T.astype(np.float64)
+    e_up1 = e_d2 @ w[1].T + (w[1].shape[1] + 3) * u * (np.abs(d2) @ w[1].T)
+    d1, e_d1 = gated(up1, e_up1, z1, e_z1)
+    d_weights = [
+        np.abs(x).T @ e_d1,
+        e_h1.T @ np.abs(d2) + np.abs(h1).T @ e_d2 + (n + 3) * u * (np.abs(h1).T @ np.abs(d2)),
+        e_h2.T @ np.abs(d3) + np.abs(h2).T @ e_d3,
+    ]
+    d_biases = [e.sum(axis=0) for e in (e_d1, e_d2, e_d3)]
+    return float((np.abs(r) * e_z3).mean()), d_weights, d_biases
+
+
+def ref_loss(params, vs, protos, targets):
+    """``ref_loss_and_grad``'s float64 loss alone, without the backward pass."""
+    from tfa.alignment import _bce_elementwise
+
+    b, c = len(vs), len(protos)
+    t = np.zeros((b, c), dtype=np.float64)
+    t[np.arange(b), np.asarray(targets, dtype=np.int64)] = 1.0
+    logits = ref_forward(params, ref_pairs(np.asarray(vs, dtype=np.float64),
+                                           np.asarray(protos, dtype=np.float64)))
+    return float(_bce_elementwise(logits, t.reshape(-1)).mean())
 
 
 def ref_loss_and_grad(params, vs, protos, targets):

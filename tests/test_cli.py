@@ -213,22 +213,23 @@ def _train_align(world, name, threads):
                  for f in (out, Path(f"{out}.meta.json")))
 
 
-# SHA-256s of the ALN1 and its sidecar at 1 BLAS thread, recorded when every
-# step still allocated its own activations and deltas, gated with a masked
-# multiply and trained a copy of the scorer.
+# SHA-256s of the ALN1 and its sidecar, recorded when training first ran
+# its three hidden-layer GEMMs in float32 on float64 master weights and
+# summed dW2 in fixed 256-row pieces. They are the same at 1 and 2 BLAS
+# threads.
 ALIGN_SHAS = {
-    "scorer": ("64d71f524a1f0a5b5757e06352df5fc728e94c53c159561b4e69dbf75d3dad77",
-               "65ee968bb9f04bddb6950af6ab8060c495dd71b608fcb9bc106ab588f63e8c29"),
-    "train": ("e78bca07d56326f8390f1c227925257db061ea2199c1bf3b075808b8a10fad4a",
-              "7e6f7a861c575e3788d475dd19531ad82a5668f4988180646c4084f5d7a7826c"),
-    "train-partial": ("b6fe6800c7ae48515ad2d440b8766240ee2281b60d88ca08ed1cb4f19a4d3f98",
-                      "9b0ebcfe8a554b56a0c0f92b0d0f26d011d9d0b271a8cf75e9eacfaf999726b1"),
-    "partial": ("7690a2dfe4a8e38c06d6adb90d32edc449bf1f2706fb50d5bb23c88922c2a46b",
-                "f2693deacd348f1f280e1c047946f7761b6cde37169dd2f9a551d509448647f1"),
-    "slope0": ("9675c0dcc4587ca191cfb79277fbe0f1f11afd7ce4c29727dea95b36a9f9a8ed",
-               "4e1bc6cdc5500ff89a94850d1a1d79ae5c6ddac5e848caad1d9b9161e966f000"),
-    "slope2.5": ("a1958b5e9d4d3f8474c79bd69be9797fc9cbde7048ca230ca3ef88bec7cda6ba",
-                 "cd46e8f9fc843f0d890dd559df808bc06f3ffdb8f5dd0c974629dcd23bc75dd5"),
+    "scorer": ("2a1fec6fd7bf4f693287c9b78ff920f0c872f3d2765e0cbfdd852a61c0ab165b",
+               "4346f58879f32ad05d4b42aa9ef88cbc3e5a6a209c9f4fbac439cf0d5f89e122"),
+    "train": ("9f6dfc3112588c32fecd191cb65f0f2e084e190db71e1cef2898b6a9efd4602f",
+              "92435f174e18e2f5dd217b24a74f0b40e4e5233f8898346b90783ae349b08f10"),
+    "train-partial": ("6c547febc40cb0982cc289ce8c34a9030a0e51fd693b80be2e68a66ea087fe78",
+                      "5f5f1b1f631ef61fcae8d70c6bb57b1cb24806d9a413eaa093441eca0dfc94ac"),
+    "partial": ("115d0f6cda72c69c16ab2ede4df451aa6659f7c9836193e30d96bb35e51b801d",
+                "242c9f0c843575275a1b6bc132e82bdd188135c49eba8f013aa6da24d7b3b2a4"),
+    "slope0": ("163fbbcb190b8633d0dba1027e661a7ceac1e5325e8e2467b3ba389e7f46de3e",
+               "65d1015b59dc8a162e46de1cf5daaf3e26b2eec11b32c60fe58ce741d936cea9"),
+    "slope2.5": ("3cd99c0f2502d772ccfa9e41739cfc223b185354fe424c4cc2bd630cd0dd20d1",
+                 "3a92b7d5f18e50fe2a4d67d87bb667278d187dc47edef16cae8bfc049dff11d5"),
 }
 
 
@@ -237,18 +238,13 @@ def test_train_align_writes_the_recorded_bytes(bench_world, name):
     assert _train_align(bench_world, name, "1") == ALIGN_SHAS[name]
 
 
-@pytest.mark.parametrize("name", ["scorer", "train"])
+@pytest.mark.parametrize("name", sorted(ALIGN_SHAS))
 def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
-    # The ALN1 weights only. Every golden now writes the same ALN1 and
-    # sidecar bytes (loss history included) at 1 and 2 OpenBLAS threads, but
-    # that is rounding luck, not thread independence: the trained float64
-    # parameters differ between 1 and 2 threads (TRAINED_PARAM_SHAS "train"
-    # reads 7d9bd215... at 2), and the float32 cast and the epoch-mean
-    # losses happen to round the difference away. The first array that
-    # differs is dW2 = h1ᵀ δ, a 500-term reduction; training makes it in row
-    # blocks, and at 64, 256 and 512 rows a blocked product equals the full
-    # one at each thread count.
-    assert _train_align(bench_world, name, "2")[0] == ALIGN_SHAS[name][0]
+    # The ALN1 and its sidecar, loss history included. Training sums dW2 =
+    # h1ᵀ δ2, a reduction over every pair row of the batch, in fixed pieces,
+    # so the trained float64 parameters themselves do not depend on the
+    # threads either (TRAINED_PARAM_SHAS).
+    assert _train_align(bench_world, name, "2") == ALIGN_SHAS[name]
 
 
 _TRAINED_PARAM_SHA = """
@@ -265,23 +261,27 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (*params.weights, *params.bia
       .hexdigest())
 """
 
-# SHA-256 of the trained float64 weights then biases, in layer order, at 1
-# BLAS thread, recorded when a step held two buffers (the first hidden
-# output and the second). ALIGN_SHAS hash the float32 checkpoint, which
-# hides changes in the last bits of float64 training: a backward that forms
-# δ2 W2ᵀ in 410-wide column slabs moves both digests and no ALN1 byte.
+# SHA-256 of the trained float64 weights then biases, in layer order,
+# recorded with ALIGN_SHAS; 1 and 2 BLAS threads give the same bytes.
+# ALIGN_SHAS hash the float32 checkpoint, which hides changes in the last
+# bits of float64 training: a backward that forms δ2 W2ᵀ in 410-wide
+# column slabs moved both digests of the float64 kernel and no ALN1 byte.
 TRAINED_PARAM_SHAS = {
-    "scorer": "2988fa20d1d1865f009d958b6acf450f877157df9c4ba069877ea1a1248f3281",
-    "train": "0ed038d424910bbc8ba294371f47fd515592c7eac82678e22eaa011a88d07570",
-    "train-partial": "9f87733971716c40a3e6df9b13cda89c73953dd0a51ffcf153ddc0b85bdcd7a7",
+    "scorer": "b7845a0c7f56ad17d26f08975e42a525f8c1567d6815e6afdc83593393268c69",
+    "train": "8b43b521968d839502de0369f8a93c4d0b043dbd3ad337835f73444d830ad9b0",
+    "train-partial": "6414e0589d2ff49004c70caf791c47446866f70ff51da3196f5c944269576c3d",
+    "partial": "483bd9e332bc0f2f50e91ec3a9cc7174eb57a65efa17225fc80b341c7b94b8c1",
+    "slope0": "91ae328854a41687e469446422a773899367ef44e0e79c9284cb32a5b7e85590",
+    "slope2.5": "8a498382645f447813597587b6efa0acb8c041d89a0010ad370ca1a6ad3749b1",
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRAINED_PARAM_SHAS))
 def test_trained_float64_parameters_are_the_recorded_bytes(bench_world, name):
-    out = _child(["-c", _TRAINED_PARAM_SHA, str(bench_world / "tasks"),
-                  json.dumps(BENCH_ALIGN[name]["align"])], "1")
-    assert out.strip() == TRAINED_PARAM_SHAS[name]
+    for threads in ("1", "2"):
+        out = _child(["-c", _TRAINED_PARAM_SHA, str(bench_world / "tasks"),
+                      json.dumps(BENCH_ALIGN[name]["align"])], threads)
+        assert out.strip() == TRAINED_PARAM_SHAS[name], f"{threads} BLAS threads"
 
 
 def _run_with_table(monkeypatch, argv, table):
@@ -572,11 +572,9 @@ def test_train_align_rejects_bad_settings(workspace, tmp_path, capsys, align):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("layers", [[(64, 5), (5, 1)], [(64, 5), (5, 4), (4, 3), (3, 1)]],
-                         ids=["2", "4"])
-def test_run_rejects_a_scorer_without_three_layers(workspace, tmp_path, capsys, layers):
-    # Finite zero weights that chain, the last of width 1, and m=32 in the
-    # sidecar: everything but the layer count is a valid ALN1.
+def _run_hand_built_aln(workspace, tmp_path, layers):
+    """``tfa run`` on an ALN1 of finite zero weights with ``layers``' shapes
+    and a valid sidecar (m=32, slope 0.01); returns its path and exit code."""
     root, tasks, aln, run_cfg = workspace
     bad = tmp_path / "bad.aln"
     blob = tfa.alignment.ALN_MAGIC + len(layers).to_bytes(4, "little")
@@ -584,9 +582,31 @@ def test_run_rejects_a_scorer_without_three_layers(workspace, tmp_path, capsys, 
         blob += np.array([rows, cols], "<u4").tobytes() + bytes(4 * (rows * cols + cols))
     bad.write_bytes(blob)
     write_json(str(bad) + ".meta.json", {"m": 32, "slope": 0.01})
-    assert main(["run", "--tasks", str(tasks), "--align", str(bad),
-                 "--config", run_cfg, "--out", str(tmp_path / "r.json")]) == 3
+    return bad, main(["run", "--tasks", str(tasks), "--align", str(bad),
+                      "--config", run_cfg, "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("layers", [[(64, 5), (5, 1)], [(64, 5), (5, 4), (4, 3), (3, 1)]],
+                         ids=["2", "4"])
+def test_run_rejects_a_scorer_without_three_layers(workspace, tmp_path, capsys, layers):
+    # Layers that chain, the last of width 1: everything but the layer count
+    # is a valid ALN1.
+    bad, code = _run_hand_built_aln(workspace, tmp_path, layers)
+    assert code == 3
     assert capsys.readouterr().err == f"error: {bad}: {len(layers)} layers, not 3\n"
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([(64, 5), (4, 3), (3, 1)], "layer 1 has 4 rows, layer 0 has 5 cols"),
+    ([(64, 5), (5, 3), (3, 2)], "last layer has width 2, not 1"),
+    ([(60, 5), (5, 3), (3, 1)], "first layer expects fan-in 60, sidecar says m=32"),
+], ids=["unchained", "last-width-2", "fan-in-60"])
+def test_run_rejects_three_layers_that_do_not_fit(workspace, tmp_path, capsys, layers, message):
+    # Three layers, each check but one passing: the rows chain to the cols
+    # before them, the last layer has width 1 and the fan-in is 2m.
+    bad, code = _run_hand_built_aln(workspace, tmp_path, layers)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
