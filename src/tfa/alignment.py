@@ -6,8 +6,10 @@ LeakyReLU activations on the two hidden layers and a sigmoid on the scalar
 output, giving a similarity in (0, 1): the relation module of Sung et al.,
 "Learning to Compare" (CVPR 2018). The depth is fixed; the two widths are
 not. It is trained with a one-vs-all binary cross-entropy over the
-base-task classes, using Adam, and is frozen afterwards: nothing in this
-package updates it again.
+base-task classes, using Adam (Kingma & Ba, arXiv 1412.6980) with its fixed
+constants beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8 and a configurable
+learning rate, and is frozen afterwards: nothing in this package updates it
+again.
 
 Training runs the three hidden-layer GEMMs in float32 on float64 master
 weights: the parameters, Adam's moments, Adam, the first layer's halves,
@@ -116,6 +118,12 @@ _SLAB = 1 << 19
 # reduction differently at each thread count and so rounds it differently.
 _PIECE = 256
 
+# Adam's constants: the first and second moments' decay rates and the
+# denominator's epsilon.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
 _U32 = struct.Struct("<I")
 _U32x2 = struct.Struct("<II")
 
@@ -149,17 +157,8 @@ class RelationParams:
 
 
 @dataclass
-class Gradients:
-    d_weights: list
-    d_biases: list
-
-
-@dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     # First and second moments, one array per entry of (*weights, *biases).
     m: list = field(default_factory=list)
@@ -174,25 +173,15 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple = DEFAULT_HIDDEN
     slope: float = DEFAULT_SLOPE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         """Every construction path is validated here; ``hidden`` becomes a tuple."""
         check_int("epochs", self.epochs, lo=1)
         check_int("batch_size", self.batch_size, lo=1)
         check_int("seed", self.seed)
-        for name in ("lr", "epsilon"):
-            value = getattr(self, name)
-            check_real(name, value)
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            check_real(name, value, lo=0.0)
-            if value >= 1:
-                raise ConfigError(f"{name} must be < 1, got {value}")
+        check_real("lr", self.lr)
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         check_real("slope", self.slope, lo=0.0)
         _check_depth(self.hidden)
         for width in self.hidden:
@@ -328,47 +317,26 @@ def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray, a, 
     return a, cp
 
 
-def _forward(params: RelationParams, a: np.ndarray, cp: np.ndarray, work: list,
-             tmp: np.ndarray) -> np.ndarray:
-    """Logits for every pair of the samples whose first-layer half is ``a``
-    with every prototype in ``cp``; row ``b*C + c`` is pair ``(b, c)``.
-
-    ``work`` receives the two hidden outputs, after their LeakyReLU, which
-    runs through ``tmp``, and the logits; ``work[0]`` is shaped (B, C, H1).
-    For ``slope >= 0`` a hidden activation is positive exactly when its
-    pre-activation is (but for an overflowed ``+inf`` at slope 0), so the
-    outputs also serve as the backward gate. The last layer is a float64
-    ``einsum`` row reduction, not a fan-out-1 gemv; the module docstring
-    states when a row's logit is then independent of the other rows and of
-    BLAS threads.
-    """
-    h = _first_hidden(a, cp, work[0], params.slope, tmp)
-    return _head(params, np.matmul(h, params.weights[1], out=work[1]), work[2], tmp)
-
-
 def _first_hidden(a: np.ndarray, cp: np.ndarray, out: np.ndarray, slope: float,
                   tmp: np.ndarray) -> np.ndarray:
     """The first hidden output ``leaky(a[b] + cp[c])`` in ``out``, shaped
-    (B, C, W), returned as its (B*C, W) pair rows."""
+    (B, C, W), returned as its (B*C, W) pair rows: row ``b*C + c`` is pair
+    ``(b, c)``. The LeakyReLU runs through ``tmp``."""
     np.add(a[:, None, :], cp[None, :, :], out=out)
     return _leaky_relu_(out.reshape(-1, out.shape[2]), slope, tmp)
 
 
-def _head(params: RelationParams, z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _head(z: np.ndarray, b2: np.ndarray, w3: np.ndarray, b3: np.ndarray, slope: float,
+          out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The logits in ``out`` from the second hidden layer's product ``z``,
-    which becomes that layer's output: the bias, the LeakyReLU, then the last
-    layer as a float64 row reduction."""
-    z += params.biases[1].astype(z.dtype, copy=False)
-    out = np.einsum("ij,j->i", _leaky_relu_(z, params.slope, tmp), params.weights[2][:, 0],
-                    dtype=np.float64, out=out)
-    out += params.biases[2]
+    which becomes that layer's output: the bias ``b2`` (in ``z``'s dtype),
+    the LeakyReLU, then the last layer as a float64 ``einsum`` row reduction,
+    not a fan-out-1 gemv; the module docstring states when a row's logit is
+    then independent of the other rows and of BLAS threads."""
+    z += b2.astype(z.dtype, copy=False)
+    out = np.einsum("ij,j->i", _leaky_relu_(z, slope, tmp), w3[:, 0], dtype=np.float64, out=out)
+    out += b3
     return out
-
-
-def _outputs(params: RelationParams, b: int, c: int, dtype=np.float64) -> list:
-    """``_forward``'s outputs, ``b`` samples by ``c`` prototypes, hidden ones in ``dtype``."""
-    h0, h1 = params.weights[1].shape
-    return [np.empty((b, c, h0), dtype), np.empty((b * c, h1), dtype), np.empty(b * c)]
 
 
 def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -390,25 +358,27 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray) -> 
     protos = np.asarray(protos, dtype=np.float64)
     if vs.ndim != 2 or protos.ndim != 2 or vs.shape[1] != params.m or protos.shape[1] != params.m:
         raise DimMismatch("sample/prototype dimension does not match the scorer")
-    (n, m), c, w = vs.shape, protos.shape[0], params.weights[0]
+    (n, m), c, slope = vs.shape, protos.shape[0], params.slope
+    (w, w2, w3), (b1, b2, b3) = params.weights, params.biases
     step = max(1, min(_TABLE_CHUNK, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
     cp, w1 = protos @ w[m:], w[:m].astype(np.float64, copy=False)  # cp's weight cast is freed first
-    cp += params.biases[0]
+    cp += b1
     cp = cp.astype(np.float32)  # the hidden layers run in float32
-    (_, w2, w3), (b1, b2, b3) = params.weights, params.biases
-    params = RelationParams([w, w2.astype(np.float32, copy=False), w3],
-                            [b1, b2.astype(np.float32, copy=False), b3], params.slope, m)
+    w2, b2 = w2.astype(np.float32, copy=False), b2.astype(np.float32, copy=False)
     # One block's samples, their first-layer half (float64, cast), each
     # layer's output and the LeakyReLU's scratch.
     x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
     ah = np.empty((step, w.shape[1]), dtype=cp.dtype)
-    work, tmp = _outputs(params, step, c, cp.dtype), np.empty(_SCRATCH, cp.dtype)
+    h, y2 = np.empty((step, c, w2.shape[0]), cp.dtype), np.empty((step * c, w2.shape[1]), cp.dtype)
+    logits, tmp = np.empty(step * c), np.empty(_SCRATCH, cp.dtype)
     out = np.empty((n, c))
     for s0 in range(0, n, step):
         k = min(step, n - s0)
         x[:k] = vs[s0:s0 + k]
         np.copyto(ah, np.matmul(x, w1, out=a)[:step])
-        out[s0:s0 + k] = _forward(params, ah, cp, work, tmp).reshape(step, c)[:k]
+        h1 = _first_hidden(ah, cp, h, slope, tmp)
+        z = _head(np.matmul(h1, w2, out=y2), b2, w3, b3, slope, logits, tmp)
+        out[s0:s0 + k] = z.reshape(step, c)[:k]
     return out
 
 
@@ -527,9 +497,8 @@ def _widened_tdot(h: np.ndarray, delta: np.ndarray, scratch: np.ndarray) -> np.n
 
 
 def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
-                  targets: np.ndarray, work=None, adam: AdamState | None = None
-                  ) -> tuple[float, Gradients | None]:
-    """Mean batch loss and its gradient.
+                  targets: np.ndarray, adam: AdamState, work=None) -> float:
+    """One Adam step on the mean batch loss; returns that loss.
 
     ``targets`` holds, per sample, the row index of its true prototype. The
     loss averages over both the batch and the class dimension, so gradients
@@ -541,11 +510,9 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     ``_step_workspace``, by default a new one), in ``_step_layout``'s slabs
     and blocks of whole samples, as many as it allows in the fewest equal
     blocks. Each weight gradient is made in row blocks, layer i's only after
-    the backward's last read of ``W_i``. Without ``adam`` it widens every
-    block into a new float64 ``Gradients`` set and returns it. Given an
-    ``AdamState`` it applies each block and bias gradient to those rows as
-    one ``adam_step`` would, and returns ``(loss, None)``: no gradient set is
-    held.
+    the backward's last read of ``W_i``, and each block and bias gradient
+    goes to ``adam`` as soon as it is made, updating those rows as one
+    ``adam_step`` would: no gradient set is held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -558,12 +525,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
         raise ValidationError(f"targets must hold one prototype index in [0, {c}) per sample")
     t = (targets[:, None] == np.arange(c)).astype(np.float64).reshape(-1)
     x, x2, z, halves, db, scratch = work or _step_workspace(params, b, c)
-    if adam is None:
-        grads = Gradients(*([np.empty_like(a) for a in xs] for xs in (params.weights, params.biases)))
-        flat = (*grads.d_weights, *grads.d_biases)
-        put = lambda k, r, g, free=None: np.copyto(flat[k][r:r + g.shape[0]], g)
-    else:
-        grads, put = None, _adam_begin(params, adam, scratch)
+    put = _adam_begin(params, adam, scratch)
 
     n, slope, (_, w2, w3) = b * c, params.slope, params.weights
     (h0, h1), tmp = w2.shape, scratch[0].view(np.float32)
@@ -586,7 +548,8 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
                 np.matmul(hk, ws, out=out)
             else:
                 out += np.matmul(hk, ws, out=acc[:out.size].reshape(out.shape))
-    loss = float(_bce_elementwise(_head(params, y2, logits, tmp), t).mean())
+    b2, b3 = params.biases[1:]
+    loss = float(_bce_elementwise(_head(y2, b2, w3, b3, slope, logits, tmp), t).mean())
 
     # ``put``'s k counts through (W1, W2, W3, b1, b2, b3). The last layer's
     # one-column dW is taken before its input's rows become its input
@@ -635,17 +598,13 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
         hk = _first_hidden(ah, ch, h[:b * ch.size].reshape(b, c, -1), slope, tmp)
         g = blk[:hk.shape[1] * h1].reshape(-1, h1)
         put(1, r, _dot_pieces(hk, d2, g, acc[:g.size].reshape(g.shape)), free)
-    return loss, grads
+    return loss
 
 
-def adam_init(params: RelationParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: RelationParams, lr: float = 1e-3) -> AdamState:
     arrays = (*params.weights, *params.biases)
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
-        m=[np.zeros(a.shape) for a in arrays],
-        v=[np.zeros(a.shape) for a in arrays],
-    )
+    return AdamState(lr=lr, m=[np.zeros(a.shape) for a in arrays],
+                     v=[np.zeros(a.shape) for a in arrays])
 
 
 def _block_rows(a: np.ndarray, block: int = _BLOCK) -> int:
@@ -664,9 +623,8 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
     if params.frozen:
         raise ValidationError("cannot update a frozen scorer")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - _BETA1 ** state.step
+    c2 = 1.0 - _BETA2 ** state.step
     arrays = list(zip((*params.weights, *params.biases), state.m, state.v))
 
     def put(k: int, r0: int, grad: np.ndarray, free=None) -> None:
@@ -684,27 +642,28 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
             if g.dtype != t.dtype:
                 t[:] = g
                 g = t
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=s)
-            v *= b2
+            m *= _BETA1
+            m += np.multiply(g, 1.0 - _BETA1, out=s)
+            v *= _BETA2
             np.multiply(g, g, out=s)
-            v += np.multiply(s, 1.0 - b2, out=s)
+            v += np.multiply(s, 1.0 - _BETA2, out=s)
             np.divide(m, c1, out=s)
             s *= state.lr
             np.divide(v, c2, out=t)
             np.sqrt(t, out=t)
-            t += state.epsilon
+            t += _EPSILON
             p -= np.divide(s, t, out=s)
     return put
 
 
-def adam_step(params: RelationParams, state: AdamState, grads: Gradients
+def adam_step(params: RelationParams, state: AdamState, grads
               ) -> tuple[RelationParams, AdamState]:
-    """One Adam update with bias correction from a full gradient set;
-    mutates params/state in place. Training applies the same per-block
-    update inside ``loss_and_grad`` instead."""
+    """One Adam update with bias correction from a full gradient set, the
+    sequence ``(*d_weights, *d_biases)``; mutates params/state in place.
+    Training applies the same per-block update inside ``loss_and_grad``
+    instead."""
     put = _adam_begin(params, state, _scratch(params, _BLOCK))
-    for k, g in enumerate((*grads.d_weights, *grads.d_biases)):
+    for k, g in enumerate(grads):
         put(k, 0, g)
     return params, state
 
@@ -737,8 +696,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     proto_mat = prototype_matrix(prototypes, ids)
     targets = np.searchsorted(ids, train_set.labels)
 
-    state = adam_init(params, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
-                      epsilon=hyper.epsilon)
+    state = adam_init(params, lr=hyper.lr)
     n = len(train_set)
     work = _step_workspace(params, min(hyper.batch_size, n), len(ids))
     history = []
@@ -747,8 +705,8 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
         total = 0.0
         for start in range(0, n, hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            loss, _ = loss_and_grad(params, train_set.vectors[batch], proto_mat,
-                                    targets[batch], work, state)
+            loss = loss_and_grad(params, train_set.vectors[batch], proto_mat,
+                                 targets[batch], state, work)
             total += loss * batch.shape[0]
         history.append(total / n)
     return params.freeze(), history

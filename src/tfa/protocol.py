@@ -101,11 +101,8 @@ class ExperimentConfig:
         return self.shots if self.novel_capacity is None else self.novel_capacity
 
     def to_dict(self) -> dict:
-        """The config as plain data, as reports record it: ``align`` leaves
-        out Adam's beta1, beta2 and epsilon."""
-        align = self.align.to_dict()
-        keep = ("epochs", "batch_size", "lr", "seed", "slope", "hidden")
-        return {**asdict(self), "align": {k: align[k] for k in keep}}
+        """The config as plain data, as reports record it."""
+        return {**asdict(self), "align": self.align.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -7,6 +7,7 @@ its oracle.
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,6 +28,11 @@ def ref_score_pair(params, v, e):
         h = out
     z = h[0]
     return 1.0 / (1.0 + math.exp(-z)), z
+
+
+# Adam's constants (Kingma & Ba, arXiv 1412.6980), written out here so that
+# the oracles below also check the package's.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 def ref_scalar_adam(x0, grad_fn, lr, beta1, beta2, eps, steps):
@@ -55,6 +61,43 @@ def flat_param_views(params):
     return views
 
 
+@contextmanager
+def recorded_gradients():
+    """Replace ``tfa.alignment._adam_begin``, the one seam through which a
+    training step hands over its gradient, with a recording fake: each step
+    begun appends a float64 gradient set, ``[*d_weights, *d_biases]``, and
+    fills it block by block. The parameters and the Adam state are left
+    untouched, so a scorer can be stepped twice at the same point."""
+    from tfa import alignment
+
+    sets = []
+
+    def begin(params, state, scratch):
+        grads = [np.empty(a.shape) for a in (*params.weights, *params.biases)]
+        sets.append(grads)
+
+        def put(k, r, g, free=None):
+            np.copyto(grads[k][r:r + g.shape[0]], g)
+        return put
+
+    real, alignment._adam_begin = alignment._adam_begin, begin
+    try:
+        yield sets
+    finally:
+        alignment._adam_begin = real
+
+
+def kernel_loss_and_grad(params, vs, protos, targets, work=None):
+    """``loss_and_grad``'s loss and gradient set, read through
+    ``recorded_gradients``; ``params`` are left as they were."""
+    from tfa.alignment import adam_init, loss_and_grad
+
+    with recorded_gradients() as sets:
+        loss = loss_and_grad(params, vs, protos, targets, adam_init(params), work)
+    (grads,) = sets
+    return loss, grads
+
+
 def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
                              coords=None):
     """Compare every analytic gradient coordinate of ``loss_and_grad`` with
@@ -66,11 +109,9 @@ def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
     so near-zero coordinates are compared absolutely at rtol * 1e-3. Returns
     the worst guarded relative error seen.
     """
-    from tfa.alignment import loss_and_grad
-
-    _, grads = loss_and_grad(params, vs, protos, targets)
+    _, grads = kernel_loss_and_grad(params, vs, protos, targets)
     flat_grads = []
-    for arr in (*grads.d_weights, *grads.d_biases):
+    for arr in grads:
         flat_grads.extend(arr.reshape(-1).tolist())
     views = flat_param_views(params)
     assert len(views) == len(flat_grads)
@@ -499,18 +540,19 @@ def ref_loss_and_grad(params, vs, protos, targets):
 
 
 def ref_adam_step(params, state, grads):
-    """One Adam update with a fresh temporary per operation; mutates in place."""
+    """One Adam update from the gradient set ``(*d_weights, *d_biases)``,
+    with a fresh temporary per operation; mutates in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v,
-                          (*grads.d_weights, *grads.d_biases)):
+    for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v, grads,
+                          strict=True):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 # ---- the per-record synthetic generator that block draws replaced ----

@@ -35,10 +35,14 @@ from tfa.rng import Stream
 from tfa.synth import SynthConfig, generate_synthetic, l2_normalize
 
 from helpers import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     central_difference_check,
     f32_grad_bound,
     f32_logit_bound,
     f64_score_matrix,
+    kernel_loss_and_grad,
     make_unit,
     ref_adam_step,
     ref_forward,
@@ -47,6 +51,7 @@ from helpers import (
     ref_scalar_adam,
     ref_score_matrix,
     ref_score_pair,
+    recorded_gradients,
     traced_peak,
 )
 
@@ -252,7 +257,7 @@ def test_loss_and_grad_needs_one_in_range_target_per_sample(targets):
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
     with pytest.raises(ValidationError):
-        loss_and_grad(p, vs, protos, np.array(targets))
+        loss_and_grad(p, vs, protos, np.array(targets), adam_init(p))
 
 
 # The factored kernel adds the first layer's two halves and reduces the last
@@ -265,11 +270,10 @@ def _assert_within_f32_grad_bound(p, vs, protos, targets, work=None):
     """``loss_and_grad``'s loss and every gradient entry within
     ``f32_grad_bound`` of the float64 oracle's; returns the loss, the
     oracle's, the gradients and the oracle's, weights then biases."""
-    loss, g = loss_and_grad(p, vs, protos, targets, work)
+    loss, got = kernel_loss_and_grad(p, vs, protos, targets, work)
     want_loss, want_dw, want_db = ref_loss_and_grad(p, vs, protos, targets)
     bound_loss, bound_dw, bound_db = f32_grad_bound(p, vs, protos, targets)
     assert abs(loss - want_loss) <= bound_loss
-    got = (*g.d_weights, *g.d_biases)
     for a, want, bound in zip(got, (*want_dw, *want_db), (*bound_dw, *bound_db), strict=True):
         assert a.dtype == np.float64 and a.shape == want.shape
         assert np.all(np.abs(a - want) <= bound)
@@ -380,13 +384,15 @@ def test_loss_and_grad_is_within_its_bound_at_2048x1024(slope):
 
 
 def test_forward_writes_the_layer_outputs():
-    from tfa.alignment import _first_layer, _forward, _outputs
+    from tfa.alignment import _first_hidden, _first_layer, _head
 
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
-    halves = _first_layer(p, vs, protos, np.empty((5, 9)), np.empty((3, 9)))
-    work = _outputs(p, 5, 3)
-    logits = _forward(p, *halves, work, np.empty(4))
+    a, cp = _first_layer(p, vs, protos, np.empty((5, 9)), np.empty((3, 9)))
+    (_, w2, w3), (_, b2, b3) = p.weights, p.biases
+    work = [np.empty((5, 3, 9)), np.empty((15, 5)), np.empty(15)]
+    h = _first_hidden(a, cp, work[0], p.slope, np.empty(4))
+    logits = _head(np.matmul(h, w2, out=work[1]), b2, w3, b3, p.slope, work[2], np.empty(4))
     want_logits, want_acts, _ = ref_forward(p, ref_pairs(vs, protos), keep=True)
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=LOGIT_ATOL)
     assert np.shares_memory(logits, work[-1])
@@ -535,10 +541,10 @@ def test_bce_is_permutation_invariant_under_relabeling():
     protos = np.vstack([make_unit(stream, 5) for _ in range(4)])
     vs = np.vstack([make_unit(stream, 5) for _ in range(2)])
     targets = np.array([1, 3])
-    base = loss_and_grad(p, vs, protos, targets)[0]
+    base = kernel_loss_and_grad(p, vs, protos, targets)[0]
     perm = np.array([3, 1, 0, 2])
     inv = np.argsort(perm)
-    shuffled = loss_and_grad(p, vs, protos[perm], inv[targets])[0]
+    shuffled = kernel_loss_and_grad(p, vs, protos[perm], inv[targets])[0]
     assert shuffled == pytest.approx(base, abs=1e-12)
 
 
@@ -560,9 +566,9 @@ def test_zero_loss_configuration_is_stationary():
     p = _zero_loss_params()
     vs = np.array([[1.0]])
     protos = np.array([[1.0], [-1.0]])
-    loss, g = loss_and_grad(p, vs, protos, np.array([0]))
+    loss, g = kernel_loss_and_grad(p, vs, protos, np.array([0]))
     assert loss < 1e-15
-    assert np.sqrt(sum(np.sum(x * x) for x in (*g.d_weights, *g.d_biases))) <= 1e-9
+    assert np.sqrt(sum(np.sum(x * x) for x in g)) <= 1e-9
 
 
 def test_duplicating_the_batch_keeps_the_mean_gradient():
@@ -609,20 +615,18 @@ def test_adam_zero_gradient_is_a_no_op():
 
 
 def grad_like_zero(p):
-    from tfa.alignment import Gradients
-    return Gradients([np.zeros_like(w) for w in p.weights],
-                     [np.zeros_like(b) for b in p.biases])
+    return [np.zeros_like(a) for a in (*p.weights, *p.biases)]
 
 
 def test_adam_first_step_magnitude():
     p = init_relation(2, seed=1, hidden=(3, 2))
     state = adam_init(p, lr=0.01)
     g = grad_like_zero(p)
-    g.d_weights[0][0, 0] = 0.37
+    g[0][0, 0] = 0.37
     before = p.weights[0][0, 0]
     adam_step(p, state, g)
     step = before - p.weights[0][0, 0]
-    expected = 0.01 * 0.37 / (abs(0.37) + state.epsilon)
+    expected = 0.01 * 0.37 / (abs(0.37) + ADAM_EPSILON)
     assert step == pytest.approx(expected, abs=1e-15)
     assert step == pytest.approx(0.01, rel=1e-6)
 
@@ -638,11 +642,10 @@ def test_adam_matches_scalar_oracle_on_quadratic():
     traj = []
     for _ in range(2):
         g = grad_like_zero(p)
-        g.d_weights[0][0, 0] = 2.0 * p.weights[0][0, 0]
+        g[0][0, 0] = 2.0 * p.weights[0][0, 0]
         adam_step(p, state, g)
         traj.append(float(p.weights[0][0, 0]))
-    ref = ref_scalar_adam(x0, lambda x: 2.0 * x, 0.1, state.beta1, state.beta2,
-                          state.epsilon, 2)
+    ref = ref_scalar_adam(x0, lambda x: 2.0 * x, 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, 2)
     np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
     assert float(np.abs(p.weights[0]).sum()) == pytest.approx(abs(traj[-1]), abs=1e-12)
 
@@ -657,7 +660,7 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
         vs = np.vstack([make_unit(stream, 6) for _ in range(4)])
         protos = np.vstack([make_unit(stream, 6) for _ in range(3)])
         targets = (stream.words(4) % 3).astype(np.int64)
-        g = loss_and_grad(p, vs, protos, targets)[1]
+        g = kernel_loss_and_grad(p, vs, protos, targets)[1]
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
         assert s_new.step == s_ref.step == step + 1
@@ -668,7 +671,7 @@ def test_in_place_adam_matches_the_temporaries_version(slope):
 
 
 def test_blocked_adam_matches_the_temporaries_version_across_blocks():
-    from tfa.alignment import _BLOCK, Gradients
+    from tfa.alignment import _BLOCK
 
     # A first hidden layer wider than an Adam block: the first weight matrix
     # has rows longer than a block, and its bias and the second layer's
@@ -678,8 +681,7 @@ def test_blocked_adam_matches_the_temporaries_version_across_blocks():
     s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
     rng = np.random.default_rng(43)
     for _ in range(3):
-        g = Gradients([rng.normal(size=w.shape) for w in p.weights],
-                      [rng.normal(size=b.shape) for b in p.biases])
+        g = [rng.normal(size=a.shape) for a in (*p.weights, *p.biases)]
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
     for got, want in zip(
@@ -818,10 +820,11 @@ def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, 
         states.append(adam_init(*args, **kw))
         return states[-1]
 
-    def full_set_step(params, vs, protos, targets, work, adam):
-        loss, grads = loss_and_grad(params, vs, protos, targets)
-        adam_step(params, adam, grads)
-        return loss, None
+    def full_set_step(params, vs, protos, targets, adam, work):
+        with recorded_gradients() as sets:
+            loss = loss_and_grad(params, vs, protos, targets, adam_init(params))
+        adam_step(params, adam, sets[0])
+        return loss
 
     monkeypatch.setattr(alignment, "adam_init", spy_init)
     fused, fused_history = train_alignment(scorer(), train, protos, hyper)
@@ -915,7 +918,7 @@ def test_the_step_layout_leaves_adam_whole_blocks(monkeypatch, hidden, slab, dw2
     monkeypatch.setattr(alignment, "_adam_begin", spy)
     rng = np.random.default_rng(3)
     vs, protos = l2_normalize(rng.normal(size=(25, 64))), l2_normalize(rng.normal(size=(20, 64)))
-    loss_and_grad(p, vs, protos, rng.integers(0, 20, size=25), adam=adam_init(p))
+    loss_and_grad(p, vs, protos, rng.integers(0, 20, size=25), adam_init(p))
     assert min(free[0]) >= 2 * _BLOCK and min(free[1]) >= 2 * _BLOCK
 
 
@@ -1044,12 +1047,19 @@ def test_checkpoint_built_by_hand_loads(tmp_path):
     ("epochs", 0), ("epochs", 1.5), ("epochs", True), ("batch_size", 0),
     ("batch_size", "25"), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
     ("lr", float("inf")), ("lr", "0.001"), ("seed", 1.0), ("hidden", (4, 0)),
-    ("hidden", (4, 2.5)), ("hidden", 5), ("epsilon", 0.0), ("beta1", 1.0),
-    ("beta2", -0.1), ("slope", float("nan")),
+    ("hidden", (4, 2.5)), ("hidden", 5), ("slope", float("nan")),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("beta1", 0.9), ("beta2", 0.999), ("epsilon", 1e-8)])
+def test_train_config_rejects_adam_constants(field, value):
+    # Adam's constants are fixed: a config may not name one, even at its value.
+    assert field not in TrainConfig.__dataclass_fields__
+    with pytest.raises(ConfigError, match=rf"unknown alignment config keys: \['{field}'\]"):
+        TrainConfig.from_dict({field: value})
 
 
 @pytest.mark.parametrize("hidden", [(), (40,), (40, 24, 16)], ids=["0", "1", "3"])

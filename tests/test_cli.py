@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,23 +214,24 @@ def _train_align(world, name, threads):
                  for f in (out, Path(f"{out}.meta.json")))
 
 
-# SHA-256s of the ALN1 and its sidecar, recorded when training first ran
-# its three hidden-layer GEMMs in float32 on float64 master weights and
-# summed dW2 in fixed 256-row pieces. They are the same at 1 and 2 BLAS
-# threads.
+# SHA-256s of the ALN1 and its sidecar. The ALN1s were recorded when
+# training first ran its three hidden-layer GEMMs in float32 on float64
+# master weights and summed dW2 in fixed 256-row pieces; the sidecars when
+# train_config lost Adam's beta1, beta2 and epsilon. They are the same at 1
+# and 2 BLAS threads.
 ALIGN_SHAS = {
     "scorer": ("2a1fec6fd7bf4f693287c9b78ff920f0c872f3d2765e0cbfdd852a61c0ab165b",
-               "4346f58879f32ad05d4b42aa9ef88cbc3e5a6a209c9f4fbac439cf0d5f89e122"),
+               "fff3ad2a8736d81e4710c2d122ca2f2b4cf78d6687f1ce4c94bb3e0a03f06add"),
     "train": ("9f6dfc3112588c32fecd191cb65f0f2e084e190db71e1cef2898b6a9efd4602f",
-              "92435f174e18e2f5dd217b24a74f0b40e4e5233f8898346b90783ae349b08f10"),
+              "be7b40cf09aebe1599752cc0ede4bf5ad1b2543a00b3789c0ccef700fb30db63"),
     "train-partial": ("6c547febc40cb0982cc289ce8c34a9030a0e51fd693b80be2e68a66ea087fe78",
-                      "5f5f1b1f631ef61fcae8d70c6bb57b1cb24806d9a413eaa093441eca0dfc94ac"),
+                      "70af94f4738789084c3b8343a7d8f0b3a6ff255940aff213c955358bf062b807"),
     "partial": ("115d0f6cda72c69c16ab2ede4df451aa6659f7c9836193e30d96bb35e51b801d",
-                "242c9f0c843575275a1b6bc132e82bdd188135c49eba8f013aa6da24d7b3b2a4"),
+                "118edaf8098a7c62494174c76703dbff7f45d8bbc5bda3808d71f24a2b4ead6a"),
     "slope0": ("163fbbcb190b8633d0dba1027e661a7ceac1e5325e8e2467b3ba389e7f46de3e",
-               "65d1015b59dc8a162e46de1cf5daaf3e26b2eec11b32c60fe58ce741d936cea9"),
+               "0db688d03277024b65fc7745b51ca7262901cc3ff01cdf84bb529451c9b43f61"),
     "slope2.5": ("3cd99c0f2502d772ccfa9e41739cfc223b185354fe424c4cc2bd630cd0dd20d1",
-                 "3a92b7d5f18e50fe2a4d67d87bb667278d187dc47edef16cae8bfc049dff11d5"),
+                 "d2e8841db318ab7a229f0c1973933a6b4061166c5ac61e1d8c0034a7d9459eea"),
 }
 
 
@@ -424,11 +426,10 @@ def test_ablate_empty_values_is_config_error(workspace):
 
 
 def test_ablate_sweeps_keep_the_base_config_align(workspace, tmp_path, monkeypatch):
-    # Adam's beta1, beta2 and epsilon are not in a report's config, so only
-    # the sweep configs themselves can show whether they were kept.
+    # A slope other than the default in the config's align section: every
+    # sweep config carries the base align, and so does each report.
     root, tasks, aln, _ = workspace
-    doc = {**RUN_CFG, "align": {**RUN_CFG["align"], "beta1": 0.5, "beta2": 0.99,
-                                "epsilon": 1e-6}}
+    doc = {**RUN_CFG, "align": {**RUN_CFG["align"], "slope": 0.2}}
     run_cfg = write_json(tmp_path / "run.json", doc)
     seen = []
     real = tfa.cli.run_experiments
@@ -436,12 +437,15 @@ def test_ablate_sweeps_keep_the_base_config_align(workspace, tmp_path, monkeypat
         seen.extend(cfgs)
         return real(cfgs, *args)
     monkeypatch.setattr(tfa.cli, "run_experiments", recorded)
+    base = ExperimentConfig.from_dict(doc).align
+    assert base.slope == 0.2
     for sweep, values in (("alpha", "0,2"), ("cache-size", "1,3")):
+        out = tmp_path / f"{sweep}.json"
         assert main(["ablate", "--tasks", str(tasks), "--align", str(aln),
                      "--config", run_cfg, "--trials", "1",
-                     "--sweep", sweep, "--values", values]) == 0
-    base = ExperimentConfig.from_dict(doc).align
-    assert (base.beta1, base.beta2, base.epsilon) == (0.5, 0.99, 1e-6)
+                     "--sweep", sweep, "--values", values, "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["config"]["experiment"]["align"] for r in reports] == [base.to_dict()] * 2
     assert len(seen) == 4 and all(c.align == base for c in seen)
 
 
@@ -619,6 +623,54 @@ def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
     assert main(["run", "--tasks", str(tasks), "--align", str(bad),
                  "--config", run_cfg, "--out", str(tmp_path / "r.json")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The "partial" sidecar's SHA-256 while TrainConfig still held Adam's beta1,
+# beta2 and epsilon; its ALN1 bytes are ALIGN_SHAS["partial"][0].
+PRE_ADAM_CONSTANTS_SIDECAR = "242c9f0c843575275a1b6bc132e82bdd188135c49eba8f013aa6da24d7b3b2a4"
+
+
+def test_a_sidecar_with_adam_constants_still_loads_and_runs(bench_world, tmp_path):
+    # A file pair as train-align wrote it before Adam's constants were fixed:
+    # the same ALN1, and a sidecar whose train_config also holds beta1, beta2
+    # and epsilon. The loader reads only m and slope, so it runs to the same
+    # report bytes.
+    cfg = write_json(tmp_path / "partial.json", BENCH_ALIGN["partial"])
+    tasks = bench_world / "tasks"
+    new, old = tmp_path / "new.aln", tmp_path / "old.aln"
+    assert main(["train-align", "--base", str(tasks / "task_000.emb"), "--protos",
+                 str(tasks / "prototypes.emb"), "--config", cfg, "--out", str(new)]) == 0
+    old.write_bytes(new.read_bytes())
+    meta = json.loads(Path(f"{new}.meta.json").read_text())
+    meta["train_config"].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    Path(f"{old}.meta.json").write_text(text)
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == ALIGN_SHAS["partial"][0]
+    assert hashlib.sha256(text.encode()).hexdigest() == PRE_ADAM_CONSTANTS_SIDECAR
+    reports = []
+    for aln in (new, old):
+        out = tmp_path / f"{aln.stem}.json"
+        assert main(["run", "--tasks", str(tasks), "--align", str(aln), "--config", cfg,
+                     "--trials", "1", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["train-align", "run", "ablate"])
+def test_an_adam_constant_in_the_config_is_a_config_error(workspace, tmp_path, capsys,
+                                                           command):
+    root, tasks, aln, _ = workspace
+    cfg = write_json(tmp_path / "run.json",
+                     {**RUN_CFG, "align": {**RUN_CFG["align"], "beta1": 0.9}})
+    out = tmp_path / "out"
+    argv = {"train-align": ["train-align", "--base", str(tasks / "task_000.emb"),
+                            "--protos", str(tasks / "prototypes.emb")],
+            "run": ["run", "--tasks", str(tasks), "--align", str(aln)],
+            "ablate": ["ablate", "--tasks", str(tasks), "--align", str(aln),
+                       "--sweep", "alpha", "--values", "0,2"]}[command]
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown alignment config keys: ['beta1']\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
 def test_report_renders_and_round_trips(workspace, tmp_path, capsys):
@@ -1050,6 +1102,55 @@ def _dimension_0(world, monkeypatch):
     write_json(world / "task_000.emb.meta.json", {"dim": 0, "count": 0, "records": []})
 
 
+def _first_row(value):
+    def change(world, monkeypatch):
+        path = world / "task_000.emb"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + np.full(8, value, "<f4").tobytes() + blob[48:])
+    return change
+
+
+def _sidecar_not_object(world, monkeypatch):
+    write_json(world / "task_000.emb.meta.json", [1])
+
+
+def _sidecar_dim(world, monkeypatch):
+    _edit_json(world / "task_000.emb.meta.json", lambda doc: doc.update(dim=9))
+
+
+def _edit_records(name, edit):
+    def change(world, monkeypatch):
+        _edit_json(world / name, lambda doc: edit(doc["records"]))
+    return change
+
+
+def _relabel(records, old, new):
+    for rec in records:
+        if rec["label"] == old:
+            rec["label"] = new
+
+
+def _first_test_label(records, label):
+    next(rec for rec in records if rec["split"] == "test")["label"] = label
+
+
+def _narrow_task_1(world, monkeypatch):
+    data = load_embeddings(world / "task_001.emb")
+    save_embeddings(replace(data, dim=4, vectors=data.vectors[:, :4] + 1.0),
+                    world / "task_001.emb")
+
+
+def _uneven_shots(world, monkeypatch):
+    data = load_embeddings(world / "task_001.emb")
+    drop = next(i for i in data.indices(split="train") if data.labels[i] == 4)
+    save_embeddings(data.subset([i for i in range(len(data)) if i != drop]),
+                    world / "task_001.emb")
+
+
+def _duplicate_id(records):
+    records[1]["class_id"] = records[0]["class_id"]
+
+
 # Case id -> (change to the world, command, exit code, part of the message)
 CLI_ONLY_ERRORS = {
     "TFA_SEED-abc": (_seed_from_env, _run, 2, "TFA_SEED must be an integer, got 'abc'"),
@@ -1069,6 +1170,24 @@ CLI_ONLY_ERRORS = {
     "prototype-dim-run": (_narrow_prototypes, _run, 3,
                           "sample/prototype dimension does not match the scorer"),
     "dimension-0": (_dimension_0, _train, 3, "dimension must be >= 1, got 0"),
+    "non-finite-float": (_first_row(np.nan), _run, 3, "non-finite float in"),
+    "zero-row": (_first_row(0.0), _run, 3, "task_000.emb: record 0 is a zero vector"),
+    "sidecar-not-object": (_sidecar_not_object, _run, 3,
+                           "task_000.emb: sidecar is not a JSON object"),
+    "sidecar-dim": (_sidecar_dim, _run, 3,
+                    "sidecar declares dim=9 count=18, binary has dim=8 count=18"),
+    "overlapping-classes": (_edit_records("task_001.emb.meta.json",
+                                          lambda recs: _relabel(recs, 3, 0)), _run, 4,
+                            "tasks 0 and 1 share train classes [0]"),
+    "test-label-outside-task": (_edit_records("task_001.emb.meta.json",
+                                              lambda recs: _first_test_label(recs, 2)), _run, 4,
+                                "has label 2 outside task 1's train label space"),
+    "task-dims-4-and-8": (_narrow_task_1, _run, 3, "cannot merge dimension 4 into 8"),
+    "duplicate-prototype-id": (_edit_records("prototypes.emb.meta.json", _duplicate_id), _run,
+                               3, "prototypes.emb: class id 0 appears twice"),
+    "uneven-shots": (_uneven_shots, _run, 4, "task 1 class 4: 1 shots, expected 2"),
+    "shots-3": (None, lambda world: _run(world) + ["--shots", "3"], 4,
+                "task 1 provides 2 shots, config expects 3"),
 }
 
 

@@ -134,10 +134,10 @@ def test_config_rejects_mistyped_and_non_finite_settings(field, value):
 
 
 def test_config_is_frozen_hashable_and_replace_revalidates():
-    cfg = ExperimentConfig(align=TrainConfig(hidden=[8, 4], beta1=0.5))
+    cfg = ExperimentConfig(align=TrainConfig(hidden=[8, 4], slope=0.5))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.alpha = 1.0
-    assert hash(cfg) == hash(ExperimentConfig(align=TrainConfig(hidden=(8, 4), beta1=0.5)))
+    assert hash(cfg) == hash(ExperimentConfig(align=TrainConfig(hidden=(8, 4), slope=0.5)))
     swept = dataclasses.replace(cfg, alpha=0.5)
     assert len({cfg, swept, cfg}) == 2 and swept.align is cfg.align
     with pytest.raises(ConfigError, match="alpha"):
