@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, ShotCapacityExceeded
+from .errors import FormatError, ValidationError
 
 ORIGIN_BASE = "base_pseudo"
 ORIGIN_NOVEL = "novel_shot"
@@ -211,7 +211,7 @@ class DualCache:
         key = _unit_rows(np.reshape(key, (1, -1)), "cache key")
         label = int(label)
         if np.count_nonzero(self.novel & (self.values == label)) >= self.shots:
-            raise ShotCapacityExceeded(f"class {label} already holds {self.shots} novel shots")
+            raise ValidationError(f"class {label} already holds {self.shots} novel shots")
         self._store(_stacked(self.keys, key), np.append(self.values, label),
                     np.append(self.entropies, 0.0), np.append(self.novel, True))
 
@@ -313,7 +313,7 @@ def retrieve(queries, keys, values, class_ids, betas, live=None) -> list[np.ndar
     onehot = values[:, None] == class_ids[None, :]
     missing = ~onehot.any(axis=1)
     if missing.any():
-        raise DimMismatch(
+        raise FormatError(
             f"cache holds class {int(values[missing][0])} missing from class order")
     onehot = onehot.astype(np.float64)
     u = queries @ keys.T
@@ -340,5 +340,5 @@ def fuse(a, b, alpha: float) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise DimMismatch(f"fuse length mismatch: {a.shape} vs {b.shape}")
+        raise FormatError(f"fuse length mismatch: {a.shape} vs {b.shape}")
     return a + alpha * b

@@ -79,9 +79,7 @@ import numpy as np
 from .embeddings import EmbeddingSet, prototype_matrix, read_binary, read_sidecar, write_pair
 from .errors import (
     ConfigError,
-    CorruptRecord,
-    DimMismatch,
-    EmptyTrainSet,
+    FormatError,
     ValidationError,
     check_int,
     check_real,
@@ -357,7 +355,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray) -> 
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     if vs.ndim != 2 or protos.ndim != 2 or vs.shape[1] != params.m or protos.shape[1] != params.m:
-        raise DimMismatch("sample/prototype dimension does not match the scorer")
+        raise FormatError("sample/prototype dimension does not match the scorer")
     (n, m), c, slope = vs.shape, protos.shape[0], params.slope
     (w, w2, w3), (b1, b2, b3) = params.weights, params.biases
     step = max(1, min(_TABLE_CHUNK, 1024) // max(c, 1))  # larger GEMMs can round rows otherwise
@@ -518,7 +516,7 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     protos = np.asarray(protos, dtype=np.float64)
     targets = np.asarray(targets)
     if vs.shape[1] != params.m or protos.shape[1] != params.m:
-        raise DimMismatch("batch dimension does not match the scorer")
+        raise FormatError("batch dimension does not match the scorer")
     b, c = vs.shape[0], protos.shape[0]
     if targets.shape != (b,) or targets.dtype.kind not in "iu" \
             or np.any((targets < 0) | (targets >= c)):
@@ -685,7 +683,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
     if params.frozen:
         raise ValidationError("cannot train a frozen scorer; pass params.copy()")
     if len(train_set) == 0:
-        raise EmptyTrainSet("no training samples")
+        raise ValidationError("no training samples")
     if any(int(t) != 0 for t in train_set.tasks):
         raise ValidationError("alignment trains on the base task only")
     if any(s != "train" for s in train_set.splits):
@@ -721,34 +719,36 @@ def _check_aln(path, weights, biases, sidecar) -> dict:
     then ``sidecar()`` has an integer ``m >= 1``, half the first fan-in, and
     a finite ``slope >= 0``. Returns the sidecar."""
     if len(weights) != 3:
-        raise DimMismatch(f"{path}: {len(weights)} layers, not 3")
+        raise FormatError(f"{path}: {len(weights)} layers, not 3")
     for i in range(1, len(weights)):
         if weights[i].shape[0] != weights[i - 1].shape[1]:
-            raise DimMismatch(f"{path}: layer {i} has {weights[i].shape[0]} rows, "
+            raise FormatError(f"{path}: layer {i} has {weights[i].shape[0]} rows, "
                               f"layer {i - 1} has {weights[i - 1].shape[1]} cols")
     if weights[-1].shape[1] != 1:
-        raise DimMismatch(f"{path}: last layer has width {weights[-1].shape[1]}, not 1")
+        raise FormatError(f"{path}: last layer has width {weights[-1].shape[1]}, not 1")
     for arr in (*weights, *biases):
         if not np.all(np.isfinite(arr)):
-            raise CorruptRecord(f"{path}: non-finite parameter")
+            raise FormatError(f"{path}: non-finite parameter")
     meta = sidecar()
     m = meta.get("m")
-    check_int(f"{path}: sidecar m", m, lo=1, error=CorruptRecord)
+    check_int(f"{path}: sidecar m", m, lo=1, error=FormatError)
     slope = meta.get("slope", DEFAULT_SLOPE)
-    check_real(f"{path}: sidecar slope", slope, lo=0.0, error=CorruptRecord)
+    check_real(f"{path}: sidecar slope", slope, lo=0.0, error=FormatError)
     if weights[0].shape[0] != 2 * m:
-        raise DimMismatch(f"{path}: first layer expects fan-in {weights[0].shape[0]}, "
+        raise FormatError(f"{path}: first layer expects fan-in {weights[0].shape[0]}, "
                           f"sidecar says m={m}")
     return meta
 
 
 def save_alignment(params: RelationParams, path, train_config: TrainConfig | None = None,
-                   final_loss: float | None = None, loss_history=None) -> None:
-    """Write ``params`` as ALN1 once its float32 layers pass ``load_alignment``'s checks."""
+                   loss_history=None) -> None:
+    """Write ``params`` as ALN1 once its float32 layers pass ``load_alignment``'s checks.
+    The sidecar's ``final_loss`` is the history's last epoch, null without one."""
     with np.errstate(over="ignore"):  # a value past float32's range is inf: rejected
         weights, biases = ([np.ascontiguousarray(a, dtype="<f4") for a in arrays]
                            for arrays in (params.weights, params.biases))
-    sidecar = {"m": params.m, "slope": params.slope, "final_loss": final_loss,
+    sidecar = {"m": params.m, "slope": params.slope,
+               "final_loss": loss_history[-1] if loss_history else None,
                "train_config": None if train_config is None else train_config.to_dict()}
     if loss_history is not None:
         sidecar["loss_history"] = list(loss_history)
@@ -763,23 +763,23 @@ def load_alignment(path) -> tuple[RelationParams, dict]:
     path = Path(path)
     blob = read_binary(path, ALN_MAGIC, "ALN1 checkpoint")
     if len(blob) < 8:
-        raise DimMismatch(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header")
     (n_layers,) = _U32.unpack_from(blob, 4)
     off = 8
     weights, biases = [], []
     for _ in range(n_layers):
         if len(blob) < off + 8:
-            raise DimMismatch(f"{path}: truncated layer header")
+            raise FormatError(f"{path}: truncated layer header")
         rows, cols = _U32x2.unpack_from(blob, off)
         off += 8
         if len(blob) < off + 4 * (rows * cols + cols):
-            raise DimMismatch(f"{path}: layer payload truncated")
+            raise FormatError(f"{path}: layer payload truncated")
         w = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
         weights.append(w.reshape(rows, cols))
         biases.append(np.frombuffer(blob, dtype="<f4", count=cols, offset=off + w.nbytes))
         off += 4 * (rows * cols + cols)
     if off != len(blob):
-        raise DimMismatch(f"{path}: {len(blob) - off} trailing bytes")
+        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
     meta = _check_aln(path, weights, biases, lambda: read_sidecar(path))
     return RelationParams(weights, biases, float(meta.get("slope", DEFAULT_SLOPE)),
                           meta["m"]).freeze(), meta

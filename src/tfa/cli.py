@@ -112,8 +112,7 @@ def cmd_train_align(args) -> int:
     if non_base:
         raise ValidationError(f"base file contains non-base tasks {non_base}")
     trained, history = train_base_alignment(hyper, data, load_prototypes(args.protos))
-    save_alignment(trained, args.out, train_config=hyper,
-                   final_loss=history[-1], loss_history=history)
+    save_alignment(trained, args.out, train_config=hyper, loss_history=history)
     n_train = len(data.indices(task=0, split="train"))
     print(f"trained {trained.n_params()} parameters on {n_train} samples; "
           f"final epoch loss {history[-1]:.6f}")

@@ -39,16 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptRecord,
-    DimMismatch,
-    DisjointnessViolation,
-    DuplicateClassId,
-    ValidationError,
-    check_int,
-    load_json,
-)
+from .errors import FormatError, ValidationError, check_int, load_json
 
 MAGIC = b"EMB1"
 FLAG_NORMALIZED = 1
@@ -108,27 +99,24 @@ class EmbeddingSet:
         n = len(self)
         for c in COLUMNS[1:]:
             if not isinstance(getattr(self, c), np.ndarray) or getattr(self, c).shape != (n,):
-                raise DimMismatch(f"{c} column is not a ({n},) array")
-        for i, name in enumerate(self.class_names):
-            if name is not None and not isinstance(name, str):
-                raise CorruptRecord(f"record {i} class_name must be a string, got {name!r}")
+                raise FormatError(f"{c} column is not a ({n},) array")
         spaces = {t: self.label_space(t) for t in self.task_ids()}
         check_disjoint(list(spaces.items()))
         for i in self.indices(split="test"):
             t, y = int(self.tasks[i]), int(self.labels[i])
             if y not in spaces.get(t, set()):
-                raise DisjointnessViolation(
+                raise ValidationError(
                     f"test record {i} has label {y} outside task {t}'s train label space")
 
 
 def check_disjoint(spaces) -> None:
-    """Raise ``DisjointnessViolation`` unless the train label spaces, given as
+    """Raise ``ValidationError`` unless the train label spaces, given as
     (task index, set of class ids) pairs, are pairwise disjoint."""
     for i, (a, space_a) in enumerate(spaces):
         for b, space_b in spaces[i + 1:]:
             overlap = space_a & space_b
             if overlap:
-                raise DisjointnessViolation(
+                raise ValidationError(
                     f"tasks {a} and {b} share train classes {sorted(overlap)}")
 
 
@@ -138,7 +126,7 @@ def merge_embedding_sets(sets) -> EmbeddingSet:
     dim = sets[0].dim
     for s in sets[1:]:
         if s.dim != dim:
-            raise DimMismatch(f"cannot merge dimension {s.dim} into {dim}")
+            raise FormatError(f"cannot merge dimension {s.dim} into {dim}")
     merged = EmbeddingSet(
         dim=dim, provenance={"kind": "merged", "parts": [s.provenance for s in sets]},
         **{c: np.concatenate([getattr(s, c) for s in sets]) for c in COLUMNS})
@@ -166,11 +154,11 @@ def write_pair(path, chunks, sidecar: dict) -> None:
 
 
 def read_binary(path, magic: bytes, what: str) -> bytes:
-    """The bytes of the binary at ``path``; ``BadMagic`` unless they start
+    """The bytes of the binary at ``path``; ``FormatError`` unless they start
     with ``magic``."""
     blob = Path(path).read_bytes()
     if blob[:4] != magic:
-        raise BadMagic(f"{path}: not an {what}")
+        raise FormatError(f"{path}: not an {what}")
     return blob
 
 
@@ -178,7 +166,7 @@ def read_sidecar(path) -> dict:
     """The sidecar of the binary at ``path``, which must be a JSON object."""
     doc = load_json(_sidecar_path(path))
     if not isinstance(doc, dict):
-        raise CorruptRecord(f"{path}: sidecar is not a JSON object")
+        raise FormatError(f"{path}: sidecar is not a JSON object")
     return doc
 
 
@@ -194,20 +182,20 @@ _PROTO_FIELDS = {"class_id": "id", "prompt_text": "text"}
 
 def _check_record(where: str, rec, fields: dict) -> None:
     if not isinstance(rec, dict):
-        raise CorruptRecord(f"{where} is not a JSON object")
+        raise FormatError(f"{where} is not a JSON object")
     for key, rule in fields.items():
         value = rec.get(key)
         if key not in rec:
             if rule != "text":
-                raise CorruptRecord(f"{where} lacks {key}")
+                raise FormatError(f"{where} lacks {key}")
         elif rule == "id" and not (type(value) is int and 0 <= value < 1 << 63):
-            check_int(f"{where} {key}", value, lo=0, error=CorruptRecord)
+            check_int(f"{where} {key}", value, lo=0, error=FormatError)
             if value >= 1 << 63:
-                raise CorruptRecord(f"{where} {key} exceeds int64, got {value}")
+                raise FormatError(f"{where} {key} exceeds int64, got {value}")
         elif rule == "split" and value not in SPLITS:
-            raise CorruptRecord(f"{where} split must be 'train' or 'test', got {value!r}")
+            raise FormatError(f"{where} split must be 'train' or 'test', got {value!r}")
         elif rule == "text" and not isinstance(value, str):
-            raise CorruptRecord(f"{where} {key} must be a string, got {value!r}")
+            raise FormatError(f"{where} {key} must be a string, got {value!r}")
 
 
 def _decode(path, f32: np.ndarray, records: list, fields: dict, build):
@@ -217,13 +205,13 @@ def _decode(path, f32: np.ndarray, records: list, fields: dict, build):
     then makes the kind's value from the rows, re-normalized in float64,
     and runs the kind's own checks."""
     if f32.shape[1] == 0:
-        raise DimMismatch(f"{path}: dimension must be >= 1, got 0")
+        raise FormatError(f"{path}: dimension must be >= 1, got 0")
     matrix = f32.astype(np.float64)
     if not np.all(np.isfinite(matrix)):
-        raise CorruptRecord(f"non-finite float in {path}")
+        raise FormatError(f"non-finite float in {path}")
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms < 1e-300):
-        raise CorruptRecord(f"{path}: record {int(np.argmin(norms))} is a zero vector")
+        raise FormatError(f"{path}: record {int(np.argmin(norms))} is a zero vector")
     for i, rec in enumerate(records):
         _check_record(f"{path}: sidecar record {i}", rec, fields)
     matrix /= norms[:, None]
@@ -247,23 +235,23 @@ def _load_emb(path, fields: dict, build):
     path = Path(path)
     blob = read_binary(path, MAGIC, "EMB1 file")
     if len(blob) < 16:
-        raise DimMismatch(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header")
     dim, count, _flags = _HEADER.unpack(blob[4:16])
     if len(blob) != 16 + 4 * dim * count:
-        raise DimMismatch(
+        raise FormatError(
             f"{path}: binary holds {len(blob) - 16} payload bytes, "
             f"header declares {4 * dim * count}")
     sidecar = read_sidecar(path)
     sidecar_file = _sidecar_path(path)
     records = sidecar.get("records")
     if not isinstance(records, list):
-        raise CorruptRecord(f"{sidecar_file}: sidecar records is not a list")
+        raise FormatError(f"{sidecar_file}: sidecar records is not a list")
     if sidecar.get("dim") != dim or sidecar.get("count") != count:
-        raise DimMismatch(
+        raise FormatError(
             f"{sidecar_file}: sidecar declares dim={sidecar.get('dim')} "
             f"count={sidecar.get('count')}, binary has dim={dim} count={count}")
     if len(records) != count:
-        raise DimMismatch(
+        raise FormatError(
             f"{sidecar_file}: sidecar lists {len(records)} records, binary holds {count}")
     f32 = np.frombuffer(blob, dtype="<f4", offset=16).reshape(count, dim)
     return _decode(path, f32, records, fields, build)
@@ -294,17 +282,17 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def check_unique_ids(ids, where: str) -> None:
-    """Raise ``DuplicateClassId`` at the first class id in ``ids`` seen before."""
+    """Raise ``FormatError`` at the first class id in ``ids`` seen before."""
     seen = set()
     for cid in ids:
         if cid in seen:
-            raise DuplicateClassId(f"{where}: class id {cid} appears twice")
+            raise FormatError(f"{where}: class id {cid} appears twice")
         seen.add(cid)
 
 
 def prototype_matrix(prototypes, class_ids) -> np.ndarray:
     """The vectors of ``prototypes`` stacked in ``class_ids`` order: the one
-    prototype lookup. Raises ``DuplicateClassId`` if two prototypes share a
+    prototype lookup. Raises ``FormatError`` if two prototypes share a
     class id and ``ValidationError`` if a class id has no prototype."""
     check_unique_ids([p.class_id for p in prototypes], "prototypes")
     by_id = {p.class_id: p.vector for p in prototypes}

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per exit code.
 
-Every error class carries an ``exit_code`` so the command-line layer can map
-failures onto its documented contract: 2 for configuration errors, 3 for
-I/O and parse errors, 4 for semantic validation failures. The loader and
-field checks at the end validate untrusted files and settings once, where
-they enter the program.
+``cli.main`` catches ``TfaError`` and maps it onto the documented contract
+through the class's ``exit_code``: ``ConfigError`` 2 for configuration
+errors, ``FormatError`` 3 for I/O and parse errors, ``ValidationError`` 4
+for semantic validation failures. No caller tells two failures of one code
+apart by type; the message says which check failed. The loader and field
+checks at the end validate untrusted files and settings once, where they
+enter the program.
 """
 
 import json
@@ -24,74 +26,21 @@ class ConfigError(TfaError):
     exit_code = 2
 
 
-# ---- file format / parse problems (exit 3) ----
-
-
 class FormatError(TfaError):
-    """A file could not be parsed or is internally inconsistent."""
+    """A file could not be parsed or is internally inconsistent: bad magic,
+    a truncated payload, shapes that disagree, a corrupt record or a class id
+    declared twice."""
 
     exit_code = 3
 
 
-class BadMagic(FormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class DimMismatch(FormatError):
-    """Declared shapes disagree with each other or with the actual payload."""
-
-
-class CorruptRecord(FormatError):
-    """A stored record is unusable (non-finite values, zero vector, bad field)."""
-
-
-class DuplicateClassId(FormatError):
-    """A prototype set declares the same class id twice."""
-
-
-# ---- semantic validation (exit 4) ----
-
-
 class ValidationError(TfaError):
-    """Well-formed inputs that violate a protocol-level constraint."""
+    """Well-formed inputs that violate a protocol-level constraint or that a
+    run cannot be scored on: overlapping label spaces, a wrong shot count,
+    sessions out of order, an empty training set, an empty reduction or a
+    zero base accuracy."""
 
     exit_code = 4
-
-
-class DisjointnessViolation(ValidationError):
-    """Train label spaces of distinct tasks overlap, or a record's label falls
-    outside its own task's label space."""
-
-
-class ShotCountMismatch(ValidationError):
-    """A novel task does not provide exactly the expected shots per class."""
-
-
-class OutOfOrderSession(ValidationError):
-    """Sessions must be executed in task order, starting at the base task."""
-
-
-class EmptyTrainSet(ValidationError):
-    """Alignment training requires at least one sample."""
-
-
-class ShotCapacityExceeded(ValidationError):
-    """More novel shots inserted for a class than the cache admits."""
-
-
-# ---- computational preconditions (exit 4: inputs a run cannot be scored on) ----
-
-
-class ZeroVector(ValidationError):
-    """An operation that needs a direction received the zero vector."""
-
-
-class EmptyInput(ValidationError):
-    """A reduction over an empty collection."""
-
-
-class ZeroBaseAccuracy(ValidationError):
-    """Accuracy decline is undefined when the first session scores zero."""
 
 
 # ---- the JSON loader and checks for configs, flags and sidecars ----

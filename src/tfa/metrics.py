@@ -24,13 +24,7 @@ import json
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    FormatError,
-    ZeroBaseAccuracy,
-    check_int,
-    check_real,
-)
+from .errors import FormatError, ValidationError, check_int, check_real
 
 
 def accuracy(predictions, truths) -> float:
@@ -40,7 +34,7 @@ def accuracy(predictions, truths) -> float:
     if preds.shape != ys.shape:
         raise ValueError("predictions and truths differ in length")
     if preds.size == 0:
-        raise EmptyInput("accuracy of an empty set")
+        raise ValidationError("accuracy of an empty set")
     return 100.0 * float(np.count_nonzero(preds == ys)) / preds.size
 
 
@@ -52,7 +46,7 @@ def split_accuracy(predictions, truths, base_classes) -> tuple[float | None, flo
     preds = np.asarray(predictions)
     ys = np.asarray(truths)
     if preds.size == 0:
-        raise EmptyInput("split_accuracy of an empty set")
+        raise ValidationError("split_accuracy of an empty set")
     base = np.array([int(y) in base_classes for y in ys])
     a_b = accuracy(preds[base], ys[base]) if base.any() else None
     a_n = accuracy(preds[~base], ys[~base]) if (~base).any() else None
@@ -74,7 +68,7 @@ def delta(session_accuracies) -> float:
     if len(accs) < 2:
         raise ValueError("delta needs at least two sessions")
     if accs[0] <= 0.0:
-        raise ZeroBaseAccuracy("accuracy decline undefined for zero base accuracy")
+        raise ValidationError("accuracy decline undefined for zero base accuracy")
     return abs(accs[-1] - accs[0]) / accs[0] * 100.0
 
 

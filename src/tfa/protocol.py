@@ -49,15 +49,7 @@ from .alignment import (
     _sigmoid,
 )
 from .embeddings import EmbeddingSet, check_disjoint, prototype_matrix
-from .errors import (
-    ConfigError,
-    OutOfOrderSession,
-    ShotCountMismatch,
-    ValidationError,
-    check_int,
-    check_real,
-    from_fields,
-)
+from .errors import ConfigError, ValidationError, check_int, check_real, from_fields
 from .rng import SCOPE_SHOTS, SCOPE_STREAM, SCOPE_TRIAL, Stream, derive_seed
 
 POLICIES = ("off", "session0_only", "always")
@@ -143,11 +135,11 @@ def validate_tasks(tasks) -> None:
         if task.index == 0:
             continue
         if task.shots is None:
-            raise ShotCountMismatch(f"novel task {task.index} declares no shot count")
+            raise ValidationError(f"novel task {task.index} declares no shot count")
         for cid in task.class_ids:
             got = len(task.train_by_class.get(cid, ()))
             if got != task.shots:
-                raise ShotCountMismatch(
+                raise ValidationError(
                     f"task {task.index} class {cid}: {got} shots, expected {task.shots}")
     if not tasks[0].test_indices:
         raise ValidationError(f"base task {tasks[0].index} has no test records")
@@ -207,7 +199,7 @@ def run_session(cache: DualCache, tasks, data: EmbeddingSet, cfgs, stream_seed: 
     tasks = list(tasks)
     indices = [t.index for t in tasks]
     if not tasks or indices != list(range(len(tasks))):
-        raise OutOfOrderSession(f"sessions must run as tasks 0, 1, ..., got {indices}")
+        raise ValidationError(f"sessions must run as tasks 0, 1, ..., got {indices}")
     task = tasks[-1]
     class_order = np.array([c for t in tasks for c in sorted(t.class_ids)], dtype=np.int64)
     base_class_ids = frozenset(tasks[0].class_ids)
@@ -277,7 +269,7 @@ def _checked_tasks(cfgs, data: EmbeddingSet) -> list[TaskSpec]:
     for cfg in cfgs:
         for task in tasks[1:]:
             if task.shots != cfg.shots:
-                raise ShotCountMismatch(
+                raise ValidationError(
                     f"task {task.index} provides {task.shots} shots, "
                     f"config expects {cfg.shots}")
     return tasks

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .embeddings import ClassPrototype, EmbeddingSet
-from .errors import ZeroVector, check_int, check_real, from_fields
+from .errors import check_int, check_real, from_fields
 from .rng import (
     SCOPE_CLASS_MEAN,
     SCOPE_PROTOTYPE,
@@ -28,8 +28,6 @@ from .rng import (
     Stream,
     derive_seed,
 )
-
-_ZERO_NORM = 1e-300
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,11 @@ def class_layout(cfg: SynthConfig) -> list[tuple[int, list[int]]]:
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector, or each row of a 2-D block, to unit Euclidean norm.
     Each squared norm is ``row @ row`` from one stacked (1, m) @ (m, 1) matmul,
-    so a row's bytes depend only on that row; a vector is the one-row case."""
+    so a row's bytes depend only on that row; a vector is the one-row case.
+    Its callers give it finite, nonzero rows only."""
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"expected a finite vector or 2-D block, got shape {arr.shape}")
     rows = np.atleast_2d(arr)
     norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
-    if np.any(norms < _ZERO_NORM):
-        raise ZeroVector("cannot normalize a zero vector")
     return (rows / norms).reshape(arr.shape)
 
 

@@ -201,7 +201,7 @@ def ref_argmax_lowest_id(values, class_ids):
 
 def ref_cache_scores(cache, v, beta, class_ids):
     """Single-query retrieval: scatter-add each entry's affinity to its class."""
-    from tfa.errors import DimMismatch
+    from tfa.errors import FormatError
 
     keys, values = cache.pooled()
     ids = np.asarray(class_ids, dtype=np.int64)
@@ -209,13 +209,13 @@ def ref_cache_scores(cache, v, beta, class_ids):
         known = set(int(c) for c in ids)
         for c in values:
             if int(c) not in known:
-                raise DimMismatch(f"cache holds class {int(c)} missing from class order")
+                raise FormatError(f"cache holds class {int(c)} missing from class order")
     out = np.zeros(ids.shape[0], dtype=np.float64)
     if values.size == 0:
         return out
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if keys.shape[1] != v.shape[0]:
-        raise DimMismatch(f"query dimension {v.shape[0]} vs cache keys {keys.shape[1]}")
+        raise FormatError(f"query dimension {v.shape[0]} vs cache keys {keys.shape[1]}")
     u = np.clip(keys @ v, -1.0, 1.0)
     w = np.exp(-beta * (1.0 - u))
     pos_of = {int(c): i for i, c in enumerate(ids)}
@@ -254,11 +254,11 @@ class RefCache:
         return ("inserted" if evicted is None else "replaced"), evicted
 
     def insert_novel(self, key, label):
-        from tfa.errors import ShotCapacityExceeded
+        from tfa.errors import ValidationError
 
         queue = self._novel.setdefault(int(label), [])
         if len(queue) >= self.shots:
-            raise ShotCapacityExceeded(f"class {label} already holds {self.shots} novel shots")
+            raise ValidationError(f"class {label} already holds {self.shots} novel shots")
         queue.append((np.array(key, dtype=np.float64), 0.0))
 
     def _entries(self):

@@ -20,7 +20,7 @@ from tfa.adaptor import (
     schedule_admissions,
 )
 from tfa.alignment import _sigmoid, init_relation, score_matrix
-from tfa.errors import DimMismatch, ShotCapacityExceeded
+from tfa.errors import FormatError, ValidationError
 from tfa.protocol import stream_predictions
 from tfa.rng import Stream
 from tfa.synth import l2_normalize
@@ -221,7 +221,7 @@ def test_novel_capacity_is_k():
     cache = DualCache(capacity=5, shots=5)
     for k in range(5):
         cache.insert_novel(unit(4, k), 12)
-    with pytest.raises(ShotCapacityExceeded):
+    with pytest.raises(ValidationError, match="class 12 already holds 5 novel shots"):
         cache.insert_novel(unit(4, 6), 12)
 
 
@@ -283,7 +283,7 @@ def test_cache_scores_two_entries_brute_force():
 def test_cache_scores_rejects_out_of_range_class():
     cache = DualCache(shots=1)
     cache.insert_novel(unit(4, 0), 9)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(FormatError, match="cache holds class 9 missing from class order"):
         cache_scores(cache, unit(4, 1), 2.0, np.arange(5))
 
 
@@ -292,7 +292,7 @@ def test_fuse_examples():
     np.testing.assert_allclose(fuse(a, [1.0, 0.0], 2.0), [2.2, 0.8], atol=1e-12)
     np.testing.assert_allclose(fuse(a, [0.0, 0.0], 7.0), a, atol=0)
     np.testing.assert_allclose(fuse(a, [0.3, 0.4], 0.0), a, atol=0)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(FormatError, match="fuse length mismatch"):
         fuse(a, [1.0, 2.0, 3.0], 1.0)
 
 
@@ -428,7 +428,7 @@ def test_cache_scores_aligns_to_explicit_class_order():
     cache.insert_novel(v, 20)
     out = cache_scores(cache, v, 2.0, [30, 20, 10])
     np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(FormatError, match="cache holds class 20 missing from class order"):
         cache_scores(cache, v, 2.0, [30, 10])
 
 

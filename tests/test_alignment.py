@@ -23,11 +23,7 @@ from tfa.alignment import (
     train_alignment,
 )
 from tfa.errors import (
-    BadMagic,
     ConfigError,
-    DimMismatch,
-    DuplicateClassId,
-    EmptyTrainSet,
     FormatError,
     ValidationError,
 )
@@ -120,7 +116,7 @@ def test_score_pair_matches_loop_oracle_and_reference():
 
 def test_score_pair_rejects_wrong_dimension():
     p = init_relation(4, seed=0, hidden=(3, 2))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(FormatError, match="sample/prototype dimension does not match the scorer"):
         score_pair(p, [1.0, 0.0], [0.0, 1.0, 0.0, 0.0])
 
 
@@ -498,7 +494,7 @@ def test_score_matrix_input_shapes():
     p = init_relation(4, seed=0, hidden=(3, 2))
     vs, protos = np.eye(4)[:3], np.eye(4)[1:]
     for bad in ((vs[0], protos), (vs, protos[0]), (vs[None], protos), (vs, protos[None])):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(FormatError, match="sample/prototype dimension does not match"):
             score_matrix(p, *bad)
     empty = score_matrix(p, vs, np.zeros((0, 4)))
     assert empty.shape == (3, 0) and empty.dtype == np.float64
@@ -746,7 +742,7 @@ def test_trained_scorer_classifies_separable_base_task():
 def test_training_rejects_bad_inputs():
     base, protos = _base_task_data(m=16, classes=4, per_class=8)
     empty = base.subset([])
-    with pytest.raises(EmptyTrainSet):
+    with pytest.raises(ValidationError, match="no training samples"):
         train_alignment(init_relation(16, 0, (4, 2)), empty, protos)
     with_test_split = base  # contains test records
     with pytest.raises(ValidationError):
@@ -943,7 +939,7 @@ def test_training_rejects_duplicate_prototype_ids():
 
     base, protos = _base_task_data(m=16, classes=4, per_class=8)
     train = base.subset(base.indices(split="train"))
-    with pytest.raises(DuplicateClassId):
+    with pytest.raises(FormatError, match="prototypes: class id 0 appears twice"):
         train_alignment(init_relation(16, 0, (4, 2)), train,
                         protos + [replace(protos[1], class_id=0)])
 
@@ -953,16 +949,17 @@ def test_training_rejects_duplicate_prototype_ids():
 def test_checkpoint_round_trip(tmp_path):
     p = init_relation(4, seed=6, hidden=(5, 3))
     path = tmp_path / "scorer.aln"
-    save_alignment(p, path, train_config=TrainConfig(hidden=(5, 3)), final_loss=0.123)
+    save_alignment(p, path, train_config=TrainConfig(hidden=(5, 3)), loss_history=[0.5, 0.123])
     back, meta = load_alignment(path)
     assert back.frozen and back.m == 4
-    assert meta["final_loss"] == 0.123
+    assert meta["final_loss"] == 0.123 and meta["loss_history"] == [0.5, 0.123]
     for a, b in zip(p.weights, back.weights):
         np.testing.assert_array_equal(a.astype("<f4"), b.astype("<f4"))
     # byte-deterministic output
     save_alignment(p, tmp_path / "again.aln")
     save_alignment(p, tmp_path / "again2.aln")
     assert (tmp_path / "again.aln").read_bytes() == (tmp_path / "again2.aln").read_bytes()
+    assert load_alignment(tmp_path / "again.aln")[1]["final_loss"] is None
 
 
 def test_checkpoint_binary_layout_is_exact(tmp_path):
@@ -984,14 +981,14 @@ def test_checkpoint_binary_layout_is_exact(tmp_path):
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "x.aln"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(BadMagic):
+    with pytest.raises(FormatError, match="not an ALN1 checkpoint"):
         load_alignment(path)
     p = init_relation(3, seed=1, hidden=(2, 2))
     good = tmp_path / "y.aln"
     save_alignment(p, good)
     blob = good.read_bytes()
     good.write_bytes(blob[:-3])
-    with pytest.raises(DimMismatch):
+    with pytest.raises(FormatError, match="layer payload truncated"):
         load_alignment(good)
 
 
@@ -1017,13 +1014,13 @@ def test_checkpoint_sidecar_needs_an_integer_m(tmp_path, sidecar):
 
 def test_checkpoint_layers_must_chain(tmp_path):
     path = _write_checkpoint(tmp_path / "c.aln", [(8, 5), (4, 3), (3, 1)], {"m": 4})
-    with pytest.raises(DimMismatch, match="layer 1 has 4 rows"):
+    with pytest.raises(FormatError, match="layer 1 has 4 rows"):
         load_alignment(path)
 
 
 def test_checkpoint_last_layer_must_have_width_one(tmp_path):
     path = _write_checkpoint(tmp_path / "w.aln", [(8, 5), (5, 3), (3, 2)], {"m": 4})
-    with pytest.raises(DimMismatch, match="last layer has width 2"):
+    with pytest.raises(FormatError, match="last layer has width 2"):
         load_alignment(path)
 
 
@@ -1031,7 +1028,7 @@ def test_checkpoint_last_layer_must_have_width_one(tmp_path):
                          ids=["0", "2", "4"])
 def test_checkpoint_needs_three_layers(tmp_path, layers):
     path = _write_checkpoint(tmp_path / "e.aln", layers, {"m": 4})
-    with pytest.raises(DimMismatch, match=f"{len(layers)} layers, not 3"):
+    with pytest.raises(FormatError, match=f"{len(layers)} layers, not 3"):
         load_alignment(path)
 
 

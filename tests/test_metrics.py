@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfa.errors import EmptyInput, ZeroBaseAccuracy
+from tfa.errors import ValidationError
 from tfa.metrics import (
     accuracy,
     aggregate_trials,
@@ -27,7 +27,7 @@ def test_accuracy_basics():
     assert accuracy([1, 2, 3], [1, 2, 3]) == 100.0
     assert accuracy([1, 2, 3], [4, 5, 6]) == 0.0
     assert accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 75.0
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="^accuracy of an empty set"):
         accuracy([], [])
     with pytest.raises(ValueError, match="differ in length"):
         accuracy([1, 2], [1])
@@ -41,7 +41,7 @@ def test_split_accuracy_sides():
     assert a_b == 100.0 and a_n is None
     a_b, a_n = split_accuracy([0, 9], [1, 5], base)
     assert a_b == 0.0 and a_n == 0.0
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="split_accuracy of an empty set"):
         split_accuracy([], [], base)
 
 
@@ -103,7 +103,7 @@ def test_delta_constant_series_is_zero():
 def test_delta_errors():
     with pytest.raises(ValueError):
         delta([50.0])
-    with pytest.raises(ZeroBaseAccuracy):
+    with pytest.raises(ValidationError, match="undefined for zero base accuracy"):
         delta([0.0, 10.0])
 
 

@@ -6,14 +6,7 @@ import pytest
 
 import tfa.protocol
 from tfa.alignment import TrainConfig, score_matrix
-from tfa.errors import (
-    ConfigError,
-    DisjointnessViolation,
-    DuplicateClassId,
-    OutOfOrderSession,
-    ShotCountMismatch,
-    ValidationError,
-)
+from tfa.errors import ConfigError, FormatError, ValidationError
 from tfa.metrics import report_json
 from tfa.protocol import (
     ExperimentConfig,
@@ -62,20 +55,20 @@ def small_table(small_world):
 def test_overlapping_tasks_rejected():
     t0 = TaskSpec(0, (0, 1, 3), {0: (0,), 1: (1,), 3: (2,)}, (), None)
     t1 = TaskSpec(1, (3, 4), {3: tuple(range(5)), 4: tuple(range(5))}, (), 5)
-    with pytest.raises(DisjointnessViolation):
+    with pytest.raises(ValidationError, match=r"tasks 0 and 1 share train classes \[3\]"):
         validate_tasks([t0, t1])
 
 
 def test_wrong_shot_count_rejected():
     t0 = TaskSpec(0, (0,), {0: (0,)}, (), None)
     t1 = TaskSpec(1, (1,), {1: tuple(range(4))}, (), 5)
-    with pytest.raises(ShotCountMismatch):
+    with pytest.raises(ValidationError, match="task 1 class 1: 4 shots, expected 5"):
         validate_tasks([t0, t1])
 
 
 @pytest.mark.parametrize("t1, error, message", [
     (TaskSpec(1, (), {}, (), 5), ValidationError, "task 1 has no classes"),
-    (TaskSpec(1, (1,), {1: (1,)}, (), None), ShotCountMismatch, "novel task 1 declares no shot"),
+    (TaskSpec(1, (1,), {1: (1,)}, (), None), ValidationError, "novel task 1 declares no shot"),
 ], ids=["no-classes", "no-shot-count"])
 def test_task_without_classes_or_shot_count_rejected(t1, error, message):
     t0 = TaskSpec(0, (0,), {0: (0,)}, (), None)
@@ -98,14 +91,14 @@ def test_uneven_novel_shots_are_rejected_by_build_tasks(small_world):
     cfg, data, protos, exp, _ = small_world
     novel = build_tasks(data)[1]
     dropped = novel.train_by_class[novel.class_ids[-1]][0]
-    with pytest.raises(ShotCountMismatch, match=f"task 1 class {novel.class_ids[-1]}: 4 shots"):
+    with pytest.raises(ValidationError, match=f"task 1 class {novel.class_ids[-1]}: 4 shots"):
         build_tasks(data.subset([i for i in range(len(data)) if i != dropped]))
 
 
 def test_experiment_rejects_wrong_k(small_world):
     cfg, data, protos, exp, alignment = small_world
     bad = ExperimentConfig(trials=1, shots=4, align=exp.align)
-    with pytest.raises(ShotCountMismatch):
+    with pytest.raises(ValidationError, match="task 1 provides 5 shots, config expects 4"):
         run_experiment(bad, data, protos, alignment=alignment)
 
 
@@ -158,12 +151,14 @@ def test_config_validates_the_alignment_section():
     assert ExperimentConfig.from_dict({"align": {"hidden": [8, 4]}}).align.hidden == (8, 4)
 
 
-@pytest.mark.parametrize("bad,error", [({"alpha": float("nan")}, ConfigError),
-                                       ({"shots": 4}, ShotCountMismatch)])
-def test_bad_experiment_fails_before_scoring(small_world, monkeypatch, bad, error):
+@pytest.mark.parametrize("bad,error,message", [
+    ({"alpha": float("nan")}, ConfigError, "alpha must be a finite number, got nan"),
+    ({"shots": 4}, ValidationError, "task 1 provides 5 shots, config expects 4"),
+])
+def test_bad_experiment_fails_before_scoring(small_world, monkeypatch, bad, error, message):
     cfg, data, protos, exp, alignment = small_world
     calls = _counted_score_matrix(monkeypatch)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         run_experiment(ExperimentConfig(**{**vars(exp), **bad}), data, protos, alignment)
     assert calls == []
 
@@ -174,7 +169,7 @@ def test_duplicate_prototype_ids_fail_before_scoring(small_world, monkeypatch):
     cfg, data, protos, exp, alignment = small_world
     calls = _counted_score_matrix(monkeypatch)
     twin = dataclasses.replace(protos[1], class_id=protos[0].class_id)
-    with pytest.raises(DuplicateClassId):
+    with pytest.raises(FormatError, match=f"class id {protos[0].class_id} appears twice"):
         run_experiments([exp], data, [*protos, twin], alignment)
     assert calls == []
 
@@ -185,7 +180,7 @@ def test_sessions_must_run_in_order(small_world, small_table):
     cfg, data, protos, exp, alignment = small_world
     tasks = build_tasks(data)
     for prefix in ([], tasks[1:2], [tasks[0], tasks[2]], [tasks[0], tasks[0]]):
-        with pytest.raises(OutOfOrderSession):
+        with pytest.raises(ValidationError, match="sessions must run as tasks 0, 1, "):
             run_session(DualCache(5, 5), prefix, data, [exp], 1, small_table)
 
 
@@ -354,7 +349,7 @@ def test_run_experiments_validates_every_config_before_scoring(small_world, monk
     calls = _counted_score_matrix(monkeypatch)
     with pytest.raises(ConfigError, match="trials"):
         run_experiments([exp, dataclasses.replace(exp, trials=0)], data, protos, alignment)
-    with pytest.raises(ShotCountMismatch):
+    with pytest.raises(ValidationError, match="task 1 provides 5 shots, config expects 4"):
         run_experiments([exp, dataclasses.replace(exp, shots=4)], data, protos, alignment)
     with pytest.raises(ValidationError, match="frozen alignment scorer"):
         run_experiments([exp], data, protos, alignment.copy())
