@@ -12,10 +12,10 @@ learning rate, and is frozen afterwards: nothing in this package updates it
 again.
 
 Training runs the three hidden-layer GEMMs in float32 on float64 master
-weights: the parameters, Adam's moments, Adam, the first layer's halves,
-the last layer and the loss stay float64. The score table runs its hidden
-layers in the checkpoint's float32 (see ``score_matrix``). The binary
-cross-entropy is evaluated in logit space, ``max(z, 0) - z*t +
+weights: the parameters, Adam's moments, Adam, the last layer and the loss
+stay float64; the first layer's halves are held in float32. The score table
+runs its hidden layers in the checkpoint's float32 (see ``score_matrix``).
+The binary cross-entropy is evaluated in logit space, ``max(z, 0) - z*t +
 log1p(exp(-|z|))``, so saturated sigmoids never produce log(0).
 
 Scoring and training share one kernel. The first layer's input is a pair
@@ -94,12 +94,11 @@ DEFAULT_SLOPE = 0.01
 # Adam works in blocks of about this many elements (256 KB), so that its
 # passes over a block stay in cache, where its scratch has the room.
 _BLOCK = 1 << 15
-# The LeakyReLU and the backward gate work in blocks of about this many
-# elements, as their scratch counts toward peak memory: 4,096 in the score
-# table and 8,192 in a training step, where a 2048-wide gate spent about
-# 1.7 ms more per step in numpy's per-call costs with 4,096-value blocks.
-_SCRATCH = 1 << 12
-_STEP_SCRATCH = 1 << 13
+# The LeakyReLU and the backward gates work through a scratch of this many
+# float64 words (64 KiB), as it counts toward peak memory: blocks of 16,384
+# float32 or 8,192 float64 values. A 2048-wide gate spent about 1.7 ms more
+# per training step in numpy's per-call costs with 4,096-value blocks.
+_SCRATCH = 1 << 13
 # The score table forwards blocks of about this many (sample, prototype)
 # pairs, whole samples each.
 _TABLE_CHUNK = 256
@@ -285,7 +284,7 @@ def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
     """Gate the first hidden layer's delta in place, pair row ``b*C + c`` by
     the sign of that layer's pre-activation ``a[b] + cp[c]``, rebuilt a few
     rows of one sample at a time in ``scratch`` (of the halves' dtype; a
-    training step passes the float32 halves its forward added). For ``slope
+    training step passes column views of the float32 halves). For ``slope
     > 0`` an output is positive exactly when its pre-activation is; at slope
     0 the gate reads the rebuilt output ``leaky(a[b] + cp[c])``, so an
     overflowed ``+inf`` gates as its NaN output does."""
@@ -303,7 +302,8 @@ def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
 
 def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray, a, cp):
     """The first layer's two halves, ``vs @ W1[:m]`` into ``a`` and
-    ``protos @ W1[m:] + b1`` into ``cp``.
+    ``protos @ W1[m:] + b1`` into ``cp``, both float64; a training step
+    casts them to float32 once.
 
     The pre-activation of pair ``(b, c)`` is the sum of row ``b`` of the first
     and row ``c`` of the second.
@@ -368,7 +368,7 @@ def score_matrix(params: RelationParams, vs: np.ndarray, protos: np.ndarray) -> 
     x, a = np.zeros((max(step, 2), m)), np.empty((max(step, 2), w.shape[1]))
     ah = np.empty((step, w.shape[1]), dtype=cp.dtype)
     h, y2 = np.empty((step, c, w2.shape[0]), cp.dtype), np.empty((step * c, w2.shape[1]), cp.dtype)
-    logits, tmp = np.empty(step * c), np.empty(_SCRATCH, cp.dtype)
+    logits, tmp = np.empty(step * c), np.empty(_SCRATCH).view(np.float32)
     out = np.empty((n, c))
     for s0 in range(0, n, step):
         k = min(step, n - s0)
@@ -413,15 +413,15 @@ def _step_layout(params: RelationParams, b: int, c: int) -> tuple:
     each of four phases.
 
     The forward and the input delta ``δ2 W2ᵀ`` take W2 one float32 slab at a
-    time, and beside it that slab's columns of the two first-layer halves in
-    float32. The forward holds, per block of whole samples, the block's slab
-    of the first hidden output and one partial product. The input delta
-    holds the float64 per-sample and per-prototype delta sums, one block's
-    slab of the delta and two float64 slabs of prototype sums (the running
-    one and one block's). dW1 holds the sums and a row block; dW2 the
-    halves' columns of its slab, that slab of the first hidden output for
-    the whole batch, its row block and one piece product. Where a weight
-    gradient goes to Adam, room for two of Adam's blocks follows it.
+    time. The forward holds, per block of whole samples, the block's slab of
+    the first hidden output and one partial product. The input delta holds
+    the float64 per-sample and per-prototype delta sums, one block's slab of
+    the delta and two float64 slabs of prototype sums (the running one and
+    one block's). dW1 holds the sums and a row block; dW2 one slab of the
+    first hidden output for the whole batch, its row block and one piece
+    product. Where a weight gradient goes to Adam, room for two of Adam's
+    blocks follows it. The sums' words first hold the float64 halves, before
+    they are cast to the workspace's float32 ones.
     """
     (h0, h1), n = params.weights[1].shape, b * c
     s = _even(h0, _SLAB // h1)
@@ -431,22 +431,22 @@ def _step_layout(params: RelationParams, b: int, c: int) -> tuple:
     f32, f64 = np.float32, np.float64
     sums = ((b + c) * h0, f64)
     return s, k, s2, rows, (
-        [(s * h1, f32), (b * s, f32), (c * s, f32), (k * c * s, f32), (k * c * h1, f32)],
-        [sums, (s * h1, f32), (b * s, f32), (c * s, f32), (k * c * s, f32), (2 * c * s, f64)],
+        [(s * h1, f32), (k * c * s, f32), (k * c * h1, f32)],
+        [sums, (s * h1, f32), (k * c * s, f32), (2 * c * s, f64)],
         [sums, (rows * h0, f64), (2 * min(_BLOCK, rows * h0), f64)],
-        [(b * s2, f32), (c * s2, f32), (n * s2, f32), (s2 * h1, f32), (s2 * h1, f32),
-         (2 * min(_BLOCK, s2 * h1), f64)])
+        [(n * s2, f32), (s2 * h1, f32), (s2 * h1, f32), (2 * min(_BLOCK, s2 * h1), f64)])
 
 
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
     a flat float64 buffer X as large as ``_step_layout``'s largest phase, the
-    second hidden output in float32, the logits, the first layer's two halves,
-    the bias gradients and the scratch."""
+    second hidden output in float32, the logits, the first layer's two halves
+    in float32, the bias gradients and the scratch."""
     n, (h0, h1) = b * c, params.weights[1].shape
     size = max(_words(parts) for parts in _step_layout(params, b, c)[-1])
-    return (np.empty(size), np.empty((n, h1), np.float32), np.empty(n), np.empty((b + c, h0)),
-            [np.empty_like(x) for x in params.biases], _scratch(params, _STEP_SCRATCH))
+    return (np.empty(size), np.empty((n, h1), np.float32), np.empty(n),
+            np.empty((b + c, h0), np.float32), [np.empty_like(x) for x in params.biases],
+            _scratch(params, _SCRATCH))
 
 
 def _slabs(w: np.ndarray, rows: int, buf: np.ndarray):
@@ -456,16 +456,6 @@ def _slabs(w: np.ndarray, rows: int, buf: np.ndarray):
         slab = buf[:min(rows, w.shape[0] - r) * w.shape[1]].reshape(-1, w.shape[1])
         slab[:] = w[r:r + rows]
         yield r, slab
-
-
-def _half_slab(a: np.ndarray, cp: np.ndarray, r: int, width: int, ha: np.ndarray,
-               hc: np.ndarray) -> tuple:
-    """Columns ``r:r + width`` of the first layer's two halves, cast to
-    float32 into ``ha`` and ``hc``; a contiguous copy also spares numpy a
-    buffer per strided operand in the sum that follows."""
-    ha, hc = (buf[:h.shape[0] * width].reshape(-1, width) for buf, h in ((ha, a), (hc, cp)))
-    ha[:], hc[:] = a[:, r:r + width], cp[:, r:r + width]
-    return ha, hc
 
 
 def _dot_pieces(h: np.ndarray, d: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -502,9 +492,9 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     loss averages over both the batch and the class dimension, so gradients
     are 1/(B*C) times the sum of per-pair terms. The three hidden-layer GEMMs,
     the forward through W2, the input delta ``δ2 W2ᵀ`` and ``dW2 = h1ᵀ δ2``,
-    run in float32 on W2 cast one slab at a time; the parameters, the first
-    layer's halves, the last layer, the loss, dW1, the bias gradients and
-    Adam are float64. It runs in the leading rows of ``work`` (a
+    run in float32 on W2 cast one slab at a time and on the first layer's
+    float32 halves; the parameters, the last layer, the loss, dW1, the bias
+    gradients and Adam are float64. It runs in the leading rows of ``work`` (a
     ``_step_workspace``, by default a new one), in ``_step_layout``'s slabs
     and blocks of whole samples, as many as it allows in the fewest equal
     blocks. Each weight gradient is made in row blocks, layer i's only after
@@ -531,13 +521,18 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     # leading rows in no larger blocks.
     s, k, s2, rows, (forward, backward, first, second) = _step_layout(params, len(x2) // c, c)
     k = _even(b, k)
-    a, cp = _first_layer(params, vs, protos, halves[:b], halves[b:b + c])
+    # The halves are made in float64 in the words the delta sums take later,
+    # then cast to float32 once.
+    sums = _carve(x, backward[:1])[0]
+    per_sample, per_proto = sums[:b * h0].reshape(b, h0), sums[b * h0:(b + c) * h0].reshape(c, h0)
+    a, cp = halves[:b], halves[b:b + c]
+    a[:], cp[:] = _first_layer(params, vs, protos, per_sample, per_proto)
     y2, logits = x2[:n], z[:n]
     # The forward: per W2 slab, each sample block's slab of the first hidden
     # output times it, added into the block's rows of y2 slab after slab.
-    w, ha, hc, h, acc, _ = _carve(x, forward)
+    w, h, acc, _ = _carve(x, forward)
     for r, ws in _slabs(w2, s, w):
-        ah, ch = _half_slab(a, cp, r, ws.shape[0], ha, hc)
+        ah, ch = a[:, r:r + ws.shape[0]], cp[:, r:r + ws.shape[0]]
         for s0 in range(0, b, k):
             kk = min(k, b - s0)
             hk = _first_hidden(ah[s0:s0 + kk], ch, h[:kk * ch.size].reshape(kk, c, -1), slope, tmp)
@@ -562,16 +557,14 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     # block at a time, gated and reduced into the float64 sums. Pair (b,
     # c)'s first-layer input is [vs[b], protos[c]], so the sample half of
     # dW1 sums delta over prototypes and the prototype half over samples.
-    sums, w, ha, hc, d, sums_c, _ = _carve(x, backward)
-    per_sample, per_proto = sums[:b * h0].reshape(b, h0), sums[b * h0:(b + c) * h0].reshape(c, h0)
+    _, w, d, sums_c, _ = _carve(x, backward)
     for r, ws in _slabs(w2, s, w):
         cols, psum = slice(r, r + ws.shape[0]), sums_c[:2 * c * ws.shape[0]].reshape(2, c, -1)
-        ah, ch = _half_slab(a, cp, r, ws.shape[0], ha, hc)
         for s0 in range(0, b, k):
             kk = min(k, b - s0)
             d1 = np.matmul(d2[s0 * c:(s0 + kk) * c], ws.T,
                            out=d[:kk * c * ws.shape[0]].reshape(-1, ws.shape[0]))
-            per_pair = _gate_first_(d1, ah[s0:s0 + kk], ch, slope,
+            per_pair = _gate_first_(d1, a[s0:s0 + kk, cols], cp[:, cols], slope,
                                     scratch.view(np.float32)).reshape(kk, c, -1)
             per_pair.sum(axis=1, out=per_sample[s0:s0 + kk, cols])
             block = per_pair.sum(axis=0, out=psum[min(s0, 1)])
@@ -590,10 +583,10 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     put(3, 0, db[0])
     # dW2 = h1ᵀ δ2, one row slab at a time from that column slab of h1,
     # rebuilt from the halves as the forward made it.
-    ha, hc, h, blk, acc, free = _carve(x, second[:5])
+    h, blk, acc, free = _carve(x, second[:3])
     for r in range(0, h0, s2):
-        ah, ch = _half_slab(a, cp, r, min(s2, h0 - r), ha, hc)
-        hk = _first_hidden(ah, ch, h[:b * ch.size].reshape(b, c, -1), slope, tmp)
+        ch = cp[:, r:r + s2]
+        hk = _first_hidden(a[:, r:r + s2], ch, h[:b * ch.size].reshape(b, c, -1), slope, tmp)
         g = blk[:hk.shape[1] * h1].reshape(-1, h1)
         put(1, r, _dot_pieces(hk, d2, g, acc[:g.size].reshape(g.shape)), free)
     return loss
@@ -715,14 +708,16 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
 
 def _check_aln(path, weights, biases, sidecar) -> dict:
     """The ALN1 checks, run by the writer before it writes and by the loader
-    after it reads: three chained layers, the last of width 1, finite values;
-    then ``sidecar()`` has an integer ``m >= 1``, half the first fan-in, and
-    a finite ``slope >= 0``. Returns the sidecar."""
+    after it reads: three chained layers, none of width 0 and the last of
+    width 1, finite values; then ``sidecar()`` has an integer ``m >= 1``,
+    half the first fan-in, and a finite ``slope >= 0``. Returns the sidecar."""
     if len(weights) != 3:
         raise FormatError(f"{path}: {len(weights)} layers, not 3")
-    for i in range(1, len(weights)):
-        if weights[i].shape[0] != weights[i - 1].shape[1]:
-            raise FormatError(f"{path}: layer {i} has {weights[i].shape[0]} rows, "
+    for i, w in enumerate(weights):
+        if w.shape[1] < 1:
+            raise FormatError(f"{path}: layer {i} has width 0")
+        if i and w.shape[0] != weights[i - 1].shape[1]:
+            raise FormatError(f"{path}: layer {i} has {w.shape[0]} rows, "
                               f"layer {i - 1} has {weights[i - 1].shape[1]} cols")
     if weights[-1].shape[1] != 1:
         raise FormatError(f"{path}: last layer has width {weights[-1].shape[1]}, not 1")

@@ -870,16 +870,19 @@ def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
     # n = 500 pairs, and X: at most one 2 MiB float32 slab of W2 and one
     # block of whole samples of a slab of the first hidden output (the
     # batch runs in blocks of 13 and 12), not the whole n*H0. At most 1 MiB
-    # more: the first layer's halves, the bias gradients, the small scratch
-    # and numpy's own buffers.
+    # more: the first layer's halves in float32, the bias gradients, the
+    # small scratch and numpy's own buffers. The halves are made in float64
+    # in X's words for the delta sums, so they do not grow X.
     base, protos = _base_task_data(m=64, classes=20, per_class=2)
     train = base.subset(base.indices(split="train")[:25])
     hyper = TrainConfig(epochs=1, batch_size=25, seed=1, hidden=(2048, 1024))
     params, peak = traced_peak(
         lambda: train_alignment(init_relation(64, 1, hyper.hidden), train, protos, hyper)[0])
-    x, x2 = _step_workspace(params, 25, 20)[:2]
+    x, x2, _, halves = _step_workspace(params, 25, 20)[:4]
     assert x.nbytes <= 603_000 * 8 and x.nbytes < 500 * 2048 * 4
+    assert x.dtype == np.float64 and x.size <= 461_824
     assert x2.dtype == np.float32
+    assert halves.dtype == np.float32 and halves.shape == (45, 2048)
     assert peak - 3 * 8 * params.n_params() <= x2.nbytes + x.nbytes + (1 << 20)
 
 

@@ -286,6 +286,24 @@ def test_trained_float64_parameters_are_the_recorded_bytes(bench_world, name):
         assert out.strip() == TRAINED_PARAM_SHAS[name], f"{threads} BLAS threads"
 
 
+def test_a_whole_run_writes_the_same_bytes_at_one_and_two_blas_threads(bench_world, tmp_path):
+    # train-align then run, each in a child process with 1 and then 2 BLAS
+    # threads: the ALN1, its sidecar and the report are the same bytes.
+    tasks, cfg = bench_world / "tasks", write_json(tmp_path / "scorer.json", BENCH_ALIGN["scorer"])
+    outputs = []
+    for threads in ("1", "2"):
+        aln, report = tmp_path / threads / "scorer.aln", tmp_path / threads / "report.json"
+        aln.parent.mkdir()
+        _child(["-m", "tfa", "train-align", "--base", str(tasks / "task_000.emb"), "--protos",
+                str(tasks / "prototypes.emb"), "--config", cfg, "--out", str(aln)], threads)
+        _child(["-m", "tfa", "run", "--tasks", str(tasks), "--align", str(aln), "--config", cfg,
+                "--base-update-policy", "always", "--capacity", "10", "--trials", "2",
+                "--out", str(report)], threads)
+        outputs.append([f.read_bytes() for f in (aln, Path(f"{aln}.meta.json"), report)])
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == ALIGN_SHAS["scorer"][0]
+    assert outputs[1] == outputs[0]
+
+
 def _run_with_table(monkeypatch, argv, table):
     """Run ``argv`` in-process with ``table`` as the score table builder;
     return the report bytes, the tables built and every per-sample
@@ -604,13 +622,17 @@ def test_run_rejects_a_scorer_without_three_layers(workspace, tmp_path, capsys, 
     ([(64, 5), (4, 3), (3, 1)], "layer 1 has 4 rows, layer 0 has 5 cols"),
     ([(64, 5), (5, 3), (3, 2)], "last layer has width 2, not 1"),
     ([(60, 5), (5, 3), (3, 1)], "first layer expects fan-in 60, sidecar says m=32"),
-], ids=["unchained", "last-width-2", "fan-in-60"])
+    ([(64, 0), (0, 4), (4, 1)], "layer 0 has width 0"),
+    ([(64, 4), (4, 0), (0, 1)], "layer 1 has width 0"),
+], ids=["unchained", "last-width-2", "fan-in-60", "width-0-first", "width-0-second"])
 def test_run_rejects_three_layers_that_do_not_fit(workspace, tmp_path, capsys, layers, message):
     # Three layers, each check but one passing: the rows chain to the cols
-    # before them, the last layer has width 1 and the fan-in is 2m.
+    # before them, every layer is at least 1 wide, the last layer has width
+    # 1 and the fan-in is 2m. No report is written.
     bad, code = _run_hand_built_aln(workspace, tmp_path, layers)
     assert code == 3
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
