@@ -12,9 +12,9 @@ learning rate, and is frozen afterwards: nothing in this package updates it
 again.
 
 Training runs the three hidden-layer GEMMs in float32 on float64 master
-weights: the parameters, Adam's moments, Adam, the last layer and the loss
-stay float64; the first layer's halves are held in float32. The score table
-runs its hidden layers in the checkpoint's float32 (see ``score_matrix``).
+weights. The last layer, the loss and dW1 are float64; the first layer's
+halves and Adam's moments are float32, as is Adam up to its float64
+subtraction. The table's hidden layers are float32 (see ``score_matrix``).
 The binary cross-entropy is evaluated in logit space, ``max(z, 0) - z*t +
 log1p(exp(-|z|))``, so saturated sigmoids never produce log(0).
 
@@ -47,7 +47,7 @@ order: a threaded BLAS may split one long reduction another way at each
 thread count, while the other products split only over rows and columns.
 So at 1 and 2 OpenBLAS threads training writes the same bytes. The second
 hidden layer's delta overwrites that layer's output. Each weight gradient
-block goes straight to Adam, widened to float64, once its layer's weights
+block goes straight to Adam, rounded to float32, once its layer's weights
 were last read, so no gradient set is held. The LeakyReLU and the backward
 gates run in small blocks through one small scratch, and Adam in
 cache-sized blocks in the part of X that a weight-gradient block leaves
@@ -155,9 +155,10 @@ class RelationParams:
 
 @dataclass
 class AdamState:
+    """Adam's rate, step count and float32 moments, one per ``(*weights, *biases)``."""
+
     lr: float = 1e-3
     step: int = 0
-    # First and second moments, one array per entry of (*weights, *biases).
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
@@ -180,9 +181,7 @@ class TrainConfig:
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         check_real("slope", self.slope, lo=0.0)
-        _check_depth(self.hidden)
-        for width in self.hidden:
-            check_int("hidden width", width, lo=1)
+        _check_hidden(self.hidden)
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     @classmethod
@@ -194,9 +193,11 @@ class TrainConfig:
         return {**asdict(self), "hidden": list(self.hidden)}
 
 
-def _check_depth(hidden) -> None:
+def _check_hidden(hidden) -> None:
     if not isinstance(hidden, (list, tuple)) or len(hidden) != 2:
         raise ConfigError(f"hidden must list the two hidden layer widths, got {hidden!r}")
+    for width in hidden:
+        check_int("hidden width", width, lo=1)
 
 
 def _sigmoid(z):
@@ -217,7 +218,7 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     """
     if m < 1:
         raise ValueError("feature dimension must be >= 1")
-    _check_depth(hidden)
+    _check_hidden(hidden)
     sizes = [2 * m, *hidden, 1]
     weights, biases = [], []
     for i in range(len(sizes) - 1):
@@ -493,14 +494,15 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     are 1/(B*C) times the sum of per-pair terms. The three hidden-layer GEMMs,
     the forward through W2, the input delta ``δ2 W2ᵀ`` and ``dW2 = h1ᵀ δ2``,
     run in float32 on W2 cast one slab at a time and on the first layer's
-    float32 halves; the parameters, the last layer, the loss, dW1, the bias
-    gradients and Adam are float64. It runs in the leading rows of ``work`` (a
-    ``_step_workspace``, by default a new one), in ``_step_layout``'s slabs
-    and blocks of whole samples, as many as it allows in the fewest equal
-    blocks. Each weight gradient is made in row blocks, layer i's only after
-    the backward's last read of ``W_i``, and each block and bias gradient
-    goes to ``adam`` as soon as it is made, updating those rows as one
-    ``adam_step`` would: no gradient set is held.
+    float32 halves; the parameters, the last layer, the loss, dW1 and the
+    bias gradients are float64, and Adam reads each as float32. It runs in
+    the leading rows of ``work`` (a ``_step_workspace``, by default a new
+    one), in ``_step_layout``'s slabs and blocks of whole samples, as many
+    as it allows in the fewest equal blocks. Each weight gradient is made in
+    row blocks, layer i's only after the backward's last read of ``W_i``,
+    and each block and bias gradient goes to ``adam`` as soon as it is
+    made, updating those rows as one ``adam_step`` would: no gradient set
+    is held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -594,8 +596,8 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
 
 def adam_init(params: RelationParams, lr: float = 1e-3) -> AdamState:
     arrays = (*params.weights, *params.biases)
-    return AdamState(lr=lr, m=[np.zeros(a.shape) for a in arrays],
-                     v=[np.zeros(a.shape) for a in arrays])
+    return AdamState(lr=lr, m=[np.zeros(a.shape, np.float32) for a in arrays],
+                     v=[np.zeros(a.shape, np.float32) for a in arrays])
 
 
 def _block_rows(a: np.ndarray, block: int = _BLOCK) -> int:
@@ -606,26 +608,26 @@ def _block_rows(a: np.ndarray, block: int = _BLOCK) -> int:
 def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
     """Start one Adam step; returns its update ``put(k, r, g, free=None)``,
     which moves rows ``r:r + len(g)`` of array ``k`` of ``(*weights,
-    *biases)`` by gradient ``g``. Its two scratch buffers are the halves of
-    the flat ``free``, where that is larger than the two rows of
-    ``scratch``, and those rows otherwise. A float32 ``g`` is widened to
-    float64 as it is read. Each element's update is the same whatever the
-    blocks."""
+    *biases)`` by gradient ``g``. Its two float32 scratch buffers are views
+    of the halves of the flat ``free``, where that is larger than the two
+    rows of ``scratch``, and of those rows otherwise. A float64 ``g`` is
+    rounded to float32 as it is read. Each element's update is the same
+    whatever the blocks."""
     if params.frozen:
         raise ValidationError("cannot update a frozen scorer")
     state.step += 1
-    c1 = 1.0 - _BETA1 ** state.step
-    c2 = 1.0 - _BETA2 ** state.step
+    c2 = (1.0 - _BETA2 ** state.step) ** 0.5
+    lr, eps = state.lr * c2 / (1.0 - _BETA1 ** state.step), _EPSILON * c2
     arrays = list(zip((*params.weights, *params.biases), state.m, state.v))
 
     def put(k: int, r0: int, grad: np.ndarray, free=None) -> None:
-        flat_s, flat_t = scratch if free is None or free.size < scratch.size else \
-            free[:free.size // 2 * 2].reshape(2, -1)
+        flat_s, flat_t = (scratch if free is None or free.size < scratch.size else
+                          free[:free.size // 2 * 2].reshape(2, -1)).view(np.float32)
         rows = _block_rows(grad, min(_BLOCK, flat_s.size))
         for r in range(0, grad.shape[0], rows):
-            # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time
-            # in the order that formula evaluates, through two scratch
-            # buffers, one cache-sized block of rows at a time.
+            # p -= lr_t * m / (sqrt(v) + eps_t) (Kingma and Ba, §2), in float32
+            # through two scratch buffers, one cache-sized block of rows at a
+            # time; only the subtraction is float64.
             g = grad[r:r + rows]
             p, m, v = (a[r0 + r:r0 + r + g.shape[0]] for a in arrays[k])
             s = flat_s[:p.size].reshape(p.shape)
@@ -638,12 +640,10 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
             v *= _BETA2
             np.multiply(g, g, out=s)
             v += np.multiply(s, 1.0 - _BETA2, out=s)
-            np.divide(m, c1, out=s)
-            s *= state.lr
-            np.divide(v, c2, out=t)
-            np.sqrt(t, out=t)
-            t += _EPSILON
-            p -= np.divide(s, t, out=s)
+            np.sqrt(v, out=t)
+            t += eps
+            np.divide(m, t, out=s)
+            p -= np.multiply(s, lr, out=s)
     return put
 
 

@@ -539,20 +539,82 @@ def ref_loss_and_grad(params, vs, protos, targets):
     return loss, d_weights, d_biases
 
 
+def ref_adam_init(params, lr):
+    """A fresh Adam state for ``ref_adam_step``: float64 moments."""
+    from tfa.alignment import AdamState
+
+    arrays = (*params.weights, *params.biases)
+    return AdamState(lr=lr, m=[np.zeros(a.shape) for a in arrays],
+                     v=[np.zeros(a.shape) for a in arrays])
+
+
 def ref_adam_step(params, state, grads):
     """One Adam update from the gradient set ``(*d_weights, *d_biases)``,
-    with a fresh temporary per operation; mutates in place."""
+    with a fresh temporary per operation, on float64 moments (see
+    ``ref_adam_init``); mutates in place."""
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v, grads,
                           strict=True):
+        assert m.dtype == v.dtype == np.float64, "the oracle keeps float64 moments"
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+
+
+def f32_adam_bound(params, state, grads, bound=None, e_grads=None):
+    """First-order bounds on how far float32-moment Adam may lie from
+    ``ref_adam_step`` after the step that it is about to take on ``params``
+    and ``state`` with ``grads``: ``(e_params, e_m, e_v)``, one array per
+    entry of ``(*weights, *biases)``, given the previous step's ``bound``
+    (None at the start, where both sides are equal). ``e_grads`` bounds how
+    far the float32 side's gradients lie from ``grads`` (by default they are
+    the same).
+
+    With ``u = 2**-24``, as in ``f32_grad_bound``: a float32 operation rounds
+    once, ``u`` of its result, and so does each cast of a float64 gradient or
+    constant. With ``γ = |g| + e_g``, ``m = β1 m + (1 - β1) g`` errs by ``β1
+    e_m + (1 - β1) e_g + 4u (β1|m| + (1 - β1) γ)`` (the cast of ``g``, two
+    constants, two products and the sum) and ``v = β2 v + (1 - β2) g²`` by
+    ``β2 e_v + (1 - β2)(|g| + γ) e_g + 6u (β2 v + (1 - β2) γ²)``. The square
+    root carries ``min(e_v/√v, √e_v)`` and rounds; the denominator ``D = √v +
+    ε̂`` adds ``u ε̂`` and ``u D``; the quotient ``q = m / D`` errs by ``e_m/D
+    + |m| e_D / D² + u|q|``, and the update ``lr_t q`` by ``lr_t e_q + 2u
+    lr_t |q|``. Kingma and Ba's ``lr_t = lr √(1 - β2^t) / (1 - β1^t)`` and
+    ``ε̂ = ε √(1 - β2^t)`` make the textbook update exactly. The float64
+    subtraction rounds each side once, ``2**-53 |p|``; the oracle's other
+    float64 roundings lie far below these terms.
+    """
+    u, u64 = 2.0 ** -24, 2.0 ** -53
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    t = state.step + 1
+    c2 = math.sqrt(1.0 - b2 ** t)
+    lr, eps = state.lr * c2 / (1.0 - b1 ** t), ADAM_EPSILON * c2
+    arrays = list(zip((*params.weights, *params.biases), state.m, state.v, grads, strict=True))
+    zeros = [np.zeros(p.shape) for p, *_ in arrays]
+    e_p, e_m, e_v = bound or (zeros, zeros, zeros)
+    out = [], [], []
+    for (p, m, v, g), ep, em, ev, eg in zip(arrays, e_p, e_m, e_v, e_grads or zeros):
+        g = np.abs(g)
+        gamma = g + eg
+        m1 = b1 * np.abs(m) + (1.0 - b1) * gamma  # at least |m_t| on either side
+        em = b1 * em + (1.0 - b1) * eg + 4 * u * m1
+        ev = b2 * ev + (1.0 - b2) * (g + gamma) * eg + 6 * u * (b2 * v + (1.0 - b2) * gamma ** 2)
+        root = np.sqrt(b2 * v + (1.0 - b2) * g * g)
+        e_root = u * root + np.minimum(
+            np.sqrt(ev), np.divide(ev, root, out=np.full_like(ev, np.inf), where=root > 0))
+        d = root + eps
+        e_d = e_root + u * eps + u * d
+        q = m1 / d
+        e_q = em / d + m1 * e_d / (d * d) + u * q
+        ep = ep + lr * e_q + 2 * u * lr * q + 2 * u64 * (np.abs(p) + lr * q)
+        for acc, e in zip(out, (ep, em, ev)):
+            acc.append(e)
+    return out
 
 
 # ---- the per-record synthetic generator that block draws replaced ----

@@ -35,11 +35,13 @@ from helpers import (
     ADAM_BETA2,
     ADAM_EPSILON,
     central_difference_check,
+    f32_adam_bound,
     f32_grad_bound,
     f32_logit_bound,
     f64_score_matrix,
     kernel_loss_and_grad,
     make_unit,
+    ref_adam_init,
     ref_adam_step,
     ref_forward,
     ref_loss_and_grad,
@@ -614,75 +616,106 @@ def grad_like_zero(p):
     return [np.zeros_like(a) for a in (*p.weights, *p.biases)]
 
 
+def _assert_within(params, state, oracle, ref_state, bound):
+    """Each parameter and moment of float32-moment Adam lies within
+    ``f32_adam_bound``'s ``bound`` of the float64 oracle's."""
+    got = (*params.weights, *params.biases, *state.m, *state.v)
+    want = (*oracle.weights, *oracle.biases, *ref_state.m, *ref_state.v)
+    for i, (a, b, e) in enumerate(zip(got, want, [x for part in bound for x in part],
+                                      strict=True)):
+        assert np.all(np.abs(a - b) <= e), f"array {i}: {np.max(np.abs(a - b) - e):.3g} over"
+
+
+def test_adam_moments_are_float32_beside_float64_weights():
+    p = init_relation(3, seed=7, hidden=(4, 2))
+    state = adam_init(p)
+    assert all(a.dtype == np.float32 for a in (*state.m, *state.v))
+    adam_step(p, state, [np.ones_like(a) for a in (*p.weights, *p.biases)])
+    assert all(a.dtype == np.float32 for a in (*state.m, *state.v))
+    assert all(a.dtype == np.float64 for a in (*p.weights, *p.biases))
+
+
 def test_adam_first_step_magnitude():
     p = init_relation(2, seed=1, hidden=(3, 2))
-    state = adam_init(p, lr=0.01)
+    q = p.copy()
+    state, ref = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01)
     g = grad_like_zero(p)
     g[0][0, 0] = 0.37
     before = p.weights[0][0, 0]
+    bound = f32_adam_bound(q, ref, g)
     adam_step(p, state, g)
-    step = before - p.weights[0][0, 0]
+    ref_adam_step(q, ref, g)
     expected = 0.01 * 0.37 / (abs(0.37) + ADAM_EPSILON)
-    assert step == pytest.approx(expected, abs=1e-15)
-    assert step == pytest.approx(0.01, rel=1e-6)
+    assert before - q.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
+    _assert_within(p, state, q, ref, bound)
+    assert before - p.weights[0][0, 0] == pytest.approx(0.01, rel=1e-6)
 
 
 def test_adam_matches_scalar_oracle_on_quadratic():
-    # embed a 1-D quadratic in one weight coordinate, zero gradients elsewhere
+    # Embed a 1-D quadratic in one weight coordinate, zero gradients
+    # elsewhere. The float64 oracle follows the scalar trajectory; Adam takes
+    # the oracle's gradients and stays within its bound.
     p = init_relation(1, seed=3, hidden=(1, 1))
     for w in p.weights:
         w[:] = 0.0
     x0 = 1.7
     p.weights[0][0, 0] = x0
-    state = adam_init(p, lr=0.1)
-    traj = []
+    q = p.copy()
+    state, ref = adam_init(p, lr=0.1), ref_adam_init(q, lr=0.1)
+    traj, bound = [], None
     for _ in range(2):
         g = grad_like_zero(p)
-        g[0][0, 0] = 2.0 * p.weights[0][0, 0]
+        g[0][0, 0] = 2.0 * q.weights[0][0, 0]
+        bound = f32_adam_bound(q, ref, g, bound)
         adam_step(p, state, g)
-        traj.append(float(p.weights[0][0, 0]))
-    ref = ref_scalar_adam(x0, lambda x: 2.0 * x, 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, 2)
-    np.testing.assert_allclose(traj, ref, rtol=0, atol=1e-12)
-    assert float(np.abs(p.weights[0]).sum()) == pytest.approx(abs(traj[-1]), abs=1e-12)
+        ref_adam_step(q, ref, g)
+        _assert_within(p, state, q, ref, bound)
+        traj.append(float(q.weights[0][0, 0]))
+    want = ref_scalar_adam(x0, lambda x: 2.0 * x, 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, 2)
+    np.testing.assert_allclose(traj, want, rtol=0, atol=1e-12)
+    assert float(np.abs(p.weights[0]).sum()) == abs(float(p.weights[0][0, 0]))
 
 
 @pytest.mark.parametrize("slope", [0.01, 2.5])
 def test_in_place_adam_matches_the_temporaries_version(slope):
     p = init_relation(6, seed=40, hidden=(9, 5), slope=slope)
     q = p.copy()
-    s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
-    stream = Stream(41)
+    s_new, s_ref = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01)
+    stream, bound = Stream(41), None
     for step in range(6):
         vs = np.vstack([make_unit(stream, 6) for _ in range(4)])
         protos = np.vstack([make_unit(stream, 6) for _ in range(3)])
         targets = (stream.words(4) % 3).astype(np.int64)
         g = kernel_loss_and_grad(p, vs, protos, targets)[1]
+        bound = f32_adam_bound(q, s_ref, g, bound)
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
         assert s_new.step == s_ref.step == step + 1
-        for got, want in zip(
-                (*p.weights, *p.biases, *s_new.m, *s_new.v),
-                (*q.weights, *q.biases, *s_ref.m, *s_ref.v)):
-            assert got.tobytes() == want.tobytes()
+        _assert_within(p, s_new, q, s_ref, bound)
 
 
-def test_blocked_adam_matches_the_temporaries_version_across_blocks():
+def test_blocked_adam_matches_the_temporaries_version_across_blocks(monkeypatch):
     from tfa.alignment import _BLOCK
 
     # A first hidden layer wider than an Adam block: the first weight matrix
     # has rows longer than a block, and its bias and the second layer's
-    # weights span two blocks.
+    # weights span two blocks. Blocked Adam is within its bound of the
+    # oracle, and has the bytes of Adam run in one block per array.
     p = init_relation(1, seed=42, hidden=(_BLOCK + 7, 1))
-    q = p.copy()
-    s_new, s_ref = adam_init(p, lr=0.01), adam_init(q, lr=0.01)
-    rng = np.random.default_rng(43)
+    q, whole = p.copy(), p.copy()
+    s_new, s_ref, s_whole = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01), adam_init(whole, lr=0.01)
+    rng, bound = np.random.default_rng(43), None
     for _ in range(3):
         g = [rng.normal(size=a.shape) for a in (*p.weights, *p.biases)]
+        bound = f32_adam_bound(q, s_ref, g, bound)
         adam_step(p, s_new, g)
         ref_adam_step(q, s_ref, g)
-    for got, want in zip(
-            (*p.weights, *p.biases, *s_new.m, *s_new.v),
-            (*q.weights, *q.biases, *s_ref.m, *s_ref.v)):
+        with monkeypatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK", p.weights[0].size)
+            adam_step(whole, s_whole, g)
+    _assert_within(p, s_new, q, s_ref, bound)
+    for got, want in zip((*p.weights, *p.biases, *s_new.m, *s_new.v),
+                         (*whole.weights, *whole.biases, *s_whole.m, *s_whole.v)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -834,16 +867,52 @@ def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, 
         assert got.tobytes() == want.tobytes()
 
 
+def test_float32_moments_train_as_float64_moments_do(monkeypatch):
+    # The benchmark's train op: m=64, 20 prototypes, 8 steps of 25 samples
+    # at 2048/1024. Beside the fused training a float64-moment scorer takes
+    # its own gradients, read through recorded_gradients, and ref_adam_step.
+    # After every step each loss is within the benchmark's 1e-6 of the
+    # other's, and each parameter and moment within f32_adam_bound, which
+    # carries the two runs' measured gradient difference.
+    base, protos = _base_task_data(m=64, classes=20, per_class=10)
+    train = base.subset(base.indices(split="train"))
+    hyper = TrainConfig(epochs=1, batch_size=25, seed=0)
+    oracle = init_relation(64, hyper.seed, hyper.hidden)
+    ref = ref_adam_init(oracle, hyper.lr)
+    real, bound, losses = alignment.loss_and_grad, None, []
+
+    def lockstep(params, vs, protos, targets, adam, work):
+        nonlocal bound
+        with recorded_gradients() as sets:
+            real(params, vs, protos, targets, adam_init(params))
+            ref_loss = real(oracle, vs, protos, targets, adam_init(oracle))
+        got, want = sets
+        bound = f32_adam_bound(oracle, ref, want, bound,
+                               [np.abs(a - b) for a, b in zip(got, want)])
+        ref_adam_step(oracle, ref, want)
+        loss = real(params, vs, protos, targets, adam, work)
+        assert loss == pytest.approx(ref_loss, rel=1e-6, abs=0)
+        _assert_within(params, adam, oracle, ref, bound)
+        losses.append(ref_loss * len(vs))
+        return loss
+
+    monkeypatch.setattr(alignment, "loss_and_grad", lockstep)
+    _, history = train_alignment(init_relation(64, hyper.seed, hyper.hidden), train, protos, hyper)
+    assert len(losses) == 8
+    assert history[0] == pytest.approx(sum(losses) / len(train), rel=1e-6, abs=0)
+
+
 def test_training_holds_no_gradient_set():
-    # A 1-step run at m=8 and 2048/1024 allocates Adam's two moments, one
-    # step's activations and deltas and one 2 MiB gradient block. A full
-    # gradient set on top of the moments is a third parameter set.
+    # A 1-step run at m=8 and 2048/1024 allocates Adam's two float32
+    # moments, together one float64 parameter set, one step's activations
+    # and deltas and one 2 MiB gradient block. A full gradient set, or
+    # float64 moments, would be one parameter set more.
     base, protos = _base_task_data(m=8, classes=4, per_class=10)
     train = base.subset(base.indices(split="train")[:10])
     hyper = TrainConfig(epochs=1, batch_size=10, seed=1, hidden=(2048, 1024))
     params = init_relation(8, 1, hyper.hidden)
     peak = traced_peak(train_alignment, params, train, protos, hyper)[1]
-    assert peak < 3 * 8 * params.n_params()
+    assert peak < 2 * 8 * params.n_params()
 
 
 def test_training_memory_does_not_grow_with_the_steps():
@@ -866,13 +935,14 @@ def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
 
     # One step at the benchmark's train shape: m=64, 20 prototypes, a batch
     # of 25 samples and 2048/1024. Beyond the parameters and Adam's two
-    # moments it holds the second hidden output, n*H1 float32 values for
-    # n = 500 pairs, and X: at most one 2 MiB float32 slab of W2 and one
-    # block of whole samples of a slab of the first hidden output (the
-    # batch runs in blocks of 13 and 12), not the whole n*H0. At most 1 MiB
-    # more: the first layer's halves in float32, the bias gradients, the
-    # small scratch and numpy's own buffers. The halves are made in float64
-    # in X's words for the delta sums, so they do not grow X.
+    # float32 moments (one parameter set together) it holds the second
+    # hidden output, n*H1 float32 values for n = 500 pairs, and X: at most
+    # one 2 MiB float32 slab of W2 and one block of whole samples of a slab
+    # of the first hidden output (the batch runs in blocks of 13 and 12),
+    # not the whole n*H0. At most 1 MiB more: the first layer's halves in
+    # float32, the bias gradients, the small scratch and numpy's own
+    # buffers. The halves are made in float64 in X's words for the delta
+    # sums, so they do not grow X.
     base, protos = _base_task_data(m=64, classes=20, per_class=2)
     train = base.subset(base.indices(split="train")[:25])
     hyper = TrainConfig(epochs=1, batch_size=25, seed=1, hidden=(2048, 1024))
@@ -883,7 +953,7 @@ def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
     assert x.dtype == np.float64 and x.size <= 461_824
     assert x2.dtype == np.float32
     assert halves.dtype == np.float32 and halves.shape == (45, 2048)
-    assert peak - 3 * 8 * params.n_params() <= x2.nbytes + x.nbytes + (1 << 20)
+    assert peak - 2 * 8 * params.n_params() <= x2.nbytes + x.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("hidden, slab, dw2_slab", [((1024, 512), 1024, 512),
@@ -1068,6 +1138,14 @@ def test_the_scorer_has_two_hidden_layers(hidden):
         TrainConfig(hidden=hidden)
     with pytest.raises(ConfigError, match="two hidden layer widths"):
         init_relation(4, seed=0, hidden=hidden)
+
+
+@pytest.mark.parametrize("hidden", [(0, 4), (4, -1), (4.5, 2)])
+def test_a_hidden_width_below_1_or_not_an_integer_is_a_config_error(hidden):
+    with pytest.raises(ConfigError, match="hidden width"):
+        TrainConfig(hidden=hidden)
+    with pytest.raises(ConfigError, match="hidden width"):
+        init_relation(8, seed=0, hidden=hidden)
 
 
 def test_init_relation_rejects_a_zero_feature_dimension():

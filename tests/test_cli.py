@@ -214,24 +214,23 @@ def _train_align(world, name, threads):
                  for f in (out, Path(f"{out}.meta.json")))
 
 
-# SHA-256s of the ALN1 and its sidecar. The ALN1s were recorded when
-# training first ran its three hidden-layer GEMMs in float32 on float64
-# master weights and summed dW2 in fixed 256-row pieces; the sidecars when
-# train_config lost Adam's beta1, beta2 and epsilon. They are the same at 1
-# and 2 BLAS threads.
+# SHA-256s of the ALN1 and its sidecar, recorded at 1 BLAS thread when Adam
+# first held its moments in float32 beside the float64 master weights.
+# Training runs its three hidden-layer GEMMs in float32 and sums dW2 in
+# fixed 256-row pieces, so they are the same at 1 and 2 BLAS threads.
 ALIGN_SHAS = {
-    "scorer": ("2a1fec6fd7bf4f693287c9b78ff920f0c872f3d2765e0cbfdd852a61c0ab165b",
-               "fff3ad2a8736d81e4710c2d122ca2f2b4cf78d6687f1ce4c94bb3e0a03f06add"),
-    "train": ("9f6dfc3112588c32fecd191cb65f0f2e084e190db71e1cef2898b6a9efd4602f",
-              "be7b40cf09aebe1599752cc0ede4bf5ad1b2543a00b3789c0ccef700fb30db63"),
-    "train-partial": ("6c547febc40cb0982cc289ce8c34a9030a0e51fd693b80be2e68a66ea087fe78",
-                      "70af94f4738789084c3b8343a7d8f0b3a6ff255940aff213c955358bf062b807"),
-    "partial": ("115d0f6cda72c69c16ab2ede4df451aa6659f7c9836193e30d96bb35e51b801d",
-                "118edaf8098a7c62494174c76703dbff7f45d8bbc5bda3808d71f24a2b4ead6a"),
-    "slope0": ("163fbbcb190b8633d0dba1027e661a7ceac1e5325e8e2467b3ba389e7f46de3e",
-               "0db688d03277024b65fc7745b51ca7262901cc3ff01cdf84bb529451c9b43f61"),
-    "slope2.5": ("3cd99c0f2502d772ccfa9e41739cfc223b185354fe424c4cc2bd630cd0dd20d1",
-                 "d2e8841db318ab7a229f0c1973933a6b4061166c5ac61e1d8c0034a7d9459eea"),
+    "scorer": ("719b59c4ee47b4720134664ed4617da5af379a54e1c336d6e837c5cbcfd30245",
+               "997ff1798b6ef9da921782a3e8ca93f189a90719473c816d68bdb14146debe7b"),
+    "train": ("4b95ebab2efa56e11183d808e014a41e83fabae857b30cd9e44cdb4f8798d906",
+              "d46ee8c34e014008bcd0333fdbbd9a921558cd2f8b709084d5e963c230c629da"),
+    "train-partial": ("b952cd75df1c870149352ee80ed989775fd3210f4aa6cc2fef8db144eca57fba",
+                      "ecc24e3db48327f42361235c59f9e3d1fc7325de4592d04ab675f9feaae28625"),
+    "partial": ("23d8d19fc4fdde2a79d802c7dd7016db7d2305bc723aabf25e3e36b70e180369",
+                "db6e10d93a40f049c239575fe332d4e0882e36b7fb17bb19fa8d4aaec230a374"),
+    "slope0": ("4e3b485477abadeb058aedb26ff63e6ee28ef91338c2f4e8f005afb6c00fb9c5",
+               "bcebc5ae24e2fe9b838627f3a9f3601a5cef082fd784096ff455ab942e94c01b"),
+    "slope2.5": ("3fff97e2da0a04ddee95c1a0218d3e0b871465d4e59cc3ad66f33ac5498cb4d8",
+                 "9cf8ac7e8bd5b4690950356878c4f358fd02dccaf1a31b01ca21a71c35886723"),
 }
 
 
@@ -269,12 +268,12 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (*params.weights, *params.bia
 # bits of float64 training: a backward that forms δ2 W2ᵀ in 410-wide
 # column slabs moved both digests of the float64 kernel and no ALN1 byte.
 TRAINED_PARAM_SHAS = {
-    "scorer": "b7845a0c7f56ad17d26f08975e42a525f8c1567d6815e6afdc83593393268c69",
-    "train": "8b43b521968d839502de0369f8a93c4d0b043dbd3ad337835f73444d830ad9b0",
-    "train-partial": "6414e0589d2ff49004c70caf791c47446866f70ff51da3196f5c944269576c3d",
-    "partial": "483bd9e332bc0f2f50e91ec3a9cc7174eb57a65efa17225fc80b341c7b94b8c1",
-    "slope0": "91ae328854a41687e469446422a773899367ef44e0e79c9284cb32a5b7e85590",
-    "slope2.5": "8a498382645f447813597587b6efa0acb8c041d89a0010ad370ca1a6ad3749b1",
+    "scorer": "14730647272c6bcbd6c260d8393c436d5a897286a2ba96ccdfdd0c326f2da2d1",
+    "train": "9445aaccbd9f79c54feb2bb09e9f59d9e9245211ef1dc22681bc0d585d62c48d",
+    "train-partial": "c2592dd0ca720fc78bafe06224442586b83a37ec5ac40be1ba0ec9bfeb144e13",
+    "partial": "d5e46a12cddd4b3082d98d9bdea03c4830f7d956355279cc60e70f03bf72501d",
+    "slope0": "3b86ef9f363140b7cb7d4f451a2df81af55bd84c4803f7bbf00d56ca90ad25db",
+    "slope2.5": "964d50989ea9e12541aab887a636a6f17089b69ff4762ca8b3f0ff806d4d0ca5",
 }
 
 
@@ -647,9 +646,11 @@ def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-# The "partial" sidecar's SHA-256 while TrainConfig still held Adam's beta1,
-# beta2 and epsilon; its ALN1 bytes are ALIGN_SHAS["partial"][0].
-PRE_ADAM_CONSTANTS_SIDECAR = "242c9f0c843575275a1b6bc132e82bdd188135c49eba8f013aa6da24d7b3b2a4"
+# The "partial" sidecar's SHA-256 with the beta1, beta2 and epsilon that
+# TrainConfig held before Adam's constants were fixed, recorded with
+# ALIGN_SHAS (its loss history moves with them); its ALN1 bytes are
+# ALIGN_SHAS["partial"][0].
+PRE_ADAM_CONSTANTS_SIDECAR = "cf9fc55546382f9cb0013f8b2d90906c42439b1ed68eecd12a07148c40ed7257"
 
 
 def test_a_sidecar_with_adam_constants_still_loads_and_runs(bench_world, tmp_path):
