@@ -11,10 +11,11 @@ constants beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8 and a configurable
 learning rate, and is frozen afterwards: nothing in this package updates it
 again.
 
-Training runs the three hidden-layer GEMMs in float32 on float64 master
-weights. The last layer, the loss and dW1 are float64; the first layer's
-halves and Adam's moments are float32, as is Adam up to its float64
-subtraction. The table's hidden layers are float32 (see ``score_matrix``).
+Every scorer this module makes is float32, the dtype its checkpoint
+stores, and training updates it in float32: the three hidden-layer GEMMs,
+the first layer's halves, Adam's moments and all of Adam. The last layer,
+the loss, the halves' product, the delta sums, dW1 and the bias gradients
+are float64. The table's hidden layers are float32 (see ``score_matrix``).
 The binary cross-entropy is evaluated in logit space, ``max(z, 0) - z*t +
 log1p(exp(-|z|))``, so saturated sigmoids never produce log(0).
 
@@ -33,28 +34,26 @@ workspace: the second hidden output for the whole batch in float32 (leading
 rows for a partial batch), the first layer's two halves and one buffer X,
 carved phase by phase into float32 and float64 parts (``_step_layout``).
 The first hidden output is ``leaky(a[b] + cp[c])``, cheap to rebuild from
-the halves, so it is never held whole. W2 is cast to float32 one row slab at
-a time into X, as a whole float32 copy would cost more memory than the
-float32 buffers save. The forward adds each block of whole samples' slab of
-the first hidden output times that slab into the second hidden output. The
-input delta ``δ2 W2ᵀ`` makes that slab's columns of the first layer's delta
-per sample block, gates them on the sign of the float32 pre-activation the
-forward used and reduces them into float64 per-sample and per-prototype
-sums, from which the first layer's gradient is made in float64. Then X
-holds one column slab of the rebuilt first hidden output and its row block
-of ``dW2 = h1ᵀ δ2``, summed over fixed pieces of the batch's pair rows in
-order: a threaded BLAS may split one long reduction another way at each
-thread count, while the other products split only over rows and columns.
-So at 1 and 2 OpenBLAS threads training writes the same bytes. The second
-hidden layer's delta overwrites that layer's output. Each weight gradient
-block goes straight to Adam, rounded to float32, once its layer's weights
-were last read, so no gradient set is held. The LeakyReLU and the backward
-gates run in small blocks through one small scratch, and Adam in
-cache-sized blocks in the part of X that a weight-gradient block leaves
-free. The gate multiplies delta by ``(~g)*slope + g``, ``g`` where the
-output is positive (for the first hidden layer at a slope above 0, its
-pre-activation): the masked multiply ``where=~g``'s bytes without its short
-masked runs.
+the halves, so it is never held whole. The forward adds each block of whole
+samples' slab of the first hidden output times that row slab of W2 into the
+second hidden output. The input delta ``δ2 W2ᵀ`` makes that slab's columns
+of the first layer's delta per sample block, gates them on the sign of the
+float32 pre-activation the forward used and reduces them into float64
+per-sample and per-prototype sums, from which the first layer's gradient is
+made in float64. Then X holds one column slab of the rebuilt first hidden
+output and its row block of ``dW2 = h1ᵀ δ2``, summed over fixed pieces of
+the batch's pair rows in order: a threaded BLAS may split one long
+reduction another way at each thread count, while the other products split
+only over rows and columns. So at 1 and 2 OpenBLAS threads training writes
+the same bytes. The second hidden layer's delta overwrites that layer's
+output. Each weight gradient block goes straight to Adam, rounded to
+float32, once its layer's weights were last read, so no gradient set is
+held. The LeakyReLU and the backward gates run in small blocks through one
+small scratch, and Adam in cache-sized blocks in the part of X that a
+weight-gradient block leaves free. The gate multiplies delta by
+``(~g)*slope + g``, ``g`` where the output is positive (for the first
+hidden layer at a slope above 0, its pre-activation): the masked multiply
+``where=~g``'s bytes without its short masked runs.
 
 Checkpoint format "ALN1" (little-endian):
 
@@ -102,13 +101,11 @@ _SCRATCH = 1 << 13
 # The score table forwards blocks of about this many (sample, prototype)
 # pairs, whole samples each.
 _TABLE_CHUNK = 256
-# A training step casts W2 to float32 in row slabs of about this many values
-# (2 MiB), as a whole float32 copy (8 MiB at 2048/1024) would outweigh what
-# the float32 step buffers save. A forward block (its slab of the first
-# hidden output and one partial product) and a dW2 row slab with its piece
-# sum are held to the same size, and a dW1 row block to as many float64
-# values. Each slab or block's product re-packs the other operand whole, so
-# smaller ones cost time.
+# A training step reads W2 in row slabs of about this many values (2 MiB).
+# A forward block (its slab of the first hidden output and one partial
+# product) and a dW2 row slab with its piece sum are held to the same size,
+# and a dW1 row block to as many float64 values. Each slab or block's
+# product re-packs the other operand whole, so smaller ones cost time.
 _SLAB = 1 << 19
 # dW2 = h1ᵀ δ2 reduces over the batch's pair rows. It is summed over fixed
 # pieces of this many rows, in order, as a threaded BLAS splits one longer
@@ -127,7 +124,8 @@ _U32x2 = struct.Struct("<II")
 
 @dataclass
 class RelationParams:
-    """Weights and biases of the scorer; ``weights[i]`` is (fan_in, fan_out)."""
+    """Weights and biases of the scorer, float32 wherever this module makes
+    them; ``weights[i]`` is (fan_in, fan_out)."""
 
     weights: list
     biases: list
@@ -142,9 +140,8 @@ class RelationParams:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def copy(self) -> "RelationParams":
-        return RelationParams([w.astype(np.float64) for w in self.weights],
-                              [b.astype(np.float64) for b in self.biases],
-                              self.slope, self.m, False)
+        return RelationParams(*([a.astype(np.float32) for a in arrays]
+                                for arrays in (self.weights, self.biases)), self.slope, self.m)
 
     def freeze(self) -> "RelationParams":
         for arr in (*self.weights, *self.biases):
@@ -214,7 +211,8 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
     """Seeded init: weights uniform on (-sqrt(6/fan_in), sqrt(6/fan_in)), biases 0.
 
     Layer i draws fan_in*fan_out uniforms from ``Stream(derive_seed(seed,
-    SCOPE_INIT, i))`` and fills its weight matrix row-major.
+    SCOPE_INIT, i))``, scales them in float64 and fills its float32 weight
+    matrix row-major, rounding each once.
     """
     if m < 1:
         raise ValueError("feature dimension must be >= 1")
@@ -228,8 +226,8 @@ def init_relation(m: int, seed: int, hidden=DEFAULT_HIDDEN, slope: float = DEFAU
         w *= 2.0
         w -= 1.0
         w *= bound
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
+        weights.append(w.astype(np.float32).reshape(fan_in, fan_out))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     return RelationParams(weights, biases, slope, m)
 
 
@@ -301,17 +299,25 @@ def _gate_first_(delta: np.ndarray, a: np.ndarray, cp: np.ndarray, slope: float,
     return delta
 
 
-def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray, a, cp):
+def _first_layer(params: RelationParams, vs: np.ndarray, protos: np.ndarray, a, cp,
+                 wide: np.ndarray, part: np.ndarray):
     """The first layer's two halves, ``vs @ W1[:m]`` into ``a`` and
-    ``protos @ W1[m:] + b1`` into ``cp``, both float64; a training step
-    casts them to float32 once.
+    ``protos @ W1[m:] + b1`` into ``cp``, both float64 (a training step
+    casts them to float32 once): the products of blocks of W1's rows,
+    widened into the rows of ``wide``, added in order through ``part``.
 
     The pre-activation of pair ``(b, c)`` is the sum of row ``b`` of the first
     and row ``c`` of the second.
     """
-    w, m = params.weights[0], params.m
-    np.matmul(vs, w[:m], out=a)
-    np.matmul(protos, w[m:], out=cp)
+    m = params.m
+    for r0, x, out in ((0, vs, a), (m, protos, cp)):
+        for r in range(0, m, len(wide)):
+            w = wide[:m - r]
+            w[:] = params.weights[0][r0 + r:r0 + r + len(w)]
+            into = part[:out.size].reshape(out.shape) if r else out
+            prod = np.matmul(x[:, r:r + len(w)], w, out=into)
+            if r:
+                out += prod
     cp += params.biases[0]
     return a, cp
 
@@ -410,19 +416,20 @@ def _carve(x: np.ndarray, parts) -> list:
 def _step_layout(params: RelationParams, b: int, c: int) -> tuple:
     """A training step's sizes for ``b`` samples by ``c`` prototypes: the rows
     of a W2 slab, the samples of a block (the fewest equal blocks), the rows
-    of a dW2 slab and of a dW1 block, then X's parts, ``(count, dtype)``, in
-    each of four phases.
+    of a dW2 slab and of a W1 or dW1 block, then X's parts, ``(count,
+    dtype)``, in each of five phases.
 
-    The forward and the input delta ``δ2 W2ᵀ`` take W2 one float32 slab at a
-    time. The forward holds, per block of whole samples, the block's slab of
-    the first hidden output and one partial product. The input delta holds
-    the float64 per-sample and per-prototype delta sums, one block's slab of
-    the delta and two float64 slabs of prototype sums (the running one and
-    one block's). dW1 holds the sums and a row block; dW2 one slab of the
-    first hidden output for the whole batch, its row block and one piece
-    product. Where a weight gradient goes to Adam, room for two of Adam's
-    blocks follows it. The sums' words first hold the float64 halves, before
-    they are cast to the workspace's float32 ones.
+    The first layer holds the float64 halves in the sums' words, a block of
+    W1's rows widened to float64 and one partial product, which only a W1 of
+    more blocks uses. The forward and the input delta ``δ2 W2ᵀ`` read W2 one row slab
+    at a time. The forward holds, per block of whole samples, the block's
+    slab of the first hidden output and one partial product. The input delta
+    holds the float64 per-sample and per-prototype delta sums, one block's
+    slab of the delta and two float64 slabs of prototype sums (the running
+    one and one block's). dW1 holds the sums and a row block; dW2 one slab
+    of the first hidden output for the whole batch, its row block and one
+    piece product. Where a weight gradient goes to Adam, room for Adam's two
+    float32 blocks follows it.
     """
     (h0, h1), n = params.weights[1].shape, b * c
     s = _even(h0, _SLAB // h1)
@@ -432,31 +439,23 @@ def _step_layout(params: RelationParams, b: int, c: int) -> tuple:
     f32, f64 = np.float32, np.float64
     sums = ((b + c) * h0, f64)
     return s, k, s2, rows, (
-        [(s * h1, f32), (k * c * s, f32), (k * c * h1, f32)],
-        [sums, (s * h1, f32), (k * c * s, f32), (2 * c * s, f64)],
-        [sums, (rows * h0, f64), (2 * min(_BLOCK, rows * h0), f64)],
-        [(n * s2, f32), (s2 * h1, f32), (s2 * h1, f32), (2 * min(_BLOCK, s2 * h1), f64)])
+        [sums, (rows * h0, f64), (max(b, c) * h0, f64)],
+        [(k * c * s, f32), (k * c * h1, f32)],
+        [sums, (k * c * s, f32), (2 * c * s, f64)],
+        [sums, (rows * h0, f64), (2 * min(_BLOCK, rows * h0), f32)],
+        [(n * s2, f32), (s2 * h1, f32), (s2 * h1, f32), (2 * min(_BLOCK, s2 * h1), f32)])
 
 
 def _step_workspace(params: RelationParams, b: int, c: int) -> tuple:
     """``loss_and_grad``'s buffers for up to ``b`` samples by ``c`` prototypes:
     a flat float64 buffer X as large as ``_step_layout``'s largest phase, the
     second hidden output in float32, the logits, the first layer's two halves
-    in float32, the bias gradients and the scratch."""
+    in float32, the float64 bias gradients and the scratch."""
     n, (h0, h1) = b * c, params.weights[1].shape
     size = max(_words(parts) for parts in _step_layout(params, b, c)[-1])
     return (np.empty(size), np.empty((n, h1), np.float32), np.empty(n),
-            np.empty((b + c, h0), np.float32), [np.empty_like(x) for x in params.biases],
+            np.empty((b + c, h0), np.float32), [np.empty(x.shape) for x in params.biases],
             _scratch(params, _SCRATCH))
-
-
-def _slabs(w: np.ndarray, rows: int, buf: np.ndarray):
-    """Row slabs ``(r, w[r:r + rows])`` of ``w``, each cast to float32 into
-    ``buf`` in turn."""
-    for r in range(0, w.shape[0], rows):
-        slab = buf[:min(rows, w.shape[0] - r) * w.shape[1]].reshape(-1, w.shape[1])
-        slab[:] = w[r:r + rows]
-        yield r, slab
 
 
 def _dot_pieces(h: np.ndarray, d: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -493,16 +492,15 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     loss averages over both the batch and the class dimension, so gradients
     are 1/(B*C) times the sum of per-pair terms. The three hidden-layer GEMMs,
     the forward through W2, the input delta ``δ2 W2ᵀ`` and ``dW2 = h1ᵀ δ2``,
-    run in float32 on W2 cast one slab at a time and on the first layer's
-    float32 halves; the parameters, the last layer, the loss, dW1 and the
-    bias gradients are float64, and Adam reads each as float32. It runs in
-    the leading rows of ``work`` (a ``_step_workspace``, by default a new
-    one), in ``_step_layout``'s slabs and blocks of whole samples, as many
-    as it allows in the fewest equal blocks. Each weight gradient is made in
-    row blocks, layer i's only after the backward's last read of ``W_i``,
-    and each block and bias gradient goes to ``adam`` as soon as it is
-    made, updating those rows as one ``adam_step`` would: no gradient set
-    is held.
+    run in float32 on W2's row slabs and the first layer's float32 halves;
+    the last layer, the loss, the halves' product, the delta sums, dW1 and
+    the bias gradients are float64, and Adam reads each as float32. It runs
+    in the leading rows of ``work`` (a ``_step_workspace``, by default a new
+    one), in ``_step_layout``'s slabs and blocks of whole samples, as many as
+    it allows in the fewest equal blocks. Each weight gradient is made in row
+    blocks, layer i's only after the backward's last read of ``W_i``, and
+    each block and bias gradient goes to ``adam`` as soon as it is made,
+    updating those rows as one ``adam_step`` would: no gradient set is held.
     """
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -521,20 +519,21 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     (h0, h1), tmp = w2.shape, scratch[0].view(np.float32)
     # The workspace's layout, for its batch; a partial batch takes its
     # leading rows in no larger blocks.
-    s, k, s2, rows, (forward, backward, first, second) = _step_layout(params, len(x2) // c, c)
+    s, k, s2, rows, (layer1, forward, backward, first, second) = \
+        _step_layout(params, len(x2) // c, c)
     k = _even(b, k)
     # The halves are made in float64 in the words the delta sums take later,
-    # then cast to float32 once.
-    sums = _carve(x, backward[:1])[0]
+    # from W1 widened a row block at a time, then cast to float32 once.
+    sums, wide, part, _ = _carve(x, layer1)
     per_sample, per_proto = sums[:b * h0].reshape(b, h0), sums[b * h0:(b + c) * h0].reshape(c, h0)
     a, cp = halves[:b], halves[b:b + c]
-    a[:], cp[:] = _first_layer(params, vs, protos, per_sample, per_proto)
+    a[:], cp[:] = _first_layer(params, vs, protos, per_sample, per_proto, wide.reshape(-1, h0), part)
     y2, logits = x2[:n], z[:n]
     # The forward: per W2 slab, each sample block's slab of the first hidden
     # output times it, added into the block's rows of y2 slab after slab.
-    w, h, acc, _ = _carve(x, forward)
-    for r, ws in _slabs(w2, s, w):
-        ah, ch = a[:, r:r + ws.shape[0]], cp[:, r:r + ws.shape[0]]
+    h, acc, _ = _carve(x, forward)
+    for r in range(0, h0, s):
+        ws, ah, ch = w2[r:r + s], a[:, r:r + s], cp[:, r:r + s]
         for s0 in range(0, b, k):
             kk = min(k, b - s0)
             hk = _first_hidden(ah[s0:s0 + kk], ch, h[:kk * ch.size].reshape(kk, c, -1), slope, tmp)
@@ -559,9 +558,10 @@ def loss_and_grad(params: RelationParams, vs: np.ndarray, protos: np.ndarray,
     # block at a time, gated and reduced into the float64 sums. Pair (b,
     # c)'s first-layer input is [vs[b], protos[c]], so the sample half of
     # dW1 sums delta over prototypes and the prototype half over samples.
-    _, w, d, sums_c, _ = _carve(x, backward)
-    for r, ws in _slabs(w2, s, w):
-        cols, psum = slice(r, r + ws.shape[0]), sums_c[:2 * c * ws.shape[0]].reshape(2, c, -1)
+    _, d, sums_c, _ = _carve(x, backward)
+    for r in range(0, h0, s):
+        ws, cols = w2[r:r + s], slice(r, r + s)
+        psum = sums_c[:2 * c * ws.shape[0]].reshape(2, c, -1)
         for s0 in range(0, b, k):
             kk = min(k, b - s0)
             d1 = np.matmul(d2[s0 * c:(s0 + kk) * c], ws.T,
@@ -625,9 +625,8 @@ def _adam_begin(params: RelationParams, state: AdamState, scratch: np.ndarray):
                           free[:free.size // 2 * 2].reshape(2, -1)).view(np.float32)
         rows = _block_rows(grad, min(_BLOCK, flat_s.size))
         for r in range(0, grad.shape[0], rows):
-            # p -= lr_t * m / (sqrt(v) + eps_t) (Kingma and Ba, §2), in float32
-            # through two scratch buffers, one cache-sized block of rows at a
-            # time; only the subtraction is float64.
+            # p -= lr_t * m / (sqrt(v) + eps_t) (Kingma and Ba, §2), in float32 through
+            # two scratch buffers, one cache-sized block of rows at a time.
             g = grad[r:r + rows]
             p, m, v = (a[r0 + r:r0 + r + g.shape[0]] for a in arrays[k])
             s = flat_s[:p.size].reshape(p.shape)
@@ -664,7 +663,7 @@ def train_alignment(params: RelationParams, train_set: EmbeddingSet,
                     prototypes, hyper: TrainConfig | None = None
                     ) -> tuple[RelationParams, list[float]]:
     """Train ``params`` in place on the base task and freeze it; returns it
-    and the per-epoch mean losses.
+    and the per-epoch mean losses; ``init_relation``'s float32 scorer stays float32.
 
     The sample order is reshuffled each epoch with the stream seeded by
     ``derive_seed(hyper.seed, SCOPE_SHUFFLE, epoch)``; the trailing partial
@@ -737,8 +736,9 @@ def _check_aln(path, weights, biases, sidecar) -> dict:
 
 def save_alignment(params: RelationParams, path, train_config: TrainConfig | None = None,
                    loss_history=None) -> None:
-    """Write ``params`` as ALN1 once its float32 layers pass ``load_alignment``'s checks.
-    The sidecar's ``final_loss`` is the history's last epoch, null without one."""
+    """Write ``params`` as ALN1 once its float32 layers (a float64 one built by hand
+    is rounded) pass ``load_alignment``'s checks. The sidecar's ``final_loss``
+    is the history's last epoch, null without one."""
     with np.errstate(over="ignore"):  # a value past float32's range is inf: rejected
         weights, biases = ([np.ascontiguousarray(a, dtype="<f4") for a in arrays]
                            for arrays in (params.weights, params.biases))

@@ -51,6 +51,16 @@ def ref_scalar_adam(x0, grad_fn, lr, beta1, beta2, eps, steps):
     return traj
 
 
+def widened(params):
+    """A writable float64 copy of the scorer ``params``. Float32 widens to
+    float64 exactly, so a float64 oracle that takes it reads the scorer's
+    own values, and a float64 update of it is the float64-master step."""
+    from tfa.alignment import RelationParams
+
+    return RelationParams([w.astype(np.float64) for w in params.weights],
+                          [b.astype(np.float64) for b in params.biases], params.slope, params.m)
+
+
 def flat_param_views(params):
     """(array, index) pairs covering every parameter coordinate."""
     views = []
@@ -101,9 +111,10 @@ def kernel_loss_and_grad(params, vs, protos, targets, work=None):
 def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
                              coords=None):
     """Compare every analytic gradient coordinate of ``loss_and_grad`` with
-    central differences of the float64 oracle's loss, ``ref_loss``. The
-    kernel's own loss runs its hidden layers in float32, and a difference
-    quotient would magnify that rounding by 1/h.
+    central differences of the float64 oracle's loss, ``ref_loss``, taken on
+    ``widened(params)``: the kernel's own loss runs its hidden layers in
+    float32, a difference quotient would magnify that rounding by 1/h, and a
+    float32 weight cannot hold ``w ± h``.
 
     Relative error uses the guarded denominator max(|analytic|, |fd|, 1e-3),
     so near-zero coordinates are compared absolutely at rtol * 1e-3. Returns
@@ -113,7 +124,8 @@ def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
     flat_grads = []
     for arr in grads:
         flat_grads.extend(arr.reshape(-1).tolist())
-    views = flat_param_views(params)
+    wide = widened(params)
+    views = flat_param_views(wide)
     assert len(views) == len(flat_grads)
     if coords is None:
         coords = range(len(views))
@@ -122,9 +134,9 @@ def central_difference_check(params, vs, protos, targets, h=1e-5, rtol=1e-4,
         flat, i = views[c]
         keep = flat[i]
         flat[i] = keep + h
-        up = ref_loss(params, vs, protos, targets)
+        up = ref_loss(wide, vs, protos, targets)
         flat[i] = keep - h
-        down = ref_loss(params, vs, protos, targets)
+        down = ref_loss(wide, vs, protos, targets)
         flat[i] = keep
         fd = (up - down) / (2.0 * h)
         ana = flat_grads[c]
@@ -442,22 +454,23 @@ def f32_grad_bound(params, vs, protos, targets):
     may lie from ``ref_loss_and_grad``'s: ``(loss, d_weights, d_biases)``,
     each gradient bound entry by entry.
 
-    Built as ``f32_logit_bound`` is, with ``u = 2**-24``. Forward: the halves'
-    float32 casts and sum err by ``u(|a| + |cp|) + u|z1|``; a LeakyReLU scales
-    an error by at most ``max(1, slope)`` and rounds twice (its float32 slope
-    and the product), ``2u|h|``; the second layer, a float32 GEMM of fan-in
-    ``n`` on W2 and b2 cast to float32, errs by at most ``|dh1| @ |W2| + (n +
-    3)u (|h1| @ |W2| + |b2|)`` in any summation order, slabs included; the
-    float64 last layer carries ``|dh2| @ |w3|``. The loss then moves by at
-    most the mean of ``|σ(z) - t| |dz|``, and ``δ3 = (σ(z) - t)/N`` by
-    ``|dz| / 4N``. Backward: a product carries its operands' errors, ``|dA|
-    |B| + |A| |dB|``, and a float32 product of fan-in ``k`` adds ``(k + 3)u
-    |A| |B|`` (``k`` = N pair rows for dW2, in any order of pieces); a float64
-    product stored in float32 adds ``u`` of it. A gate scales an error by
-    ``max(1, slope)`` and rounds twice; where the oracle's pre-activation lies
-    within the forward's error of 0 the gate may take the other branch, which
-    adds ``|1 - slope|`` times the ungated delta and its error. The float64
-    sums, dW1 and the last layer round far below these terms.
+    Built as ``f32_logit_bound`` is, with ``u = 2**-24``. Forward: the
+    halves' float32 casts and sum err by ``u(|a| + |cp|) + u|z1|``; a
+    LeakyReLU scales an error by at most ``max(1, slope)`` and rounds twice
+    (its float32 slope and the product), ``2u|h|``; the second layer, a
+    float32 GEMM of fan-in ``n`` on the float32 W2 and b2 (a hand-built
+    float64 pair is cast), errs by at most ``|dh1| @ |W2| + (n + 3)u (|h1| @
+    |W2| + |b2|)`` in any summation order, slabs included; the float64 last
+    layer carries ``|dh2| @ |w3|``. The loss then moves by at most the mean
+    of ``|σ(z) - t| |dz|``, and ``δ3 = (σ(z) - t)/N`` by ``|dz| / 4N``.
+    Backward: a product carries its operands' errors, ``|dA| |B| + |A|
+    |dB|``, and a float32 product of fan-in ``k`` adds ``(k + 3)u |A| |B|``
+    (``k`` = N pair rows for dW2, in any order of pieces); a float64 product
+    stored in float32 adds ``u`` of it. A gate scales an error by ``max(1,
+    slope)`` and rounds twice; where the oracle's pre-activation lies within
+    the forward's error of 0 the gate may take the other branch, which adds
+    ``|1 - slope|`` times the ungated delta and its error. The float64 sums,
+    dW1 and the last layer round far below these terms.
     """
     from tfa.alignment import _sigmoid
 
@@ -514,9 +527,11 @@ def ref_loss(params, vs, protos, targets):
 
 def ref_loss_and_grad(params, vs, protos, targets):
     """Mean batch loss and gradient, gating the backward pass on the kept
-    pre-activations: (loss, d_weights, d_biases)."""
+    pre-activations: (loss, d_weights, d_biases), all in float64 on
+    ``widened(params)``."""
     from tfa.alignment import _bce_elementwise, _sigmoid
 
+    params = widened(params)
     vs = np.asarray(vs, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
     b, c = vs.shape[0], protos.shape[0]
@@ -550,15 +565,16 @@ def ref_adam_init(params, lr):
 
 def ref_adam_step(params, state, grads):
     """One Adam update from the gradient set ``(*d_weights, *d_biases)``,
-    with a fresh temporary per operation, on float64 moments (see
-    ``ref_adam_init``); mutates in place."""
+    with a fresh temporary per operation, on float64 masters (a
+    ``widened`` scorer) and float64 moments (see ``ref_adam_init``); mutates
+    in place."""
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, m, v, g in zip((*params.weights, *params.biases), state.m, state.v, grads,
                           strict=True):
-        assert m.dtype == v.dtype == np.float64, "the oracle keeps float64 moments"
+        assert p.dtype == m.dtype == v.dtype == np.float64, "the oracle is float64 throughout"
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -567,13 +583,13 @@ def ref_adam_step(params, state, grads):
 
 
 def f32_adam_bound(params, state, grads, bound=None, e_grads=None):
-    """First-order bounds on how far float32-moment Adam may lie from
-    ``ref_adam_step`` after the step that it is about to take on ``params``
-    and ``state`` with ``grads``: ``(e_params, e_m, e_v)``, one array per
-    entry of ``(*weights, *biases)``, given the previous step's ``bound``
-    (None at the start, where both sides are equal). ``e_grads`` bounds how
-    far the float32 side's gradients lie from ``grads`` (by default they are
-    the same).
+    """First-order bounds on how far float32 Adam, on float32 parameters and
+    moments, may lie from ``ref_adam_step`` after the step that it is about
+    to take on ``params`` and ``state`` with ``grads``: ``(e_params, e_m,
+    e_v)``, one array per entry of ``(*weights, *biases)``, given the
+    previous step's ``bound`` (None at the start, where both sides are
+    equal). ``e_grads`` bounds how far the float32 side's gradients lie from
+    ``grads`` (by default they are the same).
 
     With ``u = 2**-24``, as in ``f32_grad_bound``: a float32 operation rounds
     once, ``u`` of its result, and so does each cast of a float64 gradient or
@@ -585,9 +601,9 @@ def f32_adam_bound(params, state, grads, bound=None, e_grads=None):
     ε̂`` adds ``u ε̂`` and ``u D``; the quotient ``q = m / D`` errs by ``e_m/D
     + |m| e_D / D² + u|q|``, and the update ``lr_t q`` by ``lr_t e_q + 2u
     lr_t |q|``. Kingma and Ba's ``lr_t = lr √(1 - β2^t) / (1 - β1^t)`` and
-    ``ε̂ = ε √(1 - β2^t)`` make the textbook update exactly. The float64
-    subtraction rounds each side once, ``2**-53 |p|``; the oracle's other
-    float64 roundings lie far below these terms.
+    ``ε̂ = ε √(1 - β2^t)`` make the textbook update exactly. The float32
+    subtraction rounds once, ``u |p|``, and the oracle's float64 one ``2**-53
+    |p|``; the oracle's other float64 roundings lie far below these terms.
     """
     u, u64 = 2.0 ** -24, 2.0 ** -53
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -611,7 +627,7 @@ def f32_adam_bound(params, state, grads, bound=None, e_grads=None):
         e_d = e_root + u * eps + u * d
         q = m1 / d
         e_q = em / d + m1 * e_d / (d * d) + u * q
-        ep = ep + lr * e_q + 2 * u * lr * q + 2 * u64 * (np.abs(p) + lr * q)
+        ep = ep + lr * e_q + 2 * u * lr * q + (u + u64) * (np.abs(p) + lr * q)
         for acc, e in zip(out, (ep, em, ev)):
             acc.append(e)
     return out

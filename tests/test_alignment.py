@@ -27,7 +27,7 @@ from tfa.errors import (
     FormatError,
     ValidationError,
 )
-from tfa.rng import Stream
+from tfa.rng import SCOPE_INIT, Stream, derive_seed
 from tfa.synth import SynthConfig, generate_synthetic, l2_normalize
 
 from helpers import (
@@ -51,6 +51,7 @@ from helpers import (
     ref_score_pair,
     recorded_gradients,
     traced_peak,
+    widened,
 )
 
 
@@ -77,6 +78,15 @@ def test_init_biases_zero_and_weights_bounded():
 def test_default_architecture_shape():
     p = init_relation(16, seed=0)
     assert p.layer_sizes() == [32, 2048, 1024, 1]
+
+
+def test_init_rounds_the_float64_draws_once():
+    p = init_relation(5, seed=9, hidden=(7, 3))
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        draws = Stream(derive_seed(9, SCOPE_INIT, i)).uniform(w.size)
+        want = ((draws * 2.0 - 1.0) * math.sqrt(6.0 / w.shape[0])).astype(np.float32)
+        assert w.dtype == b.dtype == np.float32
+        assert w.tobytes() == want.tobytes()
 
 
 # ---- forward scoring ----
@@ -111,9 +121,10 @@ def test_score_pair_matches_loop_oracle_and_reference():
     rs, rz = ref_score_pair(params, v, e)
     assert s == pytest.approx(rs, abs=1e-12)
     assert z == pytest.approx(rz, abs=1e-12)
-    # frozen 64-bit reference values for cross-checking other implementations
-    assert s == pytest.approx(0.619122426909387, abs=1e-9)
-    assert z == pytest.approx(0.48582504187010556, abs=1e-9)
+    # frozen 64-bit reference values for cross-checking other implementations,
+    # on init's float32 weights
+    assert s == pytest.approx(0.6191224202931919, abs=1e-9)
+    assert z == pytest.approx(0.48582501381277393, abs=1e-9)
 
 
 def test_score_pair_rejects_wrong_dimension():
@@ -329,15 +340,18 @@ def test_float32_table_at_the_benchmark_width():
     assert np.array_equal(np.argmax(table, axis=1), np.argmax(want, axis=1))
 
 
-def test_a_loaded_scorer_keeps_float32_and_copies_to_float64(tmp_path):
+def test_a_loaded_scorer_keeps_float32_and_copies_to_writable_float32(tmp_path):
     p = _kernel_net(0.01, False)
     save_alignment(p, tmp_path / "s.aln")
     loaded, _ = load_alignment(tmp_path / "s.aln")
     assert all(a.dtype == np.float32 and a.base is not None
                for a in (*loaded.weights, *loaded.biases))
     copy = loaded.copy()
-    assert all(a.dtype == np.float64 and a.flags.writeable for a in (*copy.weights, *copy.biases))
-    # The float64 copy holds the same values, so it scores to the same bytes.
+    assert all(a.dtype == np.float32 and a.flags.writeable and a.base is None
+               for a in (*copy.weights, *copy.biases))
+    # The copy holds the same bytes, so it scores to the same bytes.
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((*copy.weights, *copy.biases),
+                                                          (*loaded.weights, *loaded.biases)))
     vs, protos, _ = _kernel_inputs()
     assert score_matrix(loaded, vs, protos).tobytes() == score_matrix(copy, vs, protos).tobytes()
     assert f64_score_matrix(loaded, vs, protos).tobytes() == \
@@ -360,6 +374,19 @@ def test_loss_and_grad_matches_the_pre_activation_gate(slope, zero_weights):
         for i, (a, w) in enumerate(zip(got, want)):
             if i != 2 or float(np.float32(slope)) == slope:
                 assert a.tobytes() == w.tobytes()
+
+
+def test_loss_and_grad_widens_w1_in_row_blocks(monkeypatch):
+    from tfa.alignment import _step_layout
+
+    # With 2 MiB slabs a W1 block holds up to 256 rows at 2048/1024, so
+    # only m > 256 takes several blocks. Slabs of 18 values take the kernel
+    # net's 12 rows of W1 in blocks of 2, summed through a partial product.
+    monkeypatch.setattr(alignment, "_SLAB", 18)
+    p = _kernel_net(0.01, False)
+    vs, protos, targets = _kernel_inputs()
+    assert _step_layout(p, 5, 3)[-1][0][1:] == [(2 * 9, np.float64), (5 * 9, np.float64)]
+    _assert_within_f32_grad_bound(p, vs, protos, targets)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01])
@@ -386,7 +413,8 @@ def test_forward_writes_the_layer_outputs():
 
     p = _kernel_net(0.01, False)
     vs, protos, _ = _kernel_inputs()
-    a, cp = _first_layer(p, vs, protos, np.empty((5, 9)), np.empty((3, 9)))
+    a, cp = _first_layer(p, vs, protos, np.empty((5, 9)), np.empty((3, 9)), np.empty((2, 9)),
+                         np.empty(45))  # W1's 12 rows in blocks of 2
     (_, w2, w3), (_, b2, b3) = p.weights, p.biases
     work = [np.empty((5, 3, 9)), np.empty((15, 5)), np.empty(15)]
     h = _first_hidden(a, cp, work[0], p.slope, np.empty(4))
@@ -613,7 +641,8 @@ def test_adam_zero_gradient_is_a_no_op():
 
 
 def grad_like_zero(p):
-    return [np.zeros_like(a) for a in (*p.weights, *p.biases)]
+    """A zero gradient set, float64 as a training step makes it."""
+    return [np.zeros(a.shape) for a in (*p.weights, *p.biases)]
 
 
 def _assert_within(params, state, oracle, ref_state, bound):
@@ -626,18 +655,17 @@ def _assert_within(params, state, oracle, ref_state, bound):
         assert np.all(np.abs(a - b) <= e), f"array {i}: {np.max(np.abs(a - b) - e):.3g} over"
 
 
-def test_adam_moments_are_float32_beside_float64_weights():
+def test_adam_keeps_weights_and_moments_float32():
     p = init_relation(3, seed=7, hidden=(4, 2))
     state = adam_init(p)
     assert all(a.dtype == np.float32 for a in (*state.m, *state.v))
-    adam_step(p, state, [np.ones_like(a) for a in (*p.weights, *p.biases)])
-    assert all(a.dtype == np.float32 for a in (*state.m, *state.v))
-    assert all(a.dtype == np.float64 for a in (*p.weights, *p.biases))
+    adam_step(p, state, [np.ones(a.shape) for a in (*p.weights, *p.biases)])
+    assert all(a.dtype == np.float32 for a in (*state.m, *state.v, *p.weights, *p.biases))
 
 
 def test_adam_first_step_magnitude():
     p = init_relation(2, seed=1, hidden=(3, 2))
-    q = p.copy()
+    q = widened(p)
     state, ref = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01)
     g = grad_like_zero(p)
     g[0][0, 0] = 0.37
@@ -658,9 +686,9 @@ def test_adam_matches_scalar_oracle_on_quadratic():
     p = init_relation(1, seed=3, hidden=(1, 1))
     for w in p.weights:
         w[:] = 0.0
-    x0 = 1.7
-    p.weights[0][0, 0] = x0
-    q = p.copy()
+    p.weights[0][0, 0] = 1.7
+    x0 = float(p.weights[0][0, 0])  # 1.7 as the float32 scorer holds it
+    q = widened(p)
     state, ref = adam_init(p, lr=0.1), ref_adam_init(q, lr=0.1)
     traj, bound = [], None
     for _ in range(2):
@@ -679,7 +707,7 @@ def test_adam_matches_scalar_oracle_on_quadratic():
 @pytest.mark.parametrize("slope", [0.01, 2.5])
 def test_in_place_adam_matches_the_temporaries_version(slope):
     p = init_relation(6, seed=40, hidden=(9, 5), slope=slope)
-    q = p.copy()
+    q = widened(p)
     s_new, s_ref = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01)
     stream, bound = Stream(41), None
     for step in range(6):
@@ -702,7 +730,7 @@ def test_blocked_adam_matches_the_temporaries_version_across_blocks(monkeypatch)
     # weights span two blocks. Blocked Adam is within its bound of the
     # oracle, and has the bytes of Adam run in one block per array.
     p = init_relation(1, seed=42, hidden=(_BLOCK + 7, 1))
-    q, whole = p.copy(), p.copy()
+    q, whole = widened(p), p.copy()
     s_new, s_ref, s_whole = adam_init(p, lr=0.01), ref_adam_init(q, lr=0.01), adam_init(whole, lr=0.01)
     rng, bound = np.random.default_rng(43), None
     for _ in range(3):
@@ -869,15 +897,16 @@ def test_fused_adam_matches_full_gradient_sets(monkeypatch, slope, overflow, m, 
 
 def test_float32_moments_train_as_float64_moments_do(monkeypatch):
     # The benchmark's train op: m=64, 20 prototypes, 8 steps of 25 samples
-    # at 2048/1024. Beside the fused training a float64-moment scorer takes
-    # its own gradients, read through recorded_gradients, and ref_adam_step.
-    # After every step each loss is within the benchmark's 1e-6 of the
-    # other's, and each parameter and moment within f32_adam_bound, which
-    # carries the two runs' measured gradient difference.
+    # at 2048/1024. Beside the fused float32 training, float64 masters from
+    # the same rounded init, with float64 moments, take their own gradients,
+    # read through recorded_gradients, and ref_adam_step. After every step
+    # each loss is within the benchmark's 1e-6 of the other's, and each
+    # parameter and moment within f32_adam_bound, which carries the two
+    # runs' measured gradient difference.
     base, protos = _base_task_data(m=64, classes=20, per_class=10)
     train = base.subset(base.indices(split="train"))
     hyper = TrainConfig(epochs=1, batch_size=25, seed=0)
-    oracle = init_relation(64, hyper.seed, hyper.hidden)
+    oracle = widened(init_relation(64, hyper.seed, hyper.hidden))
     ref = ref_adam_init(oracle, hyper.lr)
     real, bound, losses = alignment.loss_and_grad, None, []
 
@@ -903,10 +932,10 @@ def test_float32_moments_train_as_float64_moments_do(monkeypatch):
 
 
 def test_training_holds_no_gradient_set():
-    # A 1-step run at m=8 and 2048/1024 allocates Adam's two float32
-    # moments, together one float64 parameter set, one step's activations
-    # and deltas and one 2 MiB gradient block. A full gradient set, or
-    # float64 moments, would be one parameter set more.
+    # A 1-step run at m=8 and 2048/1024, on float32 weights made before it,
+    # allocates Adam's two float32 moments (8 bytes per parameter), one
+    # step's activations and deltas and one 2 MiB gradient block. A float64
+    # gradient set, or float64 moments, would be 8 bytes per parameter more.
     base, protos = _base_task_data(m=8, classes=4, per_class=10)
     train = base.subset(base.indices(split="train")[:10])
     hyper = TrainConfig(epochs=1, batch_size=10, seed=1, hidden=(2048, 1024))
@@ -934,15 +963,16 @@ def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
     from tfa.alignment import _step_workspace
 
     # One step at the benchmark's train shape: m=64, 20 prototypes, a batch
-    # of 25 samples and 2048/1024. Beyond the parameters and Adam's two
-    # float32 moments (one parameter set together) it holds the second
-    # hidden output, n*H1 float32 values for n = 500 pairs, and X: at most
-    # one 2 MiB float32 slab of W2 and one block of whole samples of a slab
-    # of the first hidden output (the batch runs in blocks of 13 and 12),
-    # not the whole n*H0. At most 1 MiB more: the first layer's halves in
-    # float32, the bias gradients, the small scratch and numpy's own
-    # buffers. The halves are made in float64 in X's words for the delta
-    # sums, so they do not grow X.
+    # of 25 samples and 2048/1024. Beyond the float32 parameters and Adam's
+    # two float32 moments (12 bytes per parameter) it holds the second
+    # hidden output, n*H1 float32 values for n = 500 pairs, and X: one
+    # block of whole samples of a slab of the first hidden output (the
+    # batch runs in blocks of 13 and 12) or one dW2 slab, never the whole
+    # n*H0; W2's slabs are views. At most 1 MiB more: the first layer's
+    # halves in float32, the bias gradients, the small scratch and numpy's
+    # own buffers. The halves are made in float64 in X's words for the
+    # delta sums, so they do not grow X. Init's float64 draws are freed
+    # before the step.
     base, protos = _base_task_data(m=64, classes=20, per_class=2)
     train = base.subset(base.indices(split="train")[:25])
     hyper = TrainConfig(epochs=1, batch_size=25, seed=1, hidden=(2048, 1024))
@@ -950,43 +980,50 @@ def test_training_step_holds_one_sample_block_of_the_first_hidden_output():
         lambda: train_alignment(init_relation(64, 1, hyper.hidden), train, protos, hyper)[0])
     x, x2, _, halves = _step_workspace(params, 25, 20)[:4]
     assert x.nbytes <= 603_000 * 8 and x.nbytes < 500 * 2048 * 4
-    assert x.dtype == np.float64 and x.size <= 461_824
+    assert x.dtype == np.float64 and x.size <= 358_912
     assert x2.dtype == np.float32
     assert halves.dtype == np.float32 and halves.shape == (45, 2048)
-    assert peak - 2 * 8 * params.n_params() <= x2.nbytes + x.nbytes + (1 << 20)
+    assert peak - 12 * params.n_params() <= x2.nbytes + x.nbytes + (1 << 20)
 
 
-@pytest.mark.parametrize("hidden, slab, dw2_slab", [((1024, 512), 1024, 512),
-                                                     ((2048, 1024), 512, 256)])
-def test_the_step_layout_leaves_adam_whole_blocks(monkeypatch, hidden, slab, dw2_slab):
-    from tfa.alignment import _BLOCK, _adam_begin, _carve, _step_layout, _step_workspace
+@pytest.mark.parametrize("m, hidden, slab, dw2_slab, rows, words",
+                         [(64, (1024, 512), 1024, 512, 64, (422_912, 144_384)),
+                          (64, (2048, 1024), 512, 256, 64, (358_912, 256_000)),
+                          (1024, (2048, 1024), 512, 256, 256, (667_648, 649_216))],
+                         ids=["bench-1024x512", "bench-2048x1024", "synth-2048x1024"])
+def test_the_step_layout_leaves_adam_whole_blocks(monkeypatch, m, hidden, slab, dw2_slab,
+                                                  rows, words):
+    from tfa.alignment import _BLOCK, _adam_begin, _carve, _step_layout, _step_workspace, _words
 
-    # The benchmark's step shapes: 25 samples by 20 prototypes at m=64. W2
-    # goes to float32 in 2 MiB slabs, the batch in sample blocks of 13 and
-    # 12, dW2 in row slabs whose block and piece sum take 2 MiB. Where dW1
-    # and dW2 go to Adam, X leaves it two float64 blocks of _BLOCK values,
-    # so it updates both in whole blocks.
-    p = init_relation(64, seed=1, hidden=hidden)
-    s, k, s2, rows, phases = _step_layout(p, 25, 20)
-    assert (s, k, s2, rows) == (slab, 13, dw2_slab, 64)
+    # The benchmark's step shapes, 25 samples by 20 prototypes at m=64, and
+    # the synth default m=1024. W2 is read in 2 MiB row slabs, the batch in
+    # sample blocks of 13 and 12, dW2 in row slabs whose block and piece
+    # sum take 2 MiB. Where dW1 and dW2 go to Adam, X leaves it what its
+    # two float32 scratch buffers take, 2*_BLOCK float32 values, so it
+    # updates both in whole blocks. At m=1024 W1 takes four row blocks, so
+    # the first layer's phase holds a partial product and sets X's size.
+    p = init_relation(m, seed=1, hidden=hidden)
+    s, k, s2, r, phases = _step_layout(p, 25, 20)
+    assert (s, k, s2, r) == (slab, 13, dw2_slab, rows)
     assert s * hidden[1] * 4 == 2 << 20 and 2 * s2 * hidden[1] * 4 == 2 << 20
     x = _step_workspace(p, 25, 20)[0]
-    assert x.nbytes <= 603_000 * 8
-    for phase in phases[2:]:
-        assert _carve(x, phase[:-1])[-1].size >= 2 * _BLOCK
+    assert (x.size, _words(phases[3])) == words  # X, and its dW1 phase
+    for phase in phases[3:]:
+        assert phase[-1] == (2 * _BLOCK, np.float32)
+        assert _carve(x, phase[:-1])[-1].view(np.float32).size >= 2 * _BLOCK
     free = {}
 
     def spy(*args):
         put = _adam_begin(*args)
 
         def recorded(k, r, g, room=None):
-            free.setdefault(k, set()).add(None if room is None else room.size)
+            free.setdefault(k, set()).add(None if room is None else room.view(np.float32).size)
             put(k, r, g, room)
         return recorded
 
     monkeypatch.setattr(alignment, "_adam_begin", spy)
     rng = np.random.default_rng(3)
-    vs, protos = l2_normalize(rng.normal(size=(25, 64))), l2_normalize(rng.normal(size=(20, 64)))
+    vs, protos = l2_normalize(rng.normal(size=(25, m))), l2_normalize(rng.normal(size=(20, m)))
     loss_and_grad(p, vs, protos, rng.integers(0, 20, size=25), adam_init(p))
     assert min(free[0]) >= 2 * _BLOCK and min(free[1]) >= 2 * _BLOCK
 
@@ -1033,6 +1070,39 @@ def test_checkpoint_round_trip(tmp_path):
     save_alignment(p, tmp_path / "again2.aln")
     assert (tmp_path / "again.aln").read_bytes() == (tmp_path / "again2.aln").read_bytes()
     assert load_alignment(tmp_path / "again.aln")[1]["final_loss"] is None
+
+
+def test_every_scorer_the_module_makes_is_float32(tmp_path):
+    # One dtype, the checkpoint's: init, training, a copy and a load.
+    base, protos = _base_task_data(m=16, classes=4, per_class=8)
+    train = base.subset(base.indices(split="train"))
+    hyper = TrainConfig(epochs=1, batch_size=5, seed=3, hidden=(12, 6))
+    made = init_relation(16, 3, hyper.hidden)
+    trained, _ = train_alignment(init_relation(16, 3, hyper.hidden), train, protos, hyper)
+    save_alignment(trained, tmp_path / "s.aln")
+    loaded, _ = load_alignment(tmp_path / "s.aln")
+    for p in (made, trained, trained.copy(), loaded, loaded.copy()):
+        assert all(a.dtype == np.float32 for a in (*p.weights, *p.biases))
+
+
+def test_save_writes_each_layer_as_its_own_bytes(tmp_path):
+    import struct
+
+    # A float32 scorer's payload is its weights' and biases' bytes, with
+    # nothing rounded, and save, load, save writes the same file.
+    p = _kernel_net(0.01, False)
+    first, again = tmp_path / "first.aln", tmp_path / "again.aln"
+    save_alignment(p, first)
+    blob, off = first.read_bytes(), 8
+    for w, b in zip(p.weights, p.biases):
+        assert struct.unpack_from("<II", blob, off) == w.shape
+        off += 8
+        assert blob[off:off + w.nbytes] == w.tobytes()
+        assert blob[off + w.nbytes:off + w.nbytes + b.nbytes] == b.tobytes()
+        off += w.nbytes + b.nbytes
+    assert off == len(blob)
+    save_alignment(load_alignment(first)[0], again)
+    assert again.read_bytes() == blob
 
 
 def test_checkpoint_binary_layout_is_exact(tmp_path):

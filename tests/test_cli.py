@@ -214,23 +214,23 @@ def _train_align(world, name, threads):
                  for f in (out, Path(f"{out}.meta.json")))
 
 
-# SHA-256s of the ALN1 and its sidecar, recorded at 1 BLAS thread when Adam
-# first held its moments in float32 beside the float64 master weights.
+# SHA-256s of the ALN1 and its sidecar, recorded at 1 BLAS thread when
+# training first held the scorer's parameters in float32.
 # Training runs its three hidden-layer GEMMs in float32 and sums dW2 in
 # fixed 256-row pieces, so they are the same at 1 and 2 BLAS threads.
 ALIGN_SHAS = {
-    "scorer": ("719b59c4ee47b4720134664ed4617da5af379a54e1c336d6e837c5cbcfd30245",
-               "997ff1798b6ef9da921782a3e8ca93f189a90719473c816d68bdb14146debe7b"),
-    "train": ("4b95ebab2efa56e11183d808e014a41e83fabae857b30cd9e44cdb4f8798d906",
-              "d46ee8c34e014008bcd0333fdbbd9a921558cd2f8b709084d5e963c230c629da"),
-    "train-partial": ("b952cd75df1c870149352ee80ed989775fd3210f4aa6cc2fef8db144eca57fba",
-                      "ecc24e3db48327f42361235c59f9e3d1fc7325de4592d04ab675f9feaae28625"),
-    "partial": ("23d8d19fc4fdde2a79d802c7dd7016db7d2305bc723aabf25e3e36b70e180369",
-                "db6e10d93a40f049c239575fe332d4e0882e36b7fb17bb19fa8d4aaec230a374"),
-    "slope0": ("4e3b485477abadeb058aedb26ff63e6ee28ef91338c2f4e8f005afb6c00fb9c5",
-               "bcebc5ae24e2fe9b838627f3a9f3601a5cef082fd784096ff455ab942e94c01b"),
-    "slope2.5": ("3fff97e2da0a04ddee95c1a0218d3e0b871465d4e59cc3ad66f33ac5498cb4d8",
-                 "9cf8ac7e8bd5b4690950356878c4f358fd02dccaf1a31b01ca21a71c35886723"),
+    "scorer": ("30ae7a74dda746983d80143c21bdea3394aa7049e2c31fe541adc57151d5d5e3",
+               "291a69ff32b489dfe44b813c1380e44ec8b553a024d90c8cc6aecd92c9bc2f79"),
+    "train": ("4d26108d057a9c809d2b4237e2d74be80fbae06e2635d10927d46f06a7f42834",
+              "ce988decb81c9eb99f18c2ca4bb89d0efc9595c87b8f781b4a580072d1c7e764"),
+    "train-partial": ("da8e32a5bd35df9e50bba1150f5cc7a25b1b1a3b23801cdfa3b2318c2ea656a4",
+                      "1f00a44cc510c149e62acd11f69b711d18a3b23e3cba34d81761ba151346c3d3"),
+    "partial": ("c61b7658996101a92c977a54f63d76053ec38e994e89d4bc654ef4bef6751477",
+                "ea6ca6594f5755d74102847fda08f51a1cd341842a3aa1d38545ca7a4cabb75b"),
+    "slope0": ("8d0edcdb96ecbb88b2f75e61b8daab0f840a96bc5bc3791ab4068221214d5ea2",
+               "cda11e769c91ebe73a007f91b2d6db897e3e78aba104f811ef81d2863a7211f1"),
+    "slope2.5": ("dca7b4019cf86f4d4780fcf129e742551e0491bbec0c4da0d2af2e21208513c7",
+                 "fd37d190d93b7ab1196724e2acb52b7573b6d7f90e3600dd3e9a99a5a2d55478"),
 }
 
 
@@ -243,8 +243,8 @@ def test_train_align_writes_the_recorded_bytes(bench_world, name):
 def test_train_align_bytes_do_not_depend_on_blas_threads(bench_world, name):
     # The ALN1 and its sidecar, loss history included. Training sums dW2 =
     # h1ᵀ δ2, a reduction over every pair row of the batch, in fixed pieces,
-    # so the trained float64 parameters themselves do not depend on the
-    # threads either (TRAINED_PARAM_SHAS).
+    # so the trained parameters themselves do not depend on the threads
+    # either (TRAINED_PARAM_SHAS).
     assert _train_align(bench_world, name, "2") == ALIGN_SHAS[name]
 
 
@@ -262,23 +262,21 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (*params.weights, *params.bia
       .hexdigest())
 """
 
-# SHA-256 of the trained float64 weights then biases, in layer order,
-# recorded with ALIGN_SHAS; 1 and 2 BLAS threads give the same bytes.
-# ALIGN_SHAS hash the float32 checkpoint, which hides changes in the last
-# bits of float64 training: a backward that forms δ2 W2ᵀ in 410-wide
-# column slabs moved both digests of the float64 kernel and no ALN1 byte.
+# SHA-256 of the trained float32 weights then biases, in layer order, as
+# the in-process training returns them, recorded with ALIGN_SHAS; 1 and 2
+# BLAS threads give the same bytes.
 TRAINED_PARAM_SHAS = {
-    "scorer": "14730647272c6bcbd6c260d8393c436d5a897286a2ba96ccdfdd0c326f2da2d1",
-    "train": "9445aaccbd9f79c54feb2bb09e9f59d9e9245211ef1dc22681bc0d585d62c48d",
-    "train-partial": "c2592dd0ca720fc78bafe06224442586b83a37ec5ac40be1ba0ec9bfeb144e13",
-    "partial": "d5e46a12cddd4b3082d98d9bdea03c4830f7d956355279cc60e70f03bf72501d",
-    "slope0": "3b86ef9f363140b7cb7d4f451a2df81af55bd84c4803f7bbf00d56ca90ad25db",
-    "slope2.5": "964d50989ea9e12541aab887a636a6f17089b69ff4762ca8b3f0ff806d4d0ca5",
+    "scorer": "0ff64b9f97ebf091c8c2c955a41db84a374f55dd9ae4278974e24000b9c3dfb8",
+    "train": "00bdf5ce209f78450f339bef2166407aa14519eb4e9acf7fe75abc336488792f",
+    "train-partial": "ad25f91661bbd2b98d0b44d5af8701be5a3a606bed27a7fb4e0b96852cb456cc",
+    "partial": "41dec5c540889788c5310ca529bac7fe07a5d43e7038f6b3195a01706b706e5f",
+    "slope0": "2bc5ab9225e88b5d1ff8d2f1b0f5cb91091e27afc5cf47e5fc870b6a7d131468",
+    "slope2.5": "27d08543105cce04f728b11b91ee36fe8fd5185f1511f7f9e2ebe2e380c60cda",
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRAINED_PARAM_SHAS))
-def test_trained_float64_parameters_are_the_recorded_bytes(bench_world, name):
+def test_trained_parameters_are_the_recorded_bytes(bench_world, name):
     for threads in ("1", "2"):
         out = _child(["-c", _TRAINED_PARAM_SHA, str(bench_world / "tasks"),
                       json.dumps(BENCH_ALIGN[name]["align"])], threads)
@@ -650,7 +648,7 @@ def test_run_rejects_a_sidecar_without_m(workspace, tmp_path, capsys):
 # TrainConfig held before Adam's constants were fixed, recorded with
 # ALIGN_SHAS (its loss history moves with them); its ALN1 bytes are
 # ALIGN_SHAS["partial"][0].
-PRE_ADAM_CONSTANTS_SIDECAR = "cf9fc55546382f9cb0013f8b2d90906c42439b1ed68eecd12a07148c40ed7257"
+PRE_ADAM_CONSTANTS_SIDECAR = "9d6cbdc92e60933968ba6c3854203ddb6cd9a04a127a4a05aa980136e390cc38"
 
 
 def test_a_sidecar_with_adam_constants_still_loads_and_runs(bench_world, tmp_path):

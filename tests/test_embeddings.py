@@ -351,8 +351,10 @@ def _set_prototype(i, **changes):
     return spoil
 
 
-def _set_weight(value):
+def _set_weight(value, by_hand=False):
     def spoil(params):
+        if by_hand:  # a float32 scorer cannot hold the value: float64 weights built by hand
+            params.weights = [w.astype(np.float64) for w in params.weights]
         params.weights[0][0, 0] = value
     return spoil
 
@@ -383,7 +385,7 @@ WRITER_CASES = {
     "zero-prototype": ("prototypes", _set_prototype(0, vector=np.zeros(3)),
                        _first_floats([0.0] * 3)),
     "nan-weight": ("alignment", _set_weight(np.nan), _first_floats([np.nan])),
-    "weight-past-f32": ("alignment", _set_weight(1e39), _first_floats([1e39])),
+    "weight-past-f32": ("alignment", _set_weight(1e39, by_hand=True), _first_floats([1e39])),
     "nan-slope": ("alignment", _set_attr(slope=np.nan), _sidecar_edit(slope=np.nan)),
     "fan-in-not-2m": ("alignment", _set_attr(m=3), _sidecar_edit(m=3)),
 }
